@@ -8,9 +8,11 @@
 //     fails. These are host-time measurements, so the baseline is
 //     machine-dependent and the tolerance absorbs runner noise.
 //
-//   - The URPC transport-cost contract: the v2 transport benchmarks
-//     (-bench='URPCPipelined|BulkTransfer' in internal/urpc) report simulated
-//     cycles per message and per line. Those metrics are fully deterministic
+//   - The URPC transport-cost contract: the transport benchmarks
+//     (-bench='URPCPipelined|URPCOneHop|BulkTransfer' in internal/urpc)
+//     report simulated cycles per message — pipelined bursts and the
+//     spin, deadline and parked-window single-message paths — and per bulk
+//     line. Those metrics are fully deterministic
 //     — same value on every run and every machine — so they are pinned
 //     exactly (keys with a ":unit" suffix in the baseline): any regression
 //     fails, and an improvement prints a reminder to refresh the baseline.
@@ -180,7 +182,7 @@ func main() {
 func runSimBenchmarks() (map[string]float64, error) {
 	got := map[string]float64{}
 	for _, run := range []struct{ bench, pkg string }{
-		{"URPCPipelined|BulkTransfer", "./internal/urpc/"},
+		{"URPCPipelined|URPCOneHop|BulkTransfer", "./internal/urpc/"},
 		{"ParallelEnginePinned", "./internal/sim/"},
 		{"BootParallelPinned|DirectoryPinned", "./internal/expt/"},
 		{"ObsPinned", "./internal/obs/"},

@@ -621,7 +621,7 @@ func (srv *kvServer) run(p *sim.Proc) {
 			if !ok {
 				continue
 			}
-			n := ch.RecvAll(p, buf[:])
+			n := ch.Recv(p, buf[:], urpc.Poll)
 			for i := 0; i < n; i++ {
 				srv.handleMesh(p, src, buf[i])
 			}
@@ -631,7 +631,7 @@ func (srv *kvServer) run(p *sim.Proc) {
 		}
 		// 2) Client requests.
 		for _, c := range srv.clients {
-			n := srv.clientReq[c].RecvAll(p, buf[:])
+			n := srv.clientReq[c].Recv(p, buf[:], urpc.Poll)
 			for i := 0; i < n; i++ {
 				srv.handleClient(p, c, buf[i])
 			}
@@ -671,7 +671,7 @@ func (srv *kvServer) primaryOf(p *sim.Proc, s int) bool {
 
 func (srv *kvServer) reply(p *sim.Proc, client topo.CoreID, val, flags, status, reqID uint64) {
 	ch := srv.clientRsp[client]
-	if ch.SendTimeout(p, urpc.Message{val, flags, status, reqID}, srv.cl.cfg.RequestTimeout) {
+	if ch.Send(p, []urpc.Message{{val, flags, status, reqID}}, urpc.Deadline(srv.cl.cfg.RequestTimeout)) > 0 {
 		if pr := srv.clientProcs[client]; pr != nil {
 			srv.cl.eng.Wake(pr)
 		}
@@ -757,7 +757,7 @@ func (srv *kvServer) handleMesh(p *sim.Proc, src topo.CoreID, m urpc.Message) {
 			srv.dedup[s][reqID] = 1
 		}
 		if ch, ok := srv.out[src]; ok {
-			if ch.SendTimeout(p, urpc.Message{key, 1, ckOpReplAck, reqID, uint64(s)}, cl.cfg.ReplTimeout) {
+			if ch.Send(p, []urpc.Message{{key, 1, ckOpReplAck, reqID, uint64(s)}}, urpc.Deadline(cl.cfg.ReplTimeout)) > 0 {
 				cl.wakeServer(src)
 			}
 		}
@@ -781,7 +781,7 @@ func (srv *kvServer) handleMesh(p *sim.Proc, src topo.CoreID, m urpc.Message) {
 		srv.dedup[s] = sb.dups
 		delete(srv.syncRecv, s)
 		if ch, ok := srv.out[src]; ok {
-			if ch.SendTimeout(p, urpc.Message{0, 0, ckOpSyncAck, m[3], uint64(s)}, cl.cfg.SyncTimeout) {
+			if ch.Send(p, []urpc.Message{{0, 0, ckOpSyncAck, m[3], uint64(s)}}, urpc.Deadline(cl.cfg.SyncTimeout)) > 0 {
 				cl.wakeServer(src)
 			}
 		}
@@ -832,7 +832,7 @@ func (srv *kvServer) serviceWrites(p *sim.Proc) bool {
 			st := cl.shards[s]
 			w.waiting = make(map[topo.CoreID]bool, len(st.isr))
 			for _, b := range st.isr {
-				if srv.out[b].SendTimeout(p, urpc.Message{w.key, w.val, ckOpRepl, w.reqID, uint64(s)}, cl.cfg.ReplTimeout) {
+				if srv.out[b].Send(p, []urpc.Message{{w.key, w.val, ckOpRepl, w.reqID, uint64(s)}}, urpc.Deadline(cl.cfg.ReplTimeout)) > 0 {
 					w.waiting[b] = true
 					cl.wakeServer(b)
 				} else {
@@ -931,7 +931,7 @@ func (srv *kvServer) startSync(p *sim.Proc, s int, target topo.CoreID) {
 	ok := true
 	for _, k := range rows {
 		p.Sleep(ckSyncRow)
-		if !ch.SendTimeout(p, urpc.Message{k, srv.data[s][k], ckOpSyncRow, 0, uint64(s)}, cl.cfg.SyncTimeout) {
+		if ch.Send(p, []urpc.Message{{k, srv.data[s][k], ckOpSyncRow, 0, uint64(s)}}, urpc.Deadline(cl.cfg.SyncTimeout)) == 0 {
 			ok = false
 			break
 		}
@@ -939,14 +939,14 @@ func (srv *kvServer) startSync(p *sim.Proc, s int, target topo.CoreID) {
 	if ok {
 		for _, k := range dups {
 			p.Sleep(ckSyncRow)
-			if !ch.SendTimeout(p, urpc.Message{k, srv.dedup[s][k], ckOpSyncDup, 0, uint64(s)}, cl.cfg.SyncTimeout) {
+			if ch.Send(p, []urpc.Message{{k, srv.dedup[s][k], ckOpSyncDup, 0, uint64(s)}}, urpc.Deadline(cl.cfg.SyncTimeout)) == 0 {
 				ok = false
 				break
 			}
 		}
 	}
 	if ok {
-		ok = ch.SendTimeout(p, urpc.Message{uint64(len(rows)), uint64(len(dups)), ckOpSyncEnd, id, uint64(s)}, cl.cfg.SyncTimeout)
+		ok = ch.Send(p, []urpc.Message{{uint64(len(rows)), uint64(len(dups)), ckOpSyncEnd, id, uint64(s)}}, urpc.Deadline(cl.cfg.SyncTimeout)) > 0
 	}
 	if !ok {
 		cl.syncFailed(p, s, target)
@@ -1072,25 +1072,22 @@ func (c *ClusterClient) attempt(p *sim.Proc, key, val, op, reqID uint64) (v, f, 
 	if reqCh.Dead() {
 		return 0, 0, 0, false
 	}
-	if !reqCh.SendTimeout(p, urpc.Message{key, val, op, reqID}, cl.cfg.RequestTimeout) {
+	if reqCh.Send(p, []urpc.Message{{key, val, op, reqID}}, urpc.Deadline(cl.cfg.RequestTimeout)) == 0 {
 		reqCh.MarkDead()
 		return 0, 0, 0, false
 	}
 	cl.wakeServer(primary)
 	deadline := p.Now() + cl.cfg.RequestTimeout
+	var m [1]urpc.Message
 	for {
 		remain := deadline - p.Now()
-		if remain <= 0 {
+		if remain <= 0 || rspCh.Recv(p, m[:], urpc.Deadline(remain)) == 0 {
 			return 0, 0, 0, false
 		}
-		m, ok := rspCh.RecvTimeout(p, remain)
-		if !ok {
-			return 0, 0, 0, false
-		}
-		if m[3] != reqID {
+		if m[0][3] != reqID {
 			continue // stale response from an earlier attempt to this core
 		}
-		return m[0], m[1], m[2], true
+		return m[0][0], m[0][1], m[0][2], true
 	}
 }
 

@@ -198,7 +198,7 @@ func (s *KVService) loop(p *sim.Proc) {
 		for i, req := range s.reqs {
 			// Burst dequeue: one check charge drains a client's whole request
 			// batch, and the replies go back as one vectored send.
-			n := req.RecvAll(p, reqBuf[:])
+			n := req.Recv(p, reqBuf[:], urpc.Poll)
 			if n == 0 {
 				continue
 			}
@@ -225,7 +225,7 @@ func (s *KVService) loop(p *sim.Proc) {
 					replies = append(replies, urpc.Message{v, f})
 				}
 			}
-			s.rsps[i].SendBatch(p, replies)
+			s.rsps[i].Send(p, replies, urpc.Spin)
 		}
 		if progress {
 			idle = 0
@@ -328,20 +328,20 @@ func (c *KVClient) Select(p *sim.Proc, key uint64) (uint64, bool, error) {
 		id = c.svc.eng.Serial()<<20 | key
 		rec.Emit(uint64(p.Now()), trace.AsyncBegin, trace.SubApp, int32(c.req.Sender), "kv.select", id, 0)
 	}
-	if !c.req.SendTimeout(p, urpc.Message{key}, c.Timeout) {
+	if c.req.Send(p, []urpc.Message{{key}}, urpc.Deadline(c.Timeout)) == 0 {
 		c.fail()
 		return 0, false, ErrChannelDead
 	}
 	c.svc.wake() // notify a parked service
-	m, ok := c.rsp.RecvTimeout(p, c.Timeout)
-	if !ok {
+	var m [1]urpc.Message
+	if c.rsp.Recv(p, m[:], urpc.Deadline(c.Timeout)) == 0 {
 		c.fail()
 		return 0, false, ErrChannelDead
 	}
 	if rec != nil {
-		rec.Emit(uint64(p.Now()), trace.AsyncEnd, trace.SubApp, int32(c.req.Sender), "kv.select", id, 2*m[0]+m[1])
+		rec.Emit(uint64(p.Now()), trace.AsyncEnd, trace.SubApp, int32(c.req.Sender), "kv.select", id, 2*m[0][0]+m[0][1])
 	}
-	return m[0], m[1] == 1, nil
+	return m[0][0], m[0][1] == 1, nil
 }
 
 // Update performs a synchronous remote UPDATE, reporting whether the key
@@ -356,20 +356,20 @@ func (c *KVClient) Update(p *sim.Proc, key, val uint64) (bool, error) {
 		id = c.svc.eng.Serial()<<20 | key
 		rec.Emit(uint64(p.Now()), trace.AsyncBegin, trace.SubApp, int32(c.req.Sender), "kv.update", id, val)
 	}
-	if !c.req.SendTimeout(p, urpc.Message{key, val, kvOpUpdate}, c.Timeout) {
+	if c.req.Send(p, []urpc.Message{{key, val, kvOpUpdate}}, urpc.Deadline(c.Timeout)) == 0 {
 		c.fail()
 		return false, ErrChannelDead
 	}
 	c.svc.wake()
-	m, ok := c.rsp.RecvTimeout(p, c.Timeout)
-	if !ok {
+	var m [1]urpc.Message
+	if c.rsp.Recv(p, m[:], urpc.Deadline(c.Timeout)) == 0 {
 		c.fail()
 		return false, ErrChannelDead
 	}
 	if rec != nil {
-		rec.Emit(uint64(p.Now()), trace.AsyncEnd, trace.SubApp, int32(c.req.Sender), "kv.update", id, m[1])
+		rec.Emit(uint64(p.Now()), trace.AsyncEnd, trace.SubApp, int32(c.req.Sender), "kv.update", id, m[0][1])
 	}
-	return m[1] == 1, nil
+	return m[0][1] == 1, nil
 }
 
 // SelectMany pipelines point SELECTs: keys go out as vectored batches sized
@@ -390,7 +390,7 @@ func (c *KVClient) SelectMany(p *sim.Proc, keys []uint64) (vals []uint64, found 
 		for _, k := range keys[:n] {
 			reqs = append(reqs, urpc.Message{k})
 		}
-		if c.req.SendBatchTimeout(p, reqs, c.Timeout) < len(reqs) {
+		if c.req.Send(p, reqs, urpc.Deadline(c.Timeout)) < len(reqs) {
 			c.fail()
 			return vals, found, ErrChannelDead
 		}
@@ -398,7 +398,7 @@ func (c *KVClient) SelectMany(p *sim.Proc, keys []uint64) (vals []uint64, found 
 		got := 0
 		deadline := p.Now() + c.Timeout
 		for got < n {
-			k := c.rsp.RecvAll(p, rbuf[got:n])
+			k := c.rsp.Recv(p, rbuf[got:n], urpc.Poll)
 			if k == 0 {
 				if p.Now() >= deadline {
 					c.fail()
@@ -425,7 +425,7 @@ func (c *KVClient) SelectMany(p *sim.Proc, keys []uint64) (vals []uint64, found 
 // never stall the server. The deadline re-arms on every payload, so a large
 // result set is bounded by per-transfer progress, not total size.
 func (c *KVClient) SelectRange(p *sim.Proc, lo, hi uint64) ([]uint64, error) {
-	if !c.req.SendTimeout(p, urpc.Message{lo, hi, kvOpRange}, c.Timeout) {
+	if c.req.Send(p, []urpc.Message{{lo, hi, kvOpRange}}, urpc.Deadline(c.Timeout)) == 0 {
 		c.fail()
 		return nil, ErrChannelDead
 	}
@@ -433,15 +433,14 @@ func (c *KVClient) SelectRange(p *sim.Proc, lo, hi uint64) ([]uint64, error) {
 	var vals []uint64
 	total := -1
 	deadline := p.Now() + c.Timeout
+	var m [1]urpc.Message
 	for total < 0 || len(vals) < total {
-		if total < 0 {
-			if m, ok := c.rsp.TryRecv(p); ok {
-				total = int(m[0])
-				deadline = p.Now() + c.Timeout
-				continue
-			}
+		if total < 0 && c.rsp.Recv(p, m[:], urpc.Poll) > 0 {
+			total = int(m[0][0])
+			deadline = p.Now() + c.Timeout
+			continue
 		}
-		if b, ok := c.bulk.TryRecv(p); ok {
+		if b, ok := c.bulk.Recv(p, urpc.Poll); ok {
 			for off := 0; off+8 <= len(b); off += 8 {
 				vals = append(vals, binary.LittleEndian.Uint64(b[off:]))
 			}

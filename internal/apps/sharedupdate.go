@@ -77,21 +77,21 @@ func MSGUpdate(e *sim.Engine, sys *cache.System, nClients, lines, iters int) *Sh
 	total := nClients * iters
 	e.Spawn("server", func(p *sim.Proc) {
 		handled := 0
+		var msg [1]urpc.Message
 		for handled < total {
 			progress := false
 			for i := range chans {
 				start := p.Now()
-				msg, ok := chans[i].req.TryRecv(p)
-				if !ok {
+				if chans[i].req.Recv(p, msg[:], urpc.Poll) == 0 {
 					continue
 				}
 				progress = true
 				handled++
 				// Apply the update to the server-local replica: all hits.
 				for l := 0; l < lines; l++ {
-					sys.Store(p, serverCore, buf.LineAt(l), msg[0])
+					sys.Store(p, serverCore, buf.LineAt(l), msg[0][0])
 				}
-				chans[i].resp.Send(p, msg)
+				chans[i].resp.Send(p, msg[:], urpc.Spin)
 				// Per-operation cost at the server: receive + update + reply
 				// (the paper's "Server" curve, which excludes queuing delay).
 				res.ServerCost.Add(float64(p.Now() - start))
@@ -107,10 +107,12 @@ func MSGUpdate(e *sim.Engine, sys *cache.System, nClients, lines, iters int) *Sh
 		ch := chans[c]
 		e.Spawn(fmt.Sprintf("client%d", c), func(p *sim.Proc) {
 			defer done.Done()
+			var msg [1]urpc.Message
 			for it := 0; it < iters; it++ {
 				start := p.Now()
-				ch.req.Send(p, urpc.Message{uint64(it)})
-				ch.resp.Recv(p)
+				msg[0] = urpc.Message{uint64(it)}
+				ch.req.Send(p, msg[:], urpc.Spin)
+				ch.resp.Recv(p, msg[:], urpc.Spin)
 				res.ClientLatency.Add(float64(p.Now() - start))
 			}
 		})

@@ -121,7 +121,7 @@ func TestKVFailoverAckDropCaughtAndShrunk(t *testing.T) {
 }
 
 // A lost parked-receiver wakeup (MutDropNotify) must surface as a liveness
-// violation: the receiver parks in RecvWindow and the messages it is owed
+// violation: the receiver parks in a Window receive and the messages it is owed
 // never arrive.
 func TestDropNotifyCaughtByLiveness(t *testing.T) {
 	r := RunOne(RunConfig{Workload: "urpc", Seed: 1, Mutate: urpc.MutDropNotify})

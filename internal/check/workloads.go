@@ -262,7 +262,7 @@ func runKVFailoverWorkload(e *sim.Engine, sys *cache.System, cfg RunConfig) ([]V
 
 // runURPCWorkload stresses the raw transport: four point-to-point channels
 // with randomized ring sizes carry fixed message counts while the receivers
-// mix RecvAll, TryRecv and parking RecvWindow polls, plus one bulk channel
+// mix burst Poll, one-slot Poll and parking Window receives, plus one bulk channel
 // streaming tagged payloads. Fault mode may kill sender cores (receivers are
 // protected); a receiver whose sender died is excused from the completion
 // check — everything already transmitted must still satisfy the transport
@@ -290,7 +290,7 @@ func runURPCWorkload(e *sim.Engine, sys *cache.System, cfg RunConfig) ([]Violati
 		burst := 1 + rng.Intn(7)
 		// Pre-generated inter-burst gaps (drawn before the run so the
 		// workload's inputs don't depend on the schedule): long enough that
-		// the receiver sometimes drains the ring and parks in RecvWindow,
+		// the receiver sometimes drains the ring and parks in a Window receive,
 		// which is the only way to exercise the notify path.
 		gaps := make([]sim.Time, msgs/burst+1)
 		for g := range gaps {
@@ -303,7 +303,7 @@ func runURPCWorkload(e *sim.Engine, sys *cache.System, cfg RunConfig) ([]Violati
 			for v := uint64(0); v < msgs; v++ {
 				batch = append(batch, urpc.Message{v, uint64(i), 0})
 				if len(batch) == burst || v == msgs-1 {
-					ch.SendBatch(p, batch)
+					ch.Send(p, batch, urpc.Spin)
 					batch = batch[:0]
 					p.Sleep(gaps[nburst])
 					nburst++
@@ -318,18 +318,17 @@ func runURPCWorkload(e *sim.Engine, sys *cache.System, cfg RunConfig) ([]Violati
 				var take int
 				switch polls % 3 {
 				case 0:
-					take = ch.RecvAll(p, buf)
+					take = ch.Recv(p, buf, urpc.Poll)
 					if take == 0 {
 						p.Sleep(400)
 					}
 				case 1:
-					if m, ok := ch.TryRecv(p); ok {
-						buf[0], take = m, 1
-					} else {
+					take = ch.Recv(p, buf[:1], urpc.Poll)
+					if take == 0 {
 						p.Sleep(200)
 					}
 				default:
-					buf[0], take = ch.RecvWindow(p, 2_000), 1
+					take = ch.Recv(p, buf[:1], urpc.Window(2_000))
 				}
 				polls++
 				for k := 0; k < take; k++ {
@@ -359,7 +358,7 @@ func runURPCWorkload(e *sim.Engine, sys *cache.System, cfg RunConfig) ([]Violati
 	})
 	e.Spawn("bulkrecv", func(p *sim.Proc) {
 		for bulkGot < bulks {
-			data, ok := bch.TryRecv(p)
+			data, ok := bch.Recv(p, urpc.Poll)
 			if !ok {
 				p.Sleep(300)
 				continue

@@ -39,7 +39,7 @@ func PollModel(C sim.Time) *table {
 }
 
 // MeasurePollWindow empirically measures the receiver-side overhead and
-// message latency of urpc.RecvWindow for a message arriving at time t with
+// message latency of a urpc.Window receive for a message arriving at time t with
 // polling window P, validating the analytic model above against the
 // simulated implementation.
 func MeasurePollWindow(m *topo.Machine, window, arrival sim.Time) (overhead, latency sim.Time) {
@@ -49,13 +49,13 @@ func MeasurePollWindow(m *topo.Machine, window, arrival sim.Time) (overhead, lat
 	var recvStart, recvEnd, sentAt sim.Time
 	env.E.Spawn("recv", func(p *sim.Proc) {
 		recvStart = p.Now()
-		ch.RecvWindow(p, window)
+		ch.Recv(p, make([]urpc.Message, 1), urpc.Window(window))
 		recvEnd = p.Now()
 	})
 	env.E.Spawn("send", func(p *sim.Proc) {
 		p.Sleep(arrival)
 		sentAt = p.Now()
-		ch.Send(p, urpc.Message{1})
+		ch.Send(p, []urpc.Message{{1}}, urpc.Spin)
 	})
 	env.E.Run()
 	return recvEnd - recvStart, recvEnd - sentAt

@@ -75,17 +75,18 @@ func MeasureURPC(m *topo.Machine, from, to topo.CoreID, samples int, prefetch bo
 	env := NewEnv(m, 3)
 	ch := urpc.New(env.Sys, from, to, urpc.Options{Home: -1, Prefetch: prefetch})
 	env.E.Spawn("recv", func(p *sim.Proc) {
+		var msg [1]urpc.Message
 		for i := 0; i < samples+3; i++ {
-			msg := ch.Recv(p)
+			ch.Recv(p, msg[:], urpc.Spin)
 			if i >= 3 { // discard warm-up
-				res.Latency.Add(float64(p.Now() - sim.Time(msg[0])))
+				res.Latency.Add(float64(p.Now() - sim.Time(msg[0][0])))
 			}
 		}
 	})
 	env.E.Spawn("send", func(p *sim.Proc) {
 		for i := 0; i < samples+3; i++ {
 			p.Sleep(3000) // pace far apart
-			ch.Send(p, urpc.Message{uint64(p.Now())})
+			ch.Send(p, []urpc.Message{{uint64(p.Now())}}, urpc.Spin)
 		}
 	})
 	env.E.Run()
@@ -97,15 +98,16 @@ func MeasureURPC(m *topo.Machine, from, to topo.CoreID, samples int, prefetch bo
 	const burst = 600
 	var start, end sim.Time
 	env.E.Spawn("recv", func(p *sim.Proc) {
+		var msg [1]urpc.Message
 		for i := 0; i < burst; i++ {
-			ch.Recv(p)
+			ch.Recv(p, msg[:], urpc.Spin)
 		}
 		end = p.Now()
 	})
 	env.E.Spawn("send", func(p *sim.Proc) {
 		start = p.Now()
 		for i := 0; i < burst; i++ {
-			ch.Send(p, urpc.Message{uint64(i)})
+			ch.Send(p, []urpc.Message{{uint64(i)}}, urpc.Spin)
 		}
 	})
 	env.E.Run()
@@ -118,17 +120,21 @@ func MeasureURPC(m *topo.Machine, from, to topo.CoreID, samples int, prefetch bo
 	req := urpc.New(env.Sys, from, to, urpc.Options{Home: -1, Slots: 4})
 	rsp := urpc.New(env.Sys, to, from, urpc.Options{Home: -1, Slots: 4})
 	env.E.Spawn("echo", func(p *sim.Proc) {
+		var msg [1]urpc.Message
 		for i := 0; i < 6; i++ {
-			rsp.Send(p, req.Recv(p))
+			req.Recv(p, msg[:], urpc.Spin)
+			rsp.Send(p, msg[:], urpc.Spin)
 		}
 	})
 	env.E.Spawn("caller", func(p *sim.Proc) {
+		var msg [1]urpc.Message
 		for i := 0; i < 6; i++ {
 			if i == 5 {
 				env.Sys.StartTouchTracking()
 			}
-			req.Send(p, urpc.Message{uint64(i)})
-			rsp.Recv(p)
+			msg[0] = urpc.Message{uint64(i)}
+			req.Send(p, msg[:], urpc.Spin)
+			rsp.Recv(p, msg[:], urpc.Spin)
 		}
 		res.DcacheUsed = env.Sys.StopTouchTracking()
 	})

@@ -14,8 +14,8 @@ import (
 // hermetic, seed-deterministic engine run, so the sweeps fan out across the
 // harness worker pool with byte-identical output at any parallelism.
 
-// urpcIdleGap paces the measurement loops' idle polling (matches the
-// transport's internal poll gap).
+// urpcIdleGap paces the windowed sender's idle polling (matches the
+// transport's internal poll gap, which paces the Spin receivers).
 const urpcIdleGap = 25
 
 // MeasureURPCDepth measures pipelined throughput (messages per kilocycle)
@@ -30,11 +30,7 @@ func MeasureURPCDepth(m *topo.Machine, from, to topo.CoreID, depth, msgs int) fl
 	env.E.Spawn("recv", func(p *sim.Proc) {
 		buf := make([]urpc.Message, urpc.DefaultSlots)
 		for got := 0; got < msgs; {
-			n := ch.RecvAll(p, buf)
-			if n == 0 {
-				p.Sleep(urpcIdleGap)
-			}
-			got += n
+			got += ch.Recv(p, buf, urpc.Spin)
 		}
 		end = p.Now()
 	})
@@ -56,7 +52,7 @@ func MeasureURPCDepth(m *topo.Machine, from, to topo.CoreID, depth, msgs int) fl
 			for i := 0; i < n; i++ {
 				batch = append(batch, urpc.Message{uint64(sent + i)})
 			}
-			ch.SendBatch(p, batch)
+			ch.Send(p, batch, urpc.Spin)
 			sent += n
 		}
 	})
@@ -76,11 +72,7 @@ func MeasureRingPayload(m *topo.Machine, from, to topo.CoreID, lines, reps int) 
 	env.E.Spawn("recv", func(p *sim.Proc) {
 		buf := make([]urpc.Message, urpc.DefaultSlots)
 		for got := 0; got < total; {
-			n := ch.RecvAll(p, buf)
-			if n == 0 {
-				p.Sleep(urpcIdleGap)
-			}
-			got += n
+			got += ch.Recv(p, buf, urpc.Spin)
 		}
 		end = p.Now()
 	})
@@ -91,7 +83,7 @@ func MeasureRingPayload(m *topo.Machine, from, to topo.CoreID, lines, reps int) 
 			for i := range batch {
 				batch[i] = urpc.Message{uint64(r), uint64(i)}
 			}
-			ch.SendBatch(p, batch)
+			ch.Send(p, batch, urpc.Spin)
 		}
 	})
 	env.E.Run()
@@ -113,12 +105,8 @@ func MeasureBulkPayload(m *topo.Machine, from, to topo.CoreID, lines, reps int) 
 	}
 	var start, end sim.Time
 	env.E.Spawn("recv", func(p *sim.Proc) {
-		for got := 0; got < reps; {
-			if _, ok := bulk.TryRecv(p); ok {
-				got++
-				continue
-			}
-			p.Sleep(urpcIdleGap)
+		for got := 0; got < reps; got++ {
+			bulk.Recv(p, urpc.Spin)
 		}
 		end = p.Now()
 	})

@@ -70,9 +70,9 @@ func TestURPCv2SweepDeterminism(t *testing.T) {
 }
 
 // TestURPCv2BatchedTraceDeterminism asserts the batched transport keeps the
-// trace contract: a run using SendBatch/RecvAll exports byte-identical trace
-// bytes at any host parallelism and on repeated runs, reaching the same
-// virtual end time every time. An unbatched (Send/TryRecv) run of the same
+// trace contract: a run using burst sends and receives exports byte-identical
+// trace bytes at any host parallelism and on repeated runs, reaching the same
+// virtual end time every time. An unbatched (one-message) run of the same
 // workload is held to the same standard, and the batched run must finish at
 // an equal-or-earlier virtual time — the whole point of the batching.
 func TestURPCv2BatchedTraceDeterminism(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"multikernel/internal/sim"
 	"multikernel/internal/topo"
+	"multikernel/internal/urpc"
 )
 
 func TestPowerOffUpdatesAllViews(t *testing.T) {
@@ -178,11 +179,14 @@ func TestBindServiceEstablishesWorkingChannel(t *testing.T) {
 		}
 		// Service side echoes one message.
 		f.e.Spawn("echo-svc", func(sp *sim.Proc) {
-			msg := server.Rx.Recv(sp)
-			server.Tx.Send(sp, msg)
+			var msg [1]urpc.Message
+			server.Rx.Recv(sp, msg[:], urpc.Spin)
+			server.Tx.Send(sp, msg[:], urpc.Spin)
 		})
-		client.Tx.Send(p, [7]uint64{42})
-		echoed = client.Rx.Recv(p)[0]
+		client.Tx.Send(p, []urpc.Message{{42}}, urpc.Spin)
+		var reply [1]urpc.Message
+		client.Rx.Recv(p, reply[:], urpc.Spin)
+		echoed = reply[0][0]
 	})
 	f.e.Run()
 	if echoed != 42 {

@@ -314,13 +314,13 @@ func (n *Network) wake(p *sim.Proc, target topo.CoreID) {
 // channel already carrying a ChannelDead verdict fails immediately.
 func (m *Monitor) send(p *sim.Proc, to topo.CoreID, msg urpc.Message) {
 	p.Sleep(marshalCost)
+	w := urpc.Spin
 	if m.net.OpTimeout > 0 {
-		if !m.out[to].SendTimeout(p, msg, m.net.OpTimeout) {
-			m.stats.Dropped++
-			return
-		}
-	} else {
-		m.out[to].Send(p, msg)
+		w = urpc.Deadline(m.net.OpTimeout)
+	}
+	if m.out[to].Send(p, []urpc.Message{msg}, w) == 0 {
+		m.stats.Dropped++
+		return
 	}
 	m.net.wake(p, to)
 }
@@ -352,7 +352,7 @@ func (m *Monitor) sendMany(p *sim.Proc, msgs []batchMsg) {
 		} else {
 			p.Sleep(marshalDelta)
 		}
-		m.out[bm.to].Send(p, bm.msg)
+		m.out[bm.to].Send(p, []urpc.Message{bm.msg}, urpc.Spin)
 	}
 	for _, bm := range msgs {
 		m.net.wake(p, bm.to)
@@ -390,7 +390,7 @@ func (m *Monitor) run(p *sim.Proc) {
 			// Burst dequeue: one check charge drains up to recvBurst queued
 			// messages from this peer. The burst is capped so one chatty peer
 			// cannot starve the others in a single pass.
-			n := m.in[src].RecvAll(p, burst[:])
+			n := m.in[src].Recv(p, burst[:], urpc.Poll)
 			for i := 0; i < n; i++ {
 				m.dispatch(p, src, burst[i])
 			}

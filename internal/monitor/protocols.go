@@ -59,6 +59,7 @@ const ackProcessCost = 60
 func ackSweep(p *sim.Proc, chans []*urpc.Channel) {
 	remaining := len(chans)
 	done := make([]bool, len(chans))
+	var ack [1]urpc.Message
 	next := func(i int) *urpc.Channel {
 		for j := i + 1; j < len(chans); j++ {
 			if !done[j] {
@@ -80,7 +81,7 @@ func ackSweep(p *sim.Proc, chans []*urpc.Channel) {
 			if n := next(i); n != nil {
 				n.PrefetchSlot(p)
 			}
-			if _, ok := ch.TryRecv(p); ok {
+			if ch.Recv(p, ack[:], urpc.Poll) > 0 {
 				p.Sleep(ackProcessCost)
 				done[i] = true
 				remaining--
@@ -108,7 +109,7 @@ func rawBroadcast(e *sim.Engine, sys *cache.System, nCores, iters int, sample *s
 				for sys.Load(p, core, bcast) < uint64(it) {
 					p.Sleep(rawPollGap)
 				}
-				ch.Send(p, urpc.Message{uint64(it)})
+				ch.Send(p, []urpc.Message{{uint64(it)}}, urpc.Spin)
 			}
 		})
 	}
@@ -132,9 +133,10 @@ func rawUnicast(e *sim.Engine, sys *cache.System, nCores, iters int, sample *sta
 	for i := 1; i < nCores; i++ {
 		req, ack := reqs[i-1], acks[i-1]
 		e.Spawn(fmt.Sprintf("slave%d", i), func(p *sim.Proc) {
+			var m [1]urpc.Message
 			for it := 1; it <= iters; it++ {
-				m := req.Recv(p)
-				ack.Send(p, m)
+				req.Recv(p, m[:], urpc.Spin)
+				ack.Send(p, m[:], urpc.Spin)
 			}
 		})
 	}
@@ -142,7 +144,7 @@ func rawUnicast(e *sim.Engine, sys *cache.System, nCores, iters int, sample *sta
 		for it := 1; it <= iters; it++ {
 			start := p.Now()
 			for _, ch := range reqs {
-				ch.Send(p, urpc.Message{uint64(it)})
+				ch.Send(p, []urpc.Message{{uint64(it)}}, urpc.Spin)
 			}
 			ackSweep(p, acks)
 			sample.Add(float64(p.Now() - start))
@@ -190,24 +192,24 @@ func rawMulticast(e *sim.Engine, sys *cache.System, kb *skb.KB, proto Protocol, 
 			ku := mkChan(c, g.Agg)
 			kidDown = append(kidDown, kd)
 			kidUp = append(kidUp, ku)
-			c := c
 			e.Spawn(fmt.Sprintf("leaf%d", c), func(p *sim.Proc) {
+				var m [1]urpc.Message
 				for it := 1; it <= iters; it++ {
-					m := kd.Recv(p)
-					_ = c
-					ku.Send(p, m)
+					kd.Recv(p, m[:], urpc.Spin)
+					ku.Send(p, m[:], urpc.Spin)
 				}
 			})
 		}
 		agg := g.Agg
 		e.Spawn(fmt.Sprintf("agg%d", agg), func(p *sim.Proc) {
+			var m [1]urpc.Message
 			for it := 1; it <= iters; it++ {
-				m := down.Recv(p)
+				down.Recv(p, m[:], urpc.Spin)
 				for _, kd := range kidDown {
-					kd.Send(p, m)
+					kd.Send(p, m[:], urpc.Spin)
 				}
 				ackSweep(p, kidUp)
-				up.Send(p, m)
+				up.Send(p, m[:], urpc.Spin)
 			}
 		})
 	}
@@ -217,9 +219,10 @@ func rawMulticast(e *sim.Engine, sys *cache.System, kb *skb.KB, proto Protocol, 
 		masterDown = append(masterDown, down)
 		masterUp = append(masterUp, up)
 		e.Spawn(fmt.Sprintf("local%d", c), func(p *sim.Proc) {
+			var m [1]urpc.Message
 			for it := 1; it <= iters; it++ {
-				m := down.Recv(p)
-				up.Send(p, m)
+				down.Recv(p, m[:], urpc.Spin)
+				up.Send(p, m[:], urpc.Spin)
 			}
 		})
 	}
@@ -227,7 +230,7 @@ func rawMulticast(e *sim.Engine, sys *cache.System, kb *skb.KB, proto Protocol, 
 		for it := 1; it <= iters; it++ {
 			start := p.Now()
 			for _, ch := range masterDown {
-				ch.Send(p, urpc.Message{uint64(it)})
+				ch.Send(p, []urpc.Message{{uint64(it)}}, urpc.Spin)
 			}
 			ackSweep(p, masterUp)
 			sample.Add(float64(p.Now() - start))

@@ -8,7 +8,7 @@ import (
 )
 
 // Regression sweep for recoverFwd, in the style of the transport's
-// kill-mid-SendBatch sweeps: the fail-stop is swept across the entire
+// kill-mid-batch-Send sweeps: the fail-stop is swept across the entire
 // forward fan-out of a NUMA-aware shootdown (one fresh engine per offset),
 // so the death lands before the aggregator's fan-out, between its child
 // sends, during a child's slowed invalidation, and after the aggregate

@@ -267,18 +267,10 @@ func (l *FrameLink) Send(p *sim.Proc, f Frame) {
 	l.bulk.Send(p, f)
 }
 
-// Recv blocks until a frame arrives and reads it out of the pool.
-func (l *FrameLink) Recv(p *sim.Proc) Frame {
-	return Frame(l.bulk.Recv(p))
-}
-
 // TryRecv polls for a frame.
 func (l *FrameLink) TryRecv(p *sim.Proc) (Frame, bool) {
-	b, ok := l.bulk.TryRecv(p)
-	if !ok {
-		return nil, false
-	}
-	return Frame(b), true
+	b, ok := l.bulk.Recv(p, urpc.Poll)
+	return Frame(b), ok
 }
 
 // ConnectLoopback joins two stacks with a pair of frame links and returns a

@@ -407,7 +407,7 @@ func (n *node) drain(p *sim.Proc) {
 	for i, ch := range n.down {
 		child := n.children[i]
 		for {
-			got := ch.RecvAll(p, buf[:])
+			got := ch.Recv(p, buf[:], urpc.Poll)
 			for _, m := range buf[:got] {
 				n.handle(child, m)
 			}
@@ -548,7 +548,7 @@ func (n *node) send(p *sim.Proc, m urpc.Message) bool {
 		n.pl.mLate.Inc()
 		return false
 	}
-	if !n.up.SendTimeout(p, m, n.pl.cfg.Interval) {
+	if n.up.Send(p, []urpc.Message{m}, urpc.Deadline(n.pl.cfg.Interval)) == 0 {
 		n.up.MarkDead()
 		n.pl.mLate.Inc()
 		return false

@@ -191,9 +191,10 @@ func pingPong(e *sim.Engine, sys *cache.System, n int) *sim.Time {
 	var client, server *sim.Proc
 	server = e.Spawn("server", func(p *sim.Proc) {
 		p.SetDaemon(true)
+		var m [1]urpc.Message
 		for {
-			if m, ok := req.TryRecv(p); ok {
-				rsp.Send(p, m)
+			if req.Recv(p, m[:], urpc.Poll) > 0 {
+				rsp.Send(p, m[:], urpc.Spin)
 				e.Wake(client)
 			} else {
 				p.Park()
@@ -202,12 +203,11 @@ func pingPong(e *sim.Engine, sys *cache.System, n int) *sim.Time {
 	})
 	client = e.Spawn("client", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			var msg urpc.Message
-			msg[0] = uint64(i)
-			req.Send(p, msg)
+			msg := [1]urpc.Message{{uint64(i)}}
+			req.Send(p, msg[:], urpc.Spin)
 			e.Wake(server)
 			for {
-				if _, ok := rsp.TryRecv(p); ok {
+				if rsp.Recv(p, msg[:], urpc.Poll) > 0 {
 					break
 				}
 				p.ParkTimeout(1_000)

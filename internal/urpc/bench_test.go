@@ -23,11 +23,7 @@ func pipelinedRun(msgs int) sim.Time {
 	e.Spawn("recv", func(p *sim.Proc) {
 		buf := make([]Message, DefaultSlots)
 		for got := 0; got < msgs; {
-			n := ch.RecvAll(p, buf)
-			if n == 0 {
-				p.Sleep(pollGap)
-			}
-			got += n
+			got += ch.Recv(p, buf, Spin)
 		}
 		end = p.Now()
 	})
@@ -42,7 +38,7 @@ func pipelinedRun(msgs int) sim.Time {
 			for i := range batch[:n] {
 				batch[i] = Message{uint64(sent + i)}
 			}
-			ch.SendBatch(p, batch[:n])
+			ch.Send(p, batch[:n], Spin)
 			sent += n
 		}
 	})
@@ -59,6 +55,54 @@ func BenchmarkURPCPipelined(b *testing.B) {
 	b.ReportMetric(float64(cycles)/msgs, "simcycles/msg")
 }
 
+// oneHopRun paces msgs single messages over a one-hop channel on the 8×4
+// machine (core 0→4), each carrying its send timestamp and sent and received
+// under the given waits, and returns the mean one-way latency. The pacing gap
+// outlasts a Window receiver's polling window, so it is always parked and
+// woken by notify.
+func oneHopRun(msgs int, send, recv Wait) float64 {
+	e, sys := newSys(topo.AMD8x4())
+	ch := New(sys, 0, 4, Options{Home: -1})
+	var total sim.Time
+	e.Spawn("recv", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			m, _ := recvOne(ch, p, recv)
+			total += p.Now() - sim.Time(m[0])
+		}
+	})
+	e.Spawn("send", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			p.Sleep(3000)
+			sendOne(ch, p, Message{uint64(p.Now())}, send)
+		}
+	})
+	e.Run()
+	return float64(total) / float64(msgs)
+}
+
+// BenchmarkURPCOneHop pins the single-message paths: the Table 2 spinning
+// pair, the deadline pair the kv clients use, and a receiver parked past its
+// polling window and woken by the sender's notify.
+func BenchmarkURPCOneHop(b *testing.B) {
+	const msgs, timeout = 50, 1_000_000
+	for _, bc := range []struct {
+		name       string
+		send, recv Wait
+	}{
+		{"spin", Spin, Spin},
+		{"deadline", Deadline(timeout), Deadline(timeout)},
+		{"window", Spin, Window(1000)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var lat float64
+			for i := 0; i < b.N; i++ {
+				lat = oneHopRun(msgs, bc.send, bc.recv)
+			}
+			b.ReportMetric(lat, "simcycles/msg")
+		})
+	}
+}
+
 // bulkRun moves reps frame-sized payloads through a one-hop bulk channel on
 // the 8×4 machine and returns the virtual cycles consumed.
 func bulkRun(reps int) sim.Time {
@@ -72,12 +116,8 @@ func bulkRun(reps int) sim.Time {
 	}
 	var start, end sim.Time
 	e.Spawn("recv", func(p *sim.Proc) {
-		for got := 0; got < reps; {
-			if _, ok := bulk.TryRecv(p); ok {
-				got++
-				continue
-			}
-			p.Sleep(pollGap)
+		for got := 0; got < reps; got++ {
+			bulk.Recv(p, Spin)
 		}
 		end = p.Now()
 	})

@@ -133,7 +133,7 @@ func (b *BulkChannel) Send(p *sim.Proc, payload []byte) {
 	// slot's previous descriptor is acked, the receiver may not have read the
 	// payload out yet. (desc.Send re-checks below, but by then the sender's
 	// view already proves space, so it cannot block again.)
-	b.desc.waitSpace(p)
+	b.desc.waitSpace(p, Spin, 0)
 	base := b.slotBase(b.seq)
 	var zero [memory.WordsPerLine]uint64
 	lines := 0
@@ -145,25 +145,21 @@ func (b *BulkChannel) Send(p *sim.Proc, payload []byte) {
 	// StoreBytes bypasses the per-store mirror hook; forward the payload
 	// bytes explicitly when the pool spans partitions (no-op otherwise).
 	b.sys.MirrorBytes(base, payload)
-	b.desc.Send(p, Message{b.seq, uint64(len(payload))})
+	b.desc.Send(p, []Message{{b.seq, uint64(len(payload))}}, Spin)
 	b.seq++
 	b.mXfers.Inc()
 	b.mLines.Add(uint64(lines))
 	rec.Emit(uint64(p.Now()), trace.End, trace.SubURPC, int32(b.desc.Sender), "urpc.bulk_send", 0, 0)
 }
 
-// Recv blocks until a payload arrives and reads it out of the pool.
-func (b *BulkChannel) Recv(p *sim.Proc) []byte {
-	return b.read(p, b.desc.Recv(p))
-}
-
-// TryRecv polls once for a payload.
-func (b *BulkChannel) TryRecv(p *sim.Proc) ([]byte, bool) {
-	m, ok := b.desc.TryRecv(p)
-	if !ok {
+// Recv waits under w for a payload and reads it out of the pool; false
+// means w gave up on an empty channel.
+func (b *BulkChannel) Recv(p *sim.Proc, w Wait) ([]byte, bool) {
+	var m [1]Message
+	if b.desc.Recv(p, m[:], w) == 0 {
 		return nil, false
 	}
-	return b.read(p, m), true
+	return b.read(p, m[0]), true
 }
 
 // read pulls the payload lines of descriptor m to the receiver's cache, then

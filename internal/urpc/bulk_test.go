@@ -25,7 +25,8 @@ func TestBulkRoundTrip(t *testing.T) {
 	var got [][]byte
 	e.Spawn("recv", func(p *sim.Proc) {
 		for len(got) < len(payloads) {
-			got = append(got, b.Recv(p))
+			pl, _ := b.Recv(p, Spin)
+			got = append(got, pl)
 		}
 	})
 	e.Spawn("send", func(p *sim.Proc) {
@@ -58,7 +59,7 @@ func TestBulkBackpressureGatesSlotReuse(t *testing.T) {
 	e.Spawn("recv", func(p *sim.Proc) {
 		p.Sleep(100_000) // let the sender hit the full descriptor ring
 		for len(got) < n {
-			pl, ok := b.TryRecv(p)
+			pl, ok := b.Recv(p, Poll)
 			if !ok {
 				p.Sleep(pollGap)
 				continue
@@ -143,7 +144,7 @@ func TestBulkBeatsRingAtFrameSize(t *testing.T) {
 		e.Spawn("recv", func(p *sim.Proc) {
 			buf := make([]Message, DefaultSlots)
 			for got := 0; got < lines*reps; {
-				n := ch.RecvAll(p, buf)
+				n := ch.Recv(p, buf, Poll)
 				if n == 0 {
 					p.Sleep(pollGap)
 				}
@@ -154,7 +155,7 @@ func TestBulkBeatsRingAtFrameSize(t *testing.T) {
 		e.Spawn("send", func(p *sim.Proc) {
 			msgs := make([]Message, lines)
 			for r := 0; r < reps; r++ {
-				ch.SendBatch(p, msgs)
+				ch.Send(p, msgs, Spin)
 			}
 		})
 		e.Run()
@@ -168,7 +169,7 @@ func TestBulkBeatsRingAtFrameSize(t *testing.T) {
 		var end sim.Time
 		e.Spawn("recv", func(p *sim.Proc) {
 			for got := 0; got < reps; {
-				if _, ok := b.TryRecv(p); ok {
+				if _, ok := b.Recv(p, Poll); ok {
 					got++
 					continue
 				}

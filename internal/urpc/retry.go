@@ -3,9 +3,9 @@ package urpc
 import "multikernel/internal/sim"
 
 // RetryPolicy is the one deadline/backoff policy shared by every layer that
-// suspects a peer and retries: the transport's SendTimeout/RecvTimeout
-// re-poll loops, the monitors' recovery deadlines (each round doubles the
-// phase deadline), and fault-aware clients re-resolving a service after a
+// suspects a peer and retries: the transport's Deadline waits, the monitors'
+// recovery deadlines (each round doubles the phase deadline), and
+// fault-aware clients re-resolving a service after a
 // ChannelDead verdict. It replaces the ad-hoc gap-doubling and deadline
 // shifting that used to be duplicated across internal/urpc and
 // internal/monitor/recovery.go.
@@ -81,7 +81,7 @@ func (rp RetryPolicy) Exhausted(attempt int) bool {
 	return rp.Tries > 0 && attempt >= rp.Tries
 }
 
-// transportBackoff is the policy of the transport's own deadline variants:
+// transportBackoff is the policy of the transport's own Deadline waits:
 // pollGap doubling to maxBackoffGap, no jitter (the poll cadence is part of
 // the pinned cycle model).
 var transportBackoff = RetryPolicy{Base: pollGap, Cap: maxBackoffGap}

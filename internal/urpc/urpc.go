@@ -10,6 +10,10 @@
 // trip) and the receiver's next poll fetches the line from the sender's cache
 // (the second round trip) — exactly the two-round-trip fast path the paper
 // describes for HyperTransport systems.
+//
+// The data path is one batch Send and one batch Recv. What either does when
+// the ring is full (send) or empty (receive) is named by a Wait: check once,
+// spin, poll-then-block, or back off to a deadline.
 package urpc
 
 import (
@@ -42,8 +46,44 @@ const (
 	pollGap       = 25 // cycles between successive idle polls
 )
 
-// maxBackoffGap caps the exponential poll backoff of the deadline variants.
+// maxBackoffGap caps the exponential poll backoff of Deadline waits.
 const maxBackoffGap = 1600
+
+// Wait is the idle policy of one Send or Recv: what the caller does while
+// the ring is full (send) or empty (receive). The zero Wait is Poll.
+type Wait struct {
+	mode waitMode
+	d    sim.Time
+}
+
+type waitMode uint8
+
+const (
+	modePoll waitMode = iota
+	modeSpin
+	modeWindow
+	modeDeadline
+)
+
+var (
+	// Poll checks once and never waits.
+	Poll = Wait{mode: modePoll}
+	// Spin re-checks every pollGap cycles until it succeeds. It ignores a
+	// Dead verdict: this is the dedicated-polling mode of the microbenchmarks.
+	Spin = Wait{mode: modeSpin}
+)
+
+// Window spins for d cycles, then parks until the sender's notify IPI (the
+// poll-then-block strategy of §5.2). Senders never park: a send under Window
+// spins like Spin.
+func Window(d sim.Time) Wait { return Wait{modeWindow, d} }
+
+// Deadline re-checks with exponential backoff (pollGap doubling up to
+// maxBackoffGap, each re-check counted in "urpc.retries") and gives up d
+// cycles after the call, counting "urpc.timeouts" — the fail-stopped peer
+// signature. A send under Deadline on a channel marked Dead pushes nothing.
+// The fault-free fast path is cycle-identical to Spin.
+func Deadline(d sim.Time) Wait { return Wait{modeDeadline, d} }
 
 // Stats counts per-channel activity. Deadline expiries and backoff re-polls
 // live in the engine's metrics registry ("urpc.timeouts", "urpc.retries"), not
@@ -188,13 +228,7 @@ func (c *Channel) remoteArrival() {
 	if c.OnRemoteDeliver != nil {
 		c.OnRemoteDeliver()
 	}
-	if w := c.blocked; w != nil && c.Pending() {
-		c.blocked = nil
-		c.stats.Notifies++
-		c.mNotifies.Inc()
-		eng := c.eng
-		eng.After(c.sys.Machine().Costs.IPIDeliver, func() { eng.Wake(w) })
-	}
+	c.wakeParked()
 }
 
 // Pair creates the two directions of a bidirectional link between a and b.
@@ -212,42 +246,78 @@ func (c *Channel) slotAddr(seq uint64) memory.Addr {
 	return c.ring.LineAt(int(seq % uint64(c.slots)))
 }
 
-// CanSend reports whether the ring has space according to the sender's
-// current (possibly stale) view of receiver progress.
-func (c *Channel) CanSend() bool {
-	return c.sendSeq-c.sendAcked < uint64(c.slots)
+// seqWord is the address of the sequence word of the slot holding seq.
+func (c *Channel) seqWord(seq uint64) memory.Addr {
+	return c.slotAddr(seq) + memory.Addr(PayloadWords*8)
 }
 
-// waitSpace blocks until the ring has space. The ack line is touched only
-// when the sender's cached view (sendAcked) shows the ring full: a view that
-// already proves space skips the coherence round trip entirely, so a
-// pipelined sender reads the ack line at most once per ring traversal rather
-// than once per send.
-func (c *Channel) waitSpace(p *sim.Proc) {
+// idle spends one idle step of w after a failed ring check on core and
+// reports whether to check again. until is w's deadline or window end; gap
+// carries a Deadline wait's backoff ladder across steps.
+func (c *Channel) idle(p *sim.Proc, w Wait, core topo.CoreID, until sim.Time, gap *sim.Time) bool {
+	switch w.mode {
+	case modePoll:
+		return false
+	case modeWindow:
+		if p.Now() >= until {
+			c.park(p)
+			return true
+		}
+	case modeDeadline:
+		rec := c.eng.Tracer()
+		if p.Now() >= until {
+			c.mTimeouts.Inc()
+			rec.Emit(uint64(p.Now()), trace.Instant, trace.SubURPC, int32(core), "urpc.timeout", c.id<<32, 0)
+			return false
+		}
+		c.mRetries.Inc()
+		rec.Emit(uint64(p.Now()), trace.Instant, trace.SubURPC, int32(core), "urpc.backoff", c.id<<32, uint64(*gap))
+		p.Sleep(*gap)
+		*gap = transportBackoff.Next(*gap)
+		return true
+	}
+	p.Sleep(pollGap)
+	return true
+}
+
+// waitSpace waits under w until the ring has space, reporting false if w
+// gave up first. The ack line is touched only when the sender's cached view
+// (sendAcked) shows the ring full: a view that already proves space skips the
+// coherence round trip entirely, so a pipelined sender reads the ack line at
+// most once per ring traversal rather than once per send.
+func (c *Channel) waitSpace(p *sim.Proc, w Wait, until sim.Time) bool {
+	gap := transportBackoff.Base
 	for c.sendSeq-c.sendAcked >= uint64(c.slots) {
 		c.stats.FullStall++
 		c.mFullStall.Inc()
-		// Re-read the receiver's published progress from the ack line.
-		c.sendAcked = c.sys.Load(p, c.Sender, c.ack.Base)
-		if c.sendSeq-c.sendAcked >= uint64(c.slots) {
-			p.Sleep(pollGap)
+		c.RefreshAck(p)
+		if c.sendSeq-c.sendAcked < uint64(c.slots) {
+			break
+		}
+		if !c.idle(p, w, c.Sender, until, &gap) {
+			return false
 		}
 	}
+	return true
 }
 
-// Send transmits msg, blocking (polling the ack line) while the ring is full.
-func (c *Channel) Send(p *sim.Proc, msg Message) {
-	c.waitSpace(p)
-	c.transmit(p, msg)
-}
-
-// SendBatch transmits msgs as pipelined bursts: up to a ring's worth of
-// messages is written back-to-back behind a single setup charge and a single
-// (stale-view) space check, and a parked receiver gets one coalesced wakeup
-// per burst instead of one per message. This is the paper's "cost when
-// pipelining" regime — the per-message cost approaches the slot write itself
-// as the in-flight depth approaches the ring size.
-func (c *Channel) SendBatch(p *sim.Proc, msgs []Message) {
+// Send transmits msgs as pipelined bursts and returns how many it pushed: up
+// to a ring's worth of messages is written back-to-back behind a single
+// setup charge and a single (stale-view) space check, and a parked receiver
+// gets one coalesced wakeup per burst instead of one per message. This is the
+// paper's "cost when pipelining" regime — the per-message cost approaches the
+// slot write itself as the in-flight depth approaches the ring size. While
+// the ring is full the sender waits under w; a return short of len(msgs)
+// means w gave up (under Deadline, the caller's cue to render a ChannelDead
+// verdict).
+func (c *Channel) Send(p *sim.Proc, msgs []Message, w Wait) int {
+	if w.mode == modeDeadline && c.dead {
+		return 0
+	}
+	if w.mode == modeWindow {
+		w = Spin
+	}
+	until := p.Now() + w.d
 	rec := c.eng.Tracer()
 	// Kill audit: a sender fail-stopped mid-burst (Engine.Kill lands at one of
 	// the pushSlot yields) has already made some slot writes visible — their
@@ -256,30 +326,23 @@ func (c *Channel) SendBatch(p *sim.Proc, msgs []Message) {
 	// are already there. The unwind path delivers the wakeup the slots have
 	// earned; on a normal return notify has cleared c.blocked and this is a
 	// no-op, so the fault-free path is cycle-identical.
-	defer func() {
-		if w := c.blocked; w != nil && c.Pending() {
-			c.blocked = nil
-			c.stats.Notifies++
-			c.mNotifies.Inc()
-			eng := c.eng
-			eng.After(c.sys.Machine().Costs.IPIDeliver, func() { eng.Wake(w) })
+	defer c.wakeParked()
+	sent := 0
+	for sent < len(msgs) {
+		if !c.waitSpace(p, w, until) {
+			break
 		}
-	}()
-	for len(msgs) > 0 {
-		c.waitSpace(p)
-		n := c.slots - int(c.sendSeq-c.sendAcked)
-		if n > len(msgs) {
-			n = len(msgs)
-		}
+		n := min(c.slots-c.InFlight(), len(msgs)-sent)
 		rec.Emit(uint64(p.Now()), trace.Begin, trace.SubURPC, int32(c.Sender), "urpc.send", 0, uint64(n))
 		p.Sleep(sendSetupCost)
-		for _, m := range msgs[:n] {
+		for _, m := range msgs[sent : sent+n] {
 			c.pushSlot(p, m)
 		}
 		c.notify(p)
 		rec.Emit(uint64(p.Now()), trace.End, trace.SubURPC, int32(c.Sender), "urpc.send", 0, 0)
-		msgs = msgs[n:]
+		sent += n
 	}
+	return sent
 }
 
 // InFlight returns the number of sent-but-unacknowledged messages under the
@@ -291,104 +354,6 @@ func (c *Channel) InFlight() int { return int(c.sendSeq - c.sendAcked) }
 // drained slots without transmitting.
 func (c *Channel) RefreshAck(p *sim.Proc) {
 	c.sendAcked = c.sys.Load(p, c.Sender, c.ack.Base)
-}
-
-// SendTimeout is Send with a deadline: if the ring stays full past timeout
-// cycles — the signature of a fail-stopped receiver that no longer drains its
-// slots — it gives up and reports false. While waiting it re-polls the ack
-// line with exponential backoff (pollGap doubling up to maxBackoffGap), so a
-// merely slow receiver costs progressively less coherence traffic. A send on
-// a channel already marked Dead fails immediately without polling. The
-// fault-free fast path (ring not full) is cycle-identical to Send.
-func (c *Channel) SendTimeout(p *sim.Proc, msg Message, timeout sim.Time) bool {
-	if c.dead {
-		return false
-	}
-	if !c.waitSpaceTimeout(p, p.Now()+timeout) {
-		return false
-	}
-	c.transmit(p, msg)
-	return true
-}
-
-// waitSpaceTimeout is waitSpace with a deadline: it polls the ack line with
-// the transport's exponential backoff and reports false if the ring is still
-// full at the deadline.
-func (c *Channel) waitSpaceTimeout(p *sim.Proc, deadline sim.Time) bool {
-	gap := transportBackoff.Base
-	for c.sendSeq-c.sendAcked >= uint64(c.slots) {
-		c.stats.FullStall++
-		c.mFullStall.Inc()
-		c.sendAcked = c.sys.Load(p, c.Sender, c.ack.Base)
-		if c.sendSeq-c.sendAcked < uint64(c.slots) {
-			break
-		}
-		if p.Now() >= deadline {
-			c.mTimeouts.Inc()
-			c.eng.Tracer().Emit(uint64(p.Now()), trace.Instant, trace.SubURPC, int32(c.Sender), "urpc.timeout", c.id<<32, 0)
-			return false
-		}
-		c.mRetries.Inc()
-		c.eng.Tracer().Emit(uint64(p.Now()), trace.Instant, trace.SubURPC, int32(c.Sender), "urpc.backoff", c.id<<32, uint64(gap))
-		p.Sleep(gap)
-		gap = transportBackoff.Next(gap)
-	}
-	return true
-}
-
-// SendBatchTimeout is SendBatch with a deadline: it transmits msgs as
-// pipelined bursts but gives up if the ring stays full past the deadline —
-// the fail-stopped-receiver signature — returning how many messages were
-// actually pushed. A return short of len(msgs) is the caller's cue to render
-// a ChannelDead verdict. Sends on a channel already marked Dead push nothing.
-func (c *Channel) SendBatchTimeout(p *sim.Proc, msgs []Message, timeout sim.Time) int {
-	if c.dead {
-		return 0
-	}
-	deadline := p.Now() + timeout
-	rec := c.eng.Tracer()
-	sent := 0
-	// Same kill audit as SendBatch: an unwind mid-burst must still deliver the
-	// wakeup that already-published slots have earned.
-	defer func() {
-		if w := c.blocked; w != nil && c.Pending() {
-			c.blocked = nil
-			c.stats.Notifies++
-			c.mNotifies.Inc()
-			eng := c.eng
-			eng.After(c.sys.Machine().Costs.IPIDeliver, func() { eng.Wake(w) })
-		}
-	}()
-	for len(msgs) > 0 {
-		if !c.waitSpaceTimeout(p, deadline) {
-			return sent
-		}
-		n := c.slots - int(c.sendSeq-c.sendAcked)
-		if n > len(msgs) {
-			n = len(msgs)
-		}
-		rec.Emit(uint64(p.Now()), trace.Begin, trace.SubURPC, int32(c.Sender), "urpc.send", 0, uint64(n))
-		p.Sleep(sendSetupCost)
-		for _, m := range msgs[:n] {
-			c.pushSlot(p, m)
-		}
-		c.notify(p)
-		rec.Emit(uint64(p.Now()), trace.End, trace.SubURPC, int32(c.Sender), "urpc.send", 0, 0)
-		msgs = msgs[n:]
-		sent += n
-	}
-	return sent
-}
-
-// transmit performs the actual slot write and receiver notification; the ring
-// must have space.
-func (c *Channel) transmit(p *sim.Proc, msg Message) {
-	rec := c.eng.Tracer()
-	rec.Emit(uint64(p.Now()), trace.Begin, trace.SubURPC, int32(c.Sender), "urpc.send", 0, 0)
-	p.Sleep(sendSetupCost)
-	c.pushSlot(p, msg)
-	c.notify(p)
-	rec.Emit(uint64(p.Now()), trace.End, trace.SubURPC, int32(c.Sender), "urpc.send", 0, 0)
 }
 
 // pushSlot writes msg into the next slot; the caller has verified ring space
@@ -404,20 +369,26 @@ func (c *Channel) pushSlot(p *sim.Proc, msg Message) {
 	c.eng.Tracer().Emit(uint64(p.Now()), trace.FlowOut, trace.SubURPC, int32(c.Sender), "urpc.msg", c.id<<32|c.sendSeq, 0)
 }
 
+// claimParked takes the parked receiver off the channel, counting the
+// notification it is owed; nil if no receiver is parked.
+func (c *Channel) claimParked() *sim.Proc {
+	w := c.blocked
+	if w != nil {
+		c.blocked = nil
+		c.stats.Notifies++
+		c.mNotifies.Inc()
+	}
+	return w
+}
+
 // notify wakes a parked receiver, if any. The receiver exhausted its polling
 // window and asked its monitor to notify it; model the notification as an
-// IPI-cost wakeup (§5.2). Batched sends call this once per burst, so a
-// receiver behind on a pipelined stream pays one wakeup, not one per message.
+// IPI-cost wakeup (§5.2). Send calls this once per burst, so a receiver
+// behind on a pipelined stream pays one wakeup, not one per message.
 func (c *Channel) notify(p *sim.Proc) {
-	if c.blocked == nil {
-		return
-	}
-	w := c.blocked
-	c.blocked = nil
-	c.stats.Notifies++
-	c.mNotifies.Inc()
-	if c.mut == MutDropNotify {
-		return // planted defect: the wakeup is lost
+	w := c.claimParked()
+	if w == nil || c.mut == MutDropNotify {
+		return // MutDropNotify: planted defect, the wakeup is lost
 	}
 	// The wakeup is committed before the IPI-latency sleep: if the sender is
 	// fail-stopped during the sleep (Engine.Kill unwinds it at that yield),
@@ -428,69 +399,61 @@ func (c *Channel) notify(p *sim.Proc) {
 	p.Sleep(c.sys.Machine().Costs.IPIDeliver)
 }
 
-// TryRecv polls once; it returns the next message if one is ready.
-func (c *Channel) TryRecv(p *sim.Proc) (Message, bool) {
-	var msg Message
-	slot := c.slotAddr(c.recvSeq)
-	seqWord := slot + memory.Addr(PayloadWords*8)
-	t0 := uint64(p.Now())
-	p.Sleep(recvCheckCost)
-	if c.sys.Load(p, c.Receiver, seqWord) != c.recvSeq+1 {
-		return msg, false
+// wakeParked delivers, from outside any sender proc, the IPI-modeled wakeup
+// a parked receiver with messages waiting is owed: the cross-partition
+// arrival path and the kill audit of a sender unwound before its notify.
+func (c *Channel) wakeParked() {
+	if c.blocked == nil || !c.Pending() {
+		return
 	}
-	// Retroactive span open: only successful polls become urpc.recv slices, so
-	// idle polling does not flood the trace; t0 still covers the seq-word
-	// fetch that dominates single-message latency.
-	rec := c.eng.Tracer()
-	rec.Emit(t0, trace.Begin, trace.SubURPC, int32(c.Receiver), "urpc.recv", 0, 0)
-	line := c.sys.LoadLine(p, c.Receiver, slot)
-	copy(msg[:], line[:PayloadWords])
-	p.Sleep(recvCopyCost)
-	c.recvSeq++
-	c.stats.Received++
-	c.mReceived.Inc()
-	rec.Emit(uint64(p.Now()), trace.FlowIn, trace.SubURPC, int32(c.Receiver), "urpc.msg", c.id<<32|c.recvSeq, 0)
-	// Publish progress so the sender can reuse slots. Writing every
-	// half-ring amortizes the reverse-direction coherence traffic; an idle
-	// ring publishes immediately so a stalled sender always makes progress.
-	if !c.holdAck {
-		c.ackConsumed(p)
-	}
-	if c.prefetch && c.recvSeq > 0 {
-		c.sys.Prefetch(p, c.Receiver, c.slotAddr(c.recvSeq))
-	}
-	rec.Emit(uint64(p.Now()), trace.End, trace.SubURPC, int32(c.Receiver), "urpc.recv", 0, 0)
-	return msg, true
+	w, eng := c.claimParked(), c.eng
+	eng.After(c.sys.Machine().Costs.IPIDeliver, func() { eng.Wake(w) })
 }
 
-// RecvAll drains every ready message into buf and returns how many it
-// delivered. The poll-loop check cost is charged once per call, not once per
-// message, and receiver progress is published to the ack line at most once
-// per drained burst — the receive-side half of the pipelining regime. A
-// return of 0 means the ring was empty (only the check cost was paid).
-func (c *Channel) RecvAll(p *sim.Proc, buf []Message) int {
+// Recv drains ready messages into buf under w and returns how many it
+// delivered; 0 means w gave up on an empty ring (never under Spin or
+// Window). buf must be non-empty. The poll-loop check cost is charged once
+// per ring check, not once per message, and receiver progress is published
+// to the ack line at most once per drained burst — the receive-side half of
+// the pipelining regime.
+func (c *Channel) Recv(p *sim.Proc, buf []Message, w Wait) int {
+	until := p.Now() + w.d
+	gap := transportBackoff.Base
+	for {
+		if n := c.drain(p, buf); n > 0 {
+			return n
+		}
+		if !c.idle(p, w, c.Receiver, until, &gap) {
+			return 0
+		}
+	}
+}
+
+// drain checks the ring once and copies every ready message, up to len(buf),
+// into buf. An empty ring costs only the check.
+func (c *Channel) drain(p *sim.Proc, buf []Message) int {
 	t0 := uint64(p.Now())
 	p.Sleep(recvCheckCost)
 	rec := c.eng.Tracer()
 	n := 0
 	for n < len(buf) {
-		slot := c.slotAddr(c.recvSeq)
-		seqWord := slot + memory.Addr(PayloadWords*8)
-		if c.sys.Load(p, c.Receiver, seqWord) != c.recvSeq+1 {
+		if c.sys.Load(p, c.Receiver, c.seqWord(c.recvSeq)) != c.recvSeq+1 {
 			break
 		}
 		if n == 0 {
-			// Retroactive span open, as in TryRecv: empty polls leave no slice.
+			// Retroactive span open: only successful polls become urpc.recv
+			// slices, so idle polling does not flood the trace; t0 still
+			// covers the seq-word fetch that dominates single-message latency.
 			rec.Emit(t0, trace.Begin, trace.SubURPC, int32(c.Receiver), "urpc.recv", 0, 0)
 		}
-		line := c.sys.LoadLine(p, c.Receiver, slot)
+		line := c.sys.LoadLine(p, c.Receiver, c.slotAddr(c.recvSeq))
 		copy(buf[n][:], line[:PayloadWords])
 		p.Sleep(recvCopyCost)
 		c.recvSeq++
 		c.stats.Received++
 		c.mReceived.Inc()
 		rec.Emit(uint64(p.Now()), trace.FlowIn, trace.SubURPC, int32(c.Receiver), "urpc.msg", c.id<<32|c.recvSeq, 0)
-		if c.prefetch {
+		if c.prefetch && len(buf) > 1 {
 			c.sys.Prefetch(p, c.Receiver, c.slotAddr(c.recvSeq))
 		}
 		n++
@@ -499,9 +462,36 @@ func (c *Channel) RecvAll(p *sim.Proc, buf []Message) int {
 		if !c.holdAck {
 			c.ackConsumed(p)
 		}
+		// A burst drain prefetches each next slot ahead of its check; a
+		// single-message receive looks ahead only after publishing its ack.
+		// The prefetch ablation pins this order, the v2 benchmarks the other.
+		if c.prefetch && len(buf) == 1 {
+			c.sys.Prefetch(p, c.Receiver, c.slotAddr(c.recvSeq))
+		}
 		rec.Emit(uint64(p.Now()), trace.End, trace.SubURPC, int32(c.Receiver), "urpc.recv", 0, uint64(n))
 	}
 	return n
+}
+
+// park blocks the receiver until a sender's notify, then charges the wakeup
+// path: trap + context switch back to it.
+func (c *Channel) park(p *sim.Proc) {
+	if c.blocked != nil {
+		panic("urpc: second receiver blocked on channel")
+	}
+	c.blocked = p
+	// A receiver killed while parked unwinds out of Park: release the
+	// channel so the next receiver can park, a checkpoint sees it quiescent,
+	// and no sender pays to notify the dead proc. Free of virtual time.
+	defer func() {
+		if c.blocked == p {
+			c.blocked = nil
+		}
+	}()
+	p.Park()
+	c.blocked = nil
+	mc := c.sys.Machine().Costs
+	p.Sleep(mc.Trap + mc.CSwitch)
 }
 
 // ackConsumed publishes receiver progress to the ack line, amortized to one
@@ -522,73 +512,8 @@ func (c *Channel) ackConsumed(p *sim.Proc) {
 	}
 }
 
-// Recv polls until a message arrives. It never blocks the simulated core in
-// the scheduler sense — this is the dedicated-polling mode used by the
-// microbenchmarks.
-func (c *Channel) Recv(p *sim.Proc) Message {
-	for {
-		if m, ok := c.TryRecv(p); ok {
-			return m
-		}
-		p.Sleep(pollGap)
-	}
-}
-
-// RecvWindow polls for up to window cycles, then parks until the sender
-// notifies (the poll-then-block strategy of §5.2). The returned message is
-// always valid.
-func (c *Channel) RecvWindow(p *sim.Proc, window sim.Time) Message {
-	deadline := p.Now() + window
-	for {
-		if m, ok := c.TryRecv(p); ok {
-			return m
-		}
-		if p.Now() >= deadline {
-			break
-		}
-		p.Sleep(pollGap)
-	}
-	for {
-		if c.blocked != nil {
-			panic("urpc: second receiver blocked on channel")
-		}
-		c.blocked = p
-		p.Park()
-		c.blocked = nil
-		// Charge the wakeup path: trap + context switch back to us.
-		mc := c.sys.Machine().Costs
-		p.Sleep(mc.Trap + mc.CSwitch)
-		if m, ok := c.TryRecv(p); ok {
-			return m
-		}
-	}
-}
-
-// RecvTimeout polls for a message until the deadline, backing off
-// exponentially between polls (pollGap doubling up to maxBackoffGap). It
-// reports false if the deadline passed with no message — the caller's cue to
-// suspect the sender and render a ChannelDead verdict via MarkDead.
-func (c *Channel) RecvTimeout(p *sim.Proc, timeout sim.Time) (Message, bool) {
-	deadline := p.Now() + timeout
-	gap := transportBackoff.Base
-	for {
-		if m, ok := c.TryRecv(p); ok {
-			return m, true
-		}
-		if p.Now() >= deadline {
-			c.mTimeouts.Inc()
-			c.eng.Tracer().Emit(uint64(p.Now()), trace.Instant, trace.SubURPC, int32(c.Receiver), "urpc.timeout", c.id<<32, 0)
-			return Message{}, false
-		}
-		c.mRetries.Inc()
-		c.eng.Tracer().Emit(uint64(p.Now()), trace.Instant, trace.SubURPC, int32(c.Receiver), "urpc.backoff", c.id<<32, uint64(gap))
-		p.Sleep(gap)
-		gap = transportBackoff.Next(gap)
-	}
-}
-
 // MarkDead records a ChannelDead verdict: the peer has been declared
-// fail-stopped, and subsequent SendTimeout calls fail immediately. Receiving
+// fail-stopped, and subsequent sends under Deadline push nothing. Receiving
 // is unaffected (already-written slots may still be drained).
 func (c *Channel) MarkDead() { c.dead = true }
 
@@ -607,9 +532,7 @@ func (c *Channel) PrefetchSlot(p *sim.Proc) {
 // Pending reports whether a message is ready without charging any cost
 // (engine-side inspection for tests and schedulers).
 func (c *Channel) Pending() bool {
-	slot := c.slotAddr(c.recvSeq)
-	seqWord := slot + memory.Addr(PayloadWords*8)
-	return c.sys.Memory().LoadWord(seqWord) == c.recvSeq+1
+	return c.sys.Memory().LoadWord(c.seqWord(c.recvSeq)) == c.recvSeq+1
 }
 
 // String implements fmt.Stringer.

@@ -17,6 +17,17 @@ func newSys(m *topo.Machine) (*sim.Engine, *cache.System) {
 	return e, cache.New(e, m, memory.New(m), interconnect.New(m))
 }
 
+// sendOne and recvOne move a single message through a one-slot buffer.
+func sendOne(ch *Channel, p *sim.Proc, m Message, w Wait) bool {
+	return ch.Send(p, []Message{m}, w) == 1
+}
+
+func recvOne(ch *Channel, p *sim.Proc, w Wait) (Message, bool) {
+	var buf [1]Message
+	ok := ch.Recv(p, buf[:], w) == 1
+	return buf[0], ok
+}
+
 // assertFaultFree verifies that a fault-free workload never took a timeout or
 // backoff-retry path: those are reserved for fault handling, and any nonzero
 // registry count is an accidental latency regression.
@@ -32,10 +43,10 @@ func TestSingleMessageRoundTrip(t *testing.T) {
 	e, sys := newSys(topo.AMD2x2())
 	ch := New(sys, 0, 2, Options{Home: -1})
 	var got Message
-	e.Spawn("recv", func(p *sim.Proc) { got = ch.Recv(p) })
+	e.Spawn("recv", func(p *sim.Proc) { got, _ = recvOne(ch, p, Spin) })
 	e.Spawn("send", func(p *sim.Proc) {
 		p.Sleep(100)
-		ch.Send(p, Message{1, 2, 3, 4, 5, 6, 7})
+		sendOne(ch, p, Message{1, 2, 3, 4, 5, 6, 7}, Spin)
 	})
 	e.Run()
 	if got != (Message{1, 2, 3, 4, 5, 6, 7}) {
@@ -51,13 +62,13 @@ func TestFIFOOrderAcrossManyMessages(t *testing.T) {
 	var got []uint64
 	e.Spawn("recv", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			m := ch.Recv(p)
+			m, _ := recvOne(ch, p, Spin)
 			got = append(got, m[0])
 		}
 	})
 	e.Spawn("send", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			ch.Send(p, Message{uint64(i)})
+			sendOne(ch, p, Message{uint64(i)}, Spin)
 		}
 	})
 	e.Run()
@@ -82,13 +93,13 @@ func TestSenderBlocksWhenRingFull(t *testing.T) {
 	ch := New(sys, 0, 2, Options{Home: -1, Slots: 4})
 	e.Spawn("send", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
-			ch.Send(p, Message{uint64(i)})
+			sendOne(ch, p, Message{uint64(i)}, Spin)
 		}
 	})
 	e.Spawn("recv", func(p *sim.Proc) {
 		p.Sleep(50_000) // let the sender hit the full ring
 		for i := 0; i < 20; i++ {
-			ch.Recv(p)
+			recvOne(ch, p, Spin)
 		}
 	})
 	e.Run()
@@ -110,15 +121,15 @@ func TestOneWayLatencyMatchesPaperBallpark(t *testing.T) {
 		ch := New(sys, sender, receiver, Options{Home: -1})
 		var sentAt, gotAt sim.Time
 		e.Spawn("recv", func(p *sim.Proc) {
-			ch.Recv(p) // warm-up message: fills the ack line and slot caches
-			ch.Recv(p)
+			recvOne(ch, p, Spin) // warm-up message: fills the ack line and slot caches
+			recvOne(ch, p, Spin)
 			gotAt = p.Now()
 		})
 		e.Spawn("send", func(p *sim.Proc) {
-			ch.Send(p, Message{1})
+			sendOne(ch, p, Message{1}, Spin)
 			p.Sleep(2000)
 			sentAt = p.Now()
-			ch.Send(p, Message{42})
+			sendOne(ch, p, Message{42}, Spin)
 		})
 		e.Run()
 		lat := gotAt - sentAt
@@ -138,14 +149,14 @@ func TestPipelinedThroughputBeatsLatencyBound(t *testing.T) {
 	var start, end sim.Time
 	e.Spawn("recv", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			ch.Recv(p)
+			recvOne(ch, p, Spin)
 		}
 		end = p.Now()
 	})
 	e.Spawn("send", func(p *sim.Proc) {
 		start = p.Now()
 		for i := 0; i < n; i++ {
-			ch.Send(p, Message{uint64(i)})
+			sendOne(ch, p, Message{uint64(i)}, Spin)
 		}
 	})
 	e.Run()
@@ -164,12 +175,12 @@ func TestRecvWindowBlocksAndIsNotified(t *testing.T) {
 	var got Message
 	var recvDone sim.Time
 	e.Spawn("recv", func(p *sim.Proc) {
-		got = ch.RecvWindow(p, 1000)
+		got, _ = recvOne(ch, p, Window(1000))
 		recvDone = p.Now()
 	})
 	e.Spawn("send", func(p *sim.Proc) {
 		p.Sleep(500_000) // far beyond the polling window
-		ch.Send(p, Message{7})
+		sendOne(ch, p, Message{7}, Spin)
 	})
 	e.Run()
 	e.CheckQuiesced()
@@ -188,10 +199,10 @@ func TestRecvWindowBlocksAndIsNotified(t *testing.T) {
 func TestRecvWindowFastPathNoNotify(t *testing.T) {
 	e, sys := newSys(topo.AMD2x2())
 	ch := New(sys, 0, 2, Options{Home: -1})
-	e.Spawn("recv", func(p *sim.Proc) { ch.RecvWindow(p, 100_000) })
+	e.Spawn("recv", func(p *sim.Proc) { recvOne(ch, p, Window(100_000)) })
 	e.Spawn("send", func(p *sim.Proc) {
 		p.Sleep(300)
-		ch.Send(p, Message{1})
+		sendOne(ch, p, Message{1}, Spin)
 	})
 	e.Run()
 	if ch.Stats().Notifies != 0 {
@@ -208,13 +219,13 @@ func TestPrefetchImprovesThroughput(t *testing.T) {
 		var end sim.Time
 		e.Spawn("recv", func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
-				ch.Recv(p)
+				recvOne(ch, p, Spin)
 			}
 			end = p.Now()
 		})
 		e.Spawn("send", func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
-				ch.Send(p, Message{uint64(i)})
+				sendOne(ch, p, Message{uint64(i)}, Spin)
 			}
 		})
 		e.Run()
@@ -261,14 +272,14 @@ func TestPayloadIntegrityProperty(t *testing.T) {
 		ok := true
 		e.Spawn("recv", func(p *sim.Proc) {
 			for _, want := range payloads {
-				if got := ch.Recv(p); got != Message(want) {
+				if got, _ := recvOne(ch, p, Spin); got != Message(want) {
 					ok = false
 				}
 			}
 		})
 		e.Spawn("send", func(p *sim.Proc) {
 			for _, m := range payloads {
-				ch.Send(p, Message(m))
+				sendOne(ch, p, Message(m), Spin)
 			}
 		})
 		e.Run()
@@ -285,26 +296,29 @@ func TestPayloadIntegrityProperty(t *testing.T) {
 func TestCanSendAndPending(t *testing.T) {
 	e, sys := newSys(topo.AMD2x2())
 	ch := New(sys, 0, 2, Options{Home: -1, Slots: 2})
-	if !ch.CanSend() {
+	if ch.InFlight() >= ch.Slots() {
 		t.Fatal("fresh channel cannot send")
 	}
 	if ch.Pending() {
 		t.Fatal("fresh channel has pending message")
 	}
 	e.Spawn("send", func(p *sim.Proc) {
-		ch.Send(p, Message{1})
-		ch.Send(p, Message{2})
+		sendOne(ch, p, Message{1}, Spin)
+		sendOne(ch, p, Message{2}, Spin)
+		if sendOne(ch, p, Message{3}, Poll) {
+			t.Error("Poll send pushed into a full ring")
+		}
 	})
 	e.Run()
-	if ch.CanSend() {
+	if ch.InFlight() < ch.Slots() {
 		t.Fatal("full 2-slot ring still claims send space")
 	}
 	if !ch.Pending() {
 		t.Fatal("messages sent but none pending")
 	}
 	e.Spawn("recv", func(p *sim.Proc) {
-		ch.Recv(p)
-		ch.Recv(p)
+		recvOne(ch, p, Spin)
+		recvOne(ch, p, Spin)
 	})
 	e.Run()
 	if ch.Pending() {
@@ -319,9 +333,9 @@ func TestCanSendAndPending(t *testing.T) {
 	assertFaultFree(t, e)
 }
 
-// TestSendTimeoutFastPathMatchesSend: with ring space available, SendTimeout
-// must be cycle-identical to Send — the deadline machinery may not slow the
-// fault-free path.
+// TestSendTimeoutFastPathMatchesSend: with ring space available, a Deadline
+// send must be cycle-identical to a Spin send — the deadline machinery may not
+// slow the fault-free path.
 func TestSendTimeoutFastPathMatchesSend(t *testing.T) {
 	measure := func(useTimeout bool) sim.Time {
 		e, sys := newSys(topo.AMD2x2())
@@ -330,11 +344,11 @@ func TestSendTimeoutFastPathMatchesSend(t *testing.T) {
 		e.Spawn("send", func(p *sim.Proc) {
 			start := p.Now()
 			if useTimeout {
-				if !ch.SendTimeout(p, Message{1}, 10_000) {
-					t.Error("SendTimeout failed with ring space available")
+				if !sendOne(ch, p, Message{1}, Deadline(10_000)) {
+					t.Error("Deadline send failed with ring space available")
 				}
 			} else {
-				ch.Send(p, Message{1})
+				sendOne(ch, p, Message{1}, Spin)
 			}
 			took = p.Now() - start
 		})
@@ -346,12 +360,12 @@ func TestSendTimeoutFastPathMatchesSend(t *testing.T) {
 	}
 	plain, timed := measure(false), measure(true)
 	if plain != timed {
-		t.Fatalf("SendTimeout fast path took %d cycles, Send took %d", timed, plain)
+		t.Fatalf("Deadline send fast path took %d cycles, Spin send took %d", timed, plain)
 	}
 }
 
 // TestSendTimeoutExpiresOnDeadReceiver: a receiver that never drains the ring
-// (fail-stopped) makes SendTimeout give up by the deadline, with exponential
+// (fail-stopped) makes a Deadline send give up by the deadline, with exponential
 // backoff visible in the retry count.
 func TestSendTimeoutExpiresOnDeadReceiver(t *testing.T) {
 	e, sys := newSys(topo.AMD2x2())
@@ -361,7 +375,7 @@ func TestSendTimeoutExpiresOnDeadReceiver(t *testing.T) {
 	var sent, failed int
 	e.Spawn("send", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			if ch.SendTimeout(p, Message{uint64(i)}, timeout) {
+			if sendOne(ch, p, Message{uint64(i)}, Deadline(timeout)) {
 				sent++
 			} else {
 				failed++
@@ -392,7 +406,7 @@ func TestSendTimeoutExpiresOnDeadReceiver(t *testing.T) {
 	}
 }
 
-// TestRecvTimeoutExpiresAndDelivers: RecvTimeout returns ok=false after the
+// TestRecvTimeoutExpiresAndDelivers: a Deadline receive returns 0 after the
 // deadline on a silent channel, and still delivers when a message arrives
 // in time.
 func TestRecvTimeoutExpiresAndDelivers(t *testing.T) {
@@ -401,17 +415,17 @@ func TestRecvTimeoutExpiresAndDelivers(t *testing.T) {
 	var firstOK, secondOK bool
 	var second Message
 	e.Spawn("recv", func(p *sim.Proc) {
-		_, firstOK = ch.RecvTimeout(p, 5_000) // nothing sent yet: must expire
-		second, secondOK = ch.RecvTimeout(p, 100_000)
+		_, firstOK = recvOne(ch, p, Deadline(5_000)) // nothing sent yet: must expire
+		second, secondOK = recvOne(ch, p, Deadline(100_000))
 	})
 	e.Spawn("send", func(p *sim.Proc) {
 		p.Sleep(30_000)
-		ch.Send(p, Message{42})
+		sendOne(ch, p, Message{42}, Spin)
 	})
 	e.Run()
 	e.CheckQuiesced()
 	if firstOK {
-		t.Fatal("RecvTimeout delivered from an empty channel")
+		t.Fatal("Deadline receive delivered from an empty channel")
 	}
 	if !secondOK || second[0] != 42 {
 		t.Fatalf("second recv: ok=%v msg=%v", secondOK, second)
@@ -436,16 +450,16 @@ func TestTraceLinksSendToRecv(t *testing.T) {
 	const n = 3
 	e.Spawn("recv", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			ch.Recv(p)
+			recvOne(ch, p, Spin)
 		}
 	})
 	e.Spawn("send", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			ch.Send(p, Message{uint64(i)})
+			sendOne(ch, p, Message{uint64(i)}, Spin)
 		}
 	})
-	e.Spawn("recv2", func(p *sim.Proc) { ch2.Recv(p) })
-	e.Spawn("send2", func(p *sim.Proc) { ch2.Send(p, Message{9}) })
+	e.Spawn("recv2", func(p *sim.Proc) { recvOne(ch2, p, Spin) })
+	e.Spawn("send2", func(p *sim.Proc) { sendOne(ch2, p, Message{9}, Spin) })
 	e.Run()
 	out := map[uint64]int32{} // flow id -> emitting core
 	in := map[uint64]int32{}
@@ -483,12 +497,12 @@ func TestChannelDeadVerdict(t *testing.T) {
 	e, sys := newSys(topo.AMD2x2())
 	ch := New(sys, 0, 2, Options{Home: -1})
 	e.Spawn("send", func(p *sim.Proc) {
-		if !ch.SendTimeout(p, Message{7}, 10_000) {
+		if !sendOne(ch, p, Message{7}, Deadline(10_000)) {
 			t.Error("send before verdict failed")
 		}
 		ch.MarkDead()
 		start := p.Now()
-		if ch.SendTimeout(p, Message{8}, 10_000) {
+		if sendOne(ch, p, Message{8}, Deadline(10_000)) {
 			t.Error("send succeeded on a dead channel")
 		}
 		if p.Now() != start {
@@ -500,7 +514,7 @@ func TestChannelDeadVerdict(t *testing.T) {
 		t.Fatal("verdict not recorded")
 	}
 	var got Message
-	e.Spawn("recv", func(p *sim.Proc) { got = ch.Recv(p) })
+	e.Spawn("recv", func(p *sim.Proc) { got, _ = recvOne(ch, p, Spin) })
 	e.Run()
 	if got[0] != 7 {
 		t.Fatalf("in-flight message lost after verdict: %v", got)

@@ -2,6 +2,7 @@ package urpc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // TestSendBatchFIFOThroughSmallRing: a vectored batch larger than the ring
-// must arrive complete and in order — SendBatch internally splits into
+// must arrive complete and in order — Send internally splits it into
 // ring-sized bursts.
 func TestSendBatchFIFOThroughSmallRing(t *testing.T) {
 	e, sys := newSys(topo.AMD2x2())
@@ -21,7 +22,7 @@ func TestSendBatchFIFOThroughSmallRing(t *testing.T) {
 	e.Spawn("recv", func(p *sim.Proc) {
 		buf := make([]Message, 8)
 		for len(got) < n {
-			k := ch.RecvAll(p, buf)
+			k := ch.Recv(p, buf, Poll)
 			if k == 0 {
 				p.Sleep(pollGap)
 				continue
@@ -36,7 +37,7 @@ func TestSendBatchFIFOThroughSmallRing(t *testing.T) {
 		for i := range msgs {
 			msgs[i] = Message{uint64(i), uint64(n - i)}
 		}
-		ch.SendBatch(p, msgs)
+		ch.Send(p, msgs, Spin)
 	})
 	e.Run()
 	e.CheckQuiesced()
@@ -65,7 +66,7 @@ func TestSendSkipsAckReadWithProvenSpace(t *testing.T) {
 	ch := New(sys, 0, 2, Options{Home: -1, Slots: 4})
 	e.Spawn("send", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			ch.Send(p, Message{uint64(i)})
+			sendOne(ch, p, Message{uint64(i)}, Spin)
 		}
 	})
 	e.Run()
@@ -76,7 +77,7 @@ func TestSendSkipsAckReadWithProvenSpace(t *testing.T) {
 	// ring is full).
 	e.Spawn("recv", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			ch.Recv(p)
+			recvOne(ch, p, Spin)
 		}
 	})
 	e.Run()
@@ -87,7 +88,7 @@ func TestSendSkipsAckReadWithProvenSpace(t *testing.T) {
 	// recovered view then proves space for three more sends for free.
 	e.Spawn("send2", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			ch.Send(p, Message{uint64(i)})
+			sendOne(ch, p, Message{uint64(i)}, Spin)
 		}
 	})
 	e.Run()
@@ -105,11 +106,11 @@ func TestSendBatchCoalescesNotify(t *testing.T) {
 	const burst = 5
 	var got int
 	e.Spawn("recv", func(p *sim.Proc) {
-		ch.RecvWindow(p, 1000) // polls out the window, then parks
+		recvOne(ch, p, Window(1000)) // polls out the window, then parks
 		got++
 		buf := make([]Message, burst)
 		for got < burst {
-			got += ch.RecvAll(p, buf)
+			got += ch.Recv(p, buf, Poll)
 		}
 	})
 	e.Spawn("send", func(p *sim.Proc) {
@@ -118,7 +119,7 @@ func TestSendBatchCoalescesNotify(t *testing.T) {
 		for i := range msgs {
 			msgs[i] = Message{uint64(i)}
 		}
-		ch.SendBatch(p, msgs)
+		ch.Send(p, msgs, Spin)
 	})
 	e.Run()
 	e.CheckQuiesced()
@@ -132,8 +133,9 @@ func TestSendBatchCoalescesNotify(t *testing.T) {
 }
 
 // TestRecvAllChargesCheckOncePerPoll: draining k ready messages with one
-// RecvAll must be strictly cheaper than k TryRecv calls, because the poll
-// check is charged once per call rather than once per message.
+// k-slot Poll receive must be strictly cheaper than k one-slot Poll receives,
+// because the poll check is charged once per call rather than once per
+// message.
 func TestRecvAllChargesCheckOncePerPoll(t *testing.T) {
 	const k = 8
 	measure := func(burst bool) sim.Time {
@@ -144,7 +146,7 @@ func TestRecvAllChargesCheckOncePerPoll(t *testing.T) {
 			for i := range msgs {
 				msgs[i] = Message{uint64(i)}
 			}
-			ch.SendBatch(p, msgs)
+			ch.Send(p, msgs, Spin)
 		})
 		e.Run()
 		var took sim.Time
@@ -152,13 +154,13 @@ func TestRecvAllChargesCheckOncePerPoll(t *testing.T) {
 			start := p.Now()
 			if burst {
 				buf := make([]Message, k)
-				if n := ch.RecvAll(p, buf); n != k {
-					t.Errorf("RecvAll drained %d of %d ready messages", n, k)
+				if n := ch.Recv(p, buf, Poll); n != k {
+					t.Errorf("burst receive drained %d of %d ready messages", n, k)
 				}
 			} else {
 				for i := 0; i < k; i++ {
-					if _, ok := ch.TryRecv(p); !ok {
-						t.Errorf("TryRecv %d found empty ring", i)
+					if _, ok := recvOne(ch, p, Poll); !ok {
+						t.Errorf("one-slot receive %d found empty ring", i)
 					}
 				}
 			}
@@ -170,7 +172,7 @@ func TestRecvAllChargesCheckOncePerPoll(t *testing.T) {
 	}
 	single, burst := measure(false), measure(true)
 	if burst >= single {
-		t.Fatalf("RecvAll burst drain took %d cycles, k TryRecvs took %d — burst not cheaper", burst, single)
+		t.Fatalf("burst drain took %d cycles, k one-slot receives took %d — burst not cheaper", burst, single)
 	}
 	// The saving is at least the (k-1) skipped check charges.
 	if single-burst < (k-1)*recvCheckCost {
@@ -188,8 +190,8 @@ func TestRecvAllEmptyRing(t *testing.T) {
 	ch := New(sys, 0, 2, Options{Home: -1})
 	e.Spawn("recv", func(p *sim.Proc) {
 		buf := make([]Message, 4)
-		if n := ch.RecvAll(p, buf); n != 0 {
-			t.Errorf("RecvAll on empty ring returned %d", n)
+		if n := ch.Recv(p, buf, Poll); n != 0 {
+			t.Errorf("Poll receive on empty ring returned %d", n)
 		}
 	})
 	e.Run()
@@ -205,7 +207,7 @@ func TestRecvAllEmptyRing(t *testing.T) {
 
 // TestBatchedVsUnbatchedEquivalence runs the same 30-message workload with an
 // identical burst-draining receiver, sending either as vectored batches
-// (SendBatch) or one message at a time (Send). Each variant must be fully
+// or one message at a time. Each variant must be fully
 // deterministic — byte-identical exported traces across repeated runs — and
 // the batched sender must retire its sends at a strictly earlier virtual time
 // (the amortized per-burst setup is the point), delivering the identical
@@ -222,7 +224,7 @@ func TestBatchedVsUnbatchedEquivalence(t *testing.T) {
 		e.Spawn("recv", func(p *sim.Proc) {
 			buf := make([]Message, DefaultSlots)
 			for len(got) < n {
-				k := ch.RecvAll(p, buf)
+				k := ch.Recv(p, buf, Poll)
 				if k == 0 {
 					p.Sleep(pollGap)
 					continue
@@ -239,10 +241,10 @@ func TestBatchedVsUnbatchedEquivalence(t *testing.T) {
 				for i := range msgs {
 					msgs[i] = Message{uint64(i)}
 				}
-				ch.SendBatch(p, msgs)
+				ch.Send(p, msgs, Spin)
 			} else {
 				for i := 0; i < n; i++ {
-					ch.Send(p, Message{uint64(i)})
+					sendOne(ch, p, Message{uint64(i)}, Spin)
 				}
 			}
 			sendEnd = p.Now()
@@ -277,13 +279,22 @@ func TestBatchedVsUnbatchedEquivalence(t *testing.T) {
 	}
 }
 
-// TestSendBatchRecvAllProperty: for random ring capacities, burst shapes and
-// receive-buffer sizes, RecvAll must drain exactly the sequence SendBatch
-// wrote — same count, same order, same payload words — with the channel
-// counters agreeing. Inputs are pre-generated from the trial seed so the
-// workload never depends on the schedule, and each failure names its trial.
+// TestSendBatchRecvAllProperty: for random ring capacities, burst shapes,
+// receive-buffer sizes and wait policies on both sides, the receiver must
+// drain exactly the sequence the sender wrote — same count, same order, same
+// payload words — with the channel counters agreeing and no deadline ever
+// expiring. Inputs are pre-generated from the trial seed so the workload
+// never depends on the schedule, and each failure names its trial.
 func TestSendBatchRecvAllProperty(t *testing.T) {
-	const trials = 40
+	const trials, generous = 40, 100_000_000
+	sendWaits := []struct {
+		name string
+		w    Wait
+	}{{"spin", Spin}, {"deadline", Deadline(generous)}}
+	recvWaits := []struct {
+		name string
+		w    Wait
+	}{{"poll", Poll}, {"spin", Spin}, {"window", Window(500)}, {"deadline", Deadline(generous)}}
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(0x5ba7c4 + int64(trial)))
 		slots := 2 + rng.Intn(31)
@@ -301,6 +312,8 @@ func TestSendBatchRecvAllProperty(t *testing.T) {
 			want = append(want, bursts[b]...)
 			gaps[b] = sim.Time(rng.Intn(4000))
 		}
+		sw, rw := sendWaits[rng.Intn(len(sendWaits))], recvWaits[rng.Intn(len(recvWaits))]
+		name := fmt.Sprintf("trial %d (slots %d buf %d send %s recv %s)", trial, slots, bufN, sw.name, rw.name)
 
 		e, sys := newSys(topo.AMD2x2())
 		ch := New(sys, 0, 2, Options{Home: -1, Slots: slots})
@@ -308,7 +321,7 @@ func TestSendBatchRecvAllProperty(t *testing.T) {
 		e.Spawn("recv", func(p *sim.Proc) {
 			buf := make([]Message, bufN)
 			for len(got) < len(want) {
-				k := ch.RecvAll(p, buf)
+				k := ch.Recv(p, buf, rw.w)
 				if k == 0 {
 					p.Sleep(pollGap)
 					continue
@@ -318,7 +331,9 @@ func TestSendBatchRecvAllProperty(t *testing.T) {
 		})
 		e.Spawn("send", func(p *sim.Proc) {
 			for b, msgs := range bursts {
-				ch.SendBatch(p, msgs)
+				if n := ch.Send(p, msgs, sw.w); n != len(msgs) {
+					t.Errorf("%s: burst %d pushed %d of %d", name, b, n, len(msgs))
+				}
 				p.Sleep(gaps[b])
 			}
 		})
@@ -326,19 +341,22 @@ func TestSendBatchRecvAllProperty(t *testing.T) {
 		e.CheckQuiesced()
 
 		if len(got) != len(want) {
-			t.Fatalf("trial %d (slots %d buf %d): received %d of %d",
-				trial, slots, bufN, len(got), len(want))
+			t.Fatalf("%s: received %d of %d", name, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d (slots %d buf %d): message %d is %v, want %v",
-					trial, slots, bufN, i, got[i], want[i])
+				t.Fatalf("%s: message %d is %v, want %v", name, i, got[i], want[i])
 			}
 		}
 		if st := ch.Stats(); st.Sent != uint64(len(want)) || st.Received != uint64(len(want)) {
-			t.Fatalf("trial %d: stats %+v, want %d sent and received", trial, st, len(want))
+			t.Fatalf("%s: stats %+v, want %d sent and received", name, st, len(want))
 		}
-		assertFaultFree(t, e)
+		if to := e.Metrics().Snapshot().Counters["urpc.timeouts"]; to != 0 {
+			t.Fatalf("%s: urpc.timeouts=%d under a generous deadline", name, to)
+		}
+		if sw.name != "deadline" && rw.name != "deadline" {
+			assertFaultFree(t, e) // only Deadline waits may count retries
+		}
 		e.Close()
 	}
 }
