@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	mkbench [-quick] [-parallel N] [-run-workers N] [-json file] [-trace file]
+//	mkbench [-quick] [-parallel N] [-json file] [-trace file]
 //	        [-checkpoint file] [-restore file] [-cpuprofile file] [-memprofile file]
 //	        [-fault-seed N] [experiment ...]
 //
@@ -39,11 +39,10 @@
 // family.
 //
 // The sim experiment benchmarks the engine itself: event throughput of the
-// serial reference engine against per-socket sub-engines at 2/4/8 workers
-// (plus -run-workers when it names another count), with byte-identity of the
-// final engine image checked against the serial run, and a warm-start
-// comparison of a boot-per-point sweep against a boot-once/restore-per-point
-// sweep. -checkpoint saves that boot image to a file; -restore feeds a saved
+// serial reference engine against per-socket sub-engines at 2/4/8 workers,
+// with byte-identity of the final engine image checked against the serial
+// run, and a warm-start comparison of a boot-per-point sweep against a
+// boot-once/restore-per-point sweep. -checkpoint saves that boot image to a file; -restore feeds a saved
 // image back in, so a later run skips simulated boot entirely.
 //
 // The boot experiment puts the whole multikernel on the parallel engine:
@@ -57,9 +56,7 @@
 // Independent experiment points run across a pool of -parallel worker
 // threads (default GOMAXPROCS); output is byte-identical to -parallel 1
 // because every point is a hermetic, seed-deterministic engine run and
-// results are collected in deterministic order. -run-workers additionally
-// budgets intra-run engine workers per point (harness.SetRunWorkers) — the
-// second axis of host parallelism, used by engine-parallel experiments.
+// results are collected in deterministic order.
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole run.
 //
@@ -105,8 +102,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Perfetto-loadable Chrome trace of every engine run to this file")
 	faultSeed := flag.Uint64("fault-seed", 42, "seed family for the faults experiment's schedules")
 	faultsOnly := flag.Bool("faults", false, "shorthand for the faults experiment")
-	runWorkers := flag.Int("run-workers", 1,
-		"intra-run engine worker budget per experiment point (1 = serial reference engine)")
 	ckptOut := flag.String("checkpoint", "", "write the warm-start boot image to this file")
 	ckptIn := flag.String("restore", "", "warm-start the sim experiment's sweep from this saved boot image")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -114,7 +109,6 @@ func main() {
 	flag.Parse()
 
 	harness.SetParallelism(*parallel)
-	harness.SetRunWorkers(*runWorkers)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -285,11 +279,7 @@ func main() {
 			showTab(expt.URPCv2Table(30 * iters))
 		}},
 		{"boot", func() {
-			counts := []int{2, 4}
-			if w := harness.RunWorkers(); w > 1 && w != 2 && w != 4 {
-				counts = append(counts, w)
-			}
-			rows := expt.BootParallelBench(bootScale, counts)
+			rows := expt.BootParallelBench(bootScale, []int{2, 4})
 			showTab(expt.BootBenchTable(rows))
 			identical := true
 			for _, r := range rows {
@@ -305,11 +295,7 @@ func main() {
 			headline["boot.runner_cores"] = float64(runtime.NumCPU())
 		}},
 		{"sim", func() {
-			counts := []int{2, 4, 8}
-			if w := harness.RunWorkers(); w > 1 && w != 2 && w != 4 && w != 8 {
-				counts = append(counts, w)
-			}
-			res := expt.EngineBench(simScale, counts)
+			res := expt.EngineBench(simScale, []int{2, 4, 8})
 			showTab(expt.EngineBenchTable(res))
 			identical := true
 			for _, r := range res {

@@ -5,18 +5,13 @@
 //
 // Usage:
 //
-//	mksim [-machine "4x4-core AMD"] [-workers n] [-trace] [-trace-json out.json]
+//	mksim [-machine "4x4-core AMD"] [-trace] [-trace-json out.json]
 //	      [-checkpoint boot.ckpt | -restore boot.ckpt]
 //
 // -checkpoint runs the boot to quiescence, saves the engine image to the
 // named file and continues with the demo. -restore skips the simulated boot:
 // the engine state is loaded from a previously saved image (which must have
 // been taken on the same -machine) and only the demo workload is simulated.
-//
-// -workers boots on the parallel engine with that many host workers instead
-// of the serial reference engine. The demo's output — every printed virtual
-// timestamp included — is byte-identical at every worker count; results are
-// never a function of the worker budget.
 package main
 
 import (
@@ -26,7 +21,6 @@ import (
 
 	"multikernel"
 	"multikernel/internal/caps"
-	"multikernel/internal/core"
 	"multikernel/internal/monitor"
 	"multikernel/internal/sim"
 	"multikernel/internal/topo"
@@ -40,17 +34,10 @@ func main() {
 	traceJSON := flag.String("trace-json", "", "write the trace as Chrome trace-event JSON (open in Perfetto)")
 	ckptOut := flag.String("checkpoint", "", "save the booted engine image to this file before the demo")
 	ckptIn := flag.String("restore", "", "warm-start from a saved boot image instead of simulating boot")
-	workers := flag.Int("workers", 0, "boot on the parallel engine with this many host workers (0 = serial reference engine)")
 	flag.Parse()
 
 	if *ckptOut != "" && *ckptIn != "" {
 		fmt.Fprintln(os.Stderr, "mksim: -checkpoint and -restore are mutually exclusive")
-		os.Exit(2)
-	}
-	if *workers > 0 && (*ckptOut != "" || *ckptIn != "") {
-		// Serial and parallel checkpoint images use different framings;
-		// core.RestoreParallel handles the latter.
-		fmt.Fprintln(os.Stderr, "mksim: -checkpoint/-restore operate on serial engine images; drop -workers")
 		os.Exit(2)
 	}
 
@@ -70,20 +57,7 @@ func main() {
 
 	var e *sim.Engine
 	var sys *multikernel.System
-	run, closeEng := func() { e.Run() }, func() { e.Close() }
-	if *workers > 0 {
-		// Single partition: the driver proc below touches every core, which
-		// is only legal in the replica that owns them all. The epoch loop and
-		// worker pool still carry the whole run.
-		pe := sim.NewParallelEngine(1, sim.Forever, 1, *workers)
-		e = pe.Part(0)
-		if rec != nil {
-			e.SetTracer(rec)
-		}
-		sys = core.BootParallel(pe, m, core.Options{}).Part(0)
-		run, closeEng = pe.Run, pe.Close
-		fmt.Printf("booted multikernel on %v (parallel engine, %d workers)\n", m, *workers)
-	} else if *ckptIn != "" {
+	if *ckptIn != "" {
 		f, err := os.Open(*ckptIn)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mksim: %v\n", err)
@@ -165,7 +139,7 @@ func main() {
 		}
 		fmt.Println("             capability replicas consistent on all cores")
 	})
-	run()
+	e.Run()
 
 	fmt.Println("\nper-monitor activity:")
 	for _, c := range multikernel.AllCores(m)[:4] {
@@ -190,5 +164,5 @@ func main() {
 		}
 		fmt.Printf("trace written to %s (%d events)\n", *traceJSON, rec.Len())
 	}
-	closeEng()
+	e.Close()
 }

@@ -7,9 +7,7 @@
 // current by anti-entropy — and every acknowledged write survives.
 //
 // Flags: -shards and -replicas size the cluster, -kill fail-stops that many
-// primaries while clients are writing, and -workers runs the whole scenario —
-// fail-stops, detection, promotion, anti-entropy included — on the parallel
-// engine; the output is byte-identical at every worker count.
+// primaries while clients are writing, and -seed picks the engine seed.
 package main
 
 import (
@@ -27,28 +25,15 @@ func main() {
 	replicas := flag.Int("replicas", 2, "copies per shard, primary included")
 	kill := flag.Int("kill", 1, "primaries to fail-stop mid-run")
 	seed := flag.Uint64("seed", 7, "engine seed")
-	workers := flag.Int("workers", 0, "host workers for the parallel engine (0 = serial reference engine)")
 	flag.Parse()
 	if *kill > 3 {
 		*kill = 3 // leave enough cores for the shards to live somewhere
 	}
 
 	m := multikernel.AMD4x4()
-	var e *sim.Engine
-	var sys *multikernel.System
-	var drive func(sim.Time)
-	var closeEng func()
-	if *workers > 0 {
-		pe, psys := multikernel.BootOnWorkers(m, *seed, *workers)
-		e, sys = pe.Part(0), psys
-		drive, closeEng = pe.RunUntil, pe.Close
-		fmt.Printf("booted on %v (parallel engine, %d workers)\n\n", m, *workers)
-	} else {
-		e = multikernel.NewEngine(*seed)
-		sys = multikernel.Boot(e, m)
-		drive, closeEng = e.RunUntil, e.Close
-		fmt.Printf("booted on %v\n\n", m)
-	}
+	e := multikernel.NewEngine(*seed)
+	sys := multikernel.Boot(e, m)
+	fmt.Printf("booted on %v\n\n", m)
 	sys.Net.EnableFaultTolerance(100_000)
 
 	servers := []topo.CoreID{2, 3, 6, 7}
@@ -193,6 +178,6 @@ func main() {
 		}
 		fmt.Printf("\nVERIFIED: no acknowledged write lost across %d fail-stop(s)\n", len(kills))
 	})
-	drive(clientEnd + 30_000_000)
-	closeEng()
+	e.RunUntil(clientEnd + 30_000_000)
+	e.Close()
 }

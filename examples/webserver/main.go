@@ -6,7 +6,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 
 	"multikernel/internal/apps"
@@ -17,17 +16,13 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "host workers for the demo pipeline's parallel engine (0 = serial reference engine)")
-	flag.Parse()
-
 	m := topo.AMD2x2()
 	fmt.Printf("web service pipeline on %v\n", m)
 	fmt.Println("placement: NIC driver on core 2, web server on core 3, database on core 1")
 	fmt.Println()
 
-	// One illustrative request, end to end. With -workers the pipeline runs
-	// on the parallel engine; the demo's counts are identical either way.
-	demoOneRequest(*workers)
+	// One illustrative request, end to end.
+	demoOneRequest()
 
 	// Sustained throughput, as measured by the experiment harness.
 	window := sim.Time(30_000_000)
@@ -40,9 +35,9 @@ func main() {
 	fmt.Printf("  database-backed page (URPC to core 1):   %6.0f requests/s\n", db.ReqPerSec)
 }
 
-func demoOneRequest(workers int) {
+func demoOneRequest() {
 	m := topo.AMD2x2()
-	env := expt.NewEnvWorkers(m, 9, workers)
+	env := expt.NewEnv(m, 9)
 	defer env.Close()
 
 	w := netstack.NewWire(env.E, 1, m.ClockGHz)
@@ -66,7 +61,7 @@ func demoOneRequest(workers int) {
 	}
 	w.Attach(nic, gen)
 	gen.Start(env.E)
-	env.RunUntil(3_000_000)
+	env.E.RunUntil(3_000_000)
 	gen.Stop()
 	fmt.Printf("demo: served %d database request(s); %d bytes returned to the client\n",
 		gen.Completed, gen.BytesIn)

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // WriteU64 writes each value as 8 little-endian bytes.
@@ -37,10 +38,13 @@ func ReadU64(r io.Reader, vs ...*uint64) error {
 	return nil
 }
 
-// maxBlob bounds length prefixes accepted by ReadBytes/ReadU64Slice, so a
-// corrupt or truncated stream fails with an error instead of a huge
-// allocation.
+// maxBlob bounds length prefixes accepted by ReadBytes/ReadU64Slice.
 const maxBlob = 1 << 32
+
+// chunk is the most ReadBytes/ReadU64Slice allocate ahead of the bytes they
+// have actually read, so a corrupt length prefix on a short stream fails
+// with an error after a bounded allocation instead of a huge one.
+const chunk = 64 << 10
 
 // WriteBytes writes b with a u64 length prefix.
 func WriteBytes(w io.Writer, b []byte) error {
@@ -60,9 +64,14 @@ func ReadBytes(r io.Reader) ([]byte, error) {
 	if n > maxBlob {
 		return nil, fmt.Errorf("ckpt: blob length %d exceeds limit", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
+	b := make([]byte, 0, min(n, chunk))
+	for uint64(len(b)) < n {
+		m := len(b)
+		step := int(min(n-uint64(m), chunk))
+		b = slices.Grow(b, step)[:m+step]
+		if _, err := io.ReadFull(r, b[m:]); err != nil {
+			return nil, err
+		}
 	}
 	return b, nil
 }
@@ -93,11 +102,13 @@ func ReadU64Slice(r io.Reader) ([]uint64, error) {
 	if n > maxBlob/8 {
 		return nil, fmt.Errorf("ckpt: slice length %d exceeds limit", n)
 	}
-	s := make([]uint64, n)
-	for i := range s {
-		if err := ReadU64(r, &s[i]); err != nil {
+	s := make([]uint64, 0, min(n, chunk/8))
+	for uint64(len(s)) < n {
+		var v uint64
+		if err := ReadU64(r, &v); err != nil {
 			return nil, err
 		}
+		s = append(s, v)
 	}
 	return s, nil
 }

@@ -57,12 +57,6 @@ type Options struct {
 	// zero value, snooping as on the paper machines) or Directory (home-node
 	// sharer bitmaps with targeted probes, for scaled machines).
 	Coherence cache.CoherenceMode
-
-	// Workers selects the engine: 0 boots on the serial reference engine,
-	// >0 boots on a sim.ParallelEngine with that host-goroutine budget (see
-	// BootAuto). BootParallel ignores it — the ParallelEngine passed in
-	// already fixes the worker count.
-	Workers int
 }
 
 // spaceTag packs an address-space ID and virtual address into the physical

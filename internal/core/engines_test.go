@@ -12,7 +12,7 @@ import (
 // engineCase is one configuration of the dual-engine test sweep: the engine
 // procs spawn on, the booted system, and the run function that drives the
 // workload to completion (Engine.Run serially; ParallelEngine.Run through the
-// epoch loop under parallel boots).
+// epoch loop under the one-partition parallel boot).
 type engineCase struct {
 	e   *sim.Engine
 	s   *System
@@ -20,13 +20,14 @@ type engineCase struct {
 }
 
 // forEachEngine runs a test body under the serial reference engine and under
-// BootParallel on a single-partition ParallelEngine at workers 1, 2 and 4.
-// A single partition keeps driver-style tests valid — one proc may touch any
-// core's state, exactly as under the serial engine — while still exercising
-// the parallel engine's epoch grid, barrier machinery and worker pool; the
-// sweep proves the outcome is worker-independent. Multi-partition behaviour,
-// where every proc must live in the replica owning its core, is covered by
-// parallel_test.go and the expt boot workloads.
+// BootParallel on a single-partition ParallelEngine. A single partition keeps
+// driver-style tests valid — one proc may touch any core's state, exactly as
+// under the serial engine — and runs the workload through the parallel
+// engine's epoch loop (one epoch: a lone partition's lookahead is unbounded).
+// No worker goroutine starts at one partition: the budgets of 2 and 4 clamp
+// to 1, so those legs check that a surplus budget changes nothing.
+// Multi-partition behaviour, where every proc must live in the replica owning
+// its core, is covered by parallel_test.go and the expt boot workloads.
 func forEachEngine(t *testing.T, m *topo.Machine, fn func(t *testing.T, ec engineCase)) {
 	forEachEngineOpts(t, m, Options{}, fn)
 }

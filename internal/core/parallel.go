@@ -69,22 +69,6 @@ func BootParallel(pe *sim.ParallelEngine, m *topo.Machine, opts Options) *Parall
 	return ps
 }
 
-// BootAuto boots a multikernel sized by opts.Workers: 0 boots the serial
-// reference (one engine, one System), >0 boots one partition per socket on a
-// ParallelEngine with that worker budget. It returns the parallel system (nil
-// in serial mode) and the serial system (nil in parallel mode) — exactly one
-// is non-nil. This is the engine-selection knob behind the tools' -workers
-// flags.
-func BootAuto(m *topo.Machine, seed uint64, opts Options) (*ParallelSystem, *System) {
-	if opts.Workers <= 0 {
-		e := sim.NewEngine(seed)
-		return nil, BootWith(e, m, opts)
-	}
-	pm := topo.PerSocket(m)
-	pe := sim.NewParallelEngine(pm.NParts(), interconnect.Lookahead(m, pm), seed, opts.Workers)
-	return BootParallel(pe, m, opts), nil
-}
-
 // bootReplica builds partition part's replica: the full BootWith sequence on
 // the partition's engine, with the cache system partition-marked before any
 // channel or proc exists.

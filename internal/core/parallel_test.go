@@ -31,11 +31,12 @@ func shootdownRounds(e *sim.Engine, s *System, m *topo.Machine, rounds int) {
 }
 
 // The serial-equivalence anchor: BootParallel on a single-partition engine is
-// the serial boot run through the parallel machinery (epoch grid, barriers,
-// worker pool), and must reproduce the serial reference byte-for-byte in
-// every observable — trace, metrics snapshot, engine checkpoint image — at
-// every worker count. This is the nparts=1 half of the determinism contract;
-// the workers-sweep identity at nparts=8 lives in expt.BootParallelBench.
+// the serial boot run through the parallel engine's epoch loop (one epoch,
+// since a lone partition's lookahead is unbounded, and no worker goroutine),
+// and must reproduce the serial reference byte-for-byte in every observable —
+// trace, metrics snapshot, engine checkpoint image. This is the nparts=1 half
+// of the determinism contract; the workers-sweep identity at nparts=8 lives
+// in expt.BootParallelBench.
 func TestParallelBootMatchesSerialAtOnePartition(t *testing.T) {
 	m := topo.AMD4x4()
 	const seed, rounds = 7, 3
@@ -68,28 +69,25 @@ func TestParallelBootMatchesSerialAtOnePartition(t *testing.T) {
 		t.Fatal("serial reference produced no trace events")
 	}
 
-	for _, w := range []int{1, 2, 4} {
-		pm := topo.Partition(m, 1)
-		pe := sim.NewParallelEngine(1, interconnect.Lookahead(m, pm), seed, w)
-		rec := trace.NewRecorder()
-		pe.Part(0).SetTracer(rec)
-		ps := BootParallel(pe, m, Options{})
-		gotEv, gotMet, gotImg := run(pe.Part(0), ps.Part(0), rec, func() { pe.RunUntil(alignT) })
-		if len(gotEv) != len(wantEv) {
-			t.Fatalf("w%d: %d trace events, serial reference has %d", w, len(gotEv), len(wantEv))
+	pe := sim.NewParallelEngine(1, interconnect.Lookahead(m, topo.Partition(m, 1)), seed, 1)
+	defer pe.Close()
+	rec := trace.NewRecorder()
+	pe.Part(0).SetTracer(rec)
+	ps := BootParallel(pe, m, Options{})
+	gotEv, gotMet, gotImg := run(pe.Part(0), ps.Part(0), rec, func() { pe.RunUntil(alignT) })
+	if len(gotEv) != len(wantEv) {
+		t.Fatalf("%d trace events, serial reference has %d", len(gotEv), len(wantEv))
+	}
+	for i := range gotEv {
+		if gotEv[i] != wantEv[i] {
+			t.Fatalf("trace diverges at event %d: %+v vs serial %+v", i, gotEv[i], wantEv[i])
 		}
-		for i := range gotEv {
-			if gotEv[i] != wantEv[i] {
-				t.Fatalf("w%d: trace diverges at event %d: %+v vs serial %+v", w, i, gotEv[i], wantEv[i])
-			}
-		}
-		if !bytes.Equal(gotMet, wantMet) {
-			t.Fatalf("w%d: metrics snapshot diverges from serial reference", w)
-		}
-		if !bytes.Equal(gotImg, wantImg) {
-			t.Fatalf("w%d: checkpoint image diverges from serial reference", w)
-		}
-		pe.Close()
+	}
+	if !bytes.Equal(gotMet, wantMet) {
+		t.Fatal("metrics snapshot diverges from serial reference")
+	}
+	if !bytes.Equal(gotImg, wantImg) {
+		t.Fatal("checkpoint image diverges from serial reference")
 	}
 }
 
@@ -159,25 +157,4 @@ func TestBootParallelRejectsExcessLookahead(t *testing.T) {
 		}
 	}()
 	BootParallel(pe, m, Options{})
-}
-
-func TestBootAutoSelectsEngine(t *testing.T) {
-	m := topo.AMD4x4()
-	ps, s := BootAuto(m, 1, Options{})
-	if ps != nil || s == nil {
-		t.Fatal("Workers=0 must boot the serial reference")
-	}
-	s.Eng.Close()
-
-	ps, s = BootAuto(m, 1, Options{Workers: 2})
-	if ps == nil || s != nil {
-		t.Fatal("Workers>0 must boot on the parallel engine")
-	}
-	if ps.PE.NParts() != m.NSockets {
-		t.Fatalf("BootAuto partitioned into %d parts, want one per socket (%d)", ps.PE.NParts(), m.NSockets)
-	}
-	if ps.PE.Workers() != 2 {
-		t.Fatalf("worker budget %d, want 2", ps.PE.Workers())
-	}
-	ps.PE.Close()
 }

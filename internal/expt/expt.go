@@ -27,7 +27,6 @@ func newFigure(title, xlabel, ylabel string) *figure {
 // Env bundles a freshly simulated machine for one measurement run.
 type Env struct {
 	E    *sim.Engine
-	PE   *sim.ParallelEngine // non-nil when built by NewEnvWorkers
 	M    *topo.Machine
 	Sys  *cache.System
 	Kern *kernel.System
@@ -36,48 +35,16 @@ type Env struct {
 
 // NewEnv builds hardware models and a populated SKB for machine m.
 func NewEnv(m *topo.Machine, seed uint64) *Env {
-	return newEnv(sim.NewEngine(seed), nil, m)
-}
-
-// NewEnvWorkers builds the same env on a single-partition ParallelEngine with
-// the given host-worker budget — the engine-selection knob behind the
-// examples' -workers flags. One partition keeps driver-style measurement code
-// valid while the run goes through the epoch loop and worker pool; the
-// schedule is byte-identical to NewEnv's at every worker count. Drive it with
-// Env.RunUntil, which dispatches to whichever engine the env runs on.
-func NewEnvWorkers(m *topo.Machine, seed uint64, workers int) *Env {
-	if workers <= 0 {
-		return NewEnv(m, seed)
-	}
-	pe := sim.NewParallelEngine(1, sim.Forever, seed, workers)
-	return newEnv(pe.Part(0), pe, m)
-}
-
-func newEnv(e *sim.Engine, pe *sim.ParallelEngine, m *topo.Machine) *Env {
+	e := sim.NewEngine(seed)
 	sys := cache.New(e, m, memory.New(m), interconnect.New(m))
 	kb := skb.New(m)
 	kb.Discover()
 	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2*m.TransferLat(b, a) + 160 })
-	return &Env{E: e, PE: pe, M: m, Sys: sys, Kern: kernel.NewSystem(e, m), KB: kb}
-}
-
-// RunUntil drives the env's engine — serial or parallel — to virtual time t.
-func (v *Env) RunUntil(t sim.Time) {
-	if v.PE != nil {
-		v.PE.RunUntil(t)
-		return
-	}
-	v.E.RunUntil(t)
+	return &Env{E: e, M: m, Sys: sys, Kern: kernel.NewSystem(e, m), KB: kb}
 }
 
 // Close releases the env's engine.
-func (v *Env) Close() {
-	if v.PE != nil {
-		v.PE.Close()
-		return
-	}
-	v.E.Close()
-}
+func (v *Env) Close() { v.E.Close() }
 
 // Cores returns the first n cores of the env's machine.
 func (v *Env) Cores(n int) []topo.CoreID {

@@ -41,13 +41,9 @@ type kvfaultResult struct {
 	syncs        uint64
 }
 
-// workers selects the engine: 0 runs the serial reference, >0 the parallel
-// engine with that many host workers. The fault schedule, detection deadlines
-// and recovery all ride virtual time, so the result is byte-identical across
-// engines and worker counts (TestKVFaultParallelEngineIdentity pins this).
-func kvfaultPoint(seed uint64, kills, workers int) kvfaultResult {
+func kvfaultPoint(seed uint64, kills int) kvfaultResult {
 	m := topo.AMD4x4()
-	env := NewEnvWorkers(m, seed, workers)
+	env := NewEnv(m, seed)
 	defer env.Close()
 	e := env.E
 	net := monitor.NewNetwork(e, env.Sys, env.Kern, env.KB, monitor.Hooks{})
@@ -116,7 +112,7 @@ func kvfaultPoint(seed uint64, kills, workers int) kvfaultResult {
 			}
 		})
 	}
-	env.RunUntil(kvfHorizon + 1)
+	e.RunUntil(kvfHorizon + 1)
 
 	var res kvfaultResult
 	st := cluster.Stats()
@@ -192,7 +188,7 @@ func KVFault(seed uint64) (*figure, *figure, *table) {
 
 	kills := []int{0, 1, 2}
 	pts := harness.Map(len(kills), func(i int) kvfaultResult {
-		return kvfaultPoint(seed+uint64(i)*0x9e37_79b9_7f4a_7c15, kills[i], 0)
+		return kvfaultPoint(seed+uint64(i)*0x9e37_79b9_7f4a_7c15, kills[i])
 	})
 
 	tab := &table{

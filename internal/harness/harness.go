@@ -41,32 +41,6 @@ func SetParallelism(n int) {
 // Parallelism returns the current worker-pool width.
 func Parallelism() int { return int(parallelism.Load()) }
 
-// runWorkers is the per-run worker budget: how many host goroutines a single
-// experiment point's parallel simulation engine (sim.ParallelEngine) may use
-// for intra-run partition execution. It is a second, orthogonal axis to
-// Parallelism: the harness fans points out, the engine fans partitions out
-// within a point. Defaults to 1 (serial reference engine) because sweeps are
-// usually point-rich — cross-point fan-out has no synchronization cost at
-// all, while intra-run parallelism pays an epoch barrier per lookahead
-// window, so it only wins on few-point runs with large per-point event
-// counts.
-var runWorkers atomic.Int64
-
-func init() { runWorkers.Store(1) }
-
-// SetRunWorkers sets the per-run engine worker budget. Values below 1 clamp
-// to 1. The product Parallelism() × RunWorkers() is the peak host-goroutine
-// demand, so callers raising one axis should lower the other.
-func SetRunWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	runWorkers.Store(int64(n))
-}
-
-// RunWorkers returns the per-run engine worker budget.
-func RunWorkers() int { return int(runWorkers.Load()) }
-
 // Map runs fn(i) for every i in [0, n) and returns the results in index
 // order. With parallelism 1 (or n == 1) everything runs on the calling
 // goroutine; otherwise points are distributed over a worker pool. fn must be

@@ -138,7 +138,7 @@ func ParseIPv4(b []byte) (IPv4Header, []byte, error) {
 	h.Protocol = b[9]
 	h.Src = IPAddr(binary.BigEndian.Uint32(b[12:16]))
 	h.Dst = IPAddr(binary.BigEndian.Uint32(b[16:20]))
-	if int(h.Length) > len(b) {
+	if int(h.Length) < IPv4HeaderLen || int(h.Length) > len(b) {
 		return h, nil, ErrTruncated
 	}
 	return h, b[IPv4HeaderLen:h.Length], nil

@@ -59,22 +59,6 @@ func NewEngine(seed uint64) *sim.Engine { return sim.NewEngine(seed) }
 // spaces.
 func Boot(e *sim.Engine, m *Machine) *System { return core.Boot(e, m) }
 
-// BootOnWorkers boots the multikernel on a single-partition ParallelEngine
-// with the given host-worker budget — the engine-selection knob behind the
-// tools' -workers flags. The machine stays one partition, so driver-style
-// programs keep working unchanged (any proc may touch any core, exactly as
-// under Boot) while the run goes through the parallel engine's epoch
-// machinery and worker pool; the schedule is byte-identical to the serial
-// reference at every worker count. Spawn procs on the returned engine's
-// Part(0) and drive it with Run/RunUntil/Close on the ParallelEngine itself.
-// Multi-partition boots — one full replica per socket, with procs confined
-// to the replica owning their core — use core.BootParallel directly.
-func BootOnWorkers(m *Machine, seed uint64, workers int) (*sim.ParallelEngine, *System) {
-	pe := sim.NewParallelEngine(1, sim.Forever, seed, workers)
-	ps := core.BootParallel(pe, m, core.Options{})
-	return pe, ps.Part(0)
-}
-
 // The paper's four test platforms (§4.1).
 var (
 	Intel2x4 = topo.Intel2x4
