@@ -177,13 +177,14 @@ type Monitor struct {
 	out   map[topo.CoreID]*urpc.Channel
 	peers []topo.CoreID // deterministic poll order
 
-	local  *sim.Queue[*localReq]
-	proc   *sim.Proc
-	parked bool
-	down   bool   // core powered off (§3.3 hotplug)
-	dead   bool   // core fail-stopped (fault injection); state is frozen
-	view   []bool // replicated membership: which cores this monitor believes online
-	seq    uint64
+	local    *sim.Queue[*localReq]
+	proc     *sim.Proc
+	parked   bool
+	notified bool   // a wake found the loop running; cleared every pass
+	down     bool   // core powered off (§3.3 hotplug)
+	dead     bool   // core fail-stopped (fault injection); state is frozen
+	view     []bool // replicated membership: which cores this monitor believes online
+	seq      uint64
 
 	ops   map[uint64]*opState
 	fwd   map[uint64]*fwdState
@@ -252,10 +253,12 @@ func NewNetwork(e *sim.Engine, sys *cache.System, kern *kernel.System, kb *skb.K
 				t := n.monitors[b]
 				ipi := m.Costs.IPIDeliver
 				ch.OnRemoteDeliver = func() {
-					if t.parked {
-						t.stats.Wakeups++
-						e.After(ipi, func() { e.Wake(t.proc) })
+					if !t.parked {
+						t.notified = true
+						return
 					}
+					t.stats.Wakeups++
+					e.After(ipi, func() { e.Wake(t.proc) })
 				}
 			}
 		}
@@ -297,14 +300,17 @@ func (n *Network) OnExcise(fn func(p *sim.Proc, observer, excised topo.CoreID)) 
 func (m *Monitor) Stats() Stats { return m.stats }
 
 // wake ensures the target core's monitor notices new input, charging the
-// notification cost if it had blocked.
+// notification cost if it had blocked. A running monitor is only flagged, so
+// it takes one more pass before it may park.
 func (n *Network) wake(p *sim.Proc, target topo.CoreID) {
 	t := n.monitors[target]
-	if t.parked {
-		t.stats.Wakeups++
-		p.Sleep(n.Sys.Machine().Costs.IPIDeliver)
-		p.Unpark(t.proc)
+	if !t.parked {
+		t.notified = true
+		return
 	}
+	t.stats.Wakeups++
+	p.Sleep(n.Sys.Machine().Costs.IPIDeliver)
+	p.Unpark(t.proc)
 }
 
 // send transmits a protocol message to another monitor and wakes it. With
@@ -382,6 +388,7 @@ func (m *Monitor) run(p *sim.Proc) {
 	}
 	for {
 		progress := false
+		m.notified = false
 		if req, ok := m.local.TryPop(); ok {
 			m.startOp(p, req)
 			progress = true
@@ -413,6 +420,11 @@ func (m *Monitor) run(p *sim.Proc) {
 		// peer will never send.
 		if idle < idleToBlock || (m.net.OpTimeout > 0 && len(m.ops)+len(m.fwd) > 0) {
 			p.Sleep(idleSleep)
+			continue
+		}
+		if m.notified {
+			// A wake arrived during this pass, possibly for a ring the pass
+			// had already polled: poll again instead of parking past it.
 			continue
 		}
 		m.parked = true

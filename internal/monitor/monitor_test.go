@@ -242,6 +242,36 @@ func TestPipelinedRetypesAllComplete(t *testing.T) {
 	}
 }
 
+// A message written to a ring its monitor already polled in the pass before
+// it parks must still be noticed. Depth-16 pipelined retypes across all 32
+// cores of the 8x4 machine hit that window: one operation's response landed
+// behind the final idle pass, and its driver waited forever.
+func TestPipelinedRetypesAt32CoresAllComplete(t *testing.T) {
+	f := newFixture(t, topo.AMD8x4())
+	const depth = 16
+	done := 0
+	f.e.Spawn("app", func(p *sim.Proc) {
+		mon := f.net.Monitor(0)
+		mon.Retype(p, 1<<30, 4096, caps.Frame, 0, nil) // warm round
+		var futs []*sim.Future[bool]
+		for i := 1; i <= depth; i++ {
+			futs = append(futs, mon.RetypeAsync(p, memory.Addr(1<<30+i*0x10000), 4096, caps.Frame, 0, nil))
+		}
+		for _, fut := range futs {
+			if fut.Await(p) {
+				done++
+			}
+		}
+	})
+	f.e.Run()
+	if d := f.e.Deadlocked(); len(d) > 0 {
+		t.Fatalf("procs still parked after Run: %v", d)
+	}
+	if done != depth {
+		t.Fatalf("%d/%d pipelined retypes committed", done, depth)
+	}
+}
+
 func TestSendCapDeliversToRemoteCSpace(t *testing.T) {
 	f := newFixture(t, topo.AMD2x2())
 	c := caps.Capability{Type: caps.Frame, Base: 0x5000, Bytes: 4096, Rights: caps.AllRights}
