@@ -1,52 +1,27 @@
-// Command traceguard enforces two cost contracts in CI against committed
-// baselines in ci/trace_overhead_baseline.txt:
+// Command traceguard enforces the repository's cost contracts in CI against
+// committed baselines in ci/trace_overhead_baseline.txt. Every contract is
+// one row of the contracts table below: a package, a -bench regexp, and the
+// kind of check its measurements get.
 //
-//   - The trace layer's disabled-overhead contract: the tracing-off
-//     benchmarks (-bench=TraceOff in internal/sim) run several times, the
-//     minimum ns/op per benchmark is taken (the least-noisy estimate of the
-//     true cost), and any exceeding its baseline by more than -tolerance
-//     fails. These are host-time measurements, so the baseline is
-//     machine-dependent and the tolerance absorbs runner noise.
+//   - tolerance: host time. The trace layer's tracing-off benchmarks run
+//     several times, the minimum ns/op per benchmark is taken (the
+//     least-noisy estimate of the true cost), and any exceeding its
+//     baseline by more than -tolerance fails. The baseline is
+//     machine-dependent, so the tolerance absorbs runner noise.
 //
-//   - The URPC transport-cost contract: the transport benchmarks
-//     (-bench='URPCPipelined|URPCOneHop|BulkTransfer' in internal/urpc)
-//     report simulated cycles per message — pipelined bursts and the
-//     spin, deadline and parked-window single-message paths — and per bulk
-//     line. Those metrics are fully deterministic
-//     — same value on every run and every machine — so they are pinned
-//     exactly (keys with a ":unit" suffix in the baseline): any regression
-//     fails, and an improvement prints a reminder to refresh the baseline.
+//   - ceiling: a deterministic simulated metric (keys with a ":unit" suffix
+//     in the baseline), the same on every run and every machine: the URPC
+//     transport's cycles per message and per bulk line, and the scaled
+//     coherence modes' event counts on the 256-core mesh. Any increase
+//     fails; a decrease prints FAST, a reminder to refresh the baseline.
 //
-//   - The parallel-engine determinism contract: the pinned engine workload
-//     (-bench=ParallelEnginePinned in internal/sim) replays the same
-//     virtual-time window serially and at 2 and 4 workers, reporting the
-//     deterministic simevents/op count per worker configuration. The three
-//     entries are pinned exactly like the URPC metrics, so a parallel run
-//     that dispatches even one event more or fewer than the committed
-//     baseline — i.e. diverges from the serial schedule — fails CI.
-//
-//   - The parallel-boot determinism contract: the pinned full-system boot
-//     workload (-bench=BootParallelPinned in internal/expt) boots the whole
-//     multikernel on the 8-socket machine with core.BootParallel and replays
-//     the staged shootdown schedule at 1, 2 and 4 workers. Its simevents/op
-//     entries are pinned exactly and must match across worker counts — the
-//     booted-system analogue of the engine-level gate above.
-//
-//   - The scaled-coherence determinism contract: the pinned contended
-//     workload (-bench=DirectoryPinned in internal/expt) replays the
-//     256-core mesh under broadcast-snoop and directory coherence. Both
-//     simevents/op entries are pinned exactly, so a cost-model change in
-//     either mode — or any drift in the scaled machines' schedules — fails
-//     CI.
-//
-//   - The observability-plane cost contract: the pinned obs workload
-//     (-bench=ObsPinned in internal/obs) runs the same cross-socket URPC
-//     exchange with no plane, a disabled plane and a live sampling plane.
-//     All three simcycles/op values are pinned, and base vs disabled are
-//     additionally required to be EQUAL — a disabled plane must charge zero
-//     virtual time — while the sampling variant's simevents/window pin
-//     catches wire-protocol or aggregation-tree changes that inflate the
-//     plane's own traffic.
+//   - equal: a ceiling whose selected sub-benchmarks must also report the
+//     same value per unit. The parallel engine's pinned workload and the
+//     parallel full-system boot replay one schedule at 1, 2 and 4 workers,
+//     so a run that dispatches one event more or fewer than the serial one
+//     has diverged from it. The observability plane's base and disabled
+//     runs must end on the same cycle: a disabled plane charges zero
+//     virtual time.
 //
 // Usage:
 //
@@ -54,7 +29,7 @@
 //	go run ./ci/traceguard -update    # re-measure and rewrite the baseline
 //
 // -tolerance (default 0.05 per the tracing-overhead budget) applies only to
-// the host-time half and can be widened on heterogeneous runners; -update
+// the host-time rows and can be widened on heterogeneous runners; -update
 // refreshes the file after intentional engine or transport changes.
 package main
 
@@ -62,55 +37,74 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 const baselineFile = "ci/trace_overhead_baseline.txt"
 
+// kind is how a contract's measurements are judged.
+type kind int
+
+const (
+	tolerance kind = iota // host ns/op, within -tolerance of the baseline
+	ceiling               // deterministic sim metric, never above the baseline
+	equal                 // ceiling, and equal across the row's sub-benchmarks
+)
+
+// contract is one row of the cost-contract table.
+type contract struct {
+	pkg   string
+	bench string // -bench regexp
+	kind  kind
+}
+
+var contracts = []contract{
+	{"./internal/sim/", "TraceOff", tolerance},
+	{"./internal/urpc/", "URPCPipelined|URPCOneHop|BulkTransfer", ceiling},
+	{"./internal/sim/", "ParallelEnginePinned", equal},
+	{"./internal/expt/", "BootParallelPinned", equal},
+	{"./internal/expt/", "DirectoryPinned", ceiling},
+	{"./internal/obs/", "ObsPinned/(base|disabled)", equal},
+	{"./internal/obs/", "ObsPinned/sampling", ceiling},
+}
+
 func main() {
 	update := flag.Bool("update", false, "rewrite the baseline from fresh measurements")
-	tolerance := flag.Float64("tolerance", 0.05, "allowed fractional regression over the baseline")
+	tol := flag.Float64("tolerance", 0.05, "allowed fractional regression over the baseline")
 	count := flag.Int("count", 5, "benchmark repetitions (minimum taken)")
 	benchtime := flag.String("benchtime", "0.3s", "per-repetition benchmark time")
 	flag.Parse()
 
-	measured, err := runBenchmarks(*count, *benchtime)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "traceguard: %v\n", err)
-		os.Exit(1)
-	}
-	if len(measured) == 0 {
-		fmt.Fprintln(os.Stderr, "traceguard: no TraceOff benchmarks found")
-		os.Exit(1)
-	}
-	simMeasured, err := runSimBenchmarks()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "traceguard: %v\n", err)
-		os.Exit(1)
-	}
-	if len(simMeasured) == 0 {
-		fmt.Fprintln(os.Stderr, "traceguard: no deterministic sim benchmarks found")
-		os.Exit(1)
+	measured := make([]map[string]float64, len(contracts))
+	for i, c := range contracts {
+		got, err := measure(c, *count, *benchtime)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "traceguard: %v\n", err)
+			os.Exit(1)
+		}
+		if len(got) == 0 {
+			fmt.Fprintf(os.Stderr, "traceguard: no %s benchmarks found in %s\n", c.bench, c.pkg)
+			os.Exit(1)
+		}
+		measured[i] = got
 	}
 
 	if *update {
 		all := map[string]float64{}
-		for k, v := range measured {
-			all[k] = v
-		}
-		for k, v := range simMeasured {
-			all[k] = v
+		for _, got := range measured {
+			maps.Copy(all, got)
 		}
 		if err := writeBaseline(all); err != nil {
 			fmt.Fprintf(os.Stderr, "traceguard: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("baseline %s updated:\n", baselineFile)
-		for _, name := range sortedKeys(all) {
+		for _, name := range slices.Sorted(maps.Keys(all)) {
 			fmt.Printf("  %-42s %10.2f\n", name, all[name])
 		}
 		return
@@ -122,49 +116,12 @@ func main() {
 		os.Exit(1)
 	}
 	failed := false
-	for _, name := range sortedKeys(measured) {
-		got := measured[name]
-		want, ok := baseline[name]
-		if !ok {
-			fmt.Printf("NEW   %-42s %10.2f ns/op (no baseline; run -update)\n", name, got)
-			failed = true
-			continue
+	for i, c := range contracts {
+		lines, ok := evaluate(c, measured[i], baseline, *tol)
+		for _, l := range lines {
+			fmt.Println(l)
 		}
-		ratio := got / want
-		status := "ok   "
-		if ratio > 1+*tolerance {
-			status = "SLOW "
-			failed = true
-		}
-		fmt.Printf("%s %-42s %10.2f ns/op vs baseline %10.2f (%+.1f%%)\n",
-			status, name, got, want, (ratio-1)*100)
-	}
-	// The simcycle metrics are deterministic: pin them exactly. An
-	// improvement is not a failure, but the stale baseline is worth a nudge.
-	for _, name := range sortedKeys(simMeasured) {
-		got := simMeasured[name]
-		want, ok := baseline[name]
-		switch {
-		case !ok:
-			fmt.Printf("NEW   %-42s %10.2f (no baseline; run -update)\n", name, got)
-			failed = true
-		case got > want:
-			fmt.Printf("SLOW  %-42s %10.2f vs baseline %10.2f\n", name, got, want)
-			failed = true
-		case got < want:
-			fmt.Printf("FAST  %-42s %10.2f vs baseline %10.2f (run -update to lock in)\n", name, got, want)
-		default:
-			fmt.Printf("ok    %-42s %10.2f (exact)\n", name, got)
-		}
-	}
-	// Sharper than the pins: a disabled observability plane must leave the
-	// workload on the no-plane run's exact cycle, not merely under a ceiling.
-	base, okB := simMeasured["BenchmarkObsPinned/base:simcycles/op"]
-	dis, okD := simMeasured["BenchmarkObsPinned/disabled:simcycles/op"]
-	if okB && okD && base != dis {
-		fmt.Printf("COST  BenchmarkObsPinned: disabled plane not free (base %.2f vs disabled %.2f simcycles/op)\n",
-			base, dis)
-		failed = true
+		failed = failed || !ok
 	}
 	if failed {
 		fmt.Fprintln(os.Stderr, "traceguard: cost contract violated (see lines above)")
@@ -172,79 +129,98 @@ func main() {
 	}
 }
 
-// runSimBenchmarks executes the deterministic benchmarks once — the URPC
-// transport costs and the parallel-engine pinned workload at each worker
-// count — and returns their simulated metrics keyed "BenchmarkName:unit".
-// The engine benchmark doubles as a determinism gate: the w1/w2/w4
-// sub-benchmarks replay the same pinned virtual-time window, so their
-// simevents/op entries must stay equal to each other as well as to the
-// baseline.
-func runSimBenchmarks() (map[string]float64, error) {
-	got := map[string]float64{}
-	for _, run := range []struct{ bench, pkg string }{
-		{"URPCPipelined|URPCOneHop|BulkTransfer", "./internal/urpc/"},
-		{"ParallelEnginePinned", "./internal/sim/"},
-		{"BootParallelPinned|DirectoryPinned", "./internal/expt/"},
-		{"ObsPinned", "./internal/obs/"},
-	} {
-		cmd := exec.Command("go", "test", "-run=NONE",
-			"-bench="+run.bench, "-benchtime=1x", run.pkg)
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			return nil, fmt.Errorf("%s benchmark run failed: %v\n%s", run.pkg, err, out)
+// evaluate judges one contract's measurements, keyed as in the baseline
+// file, against the baseline. It returns one report line per measurement
+// (plus one per broken equality) and whether the contract held.
+func evaluate(c contract, got, baseline map[string]float64, tol float64) (lines []string, ok bool) {
+	ok = true
+	for _, name := range slices.Sorted(maps.Keys(got)) {
+		v := got[name]
+		want, known := baseline[name]
+		switch {
+		case !known:
+			lines = append(lines, fmt.Sprintf("NEW   %-42s %10.2f (no baseline; run -update)", name, v))
+			ok = false
+		case c.kind == tolerance:
+			status := "ok   "
+			if v/want > 1+tol {
+				status = "SLOW "
+				ok = false
+			}
+			lines = append(lines, fmt.Sprintf("%s %-42s %10.2f ns/op vs baseline %10.2f (%+.1f%%)",
+				status, name, v, want, (v/want-1)*100))
+		case v > want:
+			lines = append(lines, fmt.Sprintf("SLOW  %-42s %10.2f vs baseline %10.2f", name, v, want))
+			ok = false
+		case v < want:
+			lines = append(lines, fmt.Sprintf("FAST  %-42s %10.2f vs baseline %10.2f (run -update to lock in)", name, v, want))
+		default:
+			lines = append(lines, fmt.Sprintf("ok    %-42s %10.2f (exact)", name, v))
 		}
-		sc := bufio.NewScanner(strings.NewReader(string(out)))
-		for sc.Scan() {
-			// "BenchmarkURPCPipelined   1   1142308 ns/op   204.7 simcycles/msg"
-			// "BenchmarkParallelEnginePinned/w2   1   51 ms/op   121804 simevents/op"
-			fields := strings.Fields(sc.Text())
-			if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+	}
+	if c.kind != equal {
+		return lines, ok
+	}
+	// Every sub-benchmark must report the first one's value for each unit.
+	first := map[string]string{} // unit -> first key reporting it
+	for _, name := range slices.Sorted(maps.Keys(got)) {
+		unit := name[strings.LastIndexByte(name, ':')+1:]
+		ref, seen := first[unit]
+		if !seen {
+			first[unit] = name
+			continue
+		}
+		if got[name] != got[ref] {
+			lines = append(lines, fmt.Sprintf("UNEQ  %s %.2f != %s %.2f (must be equal)", name, got[name], ref, got[ref]))
+			ok = false
+		}
+	}
+	return lines, ok
+}
+
+// measure runs one contract's benchmarks and returns their metrics keyed as
+// in the baseline file: "BenchmarkName" for host ns/op (the minimum over
+// count repetitions), "BenchmarkName:unit" for simulated metrics (one run).
+func measure(c contract, count int, benchtime string) (map[string]float64, error) {
+	args := []string{"test", "-run=NONE", "-bench=" + c.bench, "-benchtime=1x", c.pkg}
+	if c.kind == tolerance {
+		args = []string{"test", "-run=NONE", "-bench=" + c.bench,
+			"-count=" + strconv.Itoa(count), "-benchtime=" + benchtime, c.pkg}
+	}
+	out, err := exec.Command("go", args...).CombinedOutput()
+	if err != nil {
+		return nil, fmt.Errorf("%s benchmark run failed: %v\n%s", c.pkg, err, out)
+	}
+	got := map[string]float64{}
+	sc := bufio.NewScanner(strings.NewReader(string(out)))
+	for sc.Scan() {
+		// "BenchmarkTraceOffWake-8   258276   799.1 ns/op   0 B/op   0 allocs/op"
+		// "BenchmarkParallelEnginePinned/w2   1   51 ms/op   121804 simevents/op"
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		name := strings.TrimSuffix(fields[0], "-"+lastCPUSuffix(fields[0]))
+		for i := 3; i < len(fields); i++ {
+			unit, key := fields[i], name+":"+fields[i]
+			if c.kind == tolerance {
+				if unit != "ns/op" {
+					continue
+				}
+				key = name
+			} else if !strings.HasPrefix(unit, "simcycles/") && !strings.HasPrefix(unit, "simevents/") {
 				continue
 			}
-			name := strings.TrimSuffix(fields[0], "-"+lastCPUSuffix(fields[0]))
-			for i := 3; i < len(fields); i++ {
-				if !strings.HasPrefix(fields[i], "simcycles/") &&
-					!strings.HasPrefix(fields[i], "simevents/") {
-					continue
-				}
-				v, err := strconv.ParseFloat(fields[i-1], 64)
-				if err != nil {
-					continue
-				}
-				got[name+":"+fields[i]] = v
+			v, err := strconv.ParseFloat(fields[i-1], 64)
+			if err != nil {
+				continue
+			}
+			if cur, seen := got[key]; !seen || v < cur {
+				got[key] = v
 			}
 		}
 	}
 	return got, nil
-}
-
-// runBenchmarks executes the TraceOff benchmarks and returns the minimum
-// ns/op observed per benchmark name.
-func runBenchmarks(count int, benchtime string) (map[string]float64, error) {
-	cmd := exec.Command("go", "test", "-run=NONE", "-bench=TraceOff",
-		"-count="+strconv.Itoa(count), "-benchtime="+benchtime, "./internal/sim/")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		return nil, fmt.Errorf("benchmark run failed: %v\n%s", err, out)
-	}
-	min := map[string]float64{}
-	sc := bufio.NewScanner(strings.NewReader(string(out)))
-	for sc.Scan() {
-		// "BenchmarkTraceOffWake   258276   799.1 ns/op   0 B/op   0 allocs/op"
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") || fields[3] != "ns/op" {
-			continue
-		}
-		name := strings.TrimSuffix(fields[0], "-"+lastCPUSuffix(fields[0]))
-		ns, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			continue
-		}
-		if cur, ok := min[name]; !ok || ns < cur {
-			min[name] = ns
-		}
-	}
-	return min, nil
 }
 
 // lastCPUSuffix returns the trailing GOMAXPROCS suffix of a benchmark name
@@ -292,17 +268,8 @@ func writeBaseline(m map[string]float64) error {
 	b.WriteString("# \":unit\" keys: deterministic simulated metrics (URPC v2 transport\n")
 	b.WriteString("# costs; parallel-engine pinned event counts, which must also match\n")
 	b.WriteString("# across worker counts), pinned exactly — any increase fails CI.\n")
-	for _, name := range sortedKeys(m) {
+	for _, name := range slices.Sorted(maps.Keys(m)) {
 		fmt.Fprintf(&b, "%s %.2f\n", name, m[name])
 	}
 	return os.WriteFile(baselineFile, []byte(b.String()), 0o644)
-}
-
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

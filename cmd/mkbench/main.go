@@ -8,9 +8,10 @@
 //	        [-checkpoint file] [-restore file] [-cpuprofile file] [-memprofile file]
 //	        [-fault-seed N] [experiment ...]
 //
-// Experiments: fig3 tab1 tab2 tab3 fig6 fig7 fig8 tab4 fig9 sec54 poll
-// ablations extensions faults kvfault obs coherence urpcv2 sim boot, or
-// "all" (the default).
+// Experiments are the entries of expt.Experiments, in catalogue order: fig3
+// tab1 tab2 tab3 fig6 fig7 fig8 tab4 fig9 sec54 poll ablations extensions
+// faults kvfault obs coherence urpcv2 boot sim, or "all" (the default). Each
+// prints its figures, then its tables.
 //
 // The obs experiment re-runs the kvcluster fail-over scenario with the
 // distributed observability plane (internal/obs) at a sweep of sampling
@@ -60,9 +61,10 @@
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole run.
 //
-// With -json, headline metrics (the last point of every figure series, per-
-// experiment and total wall-clock seconds, and the parallelism used) are
-// written to the named file as one JSON object; a "metrics" section carries
+// With -json, headline metrics (the last point of every figure series under
+// the figure's key, each experiment's own headline numbers, per-experiment
+// and total wall-clock seconds, and the parallelism used) are written to the
+// named file as one JSON object; a "metrics" section carries
 // each experiment's merged subsystem registry snapshot (URPC traffic, cache
 // coherence counters, per-link interconnect dwords, monitor agreement stats,
 // latency histograms), so successive runs can be diffed to track the
@@ -79,16 +81,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"multikernel/internal/expt"
 	"multikernel/internal/harness"
 	"multikernel/internal/metrics"
-	"multikernel/internal/sim"
 	"multikernel/internal/stats"
 	"multikernel/internal/trace"
 )
@@ -101,7 +104,6 @@ func main() {
 	jsonOut := flag.String("json", "", "write headline metrics to this file as a flat JSON object")
 	traceOut := flag.String("trace", "", "write a Perfetto-loadable Chrome trace of every engine run to this file")
 	faultSeed := flag.Uint64("fault-seed", 42, "seed family for the faults experiment's schedules")
-	faultsOnly := flag.Bool("faults", false, "shorthand for the faults experiment")
 	ckptOut := flag.String("checkpoint", "", "write the warm-start boot image to this file")
 	ckptIn := flag.String("restore", "", "warm-start the sim experiment's sweep from this saved boot image")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -162,192 +164,29 @@ func main() {
 		bootImg = b
 	}
 
-	iters := 10
-	webWindow := sim.Time(40_000_000)
-	packets := 400
-	fig9Scale := 1.0
-	simScale := 4000
-	simPoints := 8
-	bootScale := 24
-	cohIncs, cohMaxCores := 6, 1024
-	if *quick {
-		iters = 3
-		webWindow = 10_000_000
-		packets = 120
-		fig9Scale = 0.25
-		simScale = 600
-		simPoints = 4
-		bootScale = 6
-		cohIncs, cohMaxCores = 3, 256
-	}
-
 	pw, ph := 0, 0
 	if *plot {
 		pw, ph = 72, 18
 	}
-
-	headline := map[string]float64{}
-	// figMetrics records the last point of every series of f under keys
-	// "<expt>.<series>@<x>" — the headline scaling numbers.
-	figMetrics := func(name string, f *stats.Figure) {
-		for _, s := range f.Series {
-			if len(s.Points) == 0 {
-				continue
-			}
-			last := s.Points[len(s.Points)-1]
-			headline[fmt.Sprintf("%s.%s@%g", name, s.Name, last.X)] = last.Y
-		}
-	}
-	showFig := func(name string, f *stats.Figure) {
-		figMetrics(name, f)
-		fmt.Println(stats.RenderFigure(f, pw, ph))
-	}
-	showTab := func(t *stats.Table) {
-		fmt.Println(t.Render())
-	}
-
-	experiments := []struct {
-		name string
-		run  func()
-	}{
-		{"fig3", func() { showFig("fig3", expt.Fig3(iters)) }},
-		{"tab1", func() { showTab(expt.Table1(24)) }},
-		{"tab2", func() { showTab(expt.Table2(iters)) }},
-		{"tab3", func() { showTab(expt.Table3(iters)) }},
-		{"fig6", func() { showFig("fig6", expt.Fig6(iters)) }},
-		{"fig7", func() { showFig("fig7", expt.Fig7(max(2, iters/2))) }},
-		{"fig8", func() { showFig("fig8", expt.Fig8(max(2, iters/2))) }},
-		{"tab4", func() { showTab(expt.Table4()) }},
-		{"fig9", func() {
-			for _, f := range expt.Fig9(fig9Scale) {
-				showFig("fig9", f)
-			}
-		}},
-		{"sec54", func() { showTab(expt.Sec54(packets, webWindow)) }},
-		{"poll", func() { showTab(expt.PollModel(6000)) }},
-		{"ablations", func() {
-			showTab(expt.AblationPrefetch(iters))
-			showTab(expt.AblationShootdownProtocols(max(2, iters/2)))
-			showTab(expt.AblationPipelineDepth(max(2, iters/2)))
-			showTab(expt.AblationPollWindow())
-		}},
-		{"extensions", func() {
-			showFig("ext-scale", expt.ExtScaling(max(2, iters/2)))
-			showTab(expt.ExtSharedReplica(max(2, iters/2)))
-			showTab(expt.ExtRunQueue(40))
-		}},
-		{"faults", func() {
-			lat, thr := expt.FaultRecovery(*faultSeed, 2*iters)
-			showFig("faults-latency", lat)
-			showFig("faults-throughput", thr)
-		}},
-		{"kvfault", func() {
-			lat, thr, tab := expt.KVFault(*faultSeed)
-			showFig("kvfault-latency", lat)
-			showFig("kvfault-throughput", thr)
-			showTab(tab)
-		}},
-		{"obs", func() {
-			res := expt.Obs(*faultSeed)
-			showTab(res.Tab)
-			headline["obs.zero_overhead_disabled"] = b2f(res.ZeroOverhead)
-			headline["obs.sampling_client_delta_cycles"] = res.SamplingDelta
-			headline["obs.fidelity_exact"] = b2f(res.FidelityExact)
-			headline["obs.detect_cycles"] = res.DetectLat
-			headline["obs.detect_bound_cycles"] = res.DetectBound
-			headline["obs.detect_within_bound"] = b2f(res.WithinBound)
-			headline["obs.windows"] = float64(res.Windows)
-			headline["obs.msgs_per_window"] = round3(res.MsgsPerWindow)
-			headline["obs.store_hash32"] = float64(res.StoreHash)
-		}},
-		{"coherence", func() {
-			res := expt.Coherence(cohIncs, cohMaxCores)
-			showFig("coherence", res.Fig)
-			showTab(res.Tab)
-			headline["coherence.crossover_cores"] = float64(res.Crossover)
-			headline["coherence.broadcast_cycles"] = round3(res.BcastCycles)
-			headline["coherence.directory_cycles"] = round3(res.DirCycles)
-			headline["coherence.fanout_broadcast"] = round3(res.FanoutBcast)
-			headline["coherence.fanout_directory"] = round3(res.FanoutDir)
-			headline["coherence.sharer_bound"] = res.SharerBound
-			headline["coherence.torus_gain"] = round3(res.TorusGain)
-			headline["coherence.sums_ok"] = b2f(res.SumsOK)
-		}},
-		{"urpcv2", func() {
-			showFig("urpcv2-depth", expt.URPCv2Depth(30*iters))
-			showFig("urpcv2-size", expt.URPCv2Size(3*iters))
-			showTab(expt.URPCv2Table(30 * iters))
-		}},
-		{"boot", func() {
-			rows := expt.BootParallelBench(bootScale, []int{2, 4})
-			showTab(expt.BootBenchTable(rows))
-			identical := true
-			for _, r := range rows {
-				key := fmt.Sprintf("boot.%s.w%d", r.Workload, r.Workers)
-				headline[key+".seconds"] = round3(r.Seconds)
-				headline[key+".speedup"] = round3(r.Speedup)
-				headline[key+".sim_events"] = float64(r.SimEvents)
-				identical = identical && r.Identical
-			}
-			headline["boot.identical"] = b2f(identical)
-			// The honest caveat the speedup claim depends on: wall-clock gains
-			// need as many idle host cores as workers; byte identity does not.
-			headline["boot.runner_cores"] = float64(runtime.NumCPU())
-		}},
-		{"sim", func() {
-			res := expt.EngineBench(simScale, []int{2, 4, 8})
-			showTab(expt.EngineBenchTable(res))
-			identical := true
-			for _, r := range res {
-				headline[fmt.Sprintf("sim.events_per_sec.w%d", r.Workers)] = round3(r.EventsPerSec)
-				headline[fmt.Sprintf("sim.speedup.w%d", r.Workers)] = round3(r.Speedup)
-				identical = identical && r.Identical
-			}
-			headline["sim.events"] = float64(res[0].Events)
-			headline["sim.identical"] = b2f(identical)
-
-			wt, wres := expt.WarmStart(simPoints, bootImg)
-			showTab(wt)
-			headline["sim.cold_seconds"] = round3(wres.ColdSeconds)
-			headline["sim.warm_seconds"] = round3(wres.WarmSeconds)
-			headline["sim.boot_image_bytes"] = float64(wres.ImageBytes)
-			headline["sim.warm_identical"] = b2f(wres.Identical)
-		}},
-	}
+	cfg := expt.Config{Quick: *quick, FaultSeed: *faultSeed, BootImage: bootImg}
 
 	wants := flag.Args()
-	if *faultsOnly {
-		wants = append(wants, "faults")
-	}
 	if len(wants) == 0 {
 		wants = []string{"all"}
 	}
-	known := func(name string) bool {
-		for _, ex := range experiments {
-			if ex.name == name {
-				return true
-			}
-		}
-		return name == "all"
+	want := func(name string) bool {
+		return slices.Contains(wants, name) || slices.Contains(wants, "all")
+	}
+	var names []string
+	for _, ex := range expt.Experiments {
+		names = append(names, ex.Name)
 	}
 	for _, w := range wants {
-		if !known(w) {
-			var names []string
-			for _, ex := range experiments {
-				names = append(names, ex.name)
-			}
+		if w != "all" && !slices.Contains(names, w) {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from: %s all\n",
 				w, strings.Join(names, " "))
 			os.Exit(2)
 		}
-	}
-	want := func(name string) bool {
-		for _, w := range wants {
-			if w == name || w == "all" {
-				return true
-			}
-		}
-		return false
 	}
 
 	if *traceOut != "" {
@@ -361,17 +200,31 @@ func main() {
 	// snapshot their registry (URPC, cache, interconnect, monitor, fault
 	// counters and histograms) at Close, and the per-experiment merge lands
 	// in the JSON output's "metrics" section.
+	headline := map[string]float64{}
 	exptMetrics := map[string]metrics.Snapshot{}
 	start := time.Now()
-	for _, ex := range experiments {
-		if !want(ex.name) {
+	for _, ex := range expt.Experiments {
+		if !want(ex.Name) {
 			continue
 		}
 		t0 := time.Now()
 		metrics.StartCapture()
-		ex.run()
-		exptMetrics[ex.name] = metrics.TakeCapture()
-		headline["wall_seconds."+ex.name] = round3(time.Since(t0).Seconds())
+		res := ex.Run(cfg)
+		exptMetrics[ex.Name] = metrics.TakeCapture()
+		for _, f := range res.Figures {
+			// The last point of every series: the headline scaling numbers.
+			for _, s := range f.Series {
+				if n := len(s.Points); n > 0 {
+					headline[fmt.Sprintf("%s.%s@%g", f.Key, s.Name, s.Points[n-1].X)] = s.Points[n-1].Y
+				}
+			}
+			fmt.Println(stats.RenderFigure(f, pw, ph))
+		}
+		for _, t := range res.Tables {
+			fmt.Println(t.Render())
+		}
+		maps.Copy(headline, res.Headline)
+		headline["wall_seconds."+ex.Name] = round3(time.Since(t0).Seconds())
 	}
 
 	if *traceOut != "" {
@@ -411,10 +264,3 @@ func main() {
 }
 
 func round3(s float64) float64 { return float64(int64(s*1000+0.5)) / 1000 }
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}

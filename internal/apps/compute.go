@@ -128,5 +128,6 @@ func RunCompute(team *threads.Team, wl Workload, cores []topo.CoreID, newBarrier
 		})
 	}
 	team.Engine().Run()
+	team.Engine().CheckQuiesced()
 	return end
 }

@@ -83,6 +83,14 @@ const (
 	ckSyncRow   = 250   // marshaling one anti-entropy row
 )
 
+// Cluster deadlines in cycles, and the consistent-hash ring's vnodes per shard.
+const (
+	ckReplTimeout    = 60_000  // backup ack; past it the backup leaves the in-sync set
+	ckSyncTimeout    = 600_000 // full anti-entropy transfer; past it the next spare is tried
+	ckRequestTimeout = 300_000 // one client request attempt
+	ckVNodes         = 8
+)
+
 // KVMutation selects a deliberate replication defect, in the style of
 // urpc.Mutation: the model checker's self-tests arm these to prove the
 // linearizability oracle actually bites on this protocol.
@@ -102,20 +110,10 @@ const (
 type ClusterConfig struct {
 	Shards   int // consistent-hash shards (default len(Servers))
 	Replicas int // total copies per shard, primary included (default 2)
-	VNodes   int // ring vnodes per shard (default 8)
 	Rows     int // seeded keys 0..Rows-1, NewKVStore's value formula
 
 	Servers []topo.CoreID // initial shard holders (primaries and backups)
 	Spares  []topo.CoreID // recruitment pool for re-replication
-
-	// ReplTimeout bounds a backup ack; past it the backup is demoted from
-	// the in-sync set (default 60_000).
-	ReplTimeout sim.Time
-	// SyncTimeout bounds a full anti-entropy transfer; past it the recruit
-	// is presumed dead and the next spare is tried (default 600_000).
-	SyncTimeout sim.Time
-	// RequestTimeout bounds one client request attempt (default 300_000).
-	RequestTimeout sim.Time
 
 	// Mut arms a deliberate replication defect (checker self-tests only).
 	Mut KVMutation
@@ -154,7 +152,6 @@ type KVCluster struct {
 
 	shards []*shardState
 	ring   []vnode
-	epoch  uint64
 
 	members  []topo.CoreID // servers + spares, ascending
 	byCore   map[topo.CoreID]*kvServer
@@ -194,18 +191,6 @@ func NewKVCluster(e *sim.Engine, sys *cache.System, net *monitor.Network, cfg Cl
 	if cfg.Replicas > len(cfg.Servers) {
 		panic("kvcluster: more replicas than servers")
 	}
-	if cfg.VNodes == 0 {
-		cfg.VNodes = 8
-	}
-	if cfg.ReplTimeout == 0 {
-		cfg.ReplTimeout = 60_000
-	}
-	if cfg.SyncTimeout == 0 {
-		cfg.SyncTimeout = 600_000
-	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 300_000
-	}
 	cl := &KVCluster{
 		eng: e, sys: sys, cfg: cfg,
 		byCore:   make(map[topo.CoreID]*kvServer),
@@ -229,10 +214,10 @@ func NewKVCluster(e *sim.Engine, sys *cache.System, net *monitor.Network, cfg Cl
 		}
 		cl.shards = append(cl.shards, st)
 	}
-	// Consistent-hash ring: VNodes points per shard, sorted by hash. Keys
+	// Consistent-hash ring: ckVNodes points per shard, sorted by hash. Keys
 	// resolve to the first vnode clockwise.
 	for s := 0; s < cfg.Shards; s++ {
-		for v := 0; v < cfg.VNodes; v++ {
+		for v := 0; v < ckVNodes; v++ {
 			cl.ring = append(cl.ring, vnode{hash: ckHash(uint64(s)<<16 | uint64(v)), shard: s})
 		}
 	}
@@ -337,9 +322,6 @@ func (cl *KVCluster) ShardOfKey(key uint64) int { return cl.shardOfKey(key) }
 // Stats returns a copy of the cluster's control-plane counters.
 func (cl *KVCluster) Stats() ClusterStats { return cl.stats }
 
-// Epoch returns the shard-map epoch (bumped on every membership change).
-func (cl *KVCluster) Epoch() uint64 { return cl.epoch }
-
 // Primary returns shard s's current primary (-1 if the shard is down).
 func (cl *KVCluster) Primary(s int) topo.CoreID { return cl.shards[s].primary }
 
@@ -400,7 +382,6 @@ func (cl *KVCluster) coreDown(p *sim.Proc, c topo.CoreID) {
 			st.isr = removeCore(st.isr, c)
 			if st.primary >= 0 {
 				st.isr = removeCore(st.isr, st.primary)
-				cl.epoch++
 				cl.stats.Promotions++
 				cl.mPromotions.Inc()
 				cl.emit(p, st.primary, "kv.promote", uint64(s), uint64(st.primary))
@@ -408,7 +389,6 @@ func (cl *KVCluster) coreDown(p *sim.Proc, c topo.CoreID) {
 			}
 		} else if containsCore(st.isr, c) {
 			st.isr = removeCore(st.isr, c)
-			cl.epoch++
 			cl.stats.Demotions++
 			cl.mDemotions.Inc()
 		}
@@ -428,7 +408,6 @@ func (cl *KVCluster) demote(p *sim.Proc, s int, b topo.CoreID) {
 		return
 	}
 	st.isr = removeCore(st.isr, b)
-	cl.epoch++
 	cl.stats.Demotions++
 	cl.mDemotions.Inc()
 	cl.updateShardGauge(s)
@@ -457,7 +436,6 @@ func (cl *KVCluster) maybeRecruit(p *sim.Proc, s int) {
 		if !cl.downSeen[sp] && sp != st.primary {
 			st.target = sp
 			cl.spares = removeCore(cl.spares, sp)
-			cl.epoch++
 			cl.stats.Recruits++
 			cl.mRecruits.Inc()
 			cl.emit(p, sp, "kv.recruit", uint64(s), uint64(sp))
@@ -478,7 +456,6 @@ func (cl *KVCluster) syncDone(p *sim.Proc, s int, b topo.CoreID) {
 	sort.Slice(st.isr, func(i, j int) bool { return st.isr[i] < st.isr[j] })
 	st.syncing = 1+len(st.isr) < cl.cfg.Replicas
 	st.target = -1
-	cl.epoch++
 	cl.stats.Syncs++
 	cl.mSyncs.Inc()
 	cl.updateShardGauge(s)
@@ -671,7 +648,7 @@ func (srv *kvServer) primaryOf(p *sim.Proc, s int) bool {
 
 func (srv *kvServer) reply(p *sim.Proc, client topo.CoreID, val, flags, status, reqID uint64) {
 	ch := srv.clientRsp[client]
-	if ch.Send(p, []urpc.Message{{val, flags, status, reqID}}, urpc.Deadline(srv.cl.cfg.RequestTimeout)) > 0 {
+	if ch.Send(p, []urpc.Message{{val, flags, status, reqID}}, urpc.Deadline(ckRequestTimeout)) > 0 {
 		if pr := srv.clientProcs[client]; pr != nil {
 			srv.cl.eng.Wake(pr)
 		}
@@ -757,7 +734,7 @@ func (srv *kvServer) handleMesh(p *sim.Proc, src topo.CoreID, m urpc.Message) {
 			srv.dedup[s][reqID] = 1
 		}
 		if ch, ok := srv.out[src]; ok {
-			if ch.Send(p, []urpc.Message{{key, 1, ckOpReplAck, reqID, uint64(s)}}, urpc.Deadline(cl.cfg.ReplTimeout)) > 0 {
+			if ch.Send(p, []urpc.Message{{key, 1, ckOpReplAck, reqID, uint64(s)}}, urpc.Deadline(ckReplTimeout)) > 0 {
 				cl.wakeServer(src)
 			}
 		}
@@ -781,7 +758,7 @@ func (srv *kvServer) handleMesh(p *sim.Proc, src topo.CoreID, m urpc.Message) {
 		srv.dedup[s] = sb.dups
 		delete(srv.syncRecv, s)
 		if ch, ok := srv.out[src]; ok {
-			if ch.Send(p, []urpc.Message{{0, 0, ckOpSyncAck, m[3], uint64(s)}}, urpc.Deadline(cl.cfg.SyncTimeout)) > 0 {
+			if ch.Send(p, []urpc.Message{{0, 0, ckOpSyncAck, m[3], uint64(s)}}, urpc.Deadline(ckSyncTimeout)) > 0 {
 				cl.wakeServer(src)
 			}
 		}
@@ -832,7 +809,7 @@ func (srv *kvServer) serviceWrites(p *sim.Proc) bool {
 			st := cl.shards[s]
 			w.waiting = make(map[topo.CoreID]bool, len(st.isr))
 			for _, b := range st.isr {
-				if srv.out[b].Send(p, []urpc.Message{{w.key, w.val, ckOpRepl, w.reqID, uint64(s)}}, urpc.Deadline(cl.cfg.ReplTimeout)) > 0 {
+				if srv.out[b].Send(p, []urpc.Message{{w.key, w.val, ckOpRepl, w.reqID, uint64(s)}}, urpc.Deadline(ckReplTimeout)) > 0 {
 					w.waiting[b] = true
 					cl.wakeServer(b)
 				} else {
@@ -842,7 +819,7 @@ func (srv *kvServer) serviceWrites(p *sim.Proc) bool {
 				}
 			}
 			w.sent = true
-			w.deadline = p.Now() + cl.cfg.ReplTimeout
+			w.deadline = p.Now() + ckReplTimeout
 			progress = true
 		}
 		if len(w.waiting) == 0 {
@@ -931,7 +908,7 @@ func (srv *kvServer) startSync(p *sim.Proc, s int, target topo.CoreID) {
 	ok := true
 	for _, k := range rows {
 		p.Sleep(ckSyncRow)
-		if ch.Send(p, []urpc.Message{{k, srv.data[s][k], ckOpSyncRow, 0, uint64(s)}}, urpc.Deadline(cl.cfg.SyncTimeout)) == 0 {
+		if ch.Send(p, []urpc.Message{{k, srv.data[s][k], ckOpSyncRow, 0, uint64(s)}}, urpc.Deadline(ckSyncTimeout)) == 0 {
 			ok = false
 			break
 		}
@@ -939,21 +916,21 @@ func (srv *kvServer) startSync(p *sim.Proc, s int, target topo.CoreID) {
 	if ok {
 		for _, k := range dups {
 			p.Sleep(ckSyncRow)
-			if ch.Send(p, []urpc.Message{{k, srv.dedup[s][k], ckOpSyncDup, 0, uint64(s)}}, urpc.Deadline(cl.cfg.SyncTimeout)) == 0 {
+			if ch.Send(p, []urpc.Message{{k, srv.dedup[s][k], ckOpSyncDup, 0, uint64(s)}}, urpc.Deadline(ckSyncTimeout)) == 0 {
 				ok = false
 				break
 			}
 		}
 	}
 	if ok {
-		ok = ch.Send(p, []urpc.Message{{uint64(len(rows)), uint64(len(dups)), ckOpSyncEnd, id, uint64(s)}}, urpc.Deadline(cl.cfg.SyncTimeout)) > 0
+		ok = ch.Send(p, []urpc.Message{{uint64(len(rows)), uint64(len(dups)), ckOpSyncEnd, id, uint64(s)}}, urpc.Deadline(ckSyncTimeout)) > 0
 	}
 	if !ok {
 		cl.syncFailed(p, s, target)
 		return
 	}
 	cl.wakeServer(target)
-	srv.syncs[s] = &pendingSync{target: target, syncID: id, deadline: p.Now() + cl.cfg.SyncTimeout}
+	srv.syncs[s] = &pendingSync{target: target, syncID: id, deadline: p.Now() + ckSyncTimeout}
 }
 
 func sortedCoreSet(set map[topo.CoreID]bool) []topo.CoreID {
@@ -1072,12 +1049,12 @@ func (c *ClusterClient) attempt(p *sim.Proc, key, val, op, reqID uint64) (v, f, 
 	if reqCh.Dead() {
 		return 0, 0, 0, false
 	}
-	if reqCh.Send(p, []urpc.Message{{key, val, op, reqID}}, urpc.Deadline(cl.cfg.RequestTimeout)) == 0 {
+	if reqCh.Send(p, []urpc.Message{{key, val, op, reqID}}, urpc.Deadline(ckRequestTimeout)) == 0 {
 		reqCh.MarkDead()
 		return 0, 0, 0, false
 	}
 	cl.wakeServer(primary)
-	deadline := p.Now() + cl.cfg.RequestTimeout
+	deadline := p.Now() + ckRequestTimeout
 	var m [1]urpc.Message
 	for {
 		remain := deadline - p.Now()

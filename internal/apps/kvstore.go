@@ -372,53 +372,6 @@ func (c *KVClient) Update(p *sim.Proc, key, val uint64) (bool, error) {
 	return m[0][1] == 1, nil
 }
 
-// SelectMany pipelines point SELECTs: keys go out as vectored batches sized
-// to the response ring (so the server can never block on a full reply ring),
-// and replies are drained in bursts. Results are positional; found[i] reports
-// whether keys[i] matched. On ErrChannelDead the returned slices hold the
-// results that arrived before the verdict.
-func (c *KVClient) SelectMany(p *sim.Proc, keys []uint64) (vals []uint64, found []bool, err error) {
-	window := c.rsp.Slots()
-	reqs := make([]urpc.Message, 0, window)
-	rbuf := make([]urpc.Message, window)
-	for len(keys) > 0 {
-		n := window
-		if n > len(keys) {
-			n = len(keys)
-		}
-		reqs = reqs[:0]
-		for _, k := range keys[:n] {
-			reqs = append(reqs, urpc.Message{k})
-		}
-		if c.req.Send(p, reqs, urpc.Deadline(c.Timeout)) < len(reqs) {
-			c.fail()
-			return vals, found, ErrChannelDead
-		}
-		c.svc.wake()
-		got := 0
-		deadline := p.Now() + c.Timeout
-		for got < n {
-			k := c.rsp.Recv(p, rbuf[got:n], urpc.Poll)
-			if k == 0 {
-				if p.Now() >= deadline {
-					c.fail()
-					return vals, found, ErrChannelDead
-				}
-				p.Sleep(200)
-				continue
-			}
-			deadline = p.Now() + c.Timeout
-			for _, m := range rbuf[got : got+k] {
-				vals = append(vals, m[0])
-				found = append(found, m[1] == 1)
-			}
-			got += k
-		}
-		keys = keys[n:]
-	}
-	return vals, found, nil
-}
-
 // SelectRange performs a remote range SELECT over [lo, hi): the row values
 // arrive zero-copy through the bulk channel. Payloads are drained while
 // waiting for the count reply, so result sets larger than the bulk ring

@@ -48,6 +48,7 @@ func SHMUpdate(e *sim.Engine, sys *cache.System, nClients, lines, iters int) *Sh
 		})
 	}
 	e.Run()
+	e.CheckQuiesced()
 	return res
 }
 
@@ -118,6 +119,7 @@ func MSGUpdate(e *sim.Engine, sys *cache.System, nClients, lines, iters int) *Sh
 		})
 	}
 	e.Run()
+	e.CheckQuiesced()
 	return res
 }
 

@@ -192,9 +192,6 @@ func (s *System) applyRetype(p *sim.Proc, core topo.CoreID, op monitor.Op) {
 	})
 }
 
-// RAMRef returns the boot-time untyped capability of core c's monitor.
-func (s *System) RAMRef(c topo.CoreID) caps.Ref { return s.ramRefs[c] }
-
 // GlobalRetype performs a machine-wide capability retype through the
 // monitors' two-phase commit, reporting whether it committed.
 func (s *System) GlobalRetype(p *sim.Proc, initiator topo.CoreID, base memory.Addr, bytes uint64, to caps.Type, level int) bool {

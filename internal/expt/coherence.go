@@ -72,6 +72,7 @@ func coherenceRun(seed uint64, m *topo.Machine, mode cache.CoherenceMode, incs i
 	var latSum sim.Time
 	lines := spawnCohWorkload(e, sys, incs, &res, &latSum)
 	e.Run()
+	e.CheckQuiesced()
 
 	res.sumsOK = true
 	e.Spawn("cohck", func(p *sim.Proc) {
@@ -82,6 +83,7 @@ func coherenceRun(seed uint64, m *topo.Machine, mode cache.CoherenceMode, incs i
 		}
 	})
 	e.Run()
+	e.CheckQuiesced()
 
 	res.cyclesPerOp = float64(latSum) / float64(res.ops)
 	res.fanoutMean = e.Metrics().Histogram("cache.probe_fanout").Mean()
@@ -130,39 +132,13 @@ func spawnCohWorkload(e *sim.Engine, sys *cache.System, incs int, res *cohRun, l
 	return lines
 }
 
-// CoherenceResult carries the headline numbers mkbench exports to
-// BENCH_coherence.json.
-type CoherenceResult struct {
-	Fig *figure // mesh series: mean RMW cycles/op vs cores, per mode
-	Tab *table
-
-	// Crossover is the core count of the smallest mesh where directory
-	// coherence beats broadcast (0 if it never does). With the scaled cost
-	// parameters (SnoopPerSocket 4, DirLookup 52) the analytic break-even
-	// sits between 9 and 16 sockets, so the measured value lands on the
-	// 64-core Mesh(4).
-	Crossover int
-
-	// At the largest mesh swept:
-	BcastCycles float64
-	DirCycles   float64
-	FanoutBcast float64 // == SharerBound: broadcast probes every remote socket
-	FanoutDir   float64 // < SharerBound: the directory probes actual sharers
-	SharerBound float64 // NSockets-1, the snoop fan-out
-
-	// TorusGain is broadcast-mode cycles/op on the largest mesh divided by
-	// the same-size torus — what the wraparound links' shorter routes save.
-	TorusGain float64
-
-	SumsOK bool // every run's contended counters summed exactly
-}
-
 var cohModes = [2]cache.CoherenceMode{cache.Broadcast, cache.Directory}
 
 // Coherence sweeps contended RMW latency across mesh sizes under both
 // coherence modes. incs scales the per-writer work; machines with more than
-// maxCores cores are dropped (the -quick bound).
-func Coherence(incs, maxCores int) CoherenceResult {
+// maxCores cores are dropped (the -quick bound). The headline reports the
+// crossover and, at the largest mesh swept, both modes' cycles and fan-out.
+func Coherence(incs, maxCores int) Result {
 	var ms []cohMachine
 	for _, k := range []int{2, 3, 4, 6, 8, 12, 16} {
 		ms = append(ms, cohMachine{topo.Mesh(k), true})
@@ -183,7 +159,7 @@ func Coherence(incs, maxCores int) CoherenceResult {
 		return coherenceRun(cohSeed, ms[r].m, cohModes[c], incs)
 	})
 
-	fig := newFigure("Contended RMW latency: broadcast snoop vs directory coherence",
+	fig := newFigure("coherence", "Contended RMW latency: broadcast snoop vs directory coherence",
 		"cores", "cycles per RMW")
 	bc := fig.AddSeries("broadcast")
 	dc := fig.AddSeries("directory")
@@ -192,7 +168,12 @@ func Coherence(incs, maxCores int) CoherenceResult {
 		Columns: []string{"machine", "cores", "bcast cy/op", "dir cy/op", "winner",
 			"bcast fanout", "dir fanout", "sockets-1", "sums"},
 	}
-	res := CoherenceResult{Fig: fig, Tab: tab, SumsOK: true}
+	// The crossover is the core count of the smallest mesh where directory
+	// coherence beats broadcast (0 if it never does). With the scaled cost
+	// parameters (SnoopPerSocket 4, DirLookup 52) the analytic break-even
+	// sits between 9 and 16 sockets, so the measured value lands on the
+	// 64-core Mesh(4).
+	crossover, sumsOK := 0, true
 	lastMesh := -1
 	torus := map[int]float64{} // broadcast cycles/op by socket count
 	for i, cm := range ms {
@@ -205,14 +186,14 @@ func Coherence(incs, maxCores int) CoherenceResult {
 		if cm.mesh {
 			bc.Add(float64(cores), b.cyclesPerOp)
 			dc.Add(float64(cores), d.cyclesPerOp)
-			if winner == "directory" && res.Crossover == 0 {
-				res.Crossover = cores
+			if winner == "directory" && crossover == 0 {
+				crossover = cores
 			}
 			lastMesh = i
 		} else {
 			torus[cm.m.NSockets] = b.cyclesPerOp
 		}
-		res.SumsOK = res.SumsOK && b.sumsOK && d.sumsOK
+		sumsOK = sumsOK && b.sumsOK && d.sumsOK
 		tab.AddRow(cm.m.Name,
 			fmt.Sprintf("%d", cores),
 			fmt.Sprintf("%.1f", b.cyclesPerOp),
@@ -223,17 +204,27 @@ func Coherence(incs, maxCores int) CoherenceResult {
 			fmt.Sprintf("%d", cm.m.NSockets-1),
 			fmt.Sprintf("%v", b.sumsOK && d.sumsOK))
 	}
+	h := map[string]float64{
+		"coherence.crossover_cores": float64(crossover),
+		"coherence.sums_ok":         b2f(sumsOK),
+	}
 	if lastMesh >= 0 {
 		cm := ms[lastMesh]
 		b, d := rs[lastMesh][0], rs[lastMesh][1]
-		res.BcastCycles = b.cyclesPerOp
-		res.DirCycles = d.cyclesPerOp
-		res.FanoutBcast = b.fanoutMean
-		res.FanoutDir = d.fanoutMean
-		res.SharerBound = float64(cm.m.NSockets - 1)
+		h["coherence.broadcast_cycles"] = round3(b.cyclesPerOp)
+		h["coherence.directory_cycles"] = round3(d.cyclesPerOp)
+		// Broadcast probes every remote socket, so its fan-out equals the
+		// sharer bound (NSockets-1); the directory probes actual sharers.
+		h["coherence.fanout_broadcast"] = round3(b.fanoutMean)
+		h["coherence.fanout_directory"] = round3(d.fanoutMean)
+		h["coherence.sharer_bound"] = float64(cm.m.NSockets - 1)
+		// Torus gain: broadcast cycles/op on the largest mesh over the
+		// same-size torus — what the wraparound links' shorter routes save.
+		var gain float64
 		if tc, ok := torus[cm.m.NSockets]; ok && tc > 0 {
-			res.TorusGain = b.cyclesPerOp / tc
+			gain = b.cyclesPerOp / tc
 		}
+		h["coherence.torus_gain"] = round3(gain)
 	}
-	return res
+	return Result{Figures: []*figure{fig}, Tables: []*table{tab}, Headline: h}
 }

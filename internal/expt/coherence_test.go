@@ -19,32 +19,32 @@ import (
 // at any harness parallelism.
 
 func TestCoherenceCrossoverShape(t *testing.T) {
-	res := Coherence(4, 1024)
-	if !res.SumsOK {
+	h := Coherence(4, 1024).Headline
+	if h["coherence.sums_ok"] != 1 {
 		t.Fatal("a contended counter did not sum to writers*incs")
 	}
 	// Broadcast wins on small meshes, directory on the 64-core Mesh(4) and
 	// beyond: the analytic break-even of SnoopPerSocket 4 vs DirLookup 52
 	// lies between 9 and 16 sockets.
-	if res.Crossover != 64 {
-		t.Errorf("crossover at %d cores, want 64", res.Crossover)
+	if c := h["coherence.crossover_cores"]; c != 64 {
+		t.Errorf("crossover at %.0f cores, want 64", c)
 	}
-	if res.DirCycles >= res.BcastCycles {
+	if h["coherence.directory_cycles"] >= h["coherence.broadcast_cycles"] {
 		t.Errorf("directory (%.1f cy/op) not cheaper than broadcast (%.1f) at 1024 cores",
-			res.DirCycles, res.BcastCycles)
+			h["coherence.directory_cycles"], h["coherence.broadcast_cycles"])
 	}
 	// Broadcast probes every remote socket; the directory probes only actual
 	// sharers, so its mean fan-out must sit strictly below the snoop bound.
-	if res.FanoutBcast != res.SharerBound {
-		t.Errorf("broadcast fan-out %.2f, want the socket bound %.0f",
-			res.FanoutBcast, res.SharerBound)
+	bound := h["coherence.sharer_bound"]
+	if fb := h["coherence.fanout_broadcast"]; fb != bound {
+		t.Errorf("broadcast fan-out %.2f, want the socket bound %.0f", fb, bound)
 	}
-	if res.FanoutDir <= 0 || res.FanoutDir >= res.SharerBound {
-		t.Errorf("directory fan-out %.2f not in (0, %.0f)", res.FanoutDir, res.SharerBound)
+	if fd := h["coherence.fanout_directory"]; fd <= 0 || fd >= bound {
+		t.Errorf("directory fan-out %.2f not in (0, %.0f)", fd, bound)
 	}
 	// Wraparound links shorten routes, so the torus can't be slower.
-	if res.TorusGain < 1 {
-		t.Errorf("torus gain %.3f < 1: torus slower than mesh at equal size", res.TorusGain)
+	if g := h["coherence.torus_gain"]; g < 1 {
+		t.Errorf("torus gain %.3f < 1: torus slower than mesh at equal size", g)
 	}
 }
 
@@ -91,8 +91,7 @@ func TestCoherenceDeterminism(t *testing.T) {
 		old := harness.Parallelism()
 		harness.SetParallelism(par)
 		defer harness.SetParallelism(old)
-		res := Coherence(2, 256)
-		return res.Tab.Render()
+		return Coherence(2, 256).Tables[0].Render()
 	}
 	serial := render(1)
 	for _, par := range []int{2, 4} {

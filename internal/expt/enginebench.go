@@ -8,6 +8,7 @@ package expt
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"multikernel/internal/core"
@@ -18,16 +19,6 @@ import (
 	"multikernel/internal/topo"
 	"multikernel/internal/vm"
 )
-
-// EngineBenchResult is one row of the engine-throughput benchmark.
-type EngineBenchResult struct {
-	Workers      int
-	Events       uint64  // simulated events dispatched across all partitions
-	Seconds      float64 // wall-clock
-	EventsPerSec float64
-	Speedup      float64 // vs the serial (workers=1) row
-	Identical    bool    // final engine image byte-identical to serial
-}
 
 // engineStorm builds the synthetic benchmark workload on pe: per-partition
 // background event storms (one proc per core of the socket) plus token rings
@@ -64,91 +55,79 @@ func engineStorm(pe *sim.ParallelEngine, m *topo.Machine, scale int) {
 	}
 }
 
-func engineBenchOnce(m *topo.Machine, scale, workers int) (EngineBenchResult, []byte) {
+// engineRun is one storm run: its worker count, dispatched events,
+// wall-clock seconds and final engine image.
+type engineRun struct {
+	workers int
+	events  uint64
+	seconds float64
+	img     []byte
+}
+
+func engineBenchOnce(m *topo.Machine, scale, workers int) engineRun {
 	pm := topo.PerSocket(m)
 	pe := sim.NewParallelEngine(pm.NParts(), interconnect.Lookahead(m, pm), 99, workers)
 	engineStorm(pe, m, scale)
 	t0 := time.Now()
 	pe.Run()
 	wall := time.Since(t0).Seconds()
-	snap := pe.MetricsSnapshot()
-	events := snap.Counters["sim.events_dispatched"]
+	events := pe.MetricsSnapshot().Counters["sim.events_dispatched"]
 	var img bytes.Buffer
 	if err := pe.Checkpoint(&img); err != nil {
 		panic("expt: engine bench checkpoint: " + err.Error())
 	}
 	pe.Close()
-	res := EngineBenchResult{Workers: pe.Workers(), Events: events, Seconds: wall}
-	if wall > 0 {
-		res.EventsPerSec = float64(events) / wall
-	}
-	return res, img.Bytes()
+	return engineRun{pe.Workers(), events, wall, img.Bytes()}
 }
 
-// EngineBench runs the storm on the 8×4 machine serially and at each
-// requested worker count, verifying that every parallel run's final engine
+// engineBench runs the storm on the 8×4 machine serially and at each
+// worker count above one, checking that every parallel run's final engine
 // image is byte-identical to the serial reference. Wall-clock speedup is
 // hardware-dependent (it needs as many idle host cores as workers); byte
 // identity is not.
-func EngineBench(scale int, workerCounts []int) []EngineBenchResult {
+func engineBench(scale int, workerCounts []int) Result {
 	m := topo.AMD8x4()
-	ref, refImg := engineBenchOnce(m, scale, 1)
-	ref.Speedup = 1
-	ref.Identical = true
-	out := []EngineBenchResult{ref}
+	runs := []engineRun{engineBenchOnce(m, scale, 1)}
 	for _, w := range workerCounts {
-		if w <= 1 {
-			continue
-		}
-		r, img := engineBenchOnce(m, scale, w)
-		if ref.Seconds > 0 && r.Seconds > 0 {
-			r.Speedup = ref.Seconds / r.Seconds
-		}
-		r.Identical = bytes.Equal(img, refImg)
-		out = append(out, r)
+		runs = append(runs, engineBenchOnce(m, scale, w))
 	}
-	return out
-}
-
-// EngineBenchTable renders EngineBench results in the evaluation's layout.
-func EngineBenchTable(results []EngineBenchResult) *table {
+	ref := runs[0]
 	t := &table{
 		Title:   "Engine throughput: per-socket sub-engines, conservative lookahead (8x4-core AMD)",
 		Columns: []string{"workers", "events", "wall s", "events/s", "speedup", "identical"},
 	}
-	for _, r := range results {
-		t.AddRow(
-			fmt.Sprintf("%d", r.Workers),
-			fmt.Sprintf("%d", r.Events),
-			fmt.Sprintf("%.3f", r.Seconds),
-			fmt.Sprintf("%.3g", r.EventsPerSec),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprintf("%v", r.Identical),
-		)
+	h := map[string]float64{"sim.events": float64(ref.events)}
+	identical := true
+	for _, r := range runs {
+		var perSec, speedup float64
+		if r.seconds > 0 {
+			perSec = float64(r.events) / r.seconds
+			speedup = ref.seconds / r.seconds
+		}
+		same := bytes.Equal(r.img, ref.img)
+		identical = identical && same
+		t.AddRow(fmt.Sprintf("%d", r.workers), fmt.Sprintf("%d", r.events),
+			fmt.Sprintf("%.3f", r.seconds), fmt.Sprintf("%.3g", perSec),
+			fmt.Sprintf("%.2fx", speedup), fmt.Sprintf("%v", same))
+		h[fmt.Sprintf("sim.events_per_sec.w%d", r.workers)] = round3(perSec)
+		h[fmt.Sprintf("sim.speedup.w%d", r.workers)] = round3(speedup)
 	}
-	return t
+	h["sim.identical"] = b2f(identical)
+	return Result{Tables: []*table{t}, Headline: h}
 }
 
-// WarmStartResult summarizes the boot-once workflow measurement.
-type WarmStartResult struct {
-	Points      int
-	ColdSeconds float64 // boot every point from scratch
-	WarmSeconds float64 // boot once, checkpoint, restore per point
-	ImageBytes  int
-	Identical   bool // warm and cold points produced identical outcomes
-}
-
-// WarmStartMachine is the platform WarmStart sweeps (and the one a saved
+// WarmStartMachine is the platform warmStart sweeps (and the one a saved
 // boot image must have been checkpointed on).
 func WarmStartMachine() *topo.Machine { return topo.AMD4x4() }
 
 // BootImage boots a multikernel on m to quiescence and returns the engine
 // checkpoint image — the artifact mkbench -checkpoint writes to disk and
-// mkbench -restore feeds back into WarmStart on a later run.
+// mkbench -restore feeds back into warmStart on a later run.
 func BootImage(m *topo.Machine) []byte {
 	e := sim.NewEngine(1)
 	core.Boot(e, m)
 	e.Run()
+	e.CheckQuiesced()
 	var img bytes.Buffer
 	if err := e.Checkpoint(&img); err != nil {
 		panic("expt: boot checkpoint: " + err.Error())
@@ -157,14 +136,14 @@ func BootImage(m *topo.Machine) []byte {
 	return img.Bytes()
 }
 
-// WarmStart measures what Engine.Checkpoint buys a sweep: points sweep
+// warmStart measures what Engine.Checkpoint buys a sweep: points sweep
 // points each needing a freshly booted multikernel, run cold (boot per
 // point) and warm (boot once, checkpoint, sim.Restore per point). Points are
 // fanned out through the harness in both modes; each runs the same
 // coordinated-unmap workload, and the two modes must agree on every point's
 // virtual-time result. A non-nil img supplies a previously saved boot image
 // (mkbench -restore), so the warm phase skips even the single boot.
-func WarmStart(points int, img []byte) (*table, WarmStartResult) {
+func warmStart(points int, img []byte) Result {
 	m := WarmStartMachine()
 	cores := make([]topo.CoreID, m.NumCores())
 	for c := range cores {
@@ -188,6 +167,7 @@ func WarmStart(points int, img []byte) (*table, WarmStartResult) {
 			cost = p.Now() - start
 		})
 		e.Run()
+		e.CheckQuiesced()
 		e.Close()
 		return cost
 	}
@@ -197,6 +177,7 @@ func WarmStart(points int, img []byte) (*table, WarmStartResult) {
 		e := sim.NewEngine(1)
 		s := core.Boot(e, m)
 		e.Run()
+		e.CheckQuiesced()
 		return workload(e, s)
 	})
 	coldSec := time.Since(t0).Seconds()
@@ -217,18 +198,7 @@ func WarmStart(points int, img []byte) (*table, WarmStartResult) {
 	})
 	warmSec := time.Since(t0).Seconds()
 
-	res := WarmStartResult{
-		Points:      points,
-		ColdSeconds: coldSec,
-		WarmSeconds: warmSec,
-		ImageBytes:  len(img),
-		Identical:   true,
-	}
-	for i := range cold {
-		if cold[i] != warm[i] {
-			res.Identical = false
-		}
-	}
+	identical := slices.Equal(cold, warm)
 
 	t := &table{
 		Title:   fmt.Sprintf("Warm-started sweep: %d points on %s", points, m.Name),
@@ -237,6 +207,11 @@ func WarmStart(points int, img []byte) (*table, WarmStartResult) {
 	t.AddRow("cold boot", fmt.Sprintf("%.3f", coldSec),
 		fmt.Sprintf("%.1f", 1000*coldSec/float64(points)), "-")
 	t.AddRow("restore", fmt.Sprintf("%.3f", warmSec),
-		fmt.Sprintf("%.1f", 1000*warmSec/float64(points)), fmt.Sprintf("%v", res.Identical))
-	return t, res
+		fmt.Sprintf("%.1f", 1000*warmSec/float64(points)), fmt.Sprintf("%v", identical))
+	return Result{Tables: []*table{t}, Headline: map[string]float64{
+		"sim.cold_seconds":     round3(coldSec),
+		"sim.warm_seconds":     round3(warmSec),
+		"sim.boot_image_bytes": float64(len(img)),
+		"sim.warm_identical":   b2f(identical),
+	}}
 }

@@ -20,8 +20,8 @@ type figure = stats.Figure
 type series = stats.Series
 type table = stats.Table
 
-func newFigure(title, xlabel, ylabel string) *figure {
-	return &figure{Title: title, XLabel: xlabel, YLabel: ylabel}
+func newFigure(key, title, xlabel, ylabel string) *figure {
+	return &figure{Key: key, Title: title, XLabel: xlabel, YLabel: ylabel}
 }
 
 // Env bundles a freshly simulated machine for one measurement run.
@@ -41,6 +41,14 @@ func NewEnv(m *topo.Machine, seed uint64) *Env {
 	kb.Discover()
 	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2*m.TransferLat(b, a) + 160 })
 	return &Env{E: e, M: m, Sys: sys, Kern: kernel.NewSystem(e, m), KB: kb}
+}
+
+// Run runs the env's engine to completion and panics, naming them, if any
+// driver proc is still parked: a point that never finished must not be
+// reported as a measurement.
+func (v *Env) Run() {
+	v.E.Run()
+	v.E.CheckQuiesced()
 }
 
 // Close releases the env's engine.

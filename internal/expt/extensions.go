@@ -22,7 +22,7 @@ import (
 // unmap on synthetic mesh machines past 32 cores, alongside the monolithic
 // comparator — the future-hardware projection of Figures 6 and 7.
 func ExtScaling(iters int) *figure {
-	f := newFigure("Extension: scaling past commodity core counts (mesh machines)",
+	f := newFigure("ext-scale", "Extension: scaling past commodity core counts (mesh machines)",
 		"cores", "latency (cycles)")
 	shoot := f.AddSeries("raw NUMA multicast")
 	unmap := f.AddSeries("Barrelfish unmap")
@@ -90,6 +90,7 @@ func retypeCost(m *topo.Machine, shared bool, iters int) float64 {
 		}
 	})
 	e.Run()
+	e.CheckQuiesced()
 	return float64(total) / float64(iters)
 }
 
@@ -145,6 +146,6 @@ func runQueueCost(nCores, ops int, shared bool) float64 {
 			total += p.Now() - start
 		})
 	}
-	env.E.Run()
+	env.Run()
 	return float64(total) / float64(nCores*ops)
 }

@@ -13,7 +13,7 @@ import (
 // cost, on the 4×4-core AMD system, for 2..16 cores.
 func Fig3(iters int) *figure {
 	m := topo.AMD4x4()
-	f := newFigure(
+	f := newFigure("fig3",
 		"Figure 3: shared memory vs. message passing ("+m.Name+")",
 		"cores", "latency (cycles)")
 	shmLines := []int{1, 2, 4, 8}

@@ -18,7 +18,7 @@ import (
 // worker pool.
 func Fig6(iters int) *figure {
 	m := topo.AMD8x4()
-	f := newFigure("Figure 6: TLB shootdown protocols, raw messaging ("+m.Name+")",
+	f := newFigure("fig6", "Figure 6: TLB shootdown protocols, raw messaging ("+m.Name+")",
 		"cores", "latency (cycles)")
 	protos := []struct {
 		name  string
@@ -83,6 +83,7 @@ func unmapLatencyProto(m *topo.Machine, n, iters int, proto monitor.Protocol) fl
 		}
 	})
 	e.Run()
+	e.CheckQuiesced()
 	return float64(total) / float64(iters)
 }
 
@@ -101,7 +102,7 @@ func unmapLatencyBaseline(m *topo.Machine, flavor baseline.Flavor, n, iters int)
 			total += p.Now() - start
 		}
 	})
-	env.E.Run()
+	env.Run()
 	return float64(total) / float64(iters)
 }
 
@@ -110,7 +111,7 @@ func unmapLatencyBaseline(m *topo.Machine, flavor baseline.Flavor, n, iters int)
 // runs on its own engine, parallelized across the harness pool.
 func Fig7(iters int) *figure {
 	m := topo.AMD8x4()
-	f := newFigure("Figure 7: unmap latency ("+m.Name+")", "cores", "latency (cycles)")
+	f := newFigure("fig7", "Figure 7: unmap latency ("+m.Name+")", "cores", "latency (cycles)")
 	systems := []struct {
 		name string
 		run  func(n int) float64
@@ -137,7 +138,7 @@ func Fig7(iters int) *figure {
 // operations. Both series fan out across the harness pool.
 func Fig8(iters int) *figure {
 	m := topo.AMD8x4()
-	f := newFigure("Figure 8: two-phase commit ("+m.Name+")", "cores", "cycles per operation")
+	f := newFigure("fig8", "Figure 8: two-phase commit ("+m.Name+")", "cores", "cycles per operation")
 	depths := []int{1, 16}
 	ns := sweepCores(2, 32)
 	pts := harness.Map2(len(depths), len(ns), func(di, ni int) float64 {
@@ -196,5 +197,6 @@ func twoPCLatency(m *topo.Machine, n, iters, depth int) float64 {
 		}
 	})
 	e.Run()
+	e.CheckQuiesced()
 	return float64(total) / float64(ops)
 }

@@ -61,7 +61,7 @@ func Fig9(scale float64) []*figure {
 	})
 	var out []*figure
 	for wi, wl := range wls {
-		f := newFigure("Figure 9: "+wl.Name+" (4x4-core AMD)", "cores", "cycles")
+		f := newFigure("fig9-"+wl.Name, "Figure 9: "+wl.Name+" (4x4-core AMD)", "cores", "cycles")
 		bfs := f.AddSeries("Barrelfish")
 		lxs := f.AddSeries("Linux")
 		for ni, n := range ns {

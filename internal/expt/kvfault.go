@@ -177,11 +177,11 @@ func kvfaultPoint(seed uint64, kills int) kvfaultResult {
 // selects the schedule family (mkbench -fault-seed); points mix it with the
 // kill count so no two points share an engine seed.
 func KVFault(seed uint64) (*figure, *figure, *table) {
-	lat := newFigure("Extension: kvstore fail-over recovery latency (4x4-core AMD)",
+	lat := newFigure("kvfault-latency", "Extension: kvstore fail-over recovery latency (4x4-core AMD)",
 		"server cores killed", "cycles")
 	mean := lat.AddSeries("mean kill-to-first-affected-op")
 	worst := lat.AddSeries("max kill-to-first-affected-op")
-	thr := newFigure("Extension: kvstore throughput under fail-over (4x4-core AMD)",
+	thr := newFigure("kvfault-throughput", "Extension: kvstore throughput under fail-over (4x4-core AMD)",
 		"server cores killed", "successful client ops per Mcycle")
 	steady := thr.AddSeries("steady-state")
 	deg := thr.AddSeries("degraded windows (kill+3Mcy)")

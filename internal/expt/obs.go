@@ -56,20 +56,6 @@ type obsPointResult struct {
 	storeBytes                 int
 }
 
-// ObsResult carries the headline numbers mkbench exports to BENCH_obs.json.
-type ObsResult struct {
-	Tab           *table
-	ZeroOverhead  bool    // disabled-plane run finished on the base run's exact cycle
-	SamplingDelta float64 // client completion delta of the finest live interval vs base, in cycles
-	DetectLat     float64 // kill→degraded at the finest interval, cycles
-	DetectBound   float64 // documented bound for that interval, cycles
-	WithinBound   bool
-	FidelityExact bool   // every live point reproduced the registry counter exactly
-	Windows       uint64 // committed windows at the finest interval
-	MsgsPerWindow float64
-	StoreHash     uint32 // leading bytes of the finest point's store JSON sha256
-}
-
 func obsRun(seed uint64, pt obsPoint) obsPointResult {
 	m := topo.AMD4x4()
 	env := NewEnv(m, seed)
@@ -183,8 +169,9 @@ func obsBound(interval sim.Time) uint64 {
 }
 
 // Obs sweeps the observability plane's sampling interval over the kvcluster
-// fail-over scenario. seed selects the run family (mkbench -fault-seed).
-func Obs(seed uint64) ObsResult {
+// fail-over scenario. seed selects the run family (mkbench -fault-seed). The
+// headline reports the finest interval against the no-plane base run.
+func Obs(seed uint64) Result {
 	points := []obsPoint{
 		{"no plane", 0, false},
 		{"disabled", 0, true},
@@ -202,7 +189,7 @@ func Obs(seed uint64) ObsResult {
 			"late", "fidelity", "detect cycles", "bound", "store sha256"},
 	}
 	base := rs[0]
-	res := ObsResult{Tab: tab, FidelityExact: true}
+	fidelity := true
 	for i, pt := range points {
 		r := rs[i]
 		mw, fid, det, bnd, hash := "-", "-", "-", "-", "-"
@@ -219,7 +206,7 @@ func Obs(seed uint64) ObsResult {
 			}
 			bnd = fmt.Sprintf("%d", obsBound(pt.interval))
 			hash = fmt.Sprintf("%x", r.storeHash[:6])
-			res.FidelityExact = res.FidelityExact && r.fidelityOK
+			fidelity = fidelity && r.fidelityOK
 		}
 		tab.AddRow(pt.label,
 			fmt.Sprintf("%.3f", float64(r.doneAt)/1e6),
@@ -227,16 +214,23 @@ func Obs(seed uint64) ObsResult {
 			fmt.Sprintf("%d", r.windows), mw,
 			fmt.Sprintf("%d", r.late), fid, det, bnd, hash)
 	}
-	res.ZeroOverhead = rs[1].doneAt == base.doneAt && rs[1].ops == base.ops
 	fine := rs[len(rs)-1]
-	res.SamplingDelta = float64(fine.doneAt) - float64(base.doneAt)
-	res.DetectLat = float64(fine.detectLat)
-	res.DetectBound = float64(obsBound(points[len(points)-1].interval))
-	res.WithinBound = fine.detectLat > 0 && fine.detectLat <= obsBound(points[len(points)-1].interval)
-	res.Windows = fine.windows
+	bound := obsBound(points[len(points)-1].interval)
+	var msgsPerWindow float64
 	if fine.windows > 0 {
-		res.MsgsPerWindow = float64(fine.msgs) / float64(fine.windows)
+		msgsPerWindow = float64(fine.msgs) / float64(fine.windows)
 	}
-	res.StoreHash = binary.BigEndian.Uint32(fine.storeHash[:4])
-	return res
+	return Result{Tables: []*table{tab}, Headline: map[string]float64{
+		// The disabled plane must finish on the base run's exact cycle.
+		"obs.zero_overhead_disabled":       b2f(rs[1].doneAt == base.doneAt && rs[1].ops == base.ops),
+		"obs.sampling_client_delta_cycles": float64(fine.doneAt) - float64(base.doneAt),
+		"obs.fidelity_exact":               b2f(fidelity),
+		"obs.detect_cycles":                float64(fine.detectLat),
+		"obs.detect_bound_cycles":          float64(bound),
+		"obs.detect_within_bound":          b2f(fine.detectLat > 0 && fine.detectLat <= bound),
+		"obs.windows":                      float64(fine.windows),
+		"obs.msgs_per_window":              round3(msgsPerWindow),
+		// Leading bytes of the finest point's store JSON sha256.
+		"obs.store_hash32": float64(binary.BigEndian.Uint32(fine.storeHash[:4])),
+	}}
 }

@@ -17,8 +17,7 @@ func TestObsDeterminism(t *testing.T) {
 		old := harness.Parallelism()
 		harness.SetParallelism(par)
 		defer harness.SetParallelism(old)
-		res := Obs(42)
-		return res.Tab.Render()
+		return Obs(42).Tables[0].Render()
 	}
 	serial := render(1)
 	if !strings.Contains(serial, "true") {
@@ -37,19 +36,19 @@ func TestObsDeterminism(t *testing.T) {
 // exact counter fidelity, and the health monitor catches the server kill
 // within its documented bound at the finest interval.
 func TestObsHeadline(t *testing.T) {
-	res := Obs(42)
-	if !res.ZeroOverhead {
+	h := Obs(42).Headline
+	if h["obs.zero_overhead_disabled"] != 1 {
 		t.Error("disabled plane perturbed the client run")
 	}
-	if !res.FidelityExact {
+	if h["obs.fidelity_exact"] != 1 {
 		t.Error("a live point lost counter fidelity")
 	}
-	if !res.WithinBound {
+	if h["obs.detect_within_bound"] != 1 {
 		t.Errorf("kill not detected within bound: detect %.0f, bound %.0f",
-			res.DetectLat, res.DetectBound)
+			h["obs.detect_cycles"], h["obs.detect_bound_cycles"])
 	}
-	if res.Windows == 0 || res.MsgsPerWindow <= 0 {
-		t.Errorf("no sampling traffic recorded: windows %d, msgs/win %.1f",
-			res.Windows, res.MsgsPerWindow)
+	if h["obs.windows"] == 0 || h["obs.msgs_per_window"] <= 0 {
+		t.Errorf("no sampling traffic recorded: windows %.0f, msgs/win %.1f",
+			h["obs.windows"], h["obs.msgs_per_window"])
 	}
 }

@@ -74,6 +74,7 @@ func recoveryPoint(seed uint64, faults, rounds int) recoveryResult {
 		end = p.Now()
 	})
 	e.Run()
+	e.CheckQuiesced()
 
 	var recSum float64
 	var recN int
@@ -106,11 +107,11 @@ func recoveryPoint(seed uint64, faults, rounds int) recoveryResult {
 // with the fault count so no two points share a schedule, and the whole sweep
 // is byte-identical at any harness parallelism.
 func FaultRecovery(seed uint64, rounds int) (*figure, *figure) {
-	lat := newFigure("Extension: recovery latency under seeded faults (8x4-core AMD)",
+	lat := newFigure("faults-latency", "Extension: recovery latency under seeded faults (8x4-core AMD)",
 		"faults injected (kills = link faults = stalls)", "cycles")
 	rec := lat.AddSeries("mean kill-to-completion recovery")
 	worst := lat.AddSeries("max unmap latency")
-	thr := newFigure("Extension: degraded-mode throughput under seeded faults (8x4-core AMD)",
+	thr := newFigure("faults-throughput", "Extension: degraded-mode throughput under seeded faults (8x4-core AMD)",
 		"faults injected (kills = link faults = stalls)", "unmaps per Mcycle")
 	tseries := thr.AddSeries("completed unmaps per Mcycle")
 

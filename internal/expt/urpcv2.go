@@ -56,7 +56,7 @@ func MeasureURPCDepth(m *topo.Machine, from, to topo.CoreID, depth, msgs int) fl
 			sent += n
 		}
 	})
-	env.E.Run()
+	env.Run()
 	return float64(msgs) * 1000 / float64(end-start)
 }
 
@@ -86,7 +86,7 @@ func MeasureRingPayload(m *topo.Machine, from, to topo.CoreID, lines, reps int) 
 			ch.Send(p, batch, urpc.Spin)
 		}
 	})
-	env.E.Run()
+	env.Run()
 	return float64(end-start) / float64(reps)
 }
 
@@ -116,7 +116,7 @@ func MeasureBulkPayload(m *topo.Machine, from, to topo.CoreID, lines, reps int) 
 			bulk.Send(p, payload)
 		}
 	})
-	env.E.Run()
+	env.Run()
 	return float64(end-start) / float64(reps)
 }
 
@@ -128,7 +128,7 @@ var urpcV2Depths = []int{1, 2, 4, 8, 16}
 // one-hop pair (the scaling platform) with the 2×2 same-die pair for
 // contrast.
 func URPCv2Depth(msgs int) *figure {
-	f := newFigure("URPC v2: pipelined throughput vs in-flight depth",
+	f := newFigure("urpcv2-depth", "URPC v2: pipelined throughput vs in-flight depth",
 		"in-flight depth", "throughput (msgs/kcycle)")
 	pairs := []struct {
 		name     string
@@ -160,7 +160,7 @@ var urpcV2Sizes = []int{1, 2, 4, 8, 16, 32, 64}
 // AMD machine's one-hop pair.
 func URPCv2Size(reps int) *figure {
 	m := topo.AMD8x4()
-	f := newFigure("URPC v2: ring vs bulk transfer ("+m.Name+", one-hop)",
+	f := newFigure("urpcv2-size", "URPC v2: ring vs bulk transfer ("+m.Name+", one-hop)",
 		"payload (cache lines)", "cycles per payload")
 	kinds := []struct {
 		name    string

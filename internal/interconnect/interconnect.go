@@ -274,13 +274,6 @@ func (f *Fabric) Utilization(a, b topo.SocketID, elapsed uint64, linkGBps float6
 	return bytes / (linkGBps * 1e9 * seconds)
 }
 
-// LinkUtilization is Utilization with the bandwidth taken from the machine's
-// per-topology link bandwidth map (topo.Machine.LinkBandwidth), so slower
-// uplinks of a hierarchy saturate earlier than their traffic share suggests.
-func (f *Fabric) LinkUtilization(a, b topo.SocketID, elapsed uint64) float64 {
-	return f.Utilization(a, b, elapsed, f.m.LinkBandwidth(a, b))
-}
-
 // Snapshot returns a sorted human-readable listing of per-link traffic.
 func (f *Fabric) Snapshot() string {
 	keys := make([][2]topo.SocketID, 0, len(f.traffic))

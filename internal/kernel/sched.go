@@ -32,9 +32,6 @@ type Dispatcher struct {
 	sched       *Scheduler
 }
 
-// Runnable reports whether the dispatcher wants CPU time.
-func (d *Dispatcher) Runnable() bool { return d.runnable }
-
 // Scheduler is one core's dispatcher scheduler: round-robin with a fixed
 // timeslice, entirely core-local state (no other core can touch it).
 type Scheduler struct {

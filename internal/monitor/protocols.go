@@ -45,6 +45,7 @@ func RawShootdown(e *sim.Engine, sys *cache.System, kb *skb.KB, proto Protocol, 
 		panic(fmt.Sprintf("monitor: no raw harness for protocol %v", proto))
 	}
 	e.Run()
+	e.CheckQuiesced()
 	return sample
 }
 

@@ -66,9 +66,6 @@ type TCPConn struct {
 	listener   *TCPListener // server side: where to queue on establish
 }
 
-// Remote returns the peer address and port.
-func (c *TCPConn) Remote() (IPAddr, uint16) { return c.key.remote, c.key.remotePort }
-
 func (c *TCPConn) sendSeg(p *sim.Proc, flags uint8, payload []byte) {
 	p.Sleep(costTCPTx)
 	h := TCPHeader{

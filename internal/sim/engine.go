@@ -472,8 +472,8 @@ func (e *Engine) Kill(p *Proc) {
 	e.schedule(0, p, nil)
 }
 
-// CheckQuiesced is a test helper: it panics if any non-daemon proc is still
-// parked after Run.
+// CheckQuiesced panics, naming them, if any non-daemon proc is still parked
+// after Run: a run that was meant to finish left a driver waiting forever.
 func (e *Engine) CheckQuiesced() {
 	if d := e.Deadlocked(); len(d) > 0 {
 		panic("sim: deadlocked procs: " + strings.Join(d, ", "))

@@ -163,6 +163,7 @@ func (s *Series) YAt(x float64) (float64, bool) {
 // Figure is a set of series plus axis labels — the data behind one of the
 // paper's plots.
 type Figure struct {
+	Key    string // headline-metric prefix, e.g. "fig6" for "fig6.Unicast@32"
 	Title  string
 	XLabel string
 	YLabel string

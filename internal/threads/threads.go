@@ -108,12 +108,6 @@ func (th *Thread) Compute(cycles sim.Time) {
 	th.p.Sleep(th.p.Engine().RNG().Jitter(cycles, 0.02))
 }
 
-// Yield passes through the user-level scheduler once.
-func (th *Thread) Yield() {
-	th.p.Sleep(th.Team.sys.Machine().Costs.Dispatch)
-	th.p.Sleep(0)
-}
-
 // Migrate moves the thread to another core: the dispatchers exchange
 // messages and the destination upcalls the thread.
 func (th *Thread) Migrate(core topo.CoreID) {

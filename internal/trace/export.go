@@ -219,9 +219,3 @@ func (r *Recorder) TextDump() string {
 	}
 	return b.String()
 }
-
-// DumpText writes TextDump to w.
-func (r *Recorder) DumpText(w io.Writer) error {
-	_, err := io.WriteString(w, r.TextDump())
-	return err
-}

@@ -183,23 +183,3 @@ func (r *Recorder) Reset() {
 	r.events = r.events[:0]
 	r.n = 0
 }
-
-// failer is the subset of testing.TB this package needs, kept as an
-// interface so non-test builds do not link the testing package.
-type failer interface {
-	Failed() bool
-	Logf(format string, args ...any)
-	Cleanup(func())
-}
-
-// DumpOnFailure arranges for r's retained events to be logged through t if
-// the test fails — the flight-recorder dump for protocol debugging.
-func DumpOnFailure(t failer, r *Recorder) {
-	t.Cleanup(func() {
-		if !t.Failed() || r == nil {
-			return
-		}
-		t.Logf("trace flight recorder (%d of %d events retained):\n%s",
-			len(r.Events()), r.Len(), r.TextDump())
-	})
-}

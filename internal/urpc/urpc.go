@@ -231,11 +231,6 @@ func (c *Channel) remoteArrival() {
 	c.wakeParked()
 }
 
-// Pair creates the two directions of a bidirectional link between a and b.
-func Pair(sys *cache.System, a, b topo.CoreID, opts Options) (ab, ba *Channel) {
-	return New(sys, a, b, opts), New(sys, b, a, opts)
-}
-
 // Stats returns a copy of the channel's counters.
 func (c *Channel) Stats() Stats { return c.stats }
 
