@@ -182,12 +182,11 @@ func evaluate(c contract, got, baseline map[string]float64, tol float64) (lines 
 // in the baseline file: "BenchmarkName" for host ns/op (the minimum over
 // count repetitions), "BenchmarkName:unit" for simulated metrics (one run).
 func measure(c contract, count int, benchtime string) (map[string]float64, error) {
-	args := []string{"test", "-run=NONE", "-bench=" + c.bench, "-benchtime=1x", c.pkg}
-	if c.kind == tolerance {
-		args = []string{"test", "-run=NONE", "-bench=" + c.bench,
-			"-count=" + strconv.Itoa(count), "-benchtime=" + benchtime, c.pkg}
+	if c.kind != tolerance {
+		count, benchtime = 1, "1x"
 	}
-	out, err := exec.Command("go", args...).CombinedOutput()
+	out, err := exec.Command("go", "test", "-run=NONE", "-bench="+c.bench,
+		"-count="+strconv.Itoa(count), "-benchtime="+benchtime, c.pkg).CombinedOutput()
 	if err != nil {
 		return nil, fmt.Errorf("%s benchmark run failed: %v\n%s", c.pkg, err, out)
 	}

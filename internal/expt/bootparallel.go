@@ -221,10 +221,11 @@ func bootRunOnce(wl bootWorkload, scale, workers int) bootArtifacts {
 	return art
 }
 
-// BootParallelBench sweeps every workload over the worker counts above one.
-// Each workload's workers=1 run is the reference (identical by definition);
-// every later run's artifacts are compared byte-for-byte against it. scale
-// sets rounds per driver (shootdown rounds, requests per client).
+// BootParallelBench runs every workload at one worker and at each of
+// workerCounts (all above one). The workers=1 run is the reference
+// (identical by definition); every later run's artifacts are compared
+// byte-for-byte against it. scale sets rounds per driver (shootdown rounds,
+// requests per client).
 func BootParallelBench(scale int, workerCounts []int) Result {
 	t := &table{
 		Title:   "Full multikernel boot on the parallel engine (8x4-core AMD, per-socket partitions)",

@@ -43,10 +43,10 @@ func NewEnv(m *topo.Machine, seed uint64) *Env {
 	return &Env{E: e, M: m, Sys: sys, Kern: kernel.NewSystem(e, m), KB: kb}
 }
 
-// Run runs the env's engine to completion and panics, naming them, if any
+// run runs the env's engine to completion and panics, naming them, if any
 // driver proc is still parked: a point that never finished must not be
 // reported as a measurement.
-func (v *Env) Run() {
+func (v *Env) run() {
 	v.E.Run()
 	v.E.CheckQuiesced()
 }

@@ -219,6 +219,18 @@ func TestFig9Shape(t *testing.T) {
 	}
 }
 
+// Each workload's figure carries its own headline key, so the JSON keeps all
+// five workloads' last points rather than only the last figure's.
+func TestFig9KeysDistinct(t *testing.T) {
+	keys := map[string]bool{}
+	for _, f := range Fig9(0.01) {
+		keys[f.Key] = true
+	}
+	if len(keys) != len(apps.NASWorkloads()) {
+		t.Errorf("figure keys %v, want one per workload", keys)
+	}
+}
+
 func TestPollModelTable(t *testing.T) {
 	tb := PollModel(6000)
 	if len(tb.Rows) == 0 {

@@ -146,6 +146,6 @@ func runQueueCost(nCores, ops int, shared bool) float64 {
 			total += p.Now() - start
 		})
 	}
-	env.Run()
+	env.run()
 	return float64(total) / float64(nCores*ops)
 }

@@ -102,7 +102,7 @@ func unmapLatencyBaseline(m *topo.Machine, flavor baseline.Flavor, n, iters int)
 			total += p.Now() - start
 		}
 	})
-	env.Run()
+	env.run()
 	return float64(total) / float64(iters)
 }
 

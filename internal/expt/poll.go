@@ -57,6 +57,6 @@ func MeasurePollWindow(m *topo.Machine, window, arrival sim.Time) (overhead, lat
 		sentAt = p.Now()
 		ch.Send(p, []urpc.Message{{1}}, urpc.Spin)
 	})
-	env.Run()
+	env.run()
 	return recvEnd - recvStart, recvEnd - sentAt
 }

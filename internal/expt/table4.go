@@ -70,7 +70,7 @@ func LoopbackBF() *LoopbackResult {
 			sSock.SendTo(p, sink.IP, 2000, payload)
 		}
 	})
-	env.Run()
+	env.run()
 	return summarizeLoopback(env, srcCore, sinkCore, start, end)
 }
 
@@ -110,7 +110,7 @@ func LoopbackLinux() *LoopbackResult {
 			lb.Send(p, srcCore, payload)
 		}
 	})
-	env.Run()
+	env.run()
 	return summarizeLoopback(env, srcCore, sinkCore, start, end)
 }
 

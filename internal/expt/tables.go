@@ -29,7 +29,7 @@ func Table1(samples int) *table {
 				s.Add(float64(p.Now() - start))
 			}
 		})
-		env.Run()
+		env.run()
 		env.Close()
 		t.AddRow(m.Name,
 			fmt.Sprintf("%.0f", s.Mean()),
@@ -89,7 +89,7 @@ func MeasureURPC(m *topo.Machine, from, to topo.CoreID, samples int, prefetch bo
 			ch.Send(p, []urpc.Message{{uint64(p.Now())}}, urpc.Spin)
 		}
 	})
-	env.Run()
+	env.run()
 	env.Close()
 
 	// Throughput: pipelined stream of messages, queue length 16.
@@ -110,7 +110,7 @@ func MeasureURPC(m *topo.Machine, from, to topo.CoreID, samples int, prefetch bo
 			ch.Send(p, []urpc.Message{{uint64(i)}}, urpc.Spin)
 		}
 	})
-	env.Run()
+	env.run()
 	res.Throughput = float64(burst) * 1000 / float64(end-start)
 	env.Close()
 
@@ -138,7 +138,7 @@ func MeasureURPC(m *topo.Machine, from, to topo.CoreID, samples int, prefetch bo
 		}
 		res.DcacheUsed = env.Sys.StopTouchTracking()
 	})
-	env.Run()
+	env.run()
 	env.Close()
 	return res
 }

@@ -56,7 +56,7 @@ func MeasureURPCDepth(m *topo.Machine, from, to topo.CoreID, depth, msgs int) fl
 			sent += n
 		}
 	})
-	env.Run()
+	env.run()
 	return float64(msgs) * 1000 / float64(end-start)
 }
 
@@ -86,7 +86,7 @@ func MeasureRingPayload(m *topo.Machine, from, to topo.CoreID, lines, reps int) 
 			ch.Send(p, batch, urpc.Spin)
 		}
 	})
-	env.Run()
+	env.run()
 	return float64(end-start) / float64(reps)
 }
 
@@ -116,7 +116,7 @@ func MeasureBulkPayload(m *topo.Machine, from, to topo.CoreID, lines, reps int) 
 			bulk.Send(p, payload)
 		}
 	})
-	env.Run()
+	env.run()
 	return float64(end-start) / float64(reps)
 }
 
