@@ -211,12 +211,12 @@ func Coherence(incs, maxCores int) Result {
 	if lastMesh >= 0 {
 		cm := ms[lastMesh]
 		b, d := rs[lastMesh][0], rs[lastMesh][1]
-		h["coherence.broadcast_cycles"] = round3(b.cyclesPerOp)
-		h["coherence.directory_cycles"] = round3(d.cyclesPerOp)
+		h["coherence.broadcast_cycles"] = b.cyclesPerOp
+		h["coherence.directory_cycles"] = d.cyclesPerOp
 		// Broadcast probes every remote socket, so its fan-out equals the
 		// sharer bound (NSockets-1); the directory probes actual sharers.
-		h["coherence.fanout_broadcast"] = round3(b.fanoutMean)
-		h["coherence.fanout_directory"] = round3(d.fanoutMean)
+		h["coherence.fanout_broadcast"] = b.fanoutMean
+		h["coherence.fanout_directory"] = d.fanoutMean
 		h["coherence.sharer_bound"] = float64(cm.m.NSockets - 1)
 		// Torus gain: broadcast cycles/op on the largest mesh over the
 		// same-size torus — what the wraparound links' shorter routes save.
@@ -224,7 +224,7 @@ func Coherence(incs, maxCores int) Result {
 		if tc, ok := torus[cm.m.NSockets]; ok && tc > 0 {
 			gain = b.cyclesPerOp / tc
 		}
-		h["coherence.torus_gain"] = round3(gain)
+		h["coherence.torus_gain"] = gain
 	}
 	return Result{Figures: []*figure{fig}, Tables: []*table{tab}, Headline: h}
 }

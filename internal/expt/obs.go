@@ -229,7 +229,7 @@ func Obs(seed uint64) Result {
 		"obs.detect_bound_cycles":          float64(bound),
 		"obs.detect_within_bound":          b2f(fine.detectLat > 0 && fine.detectLat <= bound),
 		"obs.windows":                      float64(fine.windows),
-		"obs.msgs_per_window":              round3(msgsPerWindow),
+		"obs.msgs_per_window":              msgsPerWindow,
 		// Leading bytes of the finest point's store JSON sha256.
 		"obs.store_hash32": float64(binary.BigEndian.Uint32(fine.storeHash[:4])),
 	}}

@@ -220,55 +220,48 @@ func TestConcurrentDisjointRetypesBothCommit(t *testing.T) {
 	}
 }
 
+// Depth-16 pipelined retypes must all commit and leave no proc parked. On
+// the 8x4 machine after a warm round, one operation's response lands in a
+// ring its monitor already polled in the pass before it parks; the monitor
+// must still notice it, or the driver waits forever.
 func TestPipelinedRetypesAllComplete(t *testing.T) {
-	f := newFixture(t, topo.AMD4x4())
-	const depth = 16
-	done := 0
-	f.e.Spawn("app", func(p *sim.Proc) {
-		var futs []*sim.Future[bool]
-		for i := 0; i < depth; i++ {
-			base := memory.Addr(0x100000 + i*0x10000)
-			futs = append(futs, f.net.Monitor(0).RetypeAsync(p, base, 4096, caps.Frame, 0, nil))
-		}
-		for _, fut := range futs {
-			if fut.Await(p) {
-				done++
+	for _, tc := range []struct {
+		name string
+		m    *topo.Machine
+		base memory.Addr
+		warm bool // one blocking retype just below base first
+	}{
+		{"4x4", topo.AMD4x4(), 0x100000, false},
+		{"8x4_warm", topo.AMD8x4(), 1<<30 + 0x10000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, tc.m)
+			const depth = 16
+			done := 0
+			f.e.Spawn("app", func(p *sim.Proc) {
+				mon := f.net.Monitor(0)
+				if tc.warm {
+					mon.Retype(p, tc.base-0x10000, 4096, caps.Frame, 0, nil)
+				}
+				var futs []*sim.Future[bool]
+				for i := 0; i < depth; i++ {
+					base := tc.base + memory.Addr(i*0x10000)
+					futs = append(futs, mon.RetypeAsync(p, base, 4096, caps.Frame, 0, nil))
+				}
+				for _, fut := range futs {
+					if fut.Await(p) {
+						done++
+					}
+				}
+			})
+			f.e.Run()
+			if d := f.e.Deadlocked(); len(d) > 0 {
+				t.Fatalf("procs still parked after Run: %v", d)
 			}
-		}
-	})
-	f.e.Run()
-	if done != depth {
-		t.Fatalf("%d/%d pipelined retypes committed", done, depth)
-	}
-}
-
-// A message written to a ring its monitor already polled in the pass before
-// it parks must still be noticed. Depth-16 pipelined retypes across all 32
-// cores of the 8x4 machine hit that window: one operation's response landed
-// behind the final idle pass, and its driver waited forever.
-func TestPipelinedRetypesAt32CoresAllComplete(t *testing.T) {
-	f := newFixture(t, topo.AMD8x4())
-	const depth = 16
-	done := 0
-	f.e.Spawn("app", func(p *sim.Proc) {
-		mon := f.net.Monitor(0)
-		mon.Retype(p, 1<<30, 4096, caps.Frame, 0, nil) // warm round
-		var futs []*sim.Future[bool]
-		for i := 1; i <= depth; i++ {
-			futs = append(futs, mon.RetypeAsync(p, memory.Addr(1<<30+i*0x10000), 4096, caps.Frame, 0, nil))
-		}
-		for _, fut := range futs {
-			if fut.Await(p) {
-				done++
+			if done != depth {
+				t.Fatalf("%d/%d pipelined retypes committed", done, depth)
 			}
-		}
-	})
-	f.e.Run()
-	if d := f.e.Deadlocked(); len(d) > 0 {
-		t.Fatalf("procs still parked after Run: %v", d)
-	}
-	if done != depth {
-		t.Fatalf("%d/%d pipelined retypes committed", done, depth)
+		})
 	}
 }
 
