@@ -48,8 +48,8 @@ func BenchmarkScheduleDispatchDeep(b *testing.B) {
 }
 
 // BenchmarkProcHandoff measures the proc resume path: one Sleep per
-// iteration is one schedule, one baton handoff to the proc and one handoff
-// back. Zero allocations in steady state.
+// iteration is one schedule, one switch from the Run caller to the proc and
+// one switch back. Zero allocations in steady state.
 func BenchmarkProcHandoff(b *testing.B) {
 	e := NewEngine(1)
 	stop := false
@@ -72,7 +72,7 @@ func BenchmarkProcHandoff(b *testing.B) {
 
 // BenchmarkParkUnpark measures the wakeup path underlying URPC blocking
 // receives and monitor request loops: each virtual cycle, one proc wakes
-// from Sleep and Unparks a parked peer (two handoffs per cycle).
+// from Sleep and Unparks a parked peer (two proc switches per cycle).
 func BenchmarkParkUnpark(b *testing.B) {
 	e := NewEngine(1)
 	stop := false
@@ -140,7 +140,7 @@ func BenchmarkTraceOffWake(b *testing.B) { benchWakeLoop(b, nil) }
 
 // BenchmarkTraceOnWake is the same workload with a ring recorder attached,
 // for judging the enabled-path cost (not guarded; tracing on may cost more).
-func BenchmarkTraceOnWake(b *testing.B) { benchWakeLoop(b, trace.NewRing(1 << 16)) }
+func BenchmarkTraceOnWake(b *testing.B) { benchWakeLoop(b, trace.NewRing(1<<16)) }
 
 // BenchmarkTraceOffDispatch is the engine-context schedule+dispatch fast path
 // with tracing disabled — the second CI-guarded baseline, covering the

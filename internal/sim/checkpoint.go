@@ -5,7 +5,7 @@ package sim
 // once and sweeps warm-start from the saved image (the gem5 workflow).
 //
 // What can and cannot be serialized follows directly from the engine's
-// execution model. Proc goroutine stacks cannot be captured, so a checkpoint
+// execution model. Proc coroutine stacks cannot be captured, so a checkpoint
 // is only taken at a quiescent point: no proc running, and every pending
 // event a plain proc wakeup (engine callbacks — After closures, parallel
 // mailbox deliveries — carry Go closures and make the engine non-quiescent;
@@ -19,7 +19,7 @@ package sim
 // clock, sequence counters, RNG stream, per-proc park/daemon flags, the
 // event heap, and each component's blob.
 //
-// Procs come back "at the top": a restored proc's goroutine restarts its
+// Procs come back "at the top": a restored proc's coroutine restarts its
 // function from the beginning rather than from the yield point where the
 // checkpoint caught it. The contract for checkpoint-safe procs is therefore
 // the one the repo's blocking primitives already follow — keep durable state
@@ -268,7 +268,7 @@ func Restore(r io.Reader, build func(e *Engine)) (*Engine, error) {
 	build(e)
 
 	// Discard build-time scheduling artifacts: the spawned procs' start
-	// events (their goroutines stay parked on the resume channel) and any
+	// events (their coroutines stay unstarted until first resumed) and any
 	// callbacks build scheduled by mistake.
 	for len(e.events) > 0 {
 		e.releaseEvent(e.events.pop())

@@ -1,11 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation engine with
 // a virtual clock measured in CPU cycles.
 //
-// Simulated activities run as Procs: each Proc is backed by a goroutine, but
-// the engine guarantees that at most one Proc executes at a time and that all
-// wakeups are ordered by (virtual time, schedule sequence). Simulation state
-// shared between Procs therefore needs no locking, and runs are bit-for-bit
-// reproducible for a given seed.
+// Simulated activities run as Procs: each Proc is a coroutine (iter.Pull),
+// and the engine guarantees that at most one Proc executes at a time and that
+// all wakeups are ordered by (virtual time, schedule sequence). Simulation
+// state shared between Procs therefore needs no locking, and runs are
+// bit-for-bit reproducible for a given seed.
 //
 // The engine is the substrate for every hardware and OS model in this
 // repository: cores, caches, interconnect links, CPU drivers, monitors and
@@ -17,16 +17,20 @@
 //     container/heap interface boxing),
 //   - dispatched events return to a free list, so steady-state scheduling
 //     performs no heap allocation,
-//   - After callbacks run inline in the dispatching goroutine and never touch
-//     the proc machinery, and
-//   - control transfers between procs are a single channel handoff: the
-//     yielding goroutine itself dispatches the next event and resumes the
-//     next proc directly, instead of bouncing through a central scheduler
-//     goroutine (which would cost two handoffs per event).
+//   - After callbacks run inline in the dispatching proc or Run caller and
+//     never touch the proc machinery,
+//   - a Sleep whose own wakeup would be the next event advances the clock in
+//     place, with no event and no switch, and
+//   - a yielding proc dispatches inline and keeps running when its own event
+//     is next; only a switch to a different proc goes through the Run
+//     caller, as two coroutine switches rather than a pass through the Go
+//     scheduler.
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -130,9 +134,8 @@ type Engine struct {
 	events  eventQueue
 	free    *event // recycled events; makes steady-state scheduling zero-alloc
 	procs   map[*Proc]struct{}
-	running *Proc
-	driver  chan struct{} // returns the baton to the Run/Close caller
-	limit   Time          // dispatch boundary (RunUntil), or ^Time(0)
+	running *Proc // proc that dispatch picked to run next, or nil
+	limit   Time  // dispatch boundary (RunUntil), or ^Time(0)
 	rng     *RNG
 	perturb PerturbFunc // schedule-exploration hook, or nil (the default)
 	stopped bool
@@ -160,11 +163,10 @@ type Engine struct {
 // NewEngine returns an engine with its clock at zero and the given RNG seed.
 func NewEngine(seed uint64) *Engine {
 	e := &Engine{
-		procs:  make(map[*Proc]struct{}),
-		driver: make(chan struct{}, 1),
-		limit:  ^Time(0),
-		rng:    NewRNG(seed),
-		met:    metrics.NewRegistry(),
+		procs: make(map[*Proc]struct{}),
+		limit: ^Time(0),
+		rng:   NewRNG(seed),
+		met:   metrics.NewRegistry(),
 	}
 	// Dispatched is derived, not counted: every event ever scheduled (seq)
 	// is either still in the heap or has been popped by the dispatch loop —
@@ -239,6 +241,13 @@ type PerturbFunc func(now Time, delay Time, seq uint64) (extra Time, pri uint64)
 // scheduling path is unchanged.
 func (e *Engine) SetPerturb(fn PerturbFunc) { e.perturb = fn }
 
+// noteDepth raises the heap high-water mark to n events if that is higher.
+func (e *Engine) noteDepth(n int) {
+	if int64(n) > e.heapMax.Value() {
+		e.heapMax.Set(int64(n))
+	}
+}
+
 func (e *Engine) schedule(d Time, p *Proc, fn func()) {
 	e.seq++
 	ev := e.newEvent()
@@ -249,9 +258,7 @@ func (e *Engine) schedule(d Time, p *Proc, fn func()) {
 		ev.pri = pri
 	}
 	e.events.push(ev)
-	if n := int64(len(e.events)); n > e.heapMax.Value() {
-		e.heapMax.Set(n)
-	}
+	e.noteDepth(len(e.events))
 }
 
 // scheduleAt enqueues an engine callback at an absolute virtual time,
@@ -263,9 +270,7 @@ func (e *Engine) scheduleAt(at Time, fn func()) {
 	ev := e.newEvent()
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
 	e.events.push(ev)
-	if n := int64(len(e.events)); n > e.heapMax.Value() {
-		e.heapMax.Set(n)
-	}
+	e.noteDepth(len(e.events))
 }
 
 // scheduleArgsAt is scheduleAt for the pooled argument-carrying handler form:
@@ -275,9 +280,7 @@ func (e *Engine) scheduleArgsAt(at Time, hfn func(a, b uint64), a, b uint64) {
 	ev := e.newEvent()
 	ev.at, ev.seq, ev.hfn, ev.a, ev.b = at, e.seq, hfn, a, b
 	e.events.push(ev)
-	if n := int64(len(e.events)); n > e.heapMax.Value() {
-		e.heapMax.Set(n)
-	}
+	e.noteDepth(len(e.events))
 }
 
 // After invokes fn at the current time plus d. fn runs in engine context and
@@ -287,49 +290,47 @@ func (e *Engine) scheduleArgsAt(at Time, hfn func(a, b uint64), a, b uint64) {
 func (e *Engine) After(d Time, fn func()) { e.schedule(d, nil, fn) }
 
 // Spawn creates a new Proc executing fn and schedules it to start at the
-// current virtual time. fn runs in its own goroutine under engine control.
+// current virtual time. fn runs as a coroutine (iter.Pull) that only the Run
+// or Close caller resumes. A panic in fn surfaces from that call, naming the
+// proc, the virtual time and the panicking stack. On a ParallelEngine with
+// more than one worker, the caller is a worker goroutine, so the panic still
+// ends the process.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextID++
-	p := &Proc{e: e, id: e.nextID, name: name, resume: make(chan struct{}, 1)}
+	p := &Proc{e: e, id: e.nextID, name: name}
 	e.procs[p] = struct{}{}
-	go func() {
-		<-p.resume
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			r := recover()
 			p.done = true
 			delete(e.procs, p)
 			if r != nil && r != errKilled {
-				// A genuine panic inside simulated code: crash loudly so the
-				// bug is visible, after releasing the engine.
-				go func() { panic(fmt.Sprintf("sim: proc %q panicked at t=%d: %v", p.name, e.now, r)) }()
+				panic(fmt.Sprintf("sim: proc %q panicked at t=%d: %v\n%s", p.name, e.now, r, debug.Stack()))
 			}
-			// The exiting goroutine holds the baton: pass it to the next
-			// runnable proc, or back to the driver.
-			e.exitDispatch()
+			e.dispatch() // pick the next proc for the Run/Close caller
 		}()
-		if p.killed {
-			panic(errKilled)
+		if !p.killed {
+			fn(p)
 		}
-		fn(p)
-	}()
+	})
 	e.schedule(0, p, nil)
 	return p
 }
 
-// dispatch is the scheduler loop, executed by whichever goroutine currently
-// holds the control baton (the Run caller, or a proc that is yielding or
-// exiting). It runs engine callbacks inline and, on reaching a proc event,
-// hands the baton to that proc with a single channel send and reports true.
-// It reports false when the run is over (queue empty or past the limit,
-// Stop called, or the engine closing), leaving the baton with the caller.
-func (e *Engine) dispatch() bool {
+// dispatch is the scheduler loop, run by the Run/Close caller or inline by a
+// proc that is yielding or exiting. It runs engine callbacks inline and, on
+// reaching a proc event, records that proc in e.running and returns it. It
+// returns nil when the run is over (queue empty or past the limit, Stop
+// called, or the engine closing).
+func (e *Engine) dispatch() *Proc {
 	e.running = nil
 	for !e.stopped && !e.closing {
 		if len(e.events) == 0 {
-			return false
+			return nil
 		}
 		if e.events[0].at > e.limit {
-			return false
+			return nil
 		}
 		ev := e.events.pop()
 		if ev.at < e.now {
@@ -339,7 +340,7 @@ func (e *Engine) dispatch() bool {
 		p, fn, hfn, a, b := ev.p, ev.fn, ev.hfn, ev.a, ev.b
 		e.releaseEvent(ev)
 		if fn != nil {
-			fn() // engine-context fast path: no handoff
+			fn() // engine-context fast path: no switch
 			continue
 		}
 		if hfn != nil {
@@ -349,31 +350,21 @@ func (e *Engine) dispatch() bool {
 		if p.done {
 			continue // stale wakeup
 		}
-		// A killed proc is still resumed: its goroutine must run once more
-		// to unwind via the errKilled panic and release itself.
+		// A killed proc is still resumed: it must run once more to unwind
+		// via the errKilled panic and release itself.
 		e.running = p
-		p.resume <- struct{}{}
-		return true
+		return p
 	}
-	return false
+	return nil
 }
 
-// exitDispatch passes the baton on when a proc yields or exits: either to
-// the next runnable proc via dispatch, or back to the driver.
-func (e *Engine) exitDispatch() {
-	if !e.dispatch() {
-		e.driver <- struct{}{}
-	}
-}
-
-// runLoop drives dispatch from the caller's (driver's) context and blocks
-// until the run is over.
+// runLoop resumes the procs dispatch picks until the run is over. Each
+// resumed proc returns here only when a different proc is next, when the run
+// is over, or when it exits, and it leaves its successor in e.running.
 func (e *Engine) runLoop() {
-	if e.dispatch() {
-		// The baton is with a proc; wait for it to come back.
-		<-e.driver
+	for p := e.dispatch(); p != nil; p = e.running {
+		p.next()
 	}
-	e.running = nil
 }
 
 // Run processes events until the event queue is empty or Stop is called.
@@ -414,7 +405,7 @@ func (e *Engine) Deadlocked() []string {
 	return out
 }
 
-// Close terminates all live procs, releasing their goroutines. The engine
+// Close terminates all live procs, releasing their coroutines. The engine
 // must not be used afterwards. Victims are killed in ascending id order so
 // shutdown is deterministic.
 func (e *Engine) Close() {
@@ -429,8 +420,7 @@ func (e *Engine) Close() {
 			continue
 		}
 		v.killed = true
-		v.resume <- struct{}{}
-		<-e.driver
+		v.next()
 	}
 	e.flushTelemetry()
 }
@@ -452,7 +442,7 @@ func (e *Engine) flushTelemetry() {
 }
 
 // Kill fail-stops p at the current virtual time: no further simulated code of
-// p runs, and its goroutine is released deterministically. It may be called
+// p runs, and its coroutine is released deterministically. It may be called
 // from another Proc or from an engine callback (a fault injector timer); a
 // proc may also kill itself, in which case it exits at its next yield. Killing
 // a proc that is already dead is a no-op. Procs blocked on a channel or lock

@@ -7,8 +7,8 @@ import (
 )
 
 // waitGoroutines polls until the live goroutine count drops to at most bound,
-// giving freshly unwound proc goroutines a moment to exit (the last victim's
-// goroutine hands the baton back before its final return).
+// giving freshly unwound proc coroutines a moment to exit (each is backed by
+// a goroutine, which may still be finishing after the switch back to Close).
 func waitGoroutines(t *testing.T, bound int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

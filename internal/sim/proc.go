@@ -6,19 +6,20 @@ import (
 	"multikernel/internal/trace"
 )
 
-// errKilled is panicked inside a proc goroutine when the engine shuts it
-// down; the spawn wrapper recovers it.
+// errKilled is panicked inside a proc when the engine shuts it down; the
+// spawn wrapper recovers it.
 var errKilled = errors.New("sim: proc killed")
 
 // Proc is a simulated sequential activity (a core, a device, an OS service,
 // an application thread). All Proc methods must be called from the proc's own
-// goroutine unless documented otherwise.
+// code unless documented otherwise.
 type Proc struct {
 	e    *Engine
 	id   int
 	name string
 
-	resume  chan struct{}
+	next    func() (struct{}, bool) // resumes the coroutine (Run/Close caller only)
+	yield   func(struct{}) bool     // suspends it, back to that caller
 	done    bool
 	killed  bool
 	daemon  bool
@@ -42,14 +43,14 @@ func (p *Proc) Name() string { return p.name }
 // reports. Safe to call from any context before or during the run.
 func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 
-// yieldToEngine hands the control baton on — dispatching the next event and
-// resuming the next proc directly from this goroutine — and blocks until
-// resumed. This is the single-handoff path: one channel send transfers
-// control to the next runnable proc, with no central scheduler goroutine in
-// between.
+// yieldToEngine runs the dispatch loop inline until a proc event is next.
+// If that event is this proc's own, it continues with no switch; otherwise
+// it suspends the coroutine back to the Run/Close caller, which resumes the
+// next proc, and returns when the caller resumes this one.
 func (p *Proc) yieldToEngine() {
-	p.e.exitDispatch()
-	<-p.resume
+	if p.e.dispatch() != p {
+		p.yield(struct{}{})
+	}
 	if p.killed {
 		panic(errKilled)
 	}
@@ -58,8 +59,22 @@ func (p *Proc) yieldToEngine() {
 // Sleep advances the proc's local time by d cycles. Other events proceed in
 // the meantime. Sleep(0) yields: the proc is rescheduled after all events
 // already queued for the current cycle.
+//
+// When the wakeup would be the next event dispatched anyway (no perturb
+// hook, no Stop or Close pending, within the RunUntil limit, and every
+// queued event strictly later), Sleep advances the clock in place. It leaves
+// exactly what a push and pop of the wakeup would: the sequence number it
+// would have taken and the heap depth it would have reached.
 func (p *Proc) Sleep(d Time) {
-	p.e.schedule(d, p, nil)
+	e := p.e
+	if at := e.now + d; e.perturb == nil && !e.stopped && !e.closing && at <= e.limit &&
+		(len(e.events) == 0 || e.events[0].at > at) {
+		e.seq++
+		e.noteDepth(len(e.events) + 1)
+		e.now = at
+		return
+	}
+	e.schedule(d, p, nil)
 	p.yieldToEngine()
 }
 
