@@ -209,10 +209,10 @@ func (f *Fabric) Reset() { f.traffic = make(map[[2]topo.SocketID]uint64) }
 // socket b. Charging a == b is a no-op (intra-socket traffic never reaches
 // the fabric).
 func (f *Fabric) Charge(a, b topo.SocketID, dwords int) {
-	cur := a
-	for _, next := range f.m.Route(a, b) {
-		f.traffic[[2]topo.SocketID{cur, next}] += uint64(dwords)
-		cur = next
+	for a != b {
+		next := f.m.NextHop(a, b)
+		f.traffic[[2]topo.SocketID{a, next}] += uint64(dwords)
+		a = next
 	}
 }
 
@@ -222,11 +222,8 @@ func (f *Fabric) Charge(a, b topo.SocketID, dwords int) {
 func (f *Fabric) ChargeBroadcast(a topo.SocketID, dwords int) {
 	seen := map[[2]topo.SocketID]bool{}
 	for s := 0; s < f.m.NSockets; s++ {
-		if topo.SocketID(s) == a {
-			continue
-		}
-		cur := a
-		for _, next := range f.m.Route(a, topo.SocketID(s)) {
+		for cur, dst := a, topo.SocketID(s); cur != dst; {
+			next := f.m.NextHop(cur, dst)
 			k := [2]topo.SocketID{cur, next}
 			if !seen[k] {
 				seen[k] = true

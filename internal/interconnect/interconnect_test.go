@@ -55,6 +55,49 @@ func TestChargeBroadcastChargesEachLinkOnce(t *testing.T) {
 	}
 }
 
+// TestChargeWalksRoute charges every ordered socket pair, and a broadcast
+// from every socket, and requires each link to carry what summing over
+// Route gives: the in-place walk charges the same links as the route slice.
+func TestChargeWalksRoute(t *testing.T) {
+	for _, m := range []*topo.Machine{topo.AMD8x4(), topo.Mesh(8)} {
+		t.Run(m.Name, func(t *testing.T) {
+			f := New(m)
+			want := map[[2]topo.SocketID]uint64{}
+			n := topo.SocketID(m.NSockets)
+			for a := topo.SocketID(0); a < n; a++ {
+				tree := map[[2]topo.SocketID]bool{}
+				for b := topo.SocketID(0); b < n; b++ {
+					f.Charge(a, b, 3)
+					cur := a
+					for _, next := range m.Route(a, b) {
+						want[[2]topo.SocketID{cur, next}] += 3
+						tree[[2]topo.SocketID{cur, next}] = true
+						cur = next
+					}
+				}
+				f.ChargeBroadcast(a, 5)
+				for k := range tree {
+					want[k] += 5
+				}
+			}
+			var total uint64
+			for k, v := range want {
+				if got := f.LinkDwords(k[0], k[1]); got != v {
+					t.Errorf("link %d->%d = %d dwords, want %d", k[0], k[1], got, v)
+				}
+				total += v
+			}
+			if got := f.TotalDwords(); got != total {
+				t.Errorf("total = %d dwords, want %d (charge off the routes)", got, total)
+			}
+			last := n - 1
+			if allocs := testing.AllocsPerRun(100, func() { f.Charge(0, last, 1) }); allocs != 0 {
+				t.Errorf("Charge allocates %.1f times per call, want 0", allocs)
+			}
+		})
+	}
+}
+
 func TestPathDwords(t *testing.T) {
 	f := New(topo.AMD2x2())
 	f.Charge(0, 1, 7)

@@ -306,14 +306,18 @@ func (m *Machine) MaxHops() int {
 	return max
 }
 
+// NextHop returns the socket after a on the shortest path from a to b
+// (a != b). Walking it until b is reached visits Route(a, b) without
+// allocating.
+func (m *Machine) NextHop(a, b SocketID) SocketID { return m.next[a][b] }
+
 // Route returns the socket sequence of a shortest path from a to b,
 // excluding a itself. It is empty when a == b.
 func (m *Machine) Route(a, b SocketID) []SocketID {
 	var out []SocketID
 	for a != b {
-		n := m.next[a][b]
-		out = append(out, n)
-		a = n
+		a = m.NextHop(a, b)
+		out = append(out, a)
 	}
 	return out
 }
