@@ -33,8 +33,10 @@ func (r *moesiRig) on(c topo.CoreID, fn func(p *sim.Proc)) {
 	r.e.Run()
 }
 
-func (r *moesiRig) load(c topo.CoreID)  { r.on(c, func(p *sim.Proc) { r.sys.Load(p, c, moesiAddr) }) }
-func (r *moesiRig) store(c topo.CoreID) { r.on(c, func(p *sim.Proc) { r.sys.Store(p, c, moesiAddr, 1) }) }
+func (r *moesiRig) load(c topo.CoreID) { r.on(c, func(p *sim.Proc) { r.sys.Load(p, c, moesiAddr) }) }
+func (r *moesiRig) store(c topo.CoreID) {
+	r.on(c, func(p *sim.Proc) { r.sys.Store(p, c, moesiAddr, 1) })
+}
 func (r *moesiRig) flush(c topo.CoreID) { r.on(c, func(p *sim.Proc) { r.sys.Flush(p, c, moesiAddr) }) }
 
 // enter drives the line into the named state on core 0.

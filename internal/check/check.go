@@ -43,9 +43,9 @@ func (v Violation) String() string { return v.Checker + ": " + v.Msg }
 type RunConfig struct {
 	Workload  string
 	Seed      uint64
-	Depth     int           // max perturbations in generative mode; 0 = unperturbed
-	MaxJitter sim.Time      // jitter bound; 0 = default (128 cycles)
-	Faults    bool          // arm a seeded fault schedule
+	Depth     int             // max perturbations in generative mode; 0 = unperturbed
+	MaxJitter sim.Time        // jitter bound; 0 = default (128 cycles)
+	Faults    bool            // arm a seeded fault schedule
 	Directory bool            // run under directory coherence instead of broadcast
 	Script    []Perturbation  // non-nil: replay exactly this script instead of generating
 	Mutate    urpc.Mutation   // plant a known transport defect (checker self-tests)

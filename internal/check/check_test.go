@@ -56,7 +56,7 @@ func TestReplayReproducesGenerativeRun(t *testing.T) {
 // installed and a run replaying the empty script are byte-identical.
 func TestEmptyReplayIsByteIdentical(t *testing.T) {
 	for _, name := range WorkloadNames() {
-		bare := RunOne(RunConfig{Workload: name, Seed: 5})                          // no hook installed
+		bare := RunOne(RunConfig{Workload: name, Seed: 5})                            // no hook installed
 		empty := RunOne(RunConfig{Workload: name, Seed: 5, Script: []Perturbation{}}) // hook installed, no-op
 		if bare.TraceHash != empty.TraceHash || bare.Events != empty.Events {
 			t.Errorf("%s: empty-script replay diverged from hook-free run (%d/%#x vs %d/%#x)",

@@ -209,7 +209,7 @@ func (pl *Plane) Start() {
 func (pl *Plane) newNode(c topo.CoreID, parent *node) *node {
 	n := &node{
 		pl: pl, core: c, parent: parent,
-		jitter:    sim.NewRNG(pl.cfg.Seed ^ (uint64(c)+0x9e37)).Time(pl.cfg.Jitter + 1),
+		jitter:    sim.NewRNG(pl.cfg.Seed ^ (uint64(c) + 0x9e37)).Time(pl.cfg.Jitter + 1),
 		win:       make(map[uint64]map[uint32]int64),
 		childDone: make(map[topo.CoreID]uint64),
 		cursor: pl.eng.Metrics().NewCursor(func(name string) bool {
