@@ -9,7 +9,7 @@
 // Accumulation convention: a Registry and its counters are engine-confined
 // state, exactly like the simulation models that update them. The engine
 // guarantees at most one proc (or engine callback) runs at a time with a
-// happens-before edge at every baton handoff, so counters use plain
+// happens-before edge at every coroutine switch, so counters use plain
 // non-atomic increments — race-free under -race, and free of hot-path atomic
 // traffic. The only cross-goroutine boundary is the global capture
 // collector, which engines call once at Close and which takes a lock.
