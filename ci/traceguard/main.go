@@ -11,9 +11,11 @@
 //
 //   - ceiling: a deterministic simulated metric (keys with a ":unit" suffix
 //     in the baseline), the same on every run and every machine: the URPC
-//     transport's cycles per message and per bulk line, and the scaled
-//     coherence modes' event counts on the 256-core mesh. Any increase
-//     fails; a decrease prints FAST, a reminder to refresh the baseline.
+//     transport's cycles per message and per bulk line, the scaled
+//     coherence modes' event counts on the 256-core mesh, and the events
+//     and cache hits of idle monitor polling on the 8x4 machine. Any
+//     increase fails; a decrease prints FAST, a reminder to refresh the
+//     baseline.
 //
 //   - equal: a ceiling whose selected sub-benchmarks must also report the
 //     same value per unit. The parallel engine's pinned workload and the
@@ -69,6 +71,7 @@ var contracts = []contract{
 	{"./internal/sim/", "ParallelEnginePinned", equal},
 	{"./internal/expt/", "BootParallelPinned", equal},
 	{"./internal/expt/", "DirectoryPinned", ceiling},
+	{"./internal/expt/", "MonitorIdlePinned", ceiling},
 	{"./internal/obs/", "ObsPinned/(base|disabled)", equal},
 	{"./internal/obs/", "ObsPinned/sampling", ceiling},
 }
@@ -207,7 +210,8 @@ func measure(c contract, count int, benchtime string) (map[string]float64, error
 					continue
 				}
 				key = name
-			} else if !strings.HasPrefix(unit, "simcycles/") && !strings.HasPrefix(unit, "simevents/") {
+			} else if !strings.HasPrefix(unit, "simcycles/") && !strings.HasPrefix(unit, "simevents/") &&
+				!strings.HasPrefix(unit, "simhits/") {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i-1], 64)

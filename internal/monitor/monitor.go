@@ -175,10 +175,12 @@ type Monitor struct {
 
 	in    map[topo.CoreID]*urpc.Channel
 	out   map[topo.CoreID]*urpc.Channel
-	peers []topo.CoreID // deterministic poll order
+	peers []topo.CoreID   // deterministic poll order
+	rings []*urpc.Channel // in[peers[i]], in poll order
 
 	local    *sim.Queue[*localReq]
 	proc     *sim.Proc
+	pass     pass // the dispatch loop's position in its current pass
 	parked   bool
 	notified bool   // a wake found the loop running; cleared every pass
 	down     bool   // core powered off (§3.3 hotplug)
@@ -269,8 +271,9 @@ func NewNetwork(e *sim.Engine, sys *cache.System, kern *kernel.System, kb *skb.K
 		// queue every dispatch pass, so it must be visibly deterministic
 		// rather than map-iteration order laundered through a sort.
 		for c := 0; c < m.NumCores(); c++ {
-			if _, ok := mon.in[topo.CoreID(c)]; ok {
+			if ch, ok := mon.in[topo.CoreID(c)]; ok {
 				mon.peers = append(mon.peers, topo.CoreID(c))
+				mon.rings = append(mon.rings, ch)
 			}
 		}
 		if !sys.LocalCore(mon.Core) {
@@ -365,12 +368,100 @@ func (m *Monitor) sendMany(p *sim.Proc, msgs []batchMsg) {
 	}
 }
 
+// pass is the dispatch loop's state between the steps of a pass. A pass
+// checks the local request queue, then every incoming ring in peer order,
+// runs the failure detector when fault tolerance is armed, and charges
+// loopCost; an idle pass then sleeps idleSleep, or parks once the monitor
+// has been idle long enough. The steps run as sim.Proc.Idle steps, so an
+// empty pass never resumes the monitor's coroutine; at names the point
+// where the proc is needed, or where the next step continues.
+type pass struct {
+	at       passPoint
+	idle     int  // consecutive passes that did no work
+	progress bool // this pass did work
+	peer     int  // index in peers of the ring being checked
+	check    urpc.Check
+}
+
+type passPoint uint8
+
+const (
+	passStart     passPoint = iota // the next step begins a pass
+	passOp                         // proc: start the request at the queue's head
+	passRing                       // checking peers[peer]; proc: drain it
+	passDeadlines                  // proc: run the failure detector
+	passLoop                       // the next step charges loopCost
+	passEnd                        // the next step ends the pass
+	passPark                       // proc: park until notified
+)
+
+// step runs the current pass up to its next sleep, or to a point that needs
+// the proc. Its side effects are the loop's own at the same instants: the
+// notified flag cleared at pass start, and each ring check's charges.
+func (m *Monitor) step() (sim.Time, bool) {
+	s := &m.pass
+	for {
+		switch s.at {
+		case passStart:
+			s.progress = false
+			m.notified = false
+			if m.local.Len() > 0 {
+				s.at = passOp
+				return 0, true
+			}
+			s.at, s.peer = passRing, 0
+		case passRing:
+			if s.peer == len(m.peers) {
+				s.at = passDeadlines
+				continue
+			}
+			d, done, work := m.rings[s.peer].CheckStep(&s.check)
+			if !done {
+				return d, false
+			}
+			if work {
+				return 0, true
+			}
+			s.peer++
+		case passDeadlines:
+			if m.net.OpTimeout > 0 {
+				return 0, true
+			}
+			s.at = passLoop
+		case passLoop:
+			s.at = passEnd
+			return loopCost, false
+		case passEnd:
+			s.at = passStart
+			if s.progress {
+				s.idle = 0
+				continue
+			}
+			s.idle++
+			// With fault tolerance armed, a monitor with outstanding
+			// protocol state must keep polling: its deadlines are its
+			// failure detector, and a blocked monitor would only wake on a
+			// message that a dead peer will never send.
+			if s.idle < idleToBlock || (m.net.OpTimeout > 0 && len(m.ops)+len(m.fwd) > 0) {
+				return idleSleep, false
+			}
+			if m.notified {
+				// A wake arrived during this pass, possibly for a ring the
+				// pass had already polled: poll again instead of parking
+				// past it.
+				continue
+			}
+			s.at = passPark
+			return 0, true
+		}
+	}
+}
+
 // run is the monitor dispatch loop: poll local requests and every incoming
 // channel; block after a sustained idle period and wait for notification.
+// The polling runs as steps (see pass); the proc does only what can block.
 func (m *Monitor) run(p *sim.Proc) {
 	p.SetDaemon(true)
-	costs := &m.net.Sys.Machine().Costs
-	idle := 0
 	var burst [recvBurst]urpc.Message
 	if m.parked {
 		// Restored from a checkpoint taken while blocked: this first resume
@@ -378,72 +469,62 @@ func (m *Monitor) run(p *sim.Proc) {
 		// the post-Park path below — that equivalence is what makes a
 		// restored run byte-identical to an uninterrupted one.
 		m.parked = false
-		p.Sleep(costs.Trap + costs.CSwitch)
-		for m.down && len(m.fwd) == 0 && len(m.ops) == 0 {
-			p.Sleep(coreDownParkCost)
-			m.parked = true
-			p.Park()
-			m.parked = false
-		}
+		m.wakeUp(p)
 	}
+	s := &m.pass
+	*s = pass{}
+	step := m.step
 	for {
-		progress := false
-		m.notified = false
-		if req, ok := m.local.TryPop(); ok {
+		p.Idle(step)
+		switch s.at {
+		case passOp:
+			req, _ := m.local.TryPop()
 			m.startOp(p, req)
-			progress = true
-		}
-		for _, src := range m.peers {
+			s.progress = true
+			s.at, s.peer = passRing, 0
+		case passRing:
 			// Burst dequeue: one check charge drains up to recvBurst queued
-			// messages from this peer. The burst is capped so one chatty peer
-			// cannot starve the others in a single pass.
-			n := m.in[src].Recv(p, burst[:], urpc.Poll)
+			// messages from this peer. The burst is capped so one chatty
+			// peer cannot starve the others in a single pass.
+			src := m.peers[s.peer]
+			n := m.rings[s.peer].Drain(p, burst[:], &s.check)
 			for i := 0; i < n; i++ {
 				m.dispatch(p, src, burst[i])
 			}
 			if n > 0 {
-				progress = true
+				s.progress = true
 			}
-		}
-		if m.net.OpTimeout > 0 && m.checkDeadlines(p) {
-			progress = true
-		}
-		p.Sleep(loopCost)
-		if progress {
-			idle = 0
-			continue
-		}
-		idle++
-		// With fault tolerance armed, a monitor with outstanding protocol
-		// state must keep polling: its deadlines are its failure detector,
-		// and a blocked monitor would only wake on a message that a dead
-		// peer will never send.
-		if idle < idleToBlock || (m.net.OpTimeout > 0 && len(m.ops)+len(m.fwd) > 0) {
-			p.Sleep(idleSleep)
-			continue
-		}
-		if m.notified {
-			// A wake arrived during this pass, possibly for a ring the pass
-			// had already polled: poll again instead of parking past it.
-			continue
-		}
-		m.parked = true
-		p.Park()
-		m.parked = false
-		idle = 0
-		// Being re-dispatched after an interrupt-driven wakeup.
-		p.Sleep(costs.Trap + costs.CSwitch)
-		for m.down && len(m.fwd) == 0 && len(m.ops) == 0 {
-			// Powered off: sleep until the PowerOn IPI (§3.3). A monitor
-			// that is still the aggregation root of an in-flight operation
-			// (or initiated one) drains that duty first — the membership
-			// change that took it offline may have raced with a protocol
-			// round that still counts on its responses.
-			p.Sleep(coreDownParkCost)
+			s.peer++
+		case passDeadlines:
+			if m.checkDeadlines(p) {
+				s.progress = true
+			}
+			s.at = passLoop
+		case passPark:
 			m.parked = true
 			p.Park()
 			m.parked = false
+			s.idle = 0
+			m.wakeUp(p)
+			s.at = passStart
 		}
+	}
+}
+
+// wakeUp charges the path back from a park: the monitor is re-dispatched
+// after an interrupt-driven wakeup. A powered-off monitor then sleeps until
+// the PowerOn IPI (§3.3), unless it is still the aggregation root of an
+// in-flight operation (or initiated one): it drains that duty first, since
+// the membership change that took it offline may have raced with a
+// protocol round that still counts on its responses.
+func (m *Monitor) wakeUp(p *sim.Proc) {
+	costs := &m.net.Sys.Machine().Costs
+	p.Sleep(costs.Trap + costs.CSwitch)
+	for m.down && len(m.fwd) == 0 && len(m.ops) == 0 {
+		p.Sleep(coreDownParkCost)
+		m.parked = true
+		p.Park()
+		m.parked = false
 	}
 }
 

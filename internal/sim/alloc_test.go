@@ -124,3 +124,30 @@ func TestSwitchAllocs(t *testing.T) {
 		t.Errorf("cross-proc hand-off: %.1f allocs per 20 switches, want 0", avg)
 	}
 }
+
+// TestIdleStepAllocs pins the zero-allocation contract of an idle step run
+// inline: a poller whose every poll is empty, interleaved with a ticker so
+// its wakeups go through the heap, costs no allocation per step.
+func TestIdleStepAllocs(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Close()
+	polls := 0
+	step := func() (Time, bool) {
+		polls++
+		return 3, false
+	}
+	e.Spawn("poller", func(p *Proc) { p.Idle(step) })
+	e.Spawn("ticker", func(p *Proc) {
+		for {
+			p.Sleep(2)
+		}
+	})
+	e.RunUntil(100)
+	before := polls
+	if avg := testing.AllocsPerRun(20, func() { e.RunUntil(e.Now() + 30) }); avg != 0 {
+		t.Errorf("inline idle step: %.1f allocs per 10 steps, want 0", avg)
+	}
+	if polls-before < 200 {
+		t.Fatalf("poller stepped %d times in 21 windows, want at least 200", polls-before)
+	}
+}

@@ -97,6 +97,11 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		if p.killed {
 			return fmt.Errorf("sim: checkpoint with proc %q mid-kill", p.name)
 		}
+		if p.idle != nil {
+			// The idle loop's state lives in Go memory, like an After
+			// closure's, so its wakeup is not a plain proc wakeup.
+			return fmt.Errorf("sim: checkpoint with proc %q in an idle step (not quiescent)", p.name)
+		}
 		if names[p.name] {
 			return fmt.Errorf("sim: checkpoint requires unique proc names; %q is duplicated", p.name)
 		}
@@ -217,28 +222,35 @@ func Restore(r io.Reader, build func(e *Engine)) (*Engine, error) {
 	if err := ckpt.ReadU64(r, &nprocs); err != nil {
 		return nil, err
 	}
-	procs := make([]procImage, nprocs)
-	for i := range procs {
+	// The tables grow as their records arrive rather than being sized from
+	// the header's counts, so a corrupt count fails at the end of the image
+	// instead of allocating whatever the count says.
+	var procs []procImage
+	for range nprocs {
+		var img procImage
 		var err error
-		if err = ckpt.ReadU64(r, &procs[i].id); err == nil {
-			if procs[i].name, err = ckpt.ReadString(r); err == nil {
-				err = ckpt.ReadU64(r, &procs[i].flags, &procs[i].parkSeq)
+		if err = ckpt.ReadU64(r, &img.id); err == nil {
+			if img.name, err = ckpt.ReadString(r); err == nil {
+				err = ckpt.ReadU64(r, &img.flags, &img.parkSeq)
 			}
 		}
 		if err != nil {
 			return nil, err
 		}
+		procs = append(procs, img)
 	}
 	type evImage struct{ at, pri, seq, procID uint64 }
 	var nevs uint64
 	if err := ckpt.ReadU64(r, &nevs); err != nil {
 		return nil, err
 	}
-	evs := make([]evImage, nevs)
-	for i := range evs {
-		if err := ckpt.ReadU64(r, &evs[i].at, &evs[i].pri, &evs[i].seq, &evs[i].procID); err != nil {
+	var evs []evImage
+	for range nevs {
+		var img evImage
+		if err := ckpt.ReadU64(r, &img.at, &img.pri, &img.seq, &img.procID); err != nil {
 			return nil, err
 		}
+		evs = append(evs, img)
 	}
 	var ncomp uint64
 	if err := ckpt.ReadU64(r, &ncomp); err != nil {
@@ -248,8 +260,8 @@ func Restore(r io.Reader, build func(e *Engine)) (*Engine, error) {
 		name string
 		blob []byte
 	}
-	comps := make([]compImage, ncomp)
-	for i := range comps {
+	var comps []compImage
+	for range ncomp {
 		name, err := ckpt.ReadString(r)
 		if err != nil {
 			return nil, err
@@ -258,7 +270,7 @@ func Restore(r io.Reader, build func(e *Engine)) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		comps[i] = compImage{name, blob}
+		comps = append(comps, compImage{name, blob})
 	}
 	if err := ckpt.ExpectMagic(r, ckptTrailer); err != nil {
 		return nil, err

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"strings"
 	"testing"
 
 	"multikernel/internal/ckpt"
@@ -211,6 +213,31 @@ func TestCheckpointRejectsPendingParkTimeout(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsPendingIdleStep: a proc inside Idle keeps its loop
+// state in Go memory, so its pending wakeup is not a plain proc wakeup and
+// the engine is not quiescent until the loop has resumed the proc.
+func TestCheckpointRejectsPendingIdleStep(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Close()
+	polls := 0
+	e.Spawn("poller", func(p *Proc) {
+		p.SetDaemon(true)
+		p.Idle(func() (Time, bool) {
+			polls++
+			return 10, polls == 5
+		})
+		p.Park()
+	})
+	e.RunUntil(25) // the wakeup at 30 went through the heap: a step is pending
+	if err := e.Checkpoint(io.Discard); err == nil || !strings.Contains(err.Error(), "idle step") {
+		t.Fatalf("checkpoint with a pending idle step: err = %v, want an idle-step error", err)
+	}
+	e.Run()
+	if err := e.Checkpoint(io.Discard); err != nil {
+		t.Fatalf("checkpoint after the idle loop resumed and parked: %v", err)
+	}
+}
+
 func TestCheckpointRejectsDuplicateProcNames(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Close()
@@ -246,6 +273,26 @@ func TestRestoreRejectsBuilderMismatch(t *testing.T) {
 		e.Spawn("p", func(p *Proc) { p.Park() })
 	}); err == nil {
 		t.Error("restore of a truncated image did not error")
+	}
+}
+
+// TestRestoreRejectsCorruptCounts: Restore grows its tables as records
+// arrive, so a corrupt proc, event or component count in a short image
+// ends in an error. Sized from the header, 2^33 procs ran out of memory and
+// 2^62 panicked in makeslice.
+func TestRestoreRejectsCorruptCounts(t *testing.T) {
+	header := append([]byte(ckptMagic), make([]byte, 7*8)...)
+	for _, n := range []uint64{1 << 33, 1 << 62} {
+		for i, field := range []string{"procs", "events", "components"} {
+			img := header
+			for range i {
+				img = binary.LittleEndian.AppendUint64(img, 0) // an empty table
+			}
+			img = binary.LittleEndian.AppendUint64(img, n)
+			if _, err := Restore(bytes.NewReader(img), func(*Engine) {}); err == nil {
+				t.Errorf("%d-byte image with %d %s restored without error", len(img), n, field)
+			}
+		}
 	}
 }
 
