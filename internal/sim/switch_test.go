@@ -197,25 +197,70 @@ func TestInPlaceWakeupMatchesHeapPath(t *testing.T) {
 
 func explode() { panic("boom") }
 
+// pollUntil is an idle step that polls every 10 cycles and explodes at t=50.
+func pollUntil(p *Proc) func() (Time, bool) {
+	return func() (Time, bool) {
+		if p.Now() >= 50 {
+			explode()
+		}
+		return 10, false
+	}
+}
+
 // TestProcPanicReachesRunCaller: a panic in simulated code surfaces from
 // Run, where the caller can recover it, and names the proc, the virtual
-// time, the value and the panicking function.
+// time, the value and the panicking function. An idle step that panics
+// names its own proc, whichever context dispatch ran it in.
 func TestProcPanicReachesRunCaller(t *testing.T) {
-	e := NewEngine(1)
-	e.Spawn("crasher", func(p *Proc) {
-		p.Sleep(5)
-		explode()
-	})
-	e.Spawn("bystander", func(p *Proc) { p.Sleep(100) })
-	msg := func() (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		e.Run()
-		return "Run returned"
-	}()
-	for _, want := range []string{`proc "crasher"`, "t=5", "boom", "sim.explode"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("recovered panic lacks %q:\n%s", want, msg)
-		}
+	for _, tc := range []struct {
+		name  string
+		proc  string
+		at    string
+		build func(e *Engine) // spawns the procs and runs up to the last Run
+	}{
+		{name: "proc code", proc: "crasher", at: "t=5", build: func(e *Engine) {
+			e.Spawn("crasher", func(p *Proc) {
+				p.Sleep(5)
+				explode()
+			})
+			e.Spawn("bystander", func(p *Proc) { p.Sleep(100) })
+		}},
+		{name: "step in its own proc", proc: "poller", at: "t=50", build: func(e *Engine) {
+			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p)) })
+		}},
+		{name: "step inline in a yielding proc", proc: "poller", at: "t=50", build: func(e *Engine) {
+			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p)) })
+			e.Spawn("other", func(p *Proc) {
+				p.Sleep(45)
+				p.Sleep(10) // dispatches the poller's t=50 step
+			})
+		}},
+		{name: "step inline in an exiting proc", proc: "poller", at: "t=50", build: func(e *Engine) {
+			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p)) })
+			e.Spawn("other", func(p *Proc) { p.Sleep(45) })
+		}},
+		{name: "step inline in the Run caller", proc: "poller", at: "t=50", build: func(e *Engine) {
+			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p)) })
+			e.RunUntil(45) // the t=50 step is queued when Run starts
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			tc.build(e)
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				e.Run()
+				return "Run returned"
+			}()
+			for _, want := range []string{fmt.Sprintf("proc %q", tc.proc), tc.at, "boom", "sim.explode"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("recovered panic lacks %q:\n%s", want, msg)
+				}
+			}
+			if strings.Count(msg, "panicked") != 1 {
+				t.Errorf("panic named more than once:\n%s", msg)
+			}
+			e.Close()
+		})
 	}
-	e.Close()
 }
