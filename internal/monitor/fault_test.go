@@ -17,14 +17,6 @@ const faultTimeout = 100_000
 func newFaultFixture(t *testing.T, m *topo.Machine) *fixture {
 	t.Helper()
 	f := newFixtureQuick(m)
-	f.net.Hooks = Hooks{
-		Invalidate: func(p *sim.Proc, core topo.CoreID, op Op) { f.invalidated[core]++ },
-		Prepare: func(p *sim.Proc, core topo.CoreID, op Op) bool {
-			f.prepared[core]++
-			return !f.vetoCores[core]
-		},
-		Apply: func(p *sim.Proc, core topo.CoreID, op Op) { f.applied[core]++ },
-	}
 	f.net.EnableFaultTolerance(faultTimeout)
 	t.Cleanup(f.e.Close)
 	return f

@@ -5,7 +5,6 @@ import (
 
 	"multikernel/internal/cache"
 	"multikernel/internal/caps"
-	"multikernel/internal/interconnect"
 	"multikernel/internal/kernel"
 	"multikernel/internal/memory"
 	"multikernel/internal/sim"
@@ -29,27 +28,7 @@ type fixture struct {
 
 func newFixture(t *testing.T, m *topo.Machine) *fixture {
 	t.Helper()
-	f := &fixture{
-		e:           sim.NewEngine(1),
-		m:           m,
-		invalidated: make(map[topo.CoreID]int),
-		prepared:    make(map[topo.CoreID]int),
-		applied:     make(map[topo.CoreID]int),
-		vetoCores:   make(map[topo.CoreID]bool),
-	}
-	f.sys = cache.New(f.e, m, memory.New(m), interconnect.New(m))
-	f.kern = kernel.NewSystem(f.e, m)
-	f.kb = skb.New(m)
-	f.kb.Discover()
-	f.kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
-	f.net = NewNetwork(f.e, f.sys, f.kern, f.kb, Hooks{
-		Invalidate: func(p *sim.Proc, core topo.CoreID, op Op) { f.invalidated[core]++ },
-		Prepare: func(p *sim.Proc, core topo.CoreID, op Op) bool {
-			f.prepared[core]++
-			return !f.vetoCores[core]
-		},
-		Apply: func(p *sim.Proc, core topo.CoreID, op Op) { f.applied[core]++ },
-	})
+	f := newFixtureQuick(m)
 	t.Cleanup(f.e.Close)
 	// Fault-free runs must never exercise the deadline machinery: no URPC
 	// timeout or backed-off retry anywhere in the engine's registry.

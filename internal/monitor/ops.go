@@ -1,7 +1,9 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"multikernel/internal/caps"
 	"multikernel/internal/memory"
@@ -52,11 +54,7 @@ func (m *Monitor) opBegin(p *sim.Proc, op Op) sim.Time {
 // operation's end-to-end latency into the registry histogram.
 func (m *Monitor) opEnd(p *sim.Proc, op Op, started sim.Time, ok bool) {
 	m.net.opHist.Observe(uint64(p.Now() - started))
-	var arg uint64
-	if ok {
-		arg = 1
-	}
-	m.net.Eng.Tracer().Emit(uint64(p.Now()), trace.AsyncEnd, trace.SubMonitor, int32(m.Core), opName(op.Kind), op.ID, arg)
+	m.net.Eng.Tracer().Emit(uint64(p.Now()), trace.AsyncEnd, trace.SubMonitor, int32(m.Core), opName(op.Kind), op.ID, b2u(ok))
 }
 
 // fwdID is the span id of this aggregation node's forwarding of op.
@@ -69,13 +67,19 @@ func (m *Monitor) fwdBegin(p *sim.Proc, op Op) {
 	m.net.Eng.Tracer().Emit(uint64(p.Now()), trace.AsyncBegin, trace.SubMonitor, int32(m.Core), "monitor.fwd", m.fwdID(op), 0)
 }
 
-// fwdEnd closes it (arg 1 = all children answered yes).
+// fwdEnd closes it. Only a prepare aggregation carries a vote (arg 1 = it
+// and all its children voted yes); shootdown and decision aggregation spans
+// close with arg 0.
 func (m *Monitor) fwdEnd(p *sim.Proc, op Op, allYes bool) {
-	var arg uint64
-	if allYes {
-		arg = 1
+	m.net.Eng.Tracer().Emit(uint64(p.Now()), trace.AsyncEnd, trace.SubMonitor, int32(m.Core), "monitor.fwd", m.fwdID(op), b2u(allYes))
+}
+
+// b2u encodes a flag as a wire or trace word.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	m.net.Eng.Tracer().Emit(uint64(p.Now()), trace.AsyncEnd, trace.SubMonitor, int32(m.Core), "monitor.fwd", m.fwdID(op), arg)
+	return 0
 }
 
 // aux-word layout for dissemination messages: low 16 bits carry the child
@@ -122,15 +126,15 @@ func (m *Monitor) relMask(children []topo.CoreID) uint64 {
 	return mask
 }
 
-// expandMask converts a relative child mask back to core IDs on core c's
-// socket.
-func (m *Monitor) expandMask(mask uint64) []topo.CoreID {
+// childPlans expands a relative child mask into the sends an aggregation
+// node owes those cores of its own socket.
+func (m *Monitor) childPlans(mask uint64) []sendPlan {
 	mach := m.net.Sys.Machine()
 	base := int(mach.Socket(m.Core)) * mach.CoresPerSocket
-	var out []topo.CoreID
+	var out []sendPlan
 	for i := 0; i < mach.CoresPerSocket; i++ {
 		if mask&(1<<uint(i)) != 0 {
-			out = append(out, topo.CoreID(base+i))
+			out = append(out, sendPlan{to: topo.CoreID(base + i)})
 		}
 	}
 	return out
@@ -171,7 +175,7 @@ func (m *Monitor) plan(protocol Protocol, targets []topo.CoreID) []sendPlan {
 		groups := append([]skb.Group(nil), tree.Groups...)
 		if protocol == Multicast {
 			// Plain multicast ignores latency ordering: ascending socket.
-			sortGroupsByAgg(groups)
+			slices.SortStableFunc(groups, func(a, b skb.Group) int { return cmp.Compare(a.Agg, b.Agg) })
 		}
 		var out []sendPlan
 		for _, g := range groups {
@@ -227,7 +231,7 @@ func (m *Monitor) hierPlan(protocol Protocol, targets []topo.CoreID, leaf bool) 
 	tree := m.net.KB.HierMulticastTree(m.Core, targets, hierFanout)
 	regions := append([]skb.Region(nil), tree.Regions...)
 	if protocol == Multicast {
-		sortRegionsByAgg(regions)
+		slices.SortStableFunc(regions, func(a, b skb.Region) int { return cmp.Compare(a.Agg, b.Agg) })
 	}
 	var out []sendPlan
 	for _, r := range regions {
@@ -281,22 +285,6 @@ func (m *Monitor) relayPlans(aux uint64) []sendPlan {
 	return out
 }
 
-func sortGroupsByAgg(gs []skb.Group) {
-	for i := 1; i < len(gs); i++ {
-		for j := i; j > 0 && gs[j].Agg < gs[j-1].Agg; j-- {
-			gs[j], gs[j-1] = gs[j-1], gs[j]
-		}
-	}
-}
-
-func sortRegionsByAgg(rs []skb.Region) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Agg < rs[j-1].Agg; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
 // nextOpID mints a network-unique operation ID.
 func (m *Monitor) nextOpID() uint64 {
 	m.seq++
@@ -304,81 +292,93 @@ func (m *Monitor) nextOpID() uint64 {
 }
 
 // ---------------------------------------------------------------------------
-// Initiation
+// Initiation and completion
 
-// startOp begins executing a local request inside the monitor loop.
+// startOp begins executing a local request inside the monitor loop. The
+// initiator does its own part of the first phase, then disseminates the
+// phase to its plan; with nothing to send, the operation is already done.
 func (m *Monitor) startOp(p *sim.Proc, req *localReq) {
 	m.stats.Initiated++
 	op := req.op
-	started := m.opBegin(p, op)
+	st := &opState{req: req, started: m.opBegin(p, op), phase: 1, allYes: true}
 	switch op.Kind {
-	case OpUnmap, OpCoreDown, OpCoreUp:
-		m.startShootdown(p, req, started)
-	case OpRetype, OpRevoke:
-		m.start2PC(p, req, started)
 	case OpNone:
 		// Ping or capability transfer: single round trip to the target.
-		m.ops[op.ID] = &opState{req: req, started: started, pending: corePending(req.targets[:1]), deadline: m.opDeadline(p, 0)}
-		if req.isCap {
-			m.send(p, req.targets[0], wire(MsgCapSend, op, req.capRights))
-		} else {
-			m.send(p, req.targets[0], wire(MsgPing, op, 0))
+		st.plan = []sendPlan{{to: req.targets[0]}}
+	case OpRetype, OpRevoke:
+		if !m.tryLock(op) || !m.prepareLocal(p, op) {
+			m.finish(p, st, false)
+			return
 		}
+		st.plan = m.plan(req.protocol, req.targets)
+	case OpUnmap, OpCoreDown, OpCoreUp:
+		// Plan from the pre-operation view (a membership change must still
+		// reach the core it removes), then apply locally (§5.1: the origin
+		// participates too).
+		st.plan = m.plan(req.protocol, req.targets)
+		m.invalidateLocal(p, op)
 	default:
 		panic(fmt.Sprintf("monitor%d: bad op kind %d", m.Core, op.Kind))
 	}
-}
-
-func (m *Monitor) startShootdown(p *sim.Proc, req *localReq, started sim.Time) {
-	// Plan from the pre-operation view (a membership change must still reach
-	// the core it removes), then apply locally (§5.1: the origin
-	// participates too).
-	plan := m.plan(req.protocol, req.targets)
-	m.invalidateLocal(p, req.op)
-	if len(plan) == 0 {
-		m.stats.Commits++
-		m.opEnd(p, req.op, started, true)
-		req.fut.Complete(true)
+	if len(st.plan) == 0 {
+		m.finish(p, st, true)
 		return
 	}
-	m.ops[req.op.ID] = &opState{req: req, started: started, plan: plan, pending: planPending(plan), phase: 1, deadline: m.opDeadline(p, 0)}
-	msgs := make([]batchMsg, 0, len(plan))
-	for _, s := range plan {
-		msgs = append(msgs, batchMsg{to: s.to, msg: wire(MsgShootdown, req.op, s.mask)})
-	}
-	m.sendMany(p, msgs)
-}
-
-func (m *Monitor) start2PC(p *sim.Proc, req *localReq, started sim.Time) {
-	op := req.op
-	if !m.tryLock(op) || !m.prepareLocal(p, op) {
-		m.unlock(op.ID)
-		m.stats.Aborts++
-		m.opEnd(p, op, started, false)
-		req.fut.Complete(false)
-		return
-	}
-	plan := m.plan(req.protocol, req.targets)
-	if len(plan) == 0 {
-		m.applyLocal(p, op)
-		m.unlock(op.ID)
-		m.stats.Commits++
-		m.opEnd(p, op, started, true)
-		req.fut.Complete(true)
-		return
-	}
-	st := &opState{req: req, started: started, pending: planPending(plan), phase: 1, allYes: true, deadline: m.opDeadline(p, 0)}
-	st.plan = plan
 	m.ops[op.ID] = st
-	msgs := make([]batchMsg, 0, len(plan))
-	for _, s := range plan {
-		msgs = append(msgs, batchMsg{to: s.to, msg: wire(MsgPrepare, op, s.mask)})
+	m.disseminate(p, st)
+}
+
+// disseminate sends the current phase of an operation this monitor
+// initiated to every direct target of its plan, and arms the phase's
+// response set and deadline. It starts both protocols, sends the 2PC
+// decision, and re-sends a phase after recovery re-planned it.
+func (m *Monitor) disseminate(p *sim.Proc, st *opState) {
+	op := st.req.op
+	kind, aux := MsgShootdown, uint64(0)
+	switch {
+	case op.Kind == OpNone && st.req.isCap:
+		kind, aux = MsgCapSend, st.req.capRights
+	case op.Kind == OpNone:
+		kind = MsgPing
+	case st.phase == 2:
+		kind = MsgDecision
+		if st.decision {
+			aux = auxCommit
+		}
+	case op.Kind.twoPhase():
+		kind = MsgPrepare
 	}
-	m.sendMany(p, msgs)
+	st.pending = planPending(st.plan)
+	st.deadline = m.opDeadline(p, st.recoveries)
+	m.sendMany(p, st.plan, kind, op, aux)
+}
+
+// finish ends an operation this monitor initiated. A two-phase initiator
+// applies a commit locally and releases its range lock; then the outcome is
+// counted as a commit or an abort (a ping or capability transfer counts
+// neither), the operation's span closes and its future resolves.
+func (m *Monitor) finish(p *sim.Proc, st *opState, ok bool) {
+	op := st.req.op
+	if op.Kind.twoPhase() {
+		if ok {
+			m.applyLocal(p, op)
+		}
+		m.unlock(op.ID)
+	}
+	switch {
+	case op.Kind == OpNone:
+	case ok:
+		m.stats.Commits++
+	default:
+		m.stats.Aborts++
+	}
+	m.opEnd(p, op, st.started, ok)
+	st.req.fut.Complete(ok)
 }
 
 // ---------------------------------------------------------------------------
-// One-phase commit (shootdown)
+// Participation: one-phase commit (shootdown) and two-phase commit (retype /
+// revoke)
 
 func (m *Monitor) invalidateLocal(p *sim.Proc, op Op) {
 	if op.Kind == OpCoreDown || op.Kind == OpCoreUp {
@@ -390,38 +390,6 @@ func (m *Monitor) invalidateLocal(p *sim.Proc, op Op) {
 		m.net.Hooks.Invalidate(p, m.Core, op)
 	}
 }
-
-func (m *Monitor) handleShootdown(p *sim.Proc, src topo.CoreID, op Op, aux uint64, isFwd bool) {
-	m.invalidateLocal(p, op)
-	children := m.expandMask(aux & (auxCommit - 1))
-	var relays []sendPlan
-	if !isFwd {
-		relays = m.relayPlans(aux)
-	}
-	if len(children)+len(relays) > 0 && !isFwd {
-		pend := corePending(children)
-		for _, r := range relays {
-			pend[r.to] = true
-		}
-		m.fwd[op.ID] = &fwdState{parent: src, op: op, pending: pend, ackKind: MsgShootdownAck, deadline: m.fwdDeadline(p)}
-		m.fwdBegin(p, op)
-		msgs := make([]batchMsg, 0, len(children)+len(relays))
-		for _, c := range children {
-			msgs = append(msgs, batchMsg{to: c, msg: wire(MsgShootdownFwd, op, 0)})
-		}
-		// Relayed sockets get the unforwarded kind: their aggregation nodes
-		// build their own fwdState with this head as the parent.
-		for _, r := range relays {
-			msgs = append(msgs, batchMsg{to: r.to, msg: wire(MsgShootdown, op, r.mask)})
-		}
-		m.sendMany(p, msgs)
-		return
-	}
-	m.send(p, src, wire(MsgShootdownAck, op, 1))
-}
-
-// ---------------------------------------------------------------------------
-// Two-phase commit (retype / revoke)
 
 func (m *Monitor) prepareLocal(p *sim.Proc, op Op) bool {
 	if m.net.Hooks.Prepare != nil {
@@ -436,136 +404,95 @@ func (m *Monitor) applyLocal(p *sim.Proc, op Op) {
 	}
 }
 
-func (m *Monitor) handlePrepare(p *sim.Proc, src topo.CoreID, op Op, aux uint64, isFwd bool) {
-	ok := m.tryLock(op) && m.prepareLocal(p, op)
-	if !ok {
+// participate handles a shootdown, prepare or decision request. The core
+// first does its own part: invalidate; lock and prepare; or apply and
+// unlock. A request whose aux word names no children and no relay sockets
+// is then answered at once. Otherwise this core is an aggregation node: it
+// passes the same kind on to its socket-local children and to the relay
+// sockets' aggregation nodes, and answers once all of them have.
+func (m *Monitor) participate(p *sim.Proc, src topo.CoreID, kind MsgKind, op Op, aux uint64) {
+	yes := true
+	switch kind {
+	case MsgShootdown:
+		m.invalidateLocal(p, op)
+	case MsgPrepare:
+		if yes = m.tryLock(op) && m.prepareLocal(p, op); !yes {
+			m.unlock(op.ID)
+		}
+	case MsgDecision:
+		if aux&auxCommit != 0 {
+			m.applyLocal(p, op)
+		}
 		m.unlock(op.ID)
 	}
-	children := m.expandMask(aux & (auxCommit - 1))
-	var relays []sendPlan
-	if !isFwd {
-		relays = m.relayPlans(aux)
-	}
-	if len(children)+len(relays) > 0 && !isFwd {
-		pend := corePending(children)
-		for _, r := range relays {
-			pend[r.to] = true
-		}
-		m.fwd[op.ID] = &fwdState{parent: src, op: op, pending: pend, allYes: ok, ackKind: MsgVote, deadline: m.fwdDeadline(p)}
-		m.fwdBegin(p, op)
-		msgs := make([]batchMsg, 0, len(children)+len(relays))
-		for _, c := range children {
-			msgs = append(msgs, batchMsg{to: c, msg: wire(MsgPrepareFwd, op, 0)})
-		}
-		for _, r := range relays {
-			msgs = append(msgs, batchMsg{to: r.to, msg: wire(MsgPrepare, op, r.mask)})
-		}
-		m.sendMany(p, msgs)
+	fan := append(m.childPlans(aux&(auxCommit-1)), m.relayPlans(aux)...)
+	if len(fan) == 0 {
+		m.send(p, src, wire(kind+1, op, b2u(yes)))
 		return
 	}
-	vote := uint64(0)
-	if ok {
-		vote = 1
-	}
-	m.send(p, src, wire(MsgVote, op, vote))
+	m.fwd[op.ID] = &fwdState{parent: src, op: op, kind: kind, pending: planPending(fan), allYes: kind == MsgPrepare && yes, deadline: m.fwdDeadline(p)}
+	m.fwdBegin(p, op)
+	m.sendMany(p, fan, kind, op, aux&auxCommit)
 }
 
-func (m *Monitor) handleVote(p *sim.Proc, src topo.CoreID, op Op, aux uint64) {
+// handleAnswer consumes one response. At the initiator it counts toward the
+// operation's current phase; responses are tracked per responder, so a
+// duplicate (a slow core answering both the original and a recovery
+// re-send) never completes a phase early. Completed votes decide a two-phase
+// operation; any other completed phase finishes the operation. At an
+// aggregation node the response folds into the aggregate, which goes up
+// once every child has answered.
+func (m *Monitor) handleAnswer(p *sim.Proc, src topo.CoreID, kind MsgKind, op Op, aux uint64) {
 	if st, ok := m.ops[op.ID]; ok {
-		if aux != 1 {
+		if kind == MsgVote && aux != 1 {
 			st.allYes = false
 		}
 		delete(st.pending, src)
-		if len(st.pending) > 0 {
-			return
-		}
-		// Phase 1 complete: decide and disseminate.
-		st.decision = st.allYes
-		st.phase = 2
-		var arg uint64
-		if st.decision {
-			arg = 1
-		}
-		m.net.Eng.Tracer().Emit(uint64(p.Now()), trace.Instant, trace.SubMonitor, int32(m.Core), "monitor.decide", op.ID, arg)
-		st.pending = planPending(st.plan)
-		st.deadline = m.opDeadline(p, st.recoveries)
-		msgs := make([]batchMsg, 0, len(st.plan))
-		for _, s := range st.plan {
-			aux := s.mask
-			if st.decision {
-				aux |= auxCommit
+		switch {
+		case len(st.pending) > 0:
+		case kind == MsgVote:
+			// Phase 1 complete: decide and disseminate.
+			st.decision, st.phase = st.allYes, 2
+			m.net.Eng.Tracer().Emit(uint64(p.Now()), trace.Instant, trace.SubMonitor, int32(m.Core), "monitor.decide", op.ID, b2u(st.decision))
+			m.disseminate(p, st)
+		default:
+			delete(m.ops, op.ID)
+			// Every answer but a decision ack carries its outcome; the
+			// initiator made that decision itself.
+			ok := aux == 1
+			if kind == MsgDecisionAck {
+				ok = st.decision
 			}
-			msgs = append(msgs, batchMsg{to: s.to, msg: wire(MsgDecision, op, aux)})
+			m.finish(p, st, ok)
 		}
-		m.sendMany(p, msgs)
 		return
 	}
-	// Aggregate votes on behalf of children.
 	fw, ok := m.fwd[op.ID]
 	if !ok {
+		// With fault tolerance, a late response for an aggregation already
+		// recovered (answered upward on timeout) is expected; without it,
+		// it is a protocol bug.
 		if m.net.OpTimeout > 0 {
 			m.stats.Strays++
 			return
 		}
-		panic(fmt.Sprintf("monitor%d: stray vote for op %#x", m.Core, op.ID))
+		panic(fmt.Sprintf("monitor%d: stray %v for op %#x", m.Core, kind, op.ID))
 	}
-	if aux != 1 {
+	if kind == MsgVote && aux != 1 {
 		fw.allYes = false
 	}
 	delete(fw.pending, src)
 	if len(fw.pending) == 0 {
-		delete(m.fwd, op.ID)
-		m.fwdEnd(p, op, fw.allYes)
-		v := uint64(0)
-		if fw.allYes {
-			v = 1
-		}
-		m.send(p, fw.parent, wire(MsgVote, op, v))
+		m.answerUp(p, fw)
 	}
 }
 
-func (m *Monitor) handleDecision(p *sim.Proc, src topo.CoreID, op Op, aux uint64, isFwd bool) {
-	commit := aux&auxCommit != 0
-	if commit {
-		m.applyLocal(p, op)
-	}
-	m.unlock(op.ID)
-	children := m.expandMask(aux & (auxCommit - 1))
-	var relays []sendPlan
-	if !isFwd {
-		relays = m.relayPlans(aux)
-	}
-	if len(children)+len(relays) > 0 && !isFwd {
-		pend := corePending(children)
-		for _, r := range relays {
-			pend[r.to] = true
-		}
-		m.fwd[op.ID] = &fwdState{parent: src, op: op, pending: pend, ackKind: MsgDecisionAck, deadline: m.fwdDeadline(p)}
-		m.fwdBegin(p, op)
-		msgs := make([]batchMsg, 0, len(children)+len(relays))
-		for _, c := range children {
-			msgs = append(msgs, batchMsg{to: c, msg: wire(MsgDecisionFwd, op, aux&auxCommit)})
-		}
-		for _, r := range relays {
-			msgs = append(msgs, batchMsg{to: r.to, msg: wire(MsgDecision, op, r.mask|aux&auxCommit)})
-		}
-		m.sendMany(p, msgs)
-		return
-	}
-	m.send(p, src, wire(MsgDecisionAck, op, 1))
-}
-
-func (m *Monitor) finish2PC(p *sim.Proc, st *opState) {
-	op := st.req.op
-	if st.decision {
-		m.applyLocal(p, op)
-		m.stats.Commits++
-	} else {
-		m.stats.Aborts++
-	}
-	m.unlock(op.ID)
-	m.opEnd(p, op, st.started, st.decision)
-	st.req.fut.Complete(st.decision)
+// answerUp closes an aggregation and sends its folded answer to the parent:
+// a prepare aggregation's vote, or an acknowledgement.
+func (m *Monitor) answerUp(p *sim.Proc, fw *fwdState) {
+	delete(m.fwd, fw.op.ID)
+	m.fwdEnd(p, fw.op, fw.allYes)
+	m.send(p, fw.parent, wire(fw.kind+1, fw.op, b2u(fw.allYes || fw.kind != MsgPrepare)))
 }
 
 // ---------------------------------------------------------------------------

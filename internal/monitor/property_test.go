@@ -4,8 +4,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"multikernel/internal/cache"
+	"multikernel/internal/interconnect"
+	"multikernel/internal/kernel"
 	"multikernel/internal/memory"
 	"multikernel/internal/sim"
+	"multikernel/internal/skb"
 	"multikernel/internal/topo"
 )
 
@@ -58,6 +62,8 @@ func TestConcurrentRetypeSerializabilityProperty(t *testing.T) {
 }
 
 // newFixtureQuick is a fixture without *testing.T plumbing, for quick.Check.
+// Its hooks count each core's invalidations, prepares and applies, and
+// cores in vetoCores vote no.
 func newFixtureQuick(m *topo.Machine) *fixture {
 	f := &fixture{
 		e:           sim.NewEngine(1),
@@ -67,10 +73,19 @@ func newFixtureQuick(m *topo.Machine) *fixture {
 		applied:     make(map[topo.CoreID]int),
 		vetoCores:   make(map[topo.CoreID]bool),
 	}
-	f.sys = newBenchCache(f.e, m)
-	f.kern = kernelNew(f.e, m)
-	f.kb = skbNew(m)
-	f.net = NewNetwork(f.e, f.sys, f.kern, f.kb, Hooks{})
+	f.sys = cache.New(f.e, m, memory.New(m), interconnect.New(m))
+	f.kern = kernel.NewSystem(f.e, m)
+	f.kb = skb.New(m)
+	f.kb.Discover()
+	f.kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
+	f.net = NewNetwork(f.e, f.sys, f.kern, f.kb, Hooks{
+		Invalidate: func(p *sim.Proc, core topo.CoreID, op Op) { f.invalidated[core]++ },
+		Prepare: func(p *sim.Proc, core topo.CoreID, op Op) bool {
+			f.prepared[core]++
+			return !f.vetoCores[core]
+		},
+		Apply: func(p *sim.Proc, core topo.CoreID, op Op) { f.applied[core]++ },
+	})
 	return f
 }
 

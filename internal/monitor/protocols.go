@@ -1,11 +1,12 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"multikernel/internal/cache"
 	"multikernel/internal/interconnect"
-	"multikernel/internal/kernel"
 	"multikernel/internal/memory"
 	"multikernel/internal/sim"
 	"multikernel/internal/skb"
@@ -167,7 +168,7 @@ func rawMulticast(e *sim.Engine, sys *cache.System, kb *skb.KB, proto Protocol, 
 	tree := kb.MulticastTree(0, cores)
 	groups := append([]skb.Group(nil), tree.Groups...)
 	if proto == Multicast {
-		sortGroupsByAgg(groups)
+		slices.SortStableFunc(groups, func(a, b skb.Group) int { return cmp.Compare(a.Agg, b.Agg) })
 	}
 	home := func(c topo.CoreID) int {
 		if proto == NUMAAware {
@@ -244,7 +245,7 @@ func rawMulticast(e *sim.Engine, sys *cache.System, kb *skb.KB, proto Protocol, 
 func RawShootdownLatency(m *topo.Machine, proto Protocol, nCores, iters int) float64 {
 	e := sim.NewEngine(1)
 	defer e.Close()
-	sys := newBenchCache(e, m)
+	sys := cache.New(e, m, memory.New(m), interconnect.New(m))
 	kb := skb.New(m)
 	kb.Discover()
 	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
@@ -252,21 +253,4 @@ func RawShootdownLatency(m *topo.Machine, proto Protocol, nCores, iters int) flo
 	var warm stats.Sample
 	warm.AddN(s.Values()[1:]...) // discard the cold first round
 	return warm.Mean()
-}
-
-func newBenchCache(e *sim.Engine, m *topo.Machine) *cache.System {
-	return cache.New(e, m, memoryNew(m), interconnectNew(m))
-}
-
-// Indirections to avoid a wide import list at call sites.
-func memoryNew(m *topo.Machine) *memory.Memory             { return memory.New(m) }
-func interconnectNew(m *topo.Machine) *interconnect.Fabric { return interconnect.New(m) }
-func kernelNew(e *sim.Engine, m *topo.Machine) *kernel.System {
-	return kernel.NewSystem(e, m)
-}
-func skbNew(m *topo.Machine) *skb.KB {
-	kb := skb.New(m)
-	kb.Discover()
-	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
-	return kb
 }

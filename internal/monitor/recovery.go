@@ -159,75 +159,21 @@ func (m *Monitor) recoverOp(p *sim.Proc, id uint64, st *opState) {
 	m.net.Eng.Tracer().Emit(uint64(p.Now()), trace.Instant, trace.SubMonitor, int32(m.Core), "monitor.recover_op", id, uint64(st.recoveries+1))
 	m.excise(p, sortedCores(st.pending))
 	st.recoveries++
-	if st.recoveries > maxRecoveries {
+	if st.recoveries > maxRecoveries || st.req.op.Kind == OpNone {
 		delete(m.ops, id)
-		m.failOp(p, st)
+		m.finish(p, st, false)
 		return
 	}
-	op := st.req.op
-	if op.Kind == OpNone {
-		delete(m.ops, id)
-		m.opEnd(p, op, st.started, false)
-		st.req.fut.Complete(false)
-		return
-	}
-	plan := m.plan(st.req.protocol, st.req.targets)
-	if len(plan) == 0 {
+	st.plan = m.plan(st.req.protocol, st.req.targets)
+	if len(st.plan) == 0 {
 		// Every remaining participant is gone; the operation completes with
-		// whatever the survivors (here: only the initiator) agreed on.
+		// whatever the survivors (here: only the initiator) agreed on: the
+		// votes so far in phase 1, the decision in phase 2.
 		delete(m.ops, id)
-		m.completeEmptyPhase(p, st)
+		m.finish(p, st, st.allYes && st.phase == 1 || st.decision && st.phase == 2)
 		return
 	}
-	st.plan = plan
-	st.pending = planPending(plan)
-	st.deadline = m.opDeadline(p, st.recoveries)
-	switch {
-	case st.phase == 2:
-		for _, s := range plan {
-			aux := s.mask
-			if st.decision {
-				aux |= auxCommit
-			}
-			m.send(p, s.to, wire(MsgDecision, op, aux))
-		}
-	case op.Kind == OpRetype || op.Kind == OpRevoke:
-		for _, s := range plan {
-			m.send(p, s.to, wire(MsgPrepare, op, s.mask))
-		}
-	default:
-		for _, s := range plan {
-			m.send(p, s.to, wire(MsgShootdown, op, s.mask))
-		}
-	}
-}
-
-// completeEmptyPhase finishes an operation whose re-planned participant set
-// became empty mid-recovery.
-func (m *Monitor) completeEmptyPhase(p *sim.Proc, st *opState) {
-	switch st.req.op.Kind {
-	case OpRetype, OpRevoke:
-		if st.phase == 1 {
-			st.decision = st.allYes
-		}
-		m.finish2PC(p, st)
-	default:
-		m.stats.Commits++
-		m.opEnd(p, st.req.op, st.started, true)
-		st.req.fut.Complete(true)
-	}
-}
-
-// failOp gives up on an operation that exhausted its recovery budget.
-func (m *Monitor) failOp(p *sim.Proc, st *opState) {
-	if k := st.req.op.Kind; k == OpRetype || k == OpRevoke {
-		st.decision = false
-		m.finish2PC(p, st)
-		return
-	}
-	m.stats.Aborts++
-	m.opEnd(p, st.req.op, st.started, false)
-	st.req.fut.Complete(false)
+	m.disseminate(p, st)
 }
 
 // recoverFwd handles an expired aggregation: the silent children are excised
@@ -238,14 +184,5 @@ func (m *Monitor) recoverFwd(p *sim.Proc, id uint64, fw *fwdState) {
 	m.stats.Recoveries++
 	m.net.Eng.Tracer().Emit(uint64(p.Now()), trace.Instant, trace.SubMonitor, int32(m.Core), "monitor.recover_fwd", id, 0)
 	m.excise(p, sortedCores(fw.pending))
-	delete(m.fwd, id)
-	m.fwdEnd(p, fw.op, fw.allYes)
-	aux := uint64(1)
-	if fw.ackKind == MsgVote {
-		aux = 0
-		if fw.allYes {
-			aux = 1
-		}
-	}
-	m.send(p, fw.parent, wire(fw.ackKind, fw.op, aux))
+	m.answerUp(p, fw)
 }
