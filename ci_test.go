@@ -12,6 +12,7 @@ import (
 
 var (
 	runFlag  = regexp.MustCompile(`-run\s+('[^']*'|"[^"]*"|\S+)`)
+	fuzzFlag = regexp.MustCompile(`-fuzz\s+(\S+)`)
 	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
 )
 
@@ -45,10 +46,11 @@ func testNames(t *testing.T, pkg string) []string {
 	return names
 }
 
-// go test -run passes silently when its pattern selects no test, so a test
-// renamed or deleted without updating the workflow would quietly stop being
-// run. Every alternative of every -run pattern in the CI workflow must
-// select at least one test in the packages its command names.
+// go test -run passes silently when its pattern selects no test, and -fuzz
+// when it names no fuzz target, so a test renamed or deleted without
+// updating the workflow would quietly stop being run. Every alternative of
+// every -run pattern in the CI workflow, and every -fuzz target, must select
+// at least one test in the packages its command names.
 func TestCIRunPatternsSelectTests(t *testing.T) {
 	yml, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
@@ -68,6 +70,9 @@ func TestCIRunPatternsSelectTests(t *testing.T) {
 			if strings.HasPrefix(f, "./") {
 				names = append(names, testNames(t, f)...)
 			}
+		}
+		if f := fuzzFlag.FindStringSubmatch(line); f != nil && !slices.Contains(names, f[1]) {
+			t.Errorf("ci.yml: -fuzz %s names no fuzz target in: %s", f[1], strings.TrimSpace(line))
 		}
 		for _, alt := range strings.Split(strings.Trim(m[1], `'"`), "|") {
 			top, _, _ := strings.Cut(alt, "/")

@@ -12,6 +12,7 @@ package cache
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
 	"multikernel/internal/ckpt"
@@ -94,14 +95,19 @@ func (s *System) CheckpointState(w io.Writer) error {
 	return ckpt.WriteU64(w, uint64(s.mode))
 }
 
-// RestoreState replaces the directory and per-core state with an image.
+// RestoreState replaces the directory and per-core state with an image. The
+// line map grows as records arrive rather than being sized from the image's
+// count, so a corrupt count fails at the end of the image instead of
+// allocating whatever the count says; every core index the image names must
+// be a core of this machine.
 func (s *System) RestoreState(r io.Reader) error {
 	var nlines uint64
 	if err := ckpt.ReadU64(r, &nlines); err != nil {
 		return err
 	}
-	lines := make(map[memory.LineID]*line, nlines)
-	for i := uint64(0); i < nlines; i++ {
+	ncores := s.mach.NumCores()
+	lines := make(map[memory.LineID]*line)
+	for range nlines {
 		var id uint64
 		if err := ckpt.ReadU64(r, &id); err != nil {
 			return err
@@ -112,9 +118,17 @@ func (s *System) RestoreState(r io.Reader) error {
 				return err
 			}
 		}
+		for j, w := range holders {
+			if w != 0 && j*64+bits.Len64(w) > ncores {
+				return fmt.Errorf("cache: image line %#x has a holder beyond the machine's %d cores", id, ncores)
+			}
+		}
 		var owner, flags uint64
 		if err := ckpt.ReadU64(r, &owner, &flags); err != nil {
 			return err
+		}
+		if o := int64(owner); o < -1 || o >= int64(ncores) {
+			return fmt.Errorf("cache: image line %#x owned by core %d; machine has %d", id, o, ncores)
 		}
 		lines[memory.LineID(id)] = &line{
 			holders:   holders,
@@ -138,14 +152,14 @@ func (s *System) RestoreState(r io.Reader) error {
 	if len(inflight) != len(s.inflight) {
 		return fmt.Errorf("cache: image has %d cores; machine has %d", len(inflight), len(s.inflight))
 	}
-	var ncores uint64
-	if err := ckpt.ReadU64(r, &ncores); err != nil {
+	var nstats uint64
+	if err := ckpt.ReadU64(r, &nstats); err != nil {
 		return err
 	}
-	if int(ncores) != len(s.stats) {
-		return fmt.Errorf("cache: image has stats for %d cores; machine has %d", ncores, len(s.stats))
+	if nstats != uint64(len(s.stats)) {
+		return fmt.Errorf("cache: image has stats for %d cores; machine has %d", nstats, len(s.stats))
 	}
-	stats := make([]Stats, ncores)
+	stats := make([]Stats, nstats)
 	for i := range stats {
 		st := &stats[i]
 		if err := ckpt.ReadU64(r, &st.Hits, &st.Misses, &st.RemoteMisses, &st.Upgrades, &st.Invalidated); err != nil {
@@ -155,6 +169,9 @@ func (s *System) RestoreState(r io.Reader) error {
 	stall, err := ckpt.ReadU64Slice(r)
 	if err != nil {
 		return err
+	}
+	if len(stall) != 0 && len(stall) != ncores {
+		return fmt.Errorf("cache: image has stall times for %d cores; machine has %d", len(stall), ncores)
 	}
 	var mode uint64
 	if err := ckpt.ReadU64(r, &mode); err != nil {

@@ -258,26 +258,36 @@ func (mem *Memory) CheckpointState(w io.Writer) error {
 	return nil
 }
 
-// RestoreState replaces the memory's contents with a serialized image.
+// RestoreState replaces the memory's contents with a serialized image. The
+// tables grow as their records arrive rather than being sized from the
+// image's counts, so a corrupt count fails at the end of the image instead of
+// allocating whatever the count says; home runs must ascend and name a
+// socket of this machine.
 func (mem *Memory) RestoreState(r io.Reader) error {
 	var next, nhomes uint64
 	if err := ckpt.ReadU64(r, &next, &nhomes); err != nil {
 		return err
 	}
-	homes := make([]homeRun, nhomes)
-	for i := range homes {
+	var homes []homeRun
+	for range nhomes {
 		var start, home uint64
 		if err := ckpt.ReadU64(r, &start, &home); err != nil {
 			return err
 		}
-		homes[i] = homeRun{start: LineID(start), home: topo.SocketID(home)}
+		if home >= uint64(mem.m.NSockets) {
+			return fmt.Errorf("memory: image homes lines on socket %d; machine has %d", home, mem.m.NSockets)
+		}
+		if n := len(homes); n > 0 && LineID(start) <= homes[n-1].start {
+			return fmt.Errorf("memory: image home runs out of order at line %#x", start)
+		}
+		homes = append(homes, homeRun{start: LineID(start), home: topo.SocketID(home)})
 	}
 	var npages uint64
 	if err := ckpt.ReadU64(r, &npages); err != nil {
 		return err
 	}
-	pages := make(map[Addr]*page, npages)
-	for i := uint64(0); i < npages; i++ {
+	pages := make(map[Addr]*page)
+	for range npages {
 		var key uint64
 		if err := ckpt.ReadU64(r, &key); err != nil {
 			return err
