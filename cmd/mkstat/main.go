@@ -74,7 +74,7 @@ func main() {
 	pl := obs.NewPlane(e, sys, kb, obs.Config{
 		Interval: sim.Time(*interval), Seed: *seed, Publish: true,
 	})
-	health := pl.EnableHealth(obs.HealthConfig{ReplicaTarget: 2})
+	health := pl.EnableHealth()
 	pl.Start()
 
 	for ci, core := range []topo.CoreID{1, 5, 10} {

@@ -77,7 +77,7 @@ func obsRun(seed uint64, pt obsPoint) obsPointResult {
 		pl = obs.NewPlane(e, env.Sys, env.KB, obs.Config{
 			Interval: pt.interval, Seed: seed, Publish: true,
 		})
-		health = pl.EnableHealth(obs.HealthConfig{ReplicaTarget: 2})
+		health = pl.EnableHealth()
 		pl.Start()
 	}
 

@@ -19,19 +19,19 @@ import (
 	"multikernel/internal/trace"
 )
 
-// HealthConfig parameterizes the monitor.
-type HealthConfig struct {
-	// ReplicaPrefix selects the per-shard replication gauges:
-	// series named <ReplicaPrefix><shard>.replicas (default "kv.shard.").
-	ReplicaPrefix string
-	// ReplicaTarget is the healthy replication factor: a shard whose level
+// Health settings: the kvcluster's replication gauges and op latency.
+const (
+	// replicaPrefix selects the per-shard replication gauges: series named
+	// <replicaPrefix><shard>.replicas.
+	replicaPrefix = "kv.shard."
+	// replicaTarget is the healthy replication factor: a shard whose level
 	// drops below it is degraded, at or above it recovered.
-	ReplicaTarget int64
-	// LatencyHist names the op-latency histogram whose windowed p99/p999 the
-	// monitor derives and commits back as gauge series <LatencyHist>.p99 and
-	// <LatencyHist>.p999 (default "kv.op_cycles").
-	LatencyHist string
-}
+	replicaTarget = 2
+	// latencyHist names the op-latency histogram whose windowed p99/p999 the
+	// monitor derives and commits back as gauge series <latencyHist>.p99 and
+	// <latencyHist>.p999.
+	latencyHist = "kv.op_cycles"
+)
 
 // HealthEventKind distinguishes degraded from recovered transitions.
 type HealthEventKind uint8
@@ -60,8 +60,7 @@ type HealthEvent struct {
 // Health watches committed windows for shard replication drops and derives
 // windowed latency quantiles.
 type Health struct {
-	pl  *Plane
-	cfg HealthConfig
+	pl *Plane
 
 	degraded map[int]bool // shard -> currently below target
 	events   []HealthEvent
@@ -69,14 +68,8 @@ type Health struct {
 
 // EnableHealth attaches a health monitor to the plane's commit hook and
 // returns it. Call before Start.
-func (pl *Plane) EnableHealth(cfg HealthConfig) *Health {
-	if cfg.ReplicaPrefix == "" {
-		cfg.ReplicaPrefix = "kv.shard."
-	}
-	if cfg.LatencyHist == "" {
-		cfg.LatencyHist = "kv.op_cycles"
-	}
-	h := &Health{pl: pl, cfg: cfg, degraded: make(map[int]bool)}
+func (pl *Plane) EnableHealth() *Health {
+	h := &Health{pl: pl, degraded: make(map[int]bool)}
 	pl.OnCommit(h.check)
 	return h
 }
@@ -103,7 +96,7 @@ func (h *Health) check(p *sim.Proc, tick uint64) {
 	// Shard replica levels. Iterating the store's sorted names keeps event
 	// order deterministic when several shards transition in one window.
 	for _, name := range st.Names() {
-		rest, ok := strings.CutPrefix(name, h.cfg.ReplicaPrefix)
+		rest, ok := strings.CutPrefix(name, replicaPrefix)
 		if !ok {
 			continue
 		}
@@ -119,7 +112,7 @@ func (h *Health) check(p *sim.Proc, tick uint64) {
 		if !ok {
 			continue
 		}
-		below := last.V < h.cfg.ReplicaTarget
+		below := last.V < replicaTarget
 		if below == h.degraded[shard] {
 			continue
 		}
@@ -138,7 +131,7 @@ func (h *Health) check(p *sim.Proc, tick uint64) {
 	// landed at this window's nominal time.
 	var sum stats.HistogramSummary
 	for _, name := range st.Names() {
-		rest, ok := strings.CutPrefix(name, h.cfg.LatencyHist+".le")
+		rest, ok := strings.CutPrefix(name, latencyHist+".le")
 		if !ok {
 			continue
 		}
@@ -158,6 +151,6 @@ func (h *Health) check(p *sim.Proc, tick uint64) {
 	}
 	sort.Slice(sum.Buckets, func(i, j int) bool { return sum.Buckets[i].Le < sum.Buckets[j].Le })
 	sum.Max = sum.Buckets[len(sum.Buckets)-1].Le
-	st.Commit(at, h.cfg.LatencyHist+".p99", int64(sum.Quantile(0.99)), true)
-	st.Commit(at, h.cfg.LatencyHist+".p999", int64(sum.Quantile(0.999)), true)
+	st.Commit(at, latencyHist+".p99", int64(sum.Quantile(0.99)), true)
+	st.Commit(at, latencyHist+".p999", int64(sum.Quantile(0.999)), true)
 }

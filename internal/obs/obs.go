@@ -61,23 +61,27 @@ const (
 	pairsPerMsg = (urpc.PayloadWords - 1) / 2
 )
 
+// Fixed plane settings.
+const (
+	// jitterDiv bounds each core's seeded phase offset to Interval/jitterDiv:
+	// samplers are deliberately not phase-aligned, like real per-CPU stat
+	// kernels.
+	jitterDiv = 4
+	// ringPoints is the per-series point retention.
+	ringPoints = 1024
+	// rootCore is the aggregation root holding the store. Experiments must
+	// not kill it; health-critical series are owned here.
+	rootCore topo.CoreID = 0
+)
+
 // Config parameterizes the plane.
 type Config struct {
 	// Interval is the sampling period in cycles. 0 disables the plane
 	// entirely: Start spawns nothing and the run is cycle-for-cycle
 	// identical to one without a plane.
 	Interval sim.Time
-	// Jitter bounds each core's seeded phase offset within the interval
-	// (default Interval/4) — samplers are deliberately not phase-aligned,
-	// like real per-CPU stat kernels.
-	Jitter sim.Time
-	// Ring is the per-series point retention (default 1024).
-	Ring int
 	// Seed drives the per-core jitter draws (default 1).
 	Seed uint64
-	// Root is the aggregation root core holding the store (default core 0).
-	// Experiments must not kill it; health-critical series are owned here.
-	Root topo.CoreID
 	// Publish asserts link_heat/queue_depth/shard_health facts into the KB
 	// at every commit, for SKB-driven placement to consume.
 	Publish bool
@@ -118,18 +122,12 @@ type Plane struct {
 // aggregation tree (and receives facts when cfg.Publish is set); it must have
 // Discover()ed topology. Nothing runs until Start.
 func NewPlane(e *sim.Engine, sys *cache.System, kb *skb.KB, cfg Config) *Plane {
-	if cfg.Jitter == 0 {
-		cfg.Jitter = cfg.Interval / 4
-	}
-	if cfg.Ring == 0 {
-		cfg.Ring = 1024
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
 	return &Plane{
 		eng: e, sys: sys, kb: kb, cfg: cfg,
-		store:  NewStore(cfg.Ring),
+		store:  NewStore(ringPoints),
 		nodes:  make(map[topo.CoreID]*node),
 		ids:    make(map[string]uint32),
 		failed: make(map[topo.CoreID]bool),
@@ -180,8 +178,8 @@ func (pl *Plane) Start() {
 	// The SKB's multicast tree, reversed: monitors fan out over it, samplers
 	// fan in. Socket-local cores report to their socket's aggregation core,
 	// aggregation cores to the root.
-	tree := pl.kb.MulticastTree(pl.cfg.Root, nil)
-	root := pl.newNode(pl.cfg.Root, nil)
+	tree := pl.kb.MulticastTree(rootCore, nil)
+	root := pl.newNode(rootCore, nil)
 	for _, c := range tree.Local {
 		pl.newNode(c, root)
 	}
@@ -209,7 +207,7 @@ func (pl *Plane) Start() {
 func (pl *Plane) newNode(c topo.CoreID, parent *node) *node {
 	n := &node{
 		pl: pl, core: c, parent: parent,
-		jitter:    sim.NewRNG(pl.cfg.Seed ^ (uint64(c) + 0x9e37)).Time(pl.cfg.Jitter + 1),
+		jitter:    sim.NewRNG(pl.cfg.Seed ^ (uint64(c) + 0x9e37)).Time(pl.cfg.Interval/jitterDiv + 1),
 		win:       make(map[uint64]map[uint32]int64),
 		childDone: make(map[topo.CoreID]uint64),
 		cursor: pl.eng.Metrics().NewCursor(func(name string) bool {
@@ -250,7 +248,7 @@ func (pl *Plane) ownerOf(name string) (topo.CoreID, bool) {
 	// experiments never kill: shard health must survive any server death.
 	for _, p := range []string{"kv.", "monitor.", "sim."} {
 		if strings.HasPrefix(name, p) {
-			return pl.cfg.Root, true
+			return rootCore, true
 		}
 	}
 	// Everything else spreads by hash (FNV-1a) across all cores.

@@ -92,7 +92,7 @@ func TestOwnership(t *testing.T) {
 	}
 	// Health-critical series live on the root.
 	for _, n := range []string{"kv.shard.0.replicas", "monitor.pings", "sim.heap_max_depth"} {
-		if o, ok := pl.ownerOf(n); !ok || o != pl.cfg.Root {
+		if o, ok := pl.ownerOf(n); !ok || o != rootCore {
 			t.Fatalf("%s owner = %v/%v, want root", n, o, ok)
 		}
 	}
@@ -263,7 +263,7 @@ func TestHealthDetectsKill(t *testing.T) {
 	cl.StartFailureDetector(net, 0, fdPeriod)
 
 	pl := NewPlane(e, sys, kb, Config{Interval: interval, Publish: true})
-	h := pl.EnableHealth(HealthConfig{ReplicaTarget: 2})
+	h := pl.EnableHealth()
 	pl.Start()
 
 	c := cl.Connect(1)
