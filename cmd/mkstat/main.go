@@ -59,7 +59,7 @@ func main() {
 	kern := kernel.NewSystem(e, m)
 	kb := skb.New(m)
 	kb.Discover()
-	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2*m.TransferLat(b, a) + 160 })
+	kb.Measure()
 	e.SetTracer(trace.NewRing(1 << 16))
 
 	net := monitor.NewNetwork(e, sys, kern, kb, monitor.Hooks{})

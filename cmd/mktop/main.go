@@ -49,7 +49,7 @@ func main() {
 
 		kb := skb.New(m)
 		kb.Discover()
-		kb.Measure(func(a, b topo.CoreID) sim.Time { return 2*m.TransferLat(b, a) + 160 })
+		kb.Measure()
 		if *src < m.NumCores() {
 			tree := kb.MulticastTree(topo.CoreID(*src), nil)
 			fmt.Printf("  multicast tree from core %d (latency-descending):\n", *src)

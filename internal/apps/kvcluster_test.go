@@ -101,7 +101,7 @@ func clusterFaultFixture(t *testing.T, cfg ClusterConfig) (*sim.Engine, *KVClust
 	kern := kernel.NewSystem(e, m)
 	kb := skb.New(m)
 	kb.Discover()
-	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
+	kb.Measure()
 	net := monitor.NewNetwork(e, sys, kern, kb, monitor.Hooks{})
 	net.EnableFaultTolerance(100_000)
 	cl := NewKVCluster(e, sys, net, cfg)

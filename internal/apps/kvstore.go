@@ -90,20 +90,6 @@ func (kv *KVStore) Update(p *sim.Proc, key, val uint64) bool {
 	return true
 }
 
-// SelectRange scans [lo, hi) and returns the number of matching rows.
-func (kv *KVStore) SelectRange(p *sim.Proc, lo, hi uint64) int {
-	kv.Queries++
-	p.Sleep(kvParseCost)
-	i := sort.Search(len(kv.index), func(j int) bool { return kv.index[j] >= lo })
-	n := 0
-	for ; i < len(kv.index) && kv.index[i] < hi; i++ {
-		p.Sleep(kvRowCost)
-		kv.sys.Load(p, kv.core, kv.rows.LineAt(i))
-		n++
-	}
-	return n
-}
-
 func bits(n int) int {
 	b := 0
 	for n > 0 {

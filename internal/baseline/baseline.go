@@ -278,6 +278,3 @@ func (q *RunQueue) Dequeue(p *sim.Proc, core topo.CoreID) (int, bool) {
 	})
 	return task, ok
 }
-
-// Len returns the queue length (engine-side, uncharged).
-func (q *RunQueue) Len() int { return len(q.tasks) }

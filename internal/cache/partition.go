@@ -94,15 +94,6 @@ func (s *System) SetPeers(peers []*System) {
 	s.part.peers = peers
 }
 
-// Partition returns this replica's partition index, or -1 when the system is
-// unpartitioned.
-func (s *System) Partition() int {
-	if s.part == nil {
-		return -1
-	}
-	return s.part.self
-}
-
 // LocalCore reports whether core c belongs to this replica's partition.
 // Unpartitioned systems own every core. Every proc-spawning site (monitors,
 // app services, netstack drivers) consults this so a replica only runs the

@@ -124,10 +124,9 @@ type node struct {
 
 // CSpace is one core's capability space.
 type CSpace struct {
-	owner  string
-	slots  map[Ref]*node
-	next   Ref
-	cnodes map[cnodeKey]map[int]Capability // CNode slot contents
+	owner string
+	slots map[Ref]*node
+	next  Ref
 }
 
 // NewCSpace returns an empty capability space. The owner string is purely
@@ -135,9 +134,6 @@ type CSpace struct {
 func NewCSpace(owner string) *CSpace {
 	return &CSpace{owner: owner, slots: make(map[Ref]*node), next: 1}
 }
-
-// Owner returns the diagnostic owner label.
-func (cs *CSpace) Owner() string { return cs.owner }
 
 // Len returns the number of live capabilities.
 func (cs *CSpace) Len() int { return len(cs.slots) }

@@ -1,54 +1,10 @@
 package caps
 
-import (
-	"encoding/binary"
-	"errors"
+import "multikernel/internal/memory"
 
-	"multikernel/internal/memory"
-)
-
-// This file adds the wire form of capabilities (monitors exchange
-// capabilities between cores, §4.8; the serialized form is what an
-// inter-monitor message carries) and hierarchical CNode addressing: a
-// capability address names a slot by walking CNode capabilities from a root,
-// the way invocations address capabilities in seL4-style systems.
-
-// WireSize is the serialized capability size in bytes.
-const WireSize = 1 + 1 + 8 + 8 + 1 // type, level, base, bytes, rights
-
-// Errors for serialization and addressing.
-var (
-	ErrBadWire  = errors.New("caps: malformed serialized capability")
-	ErrNotCNode = errors.New("caps: path component is not a CNode")
-	ErrBadPath  = errors.New("caps: capability path resolves nowhere")
-)
-
-// Marshal appends the capability's wire form to b.
-func (c Capability) Marshal(b []byte) []byte {
-	b = append(b, byte(c.Type), byte(c.Level))
-	b = binary.BigEndian.AppendUint64(b, uint64(c.Base))
-	b = binary.BigEndian.AppendUint64(b, c.Bytes)
-	return append(b, byte(c.Rights))
-}
-
-// UnmarshalCapability decodes one capability, returning it and the rest of
-// the buffer.
-func UnmarshalCapability(b []byte) (Capability, []byte, error) {
-	if len(b) < WireSize {
-		return Capability{}, nil, ErrBadWire
-	}
-	c := Capability{
-		Type:   Type(b[0]),
-		Level:  int(b[1]),
-		Base:   memory.Addr(binary.BigEndian.Uint64(b[2:10])),
-		Bytes:  binary.BigEndian.Uint64(b[10:18]),
-		Rights: Rights(b[18]),
-	}
-	if c.Type > IRQ {
-		return Capability{}, nil, ErrBadWire
-	}
-	return c, b[WireSize:], nil
-}
+// This file holds the wire form of capabilities: monitors exchange
+// capabilities between cores (§4.8), and the packed words are what an
+// inter-monitor message carries.
 
 // PackWords encodes the capability into two 64-bit words plus a rights/type
 // word fragment, the representation that fits a URPC message. The layout is
@@ -67,72 +23,4 @@ func UnpackWords(w0, w1, w2 uint64) Capability {
 		Bytes:  w1,
 		Rights: Rights(w2 & 0xff),
 	}
-}
-
-// ---------------------------------------------------------------------------
-// CNode addressing
-
-// slotsPerCNode is how many capability slots a CNode object holds in this
-// model (its Bytes field sizes the backing memory; addressing is by index).
-const slotsPerCNode = 256
-
-// cnodeContents maps a CNode capability's identity (base address) to the
-// slots stored "inside" it. Contents live beside the CSpace rather than in
-// simulated memory: the slots' existence is what matters to the OS model.
-type cnodeKey memory.Addr
-
-// PutAt stores a capability into slot `index` of the CNode in cnRef.
-// The CNode's backing object identifies the node, so copies of the CNode
-// capability address the same slots.
-func (cs *CSpace) PutAt(cnRef Ref, index int, c Capability) error {
-	cn, err := cs.Get(cnRef)
-	if err != nil {
-		return err
-	}
-	if cn.Type != CNode {
-		return ErrNotCNode
-	}
-	if index < 0 || index >= slotsPerCNode {
-		return ErrBadPath
-	}
-	if cs.cnodes == nil {
-		cs.cnodes = make(map[cnodeKey]map[int]Capability)
-	}
-	m := cs.cnodes[cnodeKey(cn.Base)]
-	if m == nil {
-		m = make(map[int]Capability)
-		cs.cnodes[cnodeKey(cn.Base)] = m
-	}
-	m[index] = c
-	return nil
-}
-
-// LookupPath resolves a capability address: starting from the CNode in
-// rootRef, each path component indexes a slot; intermediate slots must hold
-// CNode capabilities. It returns the capability in the final slot.
-func (cs *CSpace) LookupPath(rootRef Ref, path ...int) (Capability, error) {
-	cur, err := cs.Get(rootRef)
-	if err != nil {
-		return Capability{}, err
-	}
-	if len(path) == 0 {
-		return Capability{}, ErrBadPath
-	}
-	for depth, idx := range path {
-		if cur.Type != CNode {
-			return Capability{}, ErrNotCNode
-		}
-		if idx < 0 || idx >= slotsPerCNode {
-			return Capability{}, ErrBadPath
-		}
-		slot, ok := cs.cnodes[cnodeKey(cur.Base)][idx]
-		if !ok {
-			return Capability{}, ErrBadPath
-		}
-		if depth == len(path)-1 {
-			return slot, nil
-		}
-		cur = slot
-	}
-	return Capability{}, ErrBadPath
 }

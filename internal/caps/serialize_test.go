@@ -1,58 +1,11 @@
 package caps
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 
 	"multikernel/internal/memory"
 )
-
-func TestCapabilityWireRoundTrip(t *testing.T) {
-	c := Capability{Type: PageTable, Level: 3, Base: 0xdead000, Bytes: 4096, Rights: CanRead | CanGrant}
-	b := c.Marshal(nil)
-	if len(b) != WireSize {
-		t.Fatalf("wire size %d", len(b))
-	}
-	got, rest, err := UnmarshalCapability(append(b, 0xff)) // trailing byte survives
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != c {
-		t.Fatalf("got %+v want %+v", got, c)
-	}
-	if len(rest) != 1 || rest[0] != 0xff {
-		t.Fatalf("rest %v", rest)
-	}
-}
-
-func TestUnmarshalRejectsGarbage(t *testing.T) {
-	if _, _, err := UnmarshalCapability([]byte{1, 2, 3}); !errors.Is(err, ErrBadWire) {
-		t.Fatalf("short err=%v", err)
-	}
-	bad := Capability{Type: Frame, Base: 1, Bytes: 2}.Marshal(nil)
-	bad[0] = 200 // invalid type
-	if _, _, err := UnmarshalCapability(bad); !errors.Is(err, ErrBadWire) {
-		t.Fatalf("bad-type err=%v", err)
-	}
-}
-
-func TestWireRoundTripProperty(t *testing.T) {
-	f := func(typ uint8, level uint8, base uint64, bytes uint64, rights uint8) bool {
-		c := Capability{
-			Type:   Type(typ % 9),
-			Level:  int(level % 5),
-			Base:   memory.Addr(base),
-			Bytes:  bytes,
-			Rights: Rights(rights & 0x0f),
-		}
-		got, rest, err := UnmarshalCapability(c.Marshal(nil))
-		return err == nil && got == c && len(rest) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestPackWordsRoundTripProperty(t *testing.T) {
 	f := func(typ uint8, level uint8, base uint64, bytes uint64, rights uint8) bool {
@@ -67,75 +20,5 @@ func TestPackWordsRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCNodeAddressing(t *testing.T) {
-	cs := NewCSpace("c")
-	root := ramRoot(cs, 0, 64*1024)
-	cnodes, err := cs.Retype(root, CNode, 0, 4096, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2 := cs.MustGet(cnodes[1])
-	frame := Capability{Type: Frame, Base: 0x9000000, Bytes: 4096, Rights: AllRights}
-	// root cnode slot 3 -> second cnode; second cnode slot 7 -> frame.
-	if err := cs.PutAt(cnodes[0], 3, l2); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.PutAt(cnodes[1], 7, frame); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cs.LookupPath(cnodes[0], 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != frame {
-		t.Fatalf("resolved %+v", got)
-	}
-	// One-level lookup.
-	if got, err := cs.LookupPath(cnodes[0], 3); err != nil || got.Type != CNode {
-		t.Fatalf("one-level: %+v %v", got, err)
-	}
-}
-
-func TestCNodeAddressingErrors(t *testing.T) {
-	cs := NewCSpace("c")
-	root := ramRoot(cs, 0, 64*1024)
-	cnodes, _ := cs.Retype(root, CNode, 0, 4096, 1)
-	frames, _ := cs.Retype(cs.AddRoot(Capability{Type: RAM, Base: 1 << 20, Bytes: 4096, Rights: AllRights}), Frame, 0, 4096, 1)
-
-	if err := cs.PutAt(frames[0], 0, Capability{}); !errors.Is(err, ErrNotCNode) {
-		t.Fatalf("put into frame: %v", err)
-	}
-	if err := cs.PutAt(cnodes[0], 9999, Capability{}); !errors.Is(err, ErrBadPath) {
-		t.Fatalf("out of range: %v", err)
-	}
-	if _, err := cs.LookupPath(cnodes[0]); !errors.Is(err, ErrBadPath) {
-		t.Fatalf("empty path: %v", err)
-	}
-	if _, err := cs.LookupPath(cnodes[0], 5); !errors.Is(err, ErrBadPath) {
-		t.Fatalf("empty slot: %v", err)
-	}
-	cs.PutAt(cnodes[0], 1, cs.MustGet(frames[0]))
-	if _, err := cs.LookupPath(cnodes[0], 1, 2); !errors.Is(err, ErrNotCNode) {
-		t.Fatalf("walk through frame: %v", err)
-	}
-}
-
-func TestCNodeCopiesShareSlots(t *testing.T) {
-	cs := NewCSpace("c")
-	root := ramRoot(cs, 0, 64*1024)
-	cnodes, _ := cs.Retype(root, CNode, 0, 4096, 1)
-	dup, err := cs.Copy(cnodes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := Capability{Type: Frame, Base: 0x9000000, Bytes: 4096, Rights: AllRights}
-	cs.PutAt(cnodes[0], 4, frame)
-	// The copy addresses the same backing object, so it sees the slot.
-	got, err := cs.LookupPath(dup, 4)
-	if err != nil || got != frame {
-		t.Fatalf("copy lookup: %+v %v", got, err)
 	}
 }

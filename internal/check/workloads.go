@@ -153,7 +153,7 @@ func runKVFailoverWorkload(e *sim.Engine, sys *cache.System, cfg RunConfig) ([]V
 	kern := kernel.NewSystem(e, m)
 	kb := skb.New(m)
 	kb.Discover()
-	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
+	kb.Measure()
 	net := monitor.NewNetwork(e, sys, kern, kb, monitor.Hooks{})
 	net.EnableFaultTolerance(100_000)
 
@@ -414,7 +414,7 @@ func runMonitorWorkload(e *sim.Engine, sys *cache.System, cfg RunConfig) ([]Viol
 	kern := kernel.NewSystem(e, m)
 	kb := skb.New(m)
 	kb.Discover()
-	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
+	kb.Measure()
 	net := monitor.NewNetwork(e, sys, kern, kb, monitor.Hooks{})
 
 	if cfg.Faults {

@@ -98,12 +98,7 @@ func bootWith(e *sim.Engine, m *topo.Machine, opts Options, partition func(s *Sy
 	s.Kern = kernel.NewSystem(e, m)
 	s.KB = skb.New(m)
 	s.KB.Discover()
-	// Online measurement: the boot-time URPC latency probe between all core
-	// pairs (§4.9). The probe uses the machine model directly, standing in
-	// for the measurement channels Barrelfish sets up during boot.
-	s.KB.Measure(func(a, b topo.CoreID) sim.Time {
-		return 2*m.TransferLat(b, a) + 160
-	})
+	s.KB.Measure()
 	s.VM = vm.NewManager(s.Cache, 0)
 
 	hooks := monitor.Hooks{

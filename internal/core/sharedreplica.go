@@ -42,9 +42,6 @@ func (s *System) enableSharedReplicas() {
 	}
 }
 
-// SharedReplicas reports whether per-socket replicas are enabled.
-func (s *System) SharedReplicas() bool { return s.groups != nil }
-
 // Replica returns the capability space core c operates on: its own monitor's
 // in the default configuration, its socket's shared one otherwise.
 func (s *System) Replica(c topo.CoreID) *caps.CSpace {

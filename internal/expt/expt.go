@@ -39,7 +39,7 @@ func NewEnv(m *topo.Machine, seed uint64) *Env {
 	sys := cache.New(e, m, memory.New(m), interconnect.New(m))
 	kb := skb.New(m)
 	kb.Discover()
-	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2*m.TransferLat(b, a) + 160 })
+	kb.Measure()
 	return &Env{E: e, M: m, Sys: sys, Kern: kernel.NewSystem(e, m), KB: kb}
 }
 

@@ -123,9 +123,6 @@ func (f *Fabric) TransferPenalty(a, b topo.SocketID, base sim.Time, rng *sim.RNG
 	return extra
 }
 
-// Machine returns the machine this fabric belongs to.
-func (f *Fabric) Machine() *topo.Machine { return f.m }
-
 // Lookahead returns the conservative lookahead of partition map pm on
 // machine m: the minimum latency of any coherence transaction crossing a
 // partition boundary. A parallel sub-engine may safely run that many cycles

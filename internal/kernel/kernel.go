@@ -53,8 +53,6 @@ type System struct {
 	Mach  *topo.Machine
 	Eng   *sim.Engine
 	Cores []*Core
-
-	irqs map[int]*irqBinding // device interrupt routing (§4.2)
 }
 
 // NewSystem creates one CPU driver per core of the machine.
@@ -77,9 +75,6 @@ func (s *System) Core(c topo.CoreID) *Core { return s.Cores[c] }
 
 // Stats returns a copy of the core's counters.
 func (c *Core) Stats() Stats { return c.stats }
-
-// Machine returns the machine this core belongs to.
-func (c *Core) Machine() *topo.Machine { return c.mach }
 
 // Syscall charges one system-call entry/exit on this core.
 func (c *Core) Syscall(p *sim.Proc) {
@@ -115,14 +110,6 @@ func (c *Core) LRPC(p *sim.Proc) {
 	c.stats.Syscalls++
 	c.stats.Switches++
 	p.Sleep(LRPCCost(c.mach))
-}
-
-// LRPCCall performs a synchronous same-core RPC: one LRPC to the server, the
-// server handler runs (charging its own costs), and one LRPC back.
-func (c *Core) LRPCCall(p *sim.Proc, handler func(p *sim.Proc)) {
-	c.LRPC(p)
-	handler(p)
-	c.LRPC(p)
 }
 
 // OnIPI installs the core's interrupt handler.

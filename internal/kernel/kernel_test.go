@@ -46,29 +46,6 @@ func TestLRPCChargesTime(t *testing.T) {
 	}
 }
 
-func TestLRPCCallRoundTrip(t *testing.T) {
-	e := sim.NewEngine(1)
-	m := topo.AMD2x2()
-	sys := NewSystem(e, m)
-	var took sim.Time
-	served := false
-	e.Spawn("caller", func(p *sim.Proc) {
-		start := p.Now()
-		sys.Core(0).LRPCCall(p, func(p *sim.Proc) {
-			served = true
-			p.Sleep(100)
-		})
-		took = p.Now() - start
-	})
-	e.Run()
-	if !served {
-		t.Fatal("handler not invoked")
-	}
-	if want := 2*LRPCCost(m) + 100; took != want {
-		t.Fatalf("round trip %d, want %d", took, want)
-	}
-}
-
 func TestIPIDelivery(t *testing.T) {
 	e := sim.NewEngine(1)
 	m := topo.AMD4x4()

@@ -5,7 +5,6 @@ import (
 
 	"multikernel/internal/sim"
 	"multikernel/internal/topo"
-	"multikernel/internal/urpc"
 )
 
 func TestPowerOffUpdatesAllViews(t *testing.T) {
@@ -114,96 +113,6 @@ func TestPowerOnAlreadyOnlineErrors(t *testing.T) {
 	f.e.Run()
 	if err == nil {
 		t.Fatal("power-on of online core allowed")
-	}
-}
-
-func TestNameServiceRegisterLookup(t *testing.T) {
-	f := newFixture(t, topo.AMD4x4())
-	ns := NewNameService(f.net, 0)
-	var found bool
-	var ref ServiceRef
-	f.e.Spawn("svc", func(p *sim.Proc) {
-		ns.Register(p, 5, "netd", 5, map[string]string{"proto": "udp"})
-		ns.Register(p, 9, "webd", 9, map[string]string{"proto": "tcp"})
-		ref, found = ns.Lookup(p, 12, "netd")
-	})
-	f.e.Run()
-	if !found || ref.Core != 5 {
-		t.Fatalf("lookup: %v %v", ref, found)
-	}
-}
-
-func TestNameServiceLookupByProperty(t *testing.T) {
-	f := newFixture(t, topo.AMD4x4())
-	ns := NewNameService(f.net, 0)
-	var refs []ServiceRef
-	f.e.Spawn("svc", func(p *sim.Proc) {
-		ns.Register(p, 1, "b-svc", 1, map[string]string{"class": "driver"})
-		ns.Register(p, 2, "a-svc", 2, map[string]string{"class": "driver"})
-		ns.Register(p, 3, "c-svc", 3, map[string]string{"class": "app"})
-		refs = ns.LookupByProperty(p, 4, "class", "driver")
-	})
-	f.e.Run()
-	if len(refs) != 2 || refs[0].Name != "a-svc" || refs[1].Name != "b-svc" {
-		t.Fatalf("refs: %v", refs)
-	}
-}
-
-func TestNameServiceUnregister(t *testing.T) {
-	f := newFixture(t, topo.AMD2x2())
-	ns := NewNameService(f.net, 0)
-	var first, second bool
-	var stillThere bool
-	f.e.Spawn("svc", func(p *sim.Proc) {
-		ns.Register(p, 1, "x", 1, nil)
-		first = ns.Unregister(p, 2, "x")
-		second = ns.Unregister(p, 2, "x")
-		_, stillThere = ns.Lookup(p, 3, "x")
-	})
-	f.e.Run()
-	if !first || second || stillThere {
-		t.Fatalf("first=%v second=%v stillThere=%v", first, second, stillThere)
-	}
-}
-
-func TestBindServiceEstablishesWorkingChannel(t *testing.T) {
-	f := newFixture(t, topo.AMD4x4())
-	ns := NewNameService(f.net, 0)
-	var echoed uint64
-	f.e.Spawn("init", func(p *sim.Proc) {
-		ns.Register(p, 9, "echo", 9, nil)
-		client, server, ok := ns.BindService(p, 4, "echo")
-		if !ok {
-			t.Error("bind failed")
-			return
-		}
-		// Service side echoes one message.
-		f.e.Spawn("echo-svc", func(sp *sim.Proc) {
-			var msg [1]urpc.Message
-			server.Rx.Recv(sp, msg[:], urpc.Spin)
-			server.Tx.Send(sp, msg[:], urpc.Spin)
-		})
-		client.Tx.Send(p, []urpc.Message{{42}}, urpc.Spin)
-		var reply [1]urpc.Message
-		client.Rx.Recv(p, reply[:], urpc.Spin)
-		echoed = reply[0][0]
-	})
-	f.e.Run()
-	if echoed != 42 {
-		t.Fatalf("echoed %d", echoed)
-	}
-}
-
-func TestBindUnknownServiceFails(t *testing.T) {
-	f := newFixture(t, topo.AMD2x2())
-	ns := NewNameService(f.net, 0)
-	ok := true
-	f.e.Spawn("init", func(p *sim.Proc) {
-		_, _, ok = ns.BindService(p, 1, "missing")
-	})
-	f.e.Run()
-	if ok {
-		t.Fatal("bind to unknown name succeeded")
 	}
 }
 

@@ -77,7 +77,7 @@ func newFixtureQuick(m *topo.Machine) *fixture {
 	f.kern = kernel.NewSystem(f.e, m)
 	f.kb = skb.New(m)
 	f.kb.Discover()
-	f.kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
+	f.kb.Measure()
 	f.net = NewNetwork(f.e, f.sys, f.kern, f.kb, Hooks{
 		Invalidate: func(p *sim.Proc, core topo.CoreID, op Op) { f.invalidated[core]++ },
 		Prepare: func(p *sim.Proc, core topo.CoreID, op Op) bool {

@@ -248,7 +248,7 @@ func RawShootdownLatency(m *topo.Machine, proto Protocol, nCores, iters int) flo
 	sys := cache.New(e, m, memory.New(m), interconnect.New(m))
 	kb := skb.New(m)
 	kb.Discover()
-	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
+	kb.Measure()
 	s := RawShootdown(e, sys, kb, proto, nCores, iters+1)
 	var warm stats.Sample
 	warm.AddN(s.Values()[1:]...) // discard the cold first round

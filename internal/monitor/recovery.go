@@ -54,9 +54,6 @@ func (n *Network) FailStop(c topo.CoreID) {
 // CoreFailed reports the ground truth of whether core c was fail-stopped.
 func (n *Network) CoreFailed(c topo.CoreID) bool { return n.failed[c] }
 
-// Dead reports whether this monitor's core was fail-stopped.
-func (m *Monitor) Dead() bool { return m.dead }
-
 // opDeadline returns the deadline for an initiator phase started now, given
 // how many recovery rounds the operation has already been through. Initiators
 // wait twice the aggregation timeout per phase (subtree recovery resolves

@@ -221,8 +221,7 @@ func TestUDPEchoThroughNICAndDriver(t *testing.T) {
 	w.Attach(nic, gen)
 
 	app := NewStack(e, sys, "echo", 3, IP4(192, 168, 1, 1))
-	drv := NewDriver(e, sys, nic, 2, app)
-	pump := drv.AppPump(app)
+	NewDriver(e, sys, nic, 2, app)
 	sock := app.BindUDP(7)
 
 	e.Spawn("echo-app", func(p *sim.Proc) {
@@ -232,7 +231,7 @@ func TestUDPEchoThroughNICAndDriver(t *testing.T) {
 				sock.SendTo(p, d.Src, d.SrcPort, d.Payload)
 				continue
 			}
-			if !pump(p) {
+			if !app.PumpReady(p) {
 				p.Sleep(400)
 			}
 		}

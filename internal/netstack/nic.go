@@ -28,8 +28,6 @@ type Wire struct {
 	prop     sim.Time
 	a, b     Port
 	nextFree [2]sim.Time
-	// Stats
-	Bytes [2]uint64
 }
 
 // NewWire creates a link of the given gigabits per second on a machine
@@ -65,7 +63,6 @@ func (w *Wire) transmit(fromA bool, f Frame) {
 	}
 	tx := sim.Time(float64(len(f)) / w.bpc)
 	w.nextFree[dir] = start + tx
-	w.Bytes[dir] += uint64(len(f))
 	w.e.After(start-now+tx+w.prop, func() { dst.Deliver(f) })
 }
 
@@ -73,19 +70,6 @@ func (w *Wire) transmit(fromA bool, f Frame) {
 // generators (which model machines outside the simulated host) use this
 // directly; NICs use it internally.
 func (w *Wire) Transmit(fromA bool, f Frame) { w.transmit(fromA, f) }
-
-// Utilization returns the fraction of one direction's bandwidth used over
-// elapsed cycles.
-func (w *Wire) Utilization(fromA bool, elapsed sim.Time) float64 {
-	dir := 0
-	if !fromA {
-		dir = 1
-	}
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(w.Bytes[dir]) / (w.bpc * float64(elapsed))
-}
 
 // NIC device parameters.
 const (

@@ -72,9 +72,6 @@ func NewStack(e *sim.Engine, sys *cache.System, name string, core topo.CoreID, i
 	}
 }
 
-// Core returns the core the stack runs on.
-func (s *Stack) Core() topo.CoreID { return s.core }
-
 // SetOutput installs the transmit function (to a NIC driver link or a URPC
 // loopback link).
 func (s *Stack) SetOutput(fn func(p *sim.Proc, f Frame)) { s.out = fn }
@@ -335,13 +332,6 @@ func NewDriver(e *sim.Engine, sys *cache.System, nic *NIC, core topo.CoreID, app
 	})
 	nic.OnInterrupt(func() { e.Wake(d.proc) })
 	return d
-}
-
-// AppPump returns a function the application proc may call to opportunistically
-// move frames from the driver link into its stack; blocking socket operations
-// do this automatically through the stack's poller.
-func (d *Driver) AppPump(app *Stack) func(p *sim.Proc) bool {
-	return app.PumpReady
 }
 
 func (d *Driver) loop(p *sim.Proc) {

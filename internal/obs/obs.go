@@ -140,9 +140,6 @@ func (pl *Plane) Store() *Store { return pl.store }
 // Enabled reports whether the plane samples at all.
 func (pl *Plane) Enabled() bool { return pl.cfg.Interval > 0 }
 
-// Interval returns the sampling period (0 when disabled).
-func (pl *Plane) Interval() sim.Time { return pl.cfg.Interval }
-
 // OnCommit registers fn to run (in the root sampler's context) after each
 // window is committed to the store. The health monitor hangs off this hook.
 func (pl *Plane) OnCommit(fn func(p *sim.Proc, tick uint64)) {

@@ -251,7 +251,7 @@ func TestHealthDetectsKill(t *testing.T) {
 	kern := kernel.NewSystem(e, m)
 	kb := skb.New(m)
 	kb.Discover()
-	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
+	kb.Measure()
 	e.SetTracer(trace.NewRing(65536))
 	net := monitor.NewNetwork(e, sys, kern, kb, monitor.Hooks{})
 	net.EnableFaultTolerance(opTimeout)

@@ -38,9 +38,6 @@ func (p *Proc) Engine() *Engine { return p.e }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// Name returns the proc's name.
-func (p *Proc) Name() string { return p.name }
-
 // SetDaemon marks the proc as a daemon: it is expected to park forever (for
 // example, a server waiting for requests) and is excluded from deadlock
 // reports. Safe to call from any context before or during the run.

@@ -31,9 +31,6 @@ func New(m *topo.Machine) *KB {
 	return &KB{mach: m, facts: make(map[string][][]int64)}
 }
 
-// Machine returns the machine this KB describes.
-func (kb *KB) Machine() *topo.Machine { return kb.mach }
-
 // Assert adds the fact pred(args...).
 func (kb *KB) Assert(pred string, args ...int64) {
 	row := make([]int64, len(args))
@@ -121,17 +118,25 @@ func (kb *KB) Discover() {
 	kb.Assert("iosocket", int64(m.IOSocket))
 }
 
+// probeOverhead is the fixed cost, in cycles, that the boot-time latency
+// probe adds to a message's two line transfers.
+const probeOverhead = 160
+
 // Measure populates pairwise message-latency facts msg_latency(a, b, cycles)
-// using the supplied probe function, the analogue of the paper's online URPC
-// latency measurement between all core pairs.
-func (kb *KB) Measure(probe func(a, b topo.CoreID) sim.Time) {
-	n := kb.mach.NumCores()
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
+// for every ordered core pair, the analogue of the paper's online URPC
+// latency measurement at boot (§4.9). The probe uses the machine model
+// directly, standing in for the measurement channels Barrelfish sets up: a
+// message from a to b costs two transfers of a line from a to b plus
+// probeOverhead.
+func (kb *KB) Measure() {
+	m := kb.mach
+	for a := 0; a < m.NumCores(); a++ {
+		for b := 0; b < m.NumCores(); b++ {
 			if a == b {
 				continue
 			}
-			kb.Assert("msg_latency", int64(a), int64(b), int64(probe(topo.CoreID(a), topo.CoreID(b))))
+			lat := 2*m.TransferLat(topo.CoreID(b), topo.CoreID(a)) + probeOverhead
+			kb.Assert("msg_latency", int64(a), int64(b), int64(lat))
 		}
 	}
 }
@@ -290,40 +295,6 @@ func (kb *KB) HierMulticastTree(src topo.CoreID, cores []topo.CoreID, fanout int
 // core c should be allocated from: c's own socket (NUMA-local placement).
 func (kb *KB) AllocAdvice(c topo.CoreID) topo.SocketID {
 	return kb.mach.Socket(c)
-}
-
-// DriverPlacement recommends a core for a device driver: the lowest-numbered
-// core on the socket closest to the I/O hub, excluding the given reserved
-// cores.
-func (kb *KB) DriverPlacement(reserved ...topo.CoreID) topo.CoreID {
-	m := kb.mach
-	isReserved := func(c topo.CoreID) bool {
-		for _, r := range reserved {
-			if r == c {
-				return true
-			}
-		}
-		return false
-	}
-	type cand struct {
-		c    topo.CoreID
-		hops int
-	}
-	var best *cand
-	for i := 0; i < m.NumCores(); i++ {
-		c := topo.CoreID(i)
-		if isReserved(c) {
-			continue
-		}
-		h := m.Hops(m.Socket(c), m.IOSocket)
-		if best == nil || h < best.hops || (h == best.hops && c < best.c) {
-			best = &cand{c, h}
-		}
-	}
-	if best == nil {
-		panic("skb: no unreserved core for driver placement")
-	}
-	return best.c
 }
 
 // String renders the KB's relations and cardinalities.

@@ -3,7 +3,6 @@ package skb
 import (
 	"testing"
 
-	"multikernel/internal/sim"
 	"multikernel/internal/topo"
 )
 
@@ -66,8 +65,8 @@ func TestDiscoverFacts(t *testing.T) {
 func TestMeasureAndLatency(t *testing.T) {
 	m := topo.AMD2x2()
 	kb := New(m)
-	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
-	if got := kb.Latency(0, 2); got != 2*m.TransferLat(2, 0) {
+	kb.Measure()
+	if got := kb.Latency(0, 2); got != 2*m.TransferLat(2, 0)+probeOverhead {
 		t.Fatalf("latency(0,2)=%d", got)
 	}
 	if got := kb.Latency(0, 0); got != 0 {
@@ -79,7 +78,7 @@ func TestMulticastTreeStructure(t *testing.T) {
 	m := topo.AMD8x4()
 	kb := New(m)
 	kb.Discover()
-	kb.Measure(func(a, b topo.CoreID) sim.Time { return 2 * m.TransferLat(b, a) })
+	kb.Measure()
 	tree := kb.MulticastTree(0, nil)
 	if tree.Fanout() != 31 {
 		t.Fatalf("fanout=%d, want 31", tree.Fanout())
@@ -259,21 +258,5 @@ func TestAllocAdvice(t *testing.T) {
 	kb := New(topo.AMD4x4())
 	if kb.AllocAdvice(9) != 2 {
 		t.Fatalf("advice=%d, want 2", kb.AllocAdvice(9))
-	}
-}
-
-func TestDriverPlacement(t *testing.T) {
-	m := topo.AMD4x4() // IOSocket 0
-	kb := New(m)
-	if got := kb.DriverPlacement(); got != 0 {
-		t.Fatalf("placement=%d, want 0", got)
-	}
-	if got := kb.DriverPlacement(0); got != 1 {
-		t.Fatalf("placement excluding 0 = %d, want 1", got)
-	}
-	// Reserve the whole I/O socket: next closest socket wins.
-	got := kb.DriverPlacement(0, 1, 2, 3)
-	if m.Hops(m.Socket(got), m.IOSocket) != 1 {
-		t.Fatalf("placement %d not adjacent to I/O socket", got)
 	}
 }

@@ -40,9 +40,6 @@ func Partition(m *Machine, nparts int) *PartitionMap {
 // decomposition, and the default for the parallel engine.
 func PerSocket(m *Machine) *PartitionMap { return Partition(m, m.NSockets) }
 
-// Machine returns the partitioned machine.
-func (pm *PartitionMap) Machine() *Machine { return pm.m }
-
 // NParts returns the number of partitions.
 func (pm *PartitionMap) NParts() int { return pm.nparts }
 

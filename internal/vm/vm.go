@@ -136,12 +136,11 @@ type Space struct {
 	mgr  *Manager
 }
 
-// Manager owns the VM state of one machine: per-core TLBs and the address
-// spaces.
+// Manager owns the VM state of one machine: per-core TLBs and the IDs of
+// its address spaces.
 type Manager struct {
 	sys     *cache.System
 	tlbs    []*TLB
-	spaces  map[uint8]*Space
 	nextID  uint8
 	tlbSize int
 }
@@ -152,7 +151,7 @@ func NewManager(sys *cache.System, tlbSize int) *Manager {
 	if tlbSize <= 0 {
 		tlbSize = 64
 	}
-	m := &Manager{sys: sys, spaces: make(map[uint8]*Space), tlbSize: tlbSize}
+	m := &Manager{sys: sys, tlbSize: tlbSize}
 	for i := 0; i < sys.Machine().NumCores(); i++ {
 		m.tlbs = append(m.tlbs, newTLB(tlbSize))
 	}
@@ -203,12 +202,8 @@ func (m *Manager) NewSpace(p *sim.Proc, core topo.CoreID, cs *caps.CSpace, ramRe
 		return nil, err
 	}
 	s.root = root
-	m.spaces[s.ID] = s
 	return s, nil
 }
-
-// Space returns the address space with the given ID, or nil.
-func (m *Manager) Space(id uint8) *Space { return m.spaces[id] }
 
 // Map installs a translation from va to the frame capability frameRef with
 // the given permissions. Intermediate page tables are allocated on demand.
