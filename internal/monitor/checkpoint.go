@@ -117,6 +117,9 @@ func (n *Network) RestoreState(r io.Reader) error {
 			&st.Excised, &st.Recoveries, &st.Strays, &st.Dropped); err != nil {
 			return err
 		}
+		if flags&^(mfParked|mfDown|mfDead) != 0 {
+			return fmt.Errorf("monitor: core %d image has unknown flag bits %#x", mon.Core, flags)
+		}
 		mon.parked = flags&mfParked != 0
 		mon.down = flags&mfDown != 0
 		mon.dead = flags&mfDead != 0

@@ -1,0 +1,92 @@
+package monitor_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"multikernel/internal/core"
+	"multikernel/internal/sim"
+	"multikernel/internal/topo"
+)
+
+// bootImage is the monitor blob of an AMD2x2 boot checkpoint. The core count
+// and the one-word failed set come first, so core 0's flags word is at byte
+// 24. The 12 mesh channels' records end the blob, 72 bytes each: four
+// cursors, the flags word and four counters.
+func bootImage(tb testing.TB) []byte {
+	e := sim.NewEngine(1)
+	defer e.Close()
+	sys := core.Boot(e, topo.AMD2x2())
+	e.Run()
+	var img bytes.Buffer
+	if err := sys.Net.CheckpointState(&img); err != nil {
+		tb.Fatal(err)
+	}
+	return img.Bytes()
+}
+
+// corruptImages derives, from a valid image, monitor images that restored
+// without error although no run can reach them.
+func corruptImages(valid []byte) []struct {
+	name string
+	img  []byte
+} {
+	const monFlags = 24
+	ch := len(valid) - 12*72 // the first mesh channel, 0->1
+	patch := func(off int, vs ...uint64) []byte {
+		b := bytes.Clone(valid)
+		for i, v := range vs {
+			binary.LittleEndian.PutUint64(b[off+8*i:], v)
+		}
+		return b
+	}
+	return []struct {
+		name string
+		img  []byte
+	}{
+		{"unknown monitor flag bit", patch(monFlags, 1<<3)},
+		// A message then sent under a Deadline was never received.
+		{"channel received more than was sent", patch(ch, 0, 10, 0, 10)},
+		{"channel ack view beyond what was published", patch(ch, 6, 5, 5, 4)},
+		{"channel published beyond what was received", patch(ch, 6, 4, 4, 5)},
+		{"more than a ring in flight", patch(ch, 1<<20, 0, 0, 0)},
+		{"unknown channel flag bit", patch(ch+32, 2)},
+	}
+}
+
+// restore restores img into a freshly booted AMD2x2 network.
+func restore(img []byte) error {
+	e := sim.NewEngine(1)
+	defer e.Close()
+	return core.Boot(e, topo.AMD2x2()).Net.RestoreState(bytes.NewReader(img))
+}
+
+// TestRestoreStateRejectsCorruptImages: the network checks every monitor's
+// flags and every channel's cursors, so each corrupt image is an error.
+func TestRestoreStateRejectsCorruptImages(t *testing.T) {
+	valid := bootImage(t)
+	if err := restore(valid); err != nil {
+		t.Fatalf("boot image: %v", err)
+	}
+	for _, c := range corruptImages(valid) {
+		if err := restore(c.img); err == nil {
+			t.Errorf("%s: restored without error", c.name)
+		}
+	}
+}
+
+// FuzzMonitorRestore feeds arbitrary bytes to Network.RestoreState: it must
+// return an error or restore a state, never panic. The seeds are the monitor
+// blob of an AMD2x2 boot checkpoint and the images of
+// TestRestoreStateRejectsCorruptImages.
+func FuzzMonitorRestore(f *testing.F) {
+	valid := bootImage(f)
+	f.Add(valid)
+	for _, c := range corruptImages(valid) {
+		f.Add(c.img)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		restore(b)
+	})
+}

@@ -30,13 +30,29 @@ func (c *Channel) CheckpointState(w io.Writer) error {
 		c.stats.Sent, c.stats.Received, c.stats.FullStall, c.stats.Notifies)
 }
 
-// RestoreState reads back what CheckpointState wrote.
+// RestoreState reads back what CheckpointState wrote. It rejects cursors no
+// run can reach: the sender's view of the ack line never passes what the
+// receiver published, the receiver publishes only what it received and
+// receives only what was sent, and at most one ring of messages is in flight.
+// A parallel replica runs only its own cores' procs, so on a channel that
+// crosses partitions it checks only the cursors of the end it holds.
 func (c *Channel) RestoreState(r io.Reader) error {
-	var flags uint64
-	if err := ckpt.ReadU64(r, &c.sendSeq, &c.recvSeq, &c.sendAcked, &c.published, &flags,
+	var sendSeq, recvSeq, sendAcked, published, flags uint64
+	if err := ckpt.ReadU64(r, &sendSeq, &recvSeq, &sendAcked, &published, &flags,
 		&c.stats.Sent, &c.stats.Received, &c.stats.FullStall, &c.stats.Notifies); err != nil {
 		return err
 	}
+	sender, receiver := c.sys.LocalCore(c.Sender), c.sys.LocalCore(c.Receiver)
+	if sender && (sendAcked > sendSeq || sendSeq-sendAcked > uint64(c.slots)) ||
+		receiver && published > recvSeq ||
+		sender && receiver && (sendAcked > published || recvSeq > sendSeq) {
+		return fmt.Errorf("urpc: channel %d->%d image has impossible cursors (sent %d, received %d, published %d, acked %d, %d slots)",
+			c.Sender, c.Receiver, sendSeq, recvSeq, published, sendAcked, c.slots)
+	}
+	if flags&^chDead != 0 {
+		return fmt.Errorf("urpc: channel %d->%d image has unknown flag bits %#x", c.Sender, c.Receiver, flags)
+	}
+	c.sendSeq, c.recvSeq, c.sendAcked, c.published = sendSeq, recvSeq, sendAcked, published
 	c.dead = flags&chDead != 0
 	c.blocked = nil
 	return nil
