@@ -13,7 +13,6 @@ package interconnect
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"multikernel/internal/metrics"
@@ -33,7 +32,12 @@ const (
 // Fabric accounts interconnect traffic for one machine.
 type Fabric struct {
 	m       *topo.Machine
-	traffic map[[2]topo.SocketID]uint64 // directed link -> dwords
+	traffic []uint64 // dwords per directed socket pair a->b, at a*NSockets+b
+
+	// ChargeBroadcast marks each link it charges with the call's generation
+	// number, so no link is charged twice in one broadcast.
+	bcastGen  uint64
+	bcastMark []uint64
 
 	// Fault-injection state: per-directed-link degradation. Empty in the
 	// fault-free case; the cache model's hot path only pays for it after
@@ -44,8 +48,11 @@ type Fabric struct {
 
 // New returns an empty fabric for machine m.
 func New(m *topo.Machine) *Fabric {
-	return &Fabric{m: m, traffic: make(map[[2]topo.SocketID]uint64)}
+	return &Fabric{m: m, traffic: make([]uint64, m.NSockets*m.NSockets)}
 }
+
+// link is the traffic index of directed link a->b.
+func (f *Fabric) link(a, b topo.SocketID) int { return int(a)*f.m.NSockets + int(b) }
 
 // Degrade describes a fault-injected impairment of one directed link.
 // DelayFactor >= 1 multiplies the latency contribution of transfers crossing
@@ -200,7 +207,7 @@ func (f *Fabric) SetMetrics(reg *metrics.Registry) {
 }
 
 // Reset zeroes all traffic counters.
-func (f *Fabric) Reset() { f.traffic = make(map[[2]topo.SocketID]uint64) }
+func (f *Fabric) Reset() { clear(f.traffic) }
 
 // Charge records dwords of traffic along the shortest path from socket a to
 // socket b. Charging a == b is a no-op (intra-socket traffic never reaches
@@ -208,7 +215,7 @@ func (f *Fabric) Reset() { f.traffic = make(map[[2]topo.SocketID]uint64) }
 func (f *Fabric) Charge(a, b topo.SocketID, dwords int) {
 	for a != b {
 		next := f.m.NextHop(a, b)
-		f.traffic[[2]topo.SocketID{a, next}] += uint64(dwords)
+		f.traffic[f.link(a, next)] += uint64(dwords)
 		a = next
 	}
 }
@@ -217,13 +224,15 @@ func (f *Fabric) Charge(a, b topo.SocketID, dwords int) {
 // socket along a shortest-path tree (each link charged once per broadcast),
 // modelling probe broadcast on an unfiltered coherence fabric.
 func (f *Fabric) ChargeBroadcast(a topo.SocketID, dwords int) {
-	seen := map[[2]topo.SocketID]bool{}
+	if f.bcastMark == nil {
+		f.bcastMark = make([]uint64, len(f.traffic))
+	}
+	f.bcastGen++
 	for s := 0; s < f.m.NSockets; s++ {
 		for cur, dst := a, topo.SocketID(s); cur != dst; {
 			next := f.m.NextHop(cur, dst)
-			k := [2]topo.SocketID{cur, next}
-			if !seen[k] {
-				seen[k] = true
+			if k := f.link(cur, next); f.bcastMark[k] != f.bcastGen {
+				f.bcastMark[k] = f.bcastGen
 				f.traffic[k] += uint64(dwords)
 			}
 			cur = next
@@ -234,7 +243,7 @@ func (f *Fabric) ChargeBroadcast(a topo.SocketID, dwords int) {
 // LinkDwords returns the dwords recorded on the directed link a->b. The link
 // need not exist; missing links carry zero.
 func (f *Fabric) LinkDwords(a, b topo.SocketID) uint64 {
-	return f.traffic[[2]topo.SocketID{a, b}]
+	return f.traffic[f.link(a, b)]
 }
 
 // PathDwords returns the traffic recorded on the first link of the shortest
@@ -268,21 +277,14 @@ func (f *Fabric) Utilization(a, b topo.SocketID, elapsed uint64, linkGBps float6
 	return bytes / (linkGBps * 1e9 * seconds)
 }
 
-// Snapshot returns a sorted human-readable listing of per-link traffic.
+// Snapshot returns a human-readable listing of every link that carried
+// traffic, ordered by source socket, then destination.
 func (f *Fabric) Snapshot() string {
-	keys := make([][2]topo.SocketID, 0, len(f.traffic))
-	for k := range f.traffic {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
 	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "link %d->%d: %d dwords\n", k[0], k[1], f.traffic[k])
+	for k, v := range f.traffic {
+		if v != 0 {
+			fmt.Fprintf(&b, "link %d->%d: %d dwords\n", k/f.m.NSockets, k%f.m.NSockets, v)
+		}
 	}
 	return b.String()
 }
