@@ -287,14 +287,18 @@ func TestDMAWriteInvalidatesAndStores(t *testing.T) {
 func TestTouchTracking(t *testing.T) {
 	r := newRig(topo.AMD2x2())
 	reg := r.mem.AllocLines(4, 0)
+	// Line 3 is in the lookaside before tracking starts; touching it again
+	// is a lookaside hit and must still count.
+	r.runOn(func(p *sim.Proc) { r.sys.Load(p, 0, reg.LineAt(3)) })
 	r.sys.StartTouchTracking()
 	r.runOn(func(p *sim.Proc) {
 		r.sys.Load(p, 0, reg.LineAt(0))
 		r.sys.Load(p, 0, reg.LineAt(2))
 		r.sys.Load(p, 0, reg.LineAt(2)) // same line twice
+		r.sys.Load(p, 0, reg.LineAt(3))
 	})
-	if n := r.sys.StopTouchTracking(); n != 2 {
-		t.Fatalf("touched %d lines, want 2", n)
+	if n := r.sys.StopTouchTracking(); n != 3 {
+		t.Fatalf("touched %d lines, want 3", n)
 	}
 }
 

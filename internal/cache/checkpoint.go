@@ -98,8 +98,9 @@ func (s *System) CheckpointState(w io.Writer) error {
 // RestoreState replaces the directory and per-core state with an image. The
 // line map grows as records arrive rather than being sized from the image's
 // count, so a corrupt count fails at the end of the image instead of
-// allocating whatever the count says; every core index the image names must
-// be a core of this machine.
+// allocating whatever the count says. Line ids must strictly ascend, as
+// CheckpointState writes them, every core index the image names must be a
+// core of this machine, and a line may carry only the known flag bits.
 func (s *System) RestoreState(r io.Reader) error {
 	var nlines uint64
 	if err := ckpt.ReadU64(r, &nlines); err != nil {
@@ -107,11 +108,16 @@ func (s *System) RestoreState(r io.Reader) error {
 	}
 	ncores := s.mach.NumCores()
 	lines := make(map[memory.LineID]*line)
-	for range nlines {
+	var prev memory.LineID
+	for i := range nlines {
 		var id uint64
 		if err := ckpt.ReadU64(r, &id); err != nil {
 			return err
 		}
+		if i > 0 && memory.LineID(id) <= prev {
+			return fmt.Errorf("cache: image lines out of order at line %#x", id)
+		}
+		prev = memory.LineID(id)
 		var holders CoreSet
 		for j := range holders {
 			if err := ckpt.ReadU64(r, &holders[j]); err != nil {
@@ -129,6 +135,9 @@ func (s *System) RestoreState(r io.Reader) error {
 		}
 		if o := int64(owner); o < -1 || o >= int64(ncores) {
 			return fmt.Errorf("cache: image line %#x owned by core %d; machine has %d", id, o, ncores)
+		}
+		if flags&^(clDirty|clXferStore) != 0 {
+			return fmt.Errorf("cache: image line %#x has unknown flag bits %#x", id, flags)
 		}
 		lines[memory.LineID(id)] = &line{
 			holders:   holders,
@@ -182,6 +191,7 @@ func (s *System) RestoreState(r io.Reader) error {
 	}
 
 	s.lines = lines
+	s.clearLookaside()
 	s.mode = CoherenceMode(mode)
 	for i, v := range dirFree {
 		s.dirFree[i] = sim.Time(v)

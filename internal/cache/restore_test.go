@@ -30,14 +30,15 @@ func bootImage(tb testing.TB) []byte {
 }
 
 // corruptImages derives, from a valid image, cache images that once
-// over-allocated in RestoreState or were accepted only to fail later as an
-// out-of-range index.
+// over-allocated in RestoreState, were accepted only to fail later as an
+// out-of-range index, or restored a state that re-checkpoints to other bytes.
 func corruptImages(valid []byte) []struct {
 	name string
 	img  []byte
 } {
 	const holders = 16
 	owner := holders + 8*len(cache.CoreSet{})
+	flags := owner + 8
 	patch := func(off int, v uint64) []byte {
 		b := bytes.Clone(valid)
 		binary.LittleEndian.PutUint64(b[off:], v)
@@ -47,6 +48,10 @@ func corruptImages(valid []byte) []struct {
 	for _, v := range []uint64{1, 7, 0} { // a 1-entry stall table, then the mode
 		short = binary.LittleEndian.AppendUint64(short, v)
 	}
+	// The first line record twice, with the line count raised to match.
+	first := valid[8 : flags+8]
+	dup := binary.LittleEndian.AppendUint64(nil, binary.LittleEndian.Uint64(valid)+1)
+	dup = append(append(dup, first...), valid[8:]...)
 	return []struct {
 		name string
 		img  []byte
@@ -57,6 +62,9 @@ func corruptImages(valid []byte) []struct {
 		{"holder beyond the machine", patch(holders, 1<<4)},
 		{"owner beyond the machine", patch(owner, 4)},
 		{"stall table shorter than the cores", short},
+		// Each restored one line less, or one flag less, than it lists.
+		{"line record repeated", dup},
+		{"unknown line flag bits", patch(flags, 1<<2)},
 	}
 }
 
@@ -98,7 +106,8 @@ func TestRestoreStateRejectsCorruptImages(t *testing.T) {
 }
 
 // FuzzCacheRestore feeds arbitrary bytes to RestoreState: it must return an
-// error or restore a state, never panic or allocate by a corrupt count. The
+// error or restore a state, never panic or allocate by a corrupt count. A
+// state it restores must re-checkpoint to exactly the bytes it read. The
 // seeds are the cache blob of an AMD2x2 boot checkpoint and the images of
 // TestRestoreStateRejectsCorruptImages.
 func FuzzCacheRestore(f *testing.F) {
@@ -110,6 +119,62 @@ func FuzzCacheRestore(f *testing.F) {
 	e := sim.NewEngine(1)
 	defer e.Close()
 	f.Fuzz(func(t *testing.T, b []byte) {
-		newAMD2x2(e).RestoreState(bytes.NewReader(b))
+		r := bytes.NewReader(b)
+		sys := newAMD2x2(e)
+		if sys.RestoreState(r) != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := sys.CheckpointState(&again); err != nil {
+			t.Fatalf("checkpoint after restore: %v", err)
+		}
+		if read := b[:len(b)-r.Len()]; !bytes.Equal(again.Bytes(), read) {
+			t.Fatalf("restored %d image bytes; they re-checkpoint to %d other bytes", len(read), again.Len())
+		}
 	})
+}
+
+// TestRestoreStateEmptiesLookaside: lines a core touched before a restore
+// sit in the line lookaside. After RestoreState the accesses must see the
+// image's directory: a line the image gives to another core, and a line the
+// image lacks, are misses for the core that held them.
+func TestRestoreStateEmptiesLookaside(t *testing.T) {
+	run := func(sys *cache.System, fn func(p *sim.Proc)) {
+		sys.Engine().Spawn("t", fn)
+		sys.Engine().Run()
+	}
+	build := func() (*cache.System, memory.Addr, memory.Addr) {
+		e := sim.NewEngine(1)
+		t.Cleanup(e.Close)
+		sys := newAMD2x2(e)
+		reg := sys.Memory().AllocLines(2, 0)
+		return sys, reg.LineAt(0), reg.LineAt(1)
+	}
+	// The image: core 1 holds line a, and line b was never touched.
+	src, a, b := build()
+	run(src, func(p *sim.Proc) { src.Load(p, 1, a) })
+	var img bytes.Buffer
+	if err := src.CheckpointState(&img); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, _, _ := build()
+	run(sys, func(p *sim.Proc) {
+		sys.Load(p, 0, a)
+		sys.Load(p, 0, b)
+	})
+	if err := sys.RestoreState(&img); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit := sys.ProbeHit(0, a); hit {
+		t.Error("ProbeHit: core 0 still holds line a; the image gives it to core 1 alone")
+	}
+	if _, hit := sys.ProbeHit(1, a); !hit {
+		t.Error("ProbeHit: core 1 misses line a; the image says it holds it")
+	}
+	misses := sys.Stats(0).Misses
+	run(sys, func(p *sim.Proc) { sys.Load(p, 0, b) })
+	if got := sys.Stats(0).Misses - misses; got != 1 {
+		t.Errorf("Load of line b, absent from the image: %d misses, want 1", got)
+	}
 }
