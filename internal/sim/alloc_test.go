@@ -151,3 +151,27 @@ func TestIdleStepAllocs(t *testing.T) {
 		t.Fatalf("poller stepped %d times in 21 windows, want at least 200", polls-before)
 	}
 }
+
+// TestQueueAllocs pins the zero-allocation contract of the event queue: 32
+// callbacks rescheduling themselves with delays below, at and above the
+// calendar's span keep both the calendar and the heap populated, and once
+// the free list and the heap's capacity are warm, schedule and dispatch
+// allocate nothing.
+func TestQueueAllocs(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Close()
+	delays := []Time{1, 3, 140, calSpan - 1, calSpan, calSpan + 1, 5 * calSpan}
+	for i := 0; i < 32; i++ {
+		d := delays[i%len(delays)]
+		var fn func()
+		fn = func() { e.After(d, fn) }
+		e.After(Time(i), fn)
+	}
+	e.RunUntil(20 * calSpan)
+	if calendar := e.pending - len(e.heap); calendar == 0 || len(e.heap) == 0 {
+		t.Fatalf("%d events in the calendar and %d in the heap; want both in use", calendar, len(e.heap))
+	}
+	if avg := testing.AllocsPerRun(20, func() { e.RunUntil(e.Now() + 2*calSpan) }); avg != 0 {
+		t.Errorf("steady-state schedule and dispatch: %.1f allocs per %d cycles, want 0", avg, 2*calSpan)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"multikernel/internal/trace"
@@ -28,12 +29,13 @@ func BenchmarkScheduleDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleDispatchDeep measures schedule+dispatch with a populated
-// heap, so sift-up/down costs at realistic queue depths are visible.
+// BenchmarkScheduleDispatchDeep measures schedule+dispatch with 1,024
+// far-future events queued. They sit in the heap, so each measured event,
+// due next cycle, goes to the calendar and becomes the head at once.
 func BenchmarkScheduleDispatchDeep(b *testing.B) {
 	e := NewEngine(1)
 	fn := func() {}
-	// A standing population of far-future events keeps the heap deep.
+	// A standing population of far-future events keeps the queue deep.
 	for i := 0; i < 1024; i++ {
 		e.After(Forever, fn)
 	}
@@ -45,6 +47,41 @@ func BenchmarkScheduleDispatchDeep(b *testing.B) {
 		e.After(1, fn)
 		e.RunUntil(e.Now() + 1)
 	}
+}
+
+// BenchmarkIdlePollDeep measures schedule and dispatch with a deep
+// near-future population, the shape of idle monitors polling on 8x4: 32
+// procs in Proc.Idle loops whose steps follow a monitor's idle sweep, a 10-
+// and a 3-cycle step per peer ring for 31 peers, then 8 cycles of loop
+// bookkeeping and a 140-cycle sleep. One op is one step, one event.
+func BenchmarkIdlePollDeep(b *testing.B) {
+	const procs, peers = 32, 31
+	e := NewEngine(1)
+	for i := 0; i < procs; i++ {
+		k := 5 * i // stagger the procs across the sweep
+		e.Spawn(fmt.Sprintf("mon%d", i), func(p *Proc) {
+			p.Idle(func() (Time, bool) {
+				k = (k + 1) % (2*peers + 2)
+				switch {
+				case k == 2*peers:
+					return 8, false
+				case k == 2*peers+1:
+					return 140, false
+				case k%2 == 0:
+					return 10, false
+				}
+				return 3, false
+			})
+		})
+	}
+	e.RunUntil(10000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for end := e.seq + uint64(b.N); e.seq < end; {
+		e.RunUntil(e.Now() + 100)
+	}
+	b.StopTimer()
+	e.Close()
 }
 
 // BenchmarkProcHandoff measures the proc resume path: one Sleep per

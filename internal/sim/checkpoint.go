@@ -17,7 +17,7 @@ package sim
 // same unique name) for each proc that was alive at checkpoint time. Then
 // Restore overwrites the fresh engine's state with the serialized image:
 // clock, sequence counters, RNG stream, per-proc park/daemon flags, the
-// event heap, and each component's blob.
+// event queue, and each component's blob.
 //
 // Procs come back "at the top": a restored proc's coroutine restarts its
 // function from the beginning rather than from the yield point where the
@@ -110,31 +110,16 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
 
-	// Events, sorted by dispatch order. Only proc wakeups are serializable.
-	type evImage struct {
-		at, pri, seq uint64
-		procID       uint64
-	}
-	evs := make([]evImage, 0, len(e.events))
-	for _, ev := range e.events {
+	// Events, in dispatch order. Only proc wakeups are serializable.
+	var evs []*event
+	for _, ev := range e.queued() {
 		if ev.fn != nil || ev.hfn != nil {
 			return fmt.Errorf("sim: checkpoint with pending engine callback at t=%d (not quiescent)", ev.at)
 		}
-		if ev.p.done {
-			continue // stale wakeup for a dead proc; dispatch would drop it
+		if !ev.p.done { // a dead proc's stale wakeup: dispatch would drop it
+			evs = append(evs, ev)
 		}
-		evs = append(evs, evImage{uint64(ev.at), ev.pri, ev.seq, uint64(ev.p.id)})
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.pri != b.pri {
-			return a.pri < b.pri
-		}
-		return a.seq < b.seq
-	})
 
 	if err := ckpt.Magic(w, ckptMagic); err != nil {
 		return err
@@ -174,7 +159,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		return err
 	}
 	for _, ev := range evs {
-		if err := ckpt.WriteU64(w, ev.at, ev.pri, ev.seq, ev.procID); err != nil {
+		if err := ckpt.WriteU64(w, uint64(ev.at), ev.pri, ev.seq, uint64(ev.p.id)); err != nil {
 			return err
 		}
 	}
@@ -282,8 +267,8 @@ func Restore(r io.Reader, build func(e *Engine)) (*Engine, error) {
 	// Discard build-time scheduling artifacts: the spawned procs' start
 	// events (their coroutines stay unstarted until first resumed) and any
 	// callbacks build scheduled by mistake.
-	for len(e.events) > 0 {
-		e.releaseEvent(e.events.pop())
+	for e.head != nil {
+		e.releaseEvent(e.pop())
 	}
 	e.now = Time(now)
 	e.seq = seq
@@ -326,7 +311,7 @@ func Restore(r io.Reader, build func(e *Engine)) (*Engine, error) {
 		}
 		ev := e.newEvent()
 		ev.at, ev.pri, ev.seq, ev.p = Time(img.at), img.pri, img.seq, p
-		e.events.push(ev)
+		e.push(ev) // after the clock is set: push files ev against it
 	}
 
 	regd := make(map[string]Checkpointer, len(e.ckpts))

@@ -13,8 +13,10 @@
 // experiment's wall-clock cost is dominated by this event loop, the hot path
 // is built for speed:
 //
-//   - events live in a hand-rolled 4-ary min-heap specialized to *event (no
-//     container/heap interface boxing),
+//   - while the queue is deep, events due within calSpan cycles wait in a
+//     calendar of per-cycle FIFO buckets found through a bitmap, and the
+//     rest in a 4-ary min-heap; the earliest event is cached, so the common
+//     checks are one compare (queue.go),
 //   - dispatched events return to a free list, so steady-state scheduling
 //     performs no heap allocation,
 //   - After callbacks run inline in the dispatching proc or Run caller and
@@ -48,95 +50,18 @@ type Time uint64
 // Forever is a sentinel duration meaning "no timeout".
 const Forever = Time(1) << 62
 
-type event struct {
-	at  Time
-	pri uint64 // tie-break demotion class; 0 except under a perturb hook
-	seq uint64
-	p   *Proc  // proc to resume, or nil
-	fn  func() // callback to invoke, if p == nil
-	// hfn is the argument-carrying callback variant used for cross-partition
-	// message delivery (ParallelEngine mailboxes): the handler closure is
-	// created once at registration time and the two payload words ride in the
-	// pooled event itself, so steady-state cross-partition traffic schedules
-	// with zero allocation.
-	hfn  func(a, b uint64)
-	a, b uint64
-	next *event // free-list link while pooled
-}
-
-// eventQueue is a 4-ary min-heap of events ordered by (at, pri, seq). A
-// 4-ary heap does the same number of comparisons as a binary heap in roughly
-// half the tree depth, which means fewer cache-missing node hops per
-// operation; specializing it to *event avoids container/heap's interface
-// conversions and method-value indirections. pri is zero for every event
-// unless a perturb hook is installed, so the default order is (at, seq).
-type eventQueue []*event
-
-func eventBefore(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.pri != b.pri {
-		return a.pri < b.pri
-	}
-	return a.seq < b.seq
-}
-
-func (q *eventQueue) push(e *event) {
-	h := append(*q, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !eventBefore(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	*q = h
-}
-
-func (q *eventQueue) pop() *event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	*q = h
-	// Sift the displaced element down.
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if eventBefore(h[c], h[min]) {
-				min = c
-			}
-		}
-		if !eventBefore(h[min], h[i]) {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	return top
-}
-
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  eventQueue
-	free    *event // recycled events; makes steady-state scheduling zero-alloc
+	head    *event    // earliest queued event, or nil (see queue.go)
+	headAt  Time      // head.at, or ^Time(0) when nothing is queued
+	filed   bool      // head is in the heap or the calendar, not held alone
+	pending int       // queued events
+	heap    eventHeap // queued events outside the calendar
+	cal     *calendar // allocated when the queue first grows deep
+	free    *event    // recycled events; makes steady-state scheduling zero-alloc
 	procs   map[*Proc]struct{}
 	running *Proc // proc that dispatch picked to run next, or nil
 	limit   Time  // dispatch boundary (RunUntil), or ^Time(0)
@@ -156,7 +81,7 @@ type Engine struct {
 	rec         *trace.Recorder
 	met         *metrics.Registry
 	serial      uint64         // Serial() allocator (channel ids, flow correlation)
-	heapMax     *metrics.Gauge // high-water mark of the event heap
+	heapMax     *metrics.Gauge // high-water mark of the event queue
 	wakes       uint64         // proc wakeups delivered via Wake/Unpark
 	contributed bool           // telemetry already handed to the global collectors
 
@@ -169,20 +94,22 @@ type Engine struct {
 // NewEngine returns an engine with its clock at zero and the given RNG seed.
 func NewEngine(seed uint64) *Engine {
 	e := &Engine{
-		procs: make(map[*Proc]struct{}),
-		limit: ^Time(0),
-		rng:   NewRNG(seed),
-		met:   metrics.NewRegistry(),
+		headAt: ^Time(0),
+		procs:  make(map[*Proc]struct{}),
+		limit:  ^Time(0),
+		rng:    NewRNG(seed),
+		met:    metrics.NewRegistry(),
 	}
-	// Dispatched is derived, not counted: sequence minus heap length. Every
+	// Dispatched is derived, not counted: sequence minus queue length. Every
 	// sequence number stands for one event that is either still queued or
 	// has been delivered — popped by the dispatch loop, or taken in place by
 	// a Sleep or an idle step whose wakeup was next (there is no
 	// cancellation path) — so the loop itself stays untouched.
-	e.met.CounterFunc("sim.events_dispatched", func() uint64 { return e.seq - uint64(len(e.events)) })
-	// The heap high-water mark is a level, not a monotone count: a shared
-	// Gauge handle bumped inline keeps the dispatch loop registry-free while
-	// letting samplers read it as a level series.
+	e.met.CounterFunc("sim.events_dispatched", func() uint64 { return e.seq - uint64(e.pending) })
+	// The queue's high-water mark (named for the heap it once was) is a
+	// level, not a monotone count: a shared Gauge handle bumped inline keeps
+	// the dispatch loop registry-free while letting samplers read it as a
+	// level series.
 	e.heapMax = e.met.Gauge("sim.heap_max_depth")
 	e.met.CounterFunc("sim.proc_wakes", func() uint64 { return e.wakes })
 	e.met.CounterFunc("sim.procs_spawned", func() uint64 { return uint64(e.nextID) })
@@ -249,7 +176,7 @@ type PerturbFunc func(now Time, delay Time, seq uint64) (extra Time, pri uint64)
 // scheduling path is unchanged.
 func (e *Engine) SetPerturb(fn PerturbFunc) { e.perturb = fn }
 
-// noteDepth raises the heap high-water mark to n events if that is higher.
+// noteDepth raises the queue's high-water mark to n events if that is higher.
 func (e *Engine) noteDepth(n int) {
 	if int64(n) > e.heapMax.Value() {
 		e.heapMax.Set(int64(n))
@@ -265,8 +192,8 @@ func (e *Engine) schedule(d Time, p *Proc, fn func()) {
 		ev.at += extra
 		ev.pri = pri
 	}
-	e.events.push(ev)
-	e.noteDepth(len(e.events))
+	e.push(ev)
+	e.noteDepth(e.pending)
 }
 
 // scheduleAt enqueues an engine callback at an absolute virtual time,
@@ -277,8 +204,8 @@ func (e *Engine) scheduleAt(at Time, fn func()) {
 	e.seq++
 	ev := e.newEvent()
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	e.events.push(ev)
-	e.noteDepth(len(e.events))
+	e.push(ev)
+	e.noteDepth(e.pending)
 }
 
 // scheduleArgsAt is scheduleAt for the pooled argument-carrying handler form:
@@ -287,8 +214,8 @@ func (e *Engine) scheduleArgsAt(at Time, hfn func(a, b uint64), a, b uint64) {
 	e.seq++
 	ev := e.newEvent()
 	ev.at, ev.seq, ev.hfn, ev.a, ev.b = at, e.seq, hfn, a, b
-	e.events.push(ev)
-	e.noteDepth(len(e.events))
+	e.push(ev)
+	e.noteDepth(e.pending)
 }
 
 // After invokes fn at the current time plus d. fn runs in engine context and
@@ -355,13 +282,10 @@ func (e *Engine) nameStepPanic() {
 func (e *Engine) dispatch() *Proc {
 	e.running = nil
 	for !e.stopped && !e.closing {
-		if len(e.events) == 0 {
+		if e.head == nil || e.headAt > e.limit {
 			return nil
 		}
-		if e.events[0].at > e.limit {
-			return nil
-		}
-		ev := e.events.pop()
+		ev := e.pop()
 		if ev.at < e.now {
 			panic("sim: event scheduled in the past")
 		}

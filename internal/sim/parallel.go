@@ -4,7 +4,7 @@ package sim
 // discrete-event execution over per-partition sub-engines.
 //
 // The machine is partitioned along socket boundaries (topo.PartitionMap);
-// each partition gets its own Engine — heap, clock, RNG stream, metrics
+// each partition gets its own Engine — event queue, clock, RNG stream, metrics
 // registry, procs — running in a worker goroutine. Partitions share no
 // simulated state: all cross-partition interaction goes through explicit
 // messages, mirroring the multikernel's own no-shared-state discipline at
@@ -15,7 +15,7 @@ package sim
 // epoch width L: during epoch [E, E+L) every partition runs its local events
 // independently, because no message sent by a peer inside the epoch can be
 // due before E+L. Cross-partition sends are appended to the sender's outbox
-// and merged into the destination heaps at the epoch barrier, in (source
+// and merged into the destination queues at the epoch barrier, in (source
 // partition, send order) — a deterministic order independent of how many
 // workers executed the epoch, which is what makes parallel runs byte-
 // identical to serial ones at any worker count. Epochs are aligned to the
@@ -196,12 +196,12 @@ func (pe *ParallelEngine) Send(src, dst int, delay Time, fn func()) {
 }
 
 // earliest returns the earliest pending event time across all partitions,
-// or ^Time(0) when every heap is empty.
+// or ^Time(0) when every queue is empty.
 func (pe *ParallelEngine) earliest() Time {
 	min := ^Time(0)
 	for _, p := range pe.parts {
-		if len(p.events) > 0 && p.events[0].at < min {
-			min = p.events[0].at
+		if p.headAt < min {
+			min = p.headAt
 		}
 	}
 	return min
@@ -224,7 +224,7 @@ func (pe *ParallelEngine) runEpoch(last Time) {
 	pe.wg.Wait()
 }
 
-// mergeOutboxes drains every outbox into the destination heaps, in (source
+// mergeOutboxes drains every outbox into the destination queues, in (source
 // partition, send order) — the deterministic merge that decouples results
 // from worker count. Outbox slices keep their capacity across epochs, so the
 // steady-state barrier path does not allocate.
@@ -251,7 +251,7 @@ func (pe *ParallelEngine) mergeOutboxes() {
 // outboxes — and the next call resumes it. Merging happens only once the full
 // window has executed: every message sent inside epoch [E, E+L) is due at or
 // after E+L, so deferring the merge to the true barrier is always safe, and it
-// keeps destination heaps (and their sequence numbers) byte-identical between
+// keeps destination queues (and their sequence numbers) byte-identical between
 // a staged sequence of RunUntil calls and one uninterrupted Run.
 func (pe *ParallelEngine) run(limit Time) {
 	pe.stopped.Store(false)
@@ -284,7 +284,7 @@ func (pe *ParallelEngine) run(limit Time) {
 	}
 }
 
-// Run processes events in all partitions until every heap is empty or Stop
+// Run processes events in all partitions until every queue is empty or Stop
 // is called.
 func (pe *ParallelEngine) Run() { pe.run(^Time(0)) }
 
@@ -307,7 +307,7 @@ func (pe *ParallelEngine) Stop() { pe.stopped.Store(true) }
 // Deadlocked reports non-daemon procs parked with no pending wakeup across
 // all partitions, each prefixed with its partition ("p3/core-12"). A
 // cross-partition deadlock — a proc waiting on a message its peer partition
-// never sends — drains every heap and shows up here, exactly like a local
+// never sends — drains every queue and shows up here, exactly like a local
 // one.
 func (pe *ParallelEngine) Deadlocked() []string {
 	var out []string

@@ -64,7 +64,7 @@ func (p *Proc) yieldToEngine() {
 // hook, no Stop or Close pending, within the RunUntil limit, and every
 // queued event strictly later), Sleep advances the clock in place. It leaves
 // exactly what a push and pop of the wakeup would: the sequence number it
-// would have taken and the heap depth it would have reached.
+// would have taken and the queue depth it would have reached.
 func (p *Proc) Sleep(d Time) {
 	if p.e.sleepInPlace(d) {
 		return
@@ -75,16 +75,15 @@ func (p *Proc) Sleep(d Time) {
 
 // sleepInPlace is Sleep's in-place path: when a wakeup d cycles from now
 // would be the next event dispatched, it takes the wakeup's sequence number,
-// raises the heap high-water mark to the depth the push would have reached,
+// raises the queue's high-water mark to the depth the push would have reached,
 // advances the clock and reports true.
 func (e *Engine) sleepInPlace(d Time) bool {
 	at := e.now + d
-	if e.perturb != nil || e.stopped || e.closing || at > e.limit ||
-		(len(e.events) > 0 && e.events[0].at <= at) {
+	if e.perturb != nil || e.stopped || e.closing || at > e.limit || e.headAt <= at {
 		return false
 	}
 	e.seq++
-	e.noteDepth(len(e.events) + 1)
+	e.noteDepth(e.pending + 1)
 	e.now = at
 	return true
 }
@@ -99,11 +98,11 @@ func (e *Engine) sleepInPlace(d Time) bool {
 //		p.Sleep(d)
 //	}
 //
-// except where the steps run: once a sleep goes through the heap, the
+// except where the steps run: once a sleep goes through the queue, the
 // dispatch loop runs the following steps inline at their wakeups, as it runs
 // After callbacks, and resumes the coroutine only when step reports resume
 // or the proc has been killed. Each inline step takes the same wakeup as
-// the Sleep it replaces (in place when next, else through the heap, with
+// the Sleep it replaces (in place when next, else through the queue, with
 // the same sequence number and perturb-hook call), so every event, sequence
 // number and counter is the same as the loop's.
 //
@@ -120,7 +119,7 @@ func (p *Proc) Idle(step func() (d Time, resume bool)) {
 }
 
 // runIdle runs p's idle step, and the steps after it while their sleeps
-// wake in place. It reports whether a step's sleep went through the heap;
+// wake in place. It reports whether a step's sleep went through the queue;
 // false means a step asked to resume p.
 func (e *Engine) runIdle(p *Proc) bool {
 	e.stepping = p // a panic in the step is p's (see procPanic)
