@@ -33,10 +33,15 @@ func packBools(bs []bool) []uint64 {
 	return out
 }
 
-// unpackBools unpacks n bools from u64 words.
+// unpackBools unpacks n bools from u64 words. packBools never sets a bit at
+// or past n, and dropping one would make the image re-checkpoint to other
+// bytes, so such a bit is an error.
 func unpackBools(words []uint64, n int) ([]bool, error) {
 	if len(words) != (n+63)/64 {
 		return nil, fmt.Errorf("monitor: bool set has %d words; want %d", len(words), (n+63)/64)
+	}
+	if n%64 != 0 && words[len(words)-1]>>(n%64) != 0 {
+		return nil, fmt.Errorf("monitor: bool set of %d has bits set past its end", n)
 	}
 	out := make([]bool, n)
 	for i := range out {

@@ -11,9 +11,11 @@ import (
 )
 
 // bootImage is the monitor blob of an AMD2x2 boot checkpoint. The core count
-// and the one-word failed set come first, so core 0's flags word is at byte
-// 24. The 12 mesh channels' records end the blob, 72 bytes each: four
-// cursors, the flags word and four counters.
+// and the one-word failed set come first, so the failed set's word is at
+// byte 16 and core 0's flags word at byte 24. Eleven words of flags,
+// sequence number and counters and the one-word view follow, so core 0's
+// view word is at byte 120. The 12 mesh channels' records end the blob, 72
+// bytes each: four cursors, the flags word and four counters.
 func bootImage(tb testing.TB) []byte {
 	e := sim.NewEngine(1)
 	defer e.Close()
@@ -32,7 +34,7 @@ func corruptImages(valid []byte) []struct {
 	name string
 	img  []byte
 } {
-	const monFlags = 24
+	const failed, monFlags, monView = 16, 24, 120
 	ch := len(valid) - 12*72 // the first mesh channel, 0->1
 	patch := func(off int, vs ...uint64) []byte {
 		b := bytes.Clone(valid)
@@ -46,6 +48,9 @@ func corruptImages(valid []byte) []struct {
 		img  []byte
 	}{
 		{"unknown monitor flag bit", patch(monFlags, 1<<3)},
+		// Each dropped a bit the image re-checkpointed without.
+		{"failed core past the core count", patch(failed, 1<<10)},
+		{"view member past the core count", patch(monView, binary.LittleEndian.Uint64(valid[monView:])|1<<10)},
 		// A message then sent under a Deadline was never received.
 		{"channel received more than was sent", patch(ch, 0, 10, 0, 10)},
 		{"channel ack view beyond what was published", patch(ch, 6, 5, 5, 4)},
@@ -77,8 +82,9 @@ func TestRestoreStateRejectsCorruptImages(t *testing.T) {
 }
 
 // FuzzMonitorRestore feeds arbitrary bytes to Network.RestoreState: it must
-// return an error or restore a state, never panic. The seeds are the monitor
-// blob of an AMD2x2 boot checkpoint and the images of
+// return an error or restore a state, never panic. A state it restores must
+// re-checkpoint to exactly the bytes it read. The seeds are the monitor blob
+// of an AMD2x2 boot checkpoint and the images of
 // TestRestoreStateRejectsCorruptImages.
 func FuzzMonitorRestore(f *testing.F) {
 	valid := bootImage(f)
@@ -87,6 +93,19 @@ func FuzzMonitorRestore(f *testing.F) {
 		f.Add(c.img)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		restore(b)
+		e := sim.NewEngine(1)
+		defer e.Close()
+		net := core.Boot(e, topo.AMD2x2()).Net
+		r := bytes.NewReader(b)
+		if net.RestoreState(r) != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := net.CheckpointState(&again); err != nil {
+			t.Fatalf("checkpoint after restore: %v", err)
+		}
+		if read := b[:len(b)-r.Len()]; !bytes.Equal(again.Bytes(), read) {
+			t.Fatalf("restored %d image bytes; they re-checkpoint to %d other bytes", len(read), again.Len())
+		}
 	})
 }
