@@ -13,9 +13,10 @@
 //     in the baseline), the same on every run and every machine: the URPC
 //     transport's cycles per message and per bulk line, the scaled
 //     coherence modes' event counts on the 256-core mesh, and the events
-//     and cache hits of idle monitor polling on the 8x4 machine. Any
-//     increase fails; a decrease prints FAST, a reminder to refresh the
-//     baseline.
+//     and cache hits of idle monitor polling on the 8x4 machine. The
+//     baseline pins it exactly, so the row is a floor as well as a ceiling:
+//     an increase fails as SLOW and a decrease as FAST. A change that moves
+//     a pin on purpose re-pins it with -update and says why.
 //
 //   - equal: a ceiling whose selected sub-benchmarks must also report the
 //     same value per unit. The parallel engine's pinned workload and the
@@ -54,7 +55,7 @@ type kind int
 
 const (
 	tolerance kind = iota // host ns/op, within -tolerance of the baseline
-	ceiling               // deterministic sim metric, never above the baseline
+	ceiling               // deterministic sim metric, exactly the baseline
 	equal                 // ceiling, and equal across the row's sub-benchmarks
 )
 
@@ -152,11 +153,13 @@ func evaluate(c contract, got, baseline map[string]float64, tol float64) (lines 
 			}
 			lines = append(lines, fmt.Sprintf("%s %-42s %10.2f ns/op vs baseline %10.2f (%+.1f%%)",
 				status, name, v, want, (v/want-1)*100))
-		case v > want:
-			lines = append(lines, fmt.Sprintf("SLOW  %-42s %10.2f vs baseline %10.2f", name, v, want))
+		case v != want:
+			status := "SLOW "
+			if v < want {
+				status = "FAST "
+			}
+			lines = append(lines, fmt.Sprintf("%s %-42s %10.2f vs baseline %10.2f (a pin moved; re-pin with -update and say why)", status, name, v, want))
 			ok = false
-		case v < want:
-			lines = append(lines, fmt.Sprintf("FAST  %-42s %10.2f vs baseline %10.2f (run -update to lock in)", name, v, want))
 		default:
 			lines = append(lines, fmt.Sprintf("ok    %-42s %10.2f (exact)", name, v))
 		}
@@ -270,7 +273,7 @@ func writeBaseline(m map[string]float64) error {
 	b.WriteString("# when a measurement exceeds its line by more than -tolerance.\n")
 	b.WriteString("# \":unit\" keys: deterministic simulated metrics (URPC v2 transport\n")
 	b.WriteString("# costs; parallel-engine pinned event counts, which must also match\n")
-	b.WriteString("# across worker counts), pinned exactly — any increase fails CI.\n")
+	b.WriteString("# across worker counts), pinned exactly — any change fails CI.\n")
 	for _, name := range slices.Sorted(maps.Keys(m)) {
 		fmt.Fprintf(&b, "%s %.2f\n", name, m[name])
 	}

@@ -139,15 +139,6 @@ func NewKVService(e *sim.Engine, kv *KVStore) *KVService {
 	return s
 }
 
-// FailStop kills the service process at the current virtual time — the
-// fault-injection notion of the service core dying. Clients are not told;
-// they learn through their own deadlines.
-func (s *KVService) FailStop() {
-	if s.proc != nil {
-		s.eng.Kill(s.proc)
-	}
-}
-
 // wake notifies the service loop if it runs in this replica; a cross-partition
 // client instead relies on the request channel's delivery doorbell.
 func (s *KVService) wake() {
@@ -297,9 +288,6 @@ func (c *KVClient) fail() {
 	c.rsp.MarkDead()
 }
 
-// Dead reports whether this connection carries a ChannelDead verdict.
-func (c *KVClient) Dead() bool { return c.req.Dead() || c.rsp.Dead() }
-
 // Select performs a synchronous remote SELECT.
 //
 // When tracing is on, the call is bracketed by "kv.select" async events so
@@ -393,17 +381,4 @@ func (c *KVClient) SelectRange(p *sim.Proc, lo, hi uint64) ([]uint64, error) {
 		p.Sleep(200)
 	}
 	return vals, nil
-}
-
-// EncodeKey serializes a key for transport in HTTP query bodies.
-func EncodeKey(key uint64) []byte {
-	return binary.BigEndian.AppendUint64(nil, key)
-}
-
-// DecodeKey parses a serialized key.
-func DecodeKey(b []byte) (uint64, bool) {
-	if len(b) < 8 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(b[:8]), true
 }

@@ -50,34 +50,6 @@ func (m CoherenceMode) String() string {
 	return "?"
 }
 
-// State is a MOESI line state as seen by one cache.
-type State uint8
-
-// MOESI states.
-const (
-	Invalid State = iota
-	Shared
-	Exclusive
-	Owned
-	Modified
-)
-
-func (s State) String() string {
-	switch s {
-	case Invalid:
-		return "I"
-	case Shared:
-		return "S"
-	case Exclusive:
-		return "E"
-	case Owned:
-		return "O"
-	case Modified:
-		return "M"
-	}
-	return "?"
-}
-
 // line is the global directory entry for one cache line.
 type line struct {
 	holders CoreSet     // cores with a valid copy
@@ -438,29 +410,6 @@ func (s *System) clearLookaside() {
 	for i := range s.lookaside {
 		s.lookaside[i] = lineSlot{id: ^memory.LineID(0)}
 	}
-}
-
-// StateOf returns core c's MOESI state for the line containing a. Intended
-// for tests and invariant checks.
-func (s *System) StateOf(c topo.CoreID, a memory.Addr) State {
-	l := s.lines[a.Line()]
-	if l == nil || !l.holds(c) {
-		return Invalid
-	}
-	if l.owner == c {
-		alone := !l.holders.HasOther(c)
-		if l.dirty {
-			if alone {
-				return Modified
-			}
-			return Owned
-		}
-		if alone {
-			return Exclusive
-		}
-		return Shared
-	}
-	return Shared
 }
 
 // chargeFill accounts fabric traffic for a line fill from src (core or
@@ -852,41 +801,6 @@ func (s *System) Prefetch(p *sim.Proc, c topo.CoreID, a memory.Addr) {
 	p.Sleep(1)
 }
 
-// Flush removes core c's copy of the line containing a (clflush-style),
-// writing back if dirty. Used by device DMA models.
-func (s *System) Flush(p *sim.Proc, c topo.CoreID, a memory.Addr) {
-	l := s.lines[a.Line()]
-	if l == nil || !l.holds(c) {
-		p.Sleep(1)
-		return
-	}
-	var before LineView
-	if s.audit != nil {
-		before = l.view()
-	}
-	writeback := false
-	l.holders.Del(c)
-	if l.owner == c {
-		l.owner = -1
-		if l.dirty {
-			l.dirty = false
-			writeback = true
-		}
-	}
-	if s.audit != nil {
-		s.audit.Transition(a.Line(), AuditFlush, c, before, l.view(), 0)
-	}
-	if writeback {
-		home := s.mem.Home(a)
-		if cs := s.mach.Socket(c); cs != home {
-			s.fab.Charge(cs, home, interconnect.DwordsData)
-		}
-		p.Sleep(s.mach.MemLat(c, s.mem.Home(a)))
-		return
-	}
-	p.Sleep(1)
-}
-
 // DMAWrite models a device writing bytes to memory: all cached copies of the
 // affected lines are invalidated (devices are not coherent participants in
 // this model) and the data lands in memory.
@@ -913,19 +827,6 @@ func (s *System) DMAWrite(a memory.Addr, b []byte, devSocket topo.SocketID) {
 		home := s.mem.Home(id.Base())
 		if home != devSocket {
 			s.fab.Charge(devSocket, home, interconnect.DwordsData)
-		}
-	}
-}
-
-// CheckInvariants panics if any line violates the MOESI single-owner rules.
-// Tests call this after workloads.
-func (s *System) CheckInvariants() {
-	for id, l := range s.lines {
-		if l.owner >= 0 && !l.holds(l.owner) {
-			panic(fmt.Sprintf("cache: line %#x owner %d not a holder", id, l.owner))
-		}
-		if l.dirty && l.owner < 0 {
-			panic(fmt.Sprintf("cache: line %#x dirty without owner", id))
 		}
 	}
 }

@@ -109,8 +109,6 @@ var (
 	ErrHasChildren  = errors.New("caps: capability has live descendants")
 	ErrTooSmall     = errors.New("caps: region too small for requested objects")
 	ErrBadObject    = errors.New("caps: invalid object size or type")
-	ErrRightsGrow   = errors.New("caps: mint may only reduce rights")
-	ErrNoGrant      = errors.New("caps: capability lacks grant right")
 )
 
 // node is one entry of the mapping database: the derivation tree of caps.
@@ -119,7 +117,6 @@ type node struct {
 	ref      Ref
 	parent   *node
 	children []*node
-	isCopy   bool // derived by Copy/Mint rather than Retype
 }
 
 // CSpace is one core's capability space.
@@ -159,21 +156,6 @@ func (cs *CSpace) Get(r Ref) (Capability, error) {
 		return Capability{}, ErrBadRef
 	}
 	return n.cap, nil
-}
-
-// MustGet is Get for slots known to be valid; it panics on a bad ref.
-func (cs *CSpace) MustGet(r Ref) Capability {
-	c, err := cs.Get(r)
-	if err != nil {
-		panic(fmt.Sprintf("caps: %v (slot %d in %s)", err, r, cs.owner))
-	}
-	return c
-}
-
-// HasDescendants reports whether slot r has live derived capabilities.
-func (cs *CSpace) HasDescendants(r Ref) bool {
-	n, ok := cs.slots[r]
-	return ok && len(n.children) > 0
 }
 
 // objectSpec validates a retype target and returns the required alignment.
@@ -242,34 +224,6 @@ func (cs *CSpace) Retype(r Ref, to Type, level int, objBytes uint64, count int) 
 		refs[i] = cs.insert(child)
 	}
 	return refs, nil
-}
-
-// Copy duplicates the capability in slot r with identical rights. The source
-// must carry the grant right.
-func (cs *CSpace) Copy(r Ref) (Ref, error) {
-	return cs.Mint(r, 0xff) // 0xff: keep all current rights
-}
-
-// Mint duplicates the capability in slot r with reduced rights (a subset of
-// the source's). Pass 0xff to keep the source rights unchanged.
-func (cs *CSpace) Mint(r Ref, rights Rights) (Ref, error) {
-	n, ok := cs.slots[r]
-	if !ok {
-		return NilRef, ErrBadRef
-	}
-	if n.cap.Rights&CanGrant == 0 {
-		return NilRef, ErrNoGrant
-	}
-	if rights == 0xff {
-		rights = n.cap.Rights
-	}
-	if rights&^n.cap.Rights != 0 {
-		return NilRef, ErrRightsGrow
-	}
-	child := &node{cap: n.cap, parent: n, isCopy: true}
-	child.cap.Rights = rights
-	n.children = append(n.children, child)
-	return cs.insert(child), nil
 }
 
 // Delete removes the capability in slot r. Its children (if any) are

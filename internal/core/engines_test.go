@@ -47,7 +47,7 @@ func forEachEngineOpts(t *testing.T, m *topo.Machine, opts Options, fn func(t *t
 			pe := sim.NewParallelEngine(1, interconnect.Lookahead(m, pm), 1, w)
 			t.Cleanup(pe.Close)
 			ps := BootParallel(pe, m, opts)
-			fn(t, engineCase{e: pe.Part(0), s: ps.Part(0), run: pe.Run})
+			fn(t, engineCase{e: pe.Part(0), s: ps.Parts[0], run: pe.Run})
 		})
 	}
 }

@@ -62,23 +62,19 @@ func BootParallel(pe *sim.ParallelEngine, m *topo.Machine, opts Options) *Parall
 		panic(fmt.Sprintf("core: engine lookahead %d exceeds %s's cross-partition minimum %d", pe.Lookahead(), m.Name, max))
 	}
 	ps := &ParallelSystem{PE: pe, PM: pm, Mach: m}
+	la := pe.Lookahead()
 	for i := 0; i < pe.NParts(); i++ {
-		ps.Parts = append(ps.Parts, bootReplica(pe, pm, m, i, pe.Part(i), opts))
+		// Each replica runs the full BootWith sequence on its partition's
+		// engine, its cache system partition-marked before any channel or
+		// proc exists.
+		ps.Parts = append(ps.Parts, bootWith(pe.Part(i), m, opts, func(s *System) {
+			s.Cache.SetPartition(pm, i, func(dst int, fn func()) {
+				pe.Send(i, dst, la, fn)
+			})
+		}))
 	}
 	ps.link()
 	return ps
-}
-
-// bootReplica builds partition part's replica: the full BootWith sequence on
-// the partition's engine, with the cache system partition-marked before any
-// channel or proc exists.
-func bootReplica(pe *sim.ParallelEngine, pm *topo.PartitionMap, m *topo.Machine, part int, e *sim.Engine, opts Options) *System {
-	la := pe.Lookahead()
-	return bootWith(e, m, opts, func(s *System) {
-		s.Cache.SetPartition(pm, part, func(dst int, fn func()) {
-			pe.Send(part, dst, la, fn)
-		})
-	})
 }
 
 // link cross-wires the replicas (forwarding closures address peer region
@@ -98,9 +94,6 @@ func (ps *ParallelSystem) link() {
 		s.Cache.SetPeers(peers)
 	}
 }
-
-// Part returns partition i's replica.
-func (ps *ParallelSystem) Part(i int) *System { return ps.Parts[i] }
 
 // Local returns the replica that owns core c — the only replica whose procs,
 // clock and per-core software state are authoritative for that core.
@@ -123,25 +116,3 @@ func (ps *ParallelSystem) Each(fn func(part int, s *System)) {
 // ParallelEngine.Checkpoint rejects a mid-epoch image; a system that has run
 // to completion (Run returned with empty heaps) always qualifies.
 func (ps *ParallelSystem) Checkpoint(w io.Writer) error { return ps.PE.Checkpoint(w) }
-
-// RestoreParallel warm-starts a parallel boot image at any worker count: the
-// replicas are rebuilt by the same construction sequence BootParallel used
-// (machine and options must match the checkpointed boot) and every engine's
-// serialized state — memory pages, directory, monitor cursors, clocks, RNG
-// streams — is read back. The worker count is a host-side execution knob, so
-// an image taken at w1 restores and runs at w4 and vice versa.
-func RestoreParallel(r io.Reader, workers int, m *topo.Machine, opts Options) (*ParallelSystem, error) {
-	ps := &ParallelSystem{Mach: m}
-	pe, err := sim.RestoreParallel(r, workers, func(pe *sim.ParallelEngine, part int, e *sim.Engine) {
-		if ps.PM == nil {
-			ps.PM = topo.Partition(m, pe.NParts())
-		}
-		ps.Parts = append(ps.Parts, bootReplica(pe, ps.PM, m, part, e, opts))
-	})
-	if err != nil {
-		return nil, err
-	}
-	ps.PE = pe
-	ps.link()
-	return ps, nil
-}

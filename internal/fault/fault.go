@@ -103,12 +103,6 @@ func (s *Schedule) DegradeLinkAt(t sim.Time, a, b topo.SocketID, d sim.Time, fac
 	return s
 }
 
-// PartitionLinkAt appends a partition of link a—b for the window [t, t+d).
-func (s *Schedule) PartitionLinkAt(t sim.Time, a, b topo.SocketID, d sim.Time) *Schedule {
-	s.Events = append(s.Events, Event{At: t, Kind: PartitionLink, A: a, B: b, For: d})
-	return s
-}
-
 // StallAt appends an owner-stall of core c's cache for the window [t, t+d).
 func (s *Schedule) StallAt(t sim.Time, c topo.CoreID, d sim.Time) *Schedule {
 	s.Events = append(s.Events, Event{At: t, Kind: StallCore, Core: c, For: d})
@@ -290,6 +284,3 @@ func (i *Injector) Killed(c topo.CoreID) (sim.Time, bool) {
 	t, ok := i.killed[c]
 	return t, ok
 }
-
-// Fired returns the number of events delivered so far.
-func (i *Injector) Fired() int { return i.fired }

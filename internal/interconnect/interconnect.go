@@ -13,7 +13,6 @@ package interconnect
 
 import (
 	"fmt"
-	"strings"
 
 	"multikernel/internal/metrics"
 	"multikernel/internal/sim"
@@ -145,49 +144,13 @@ func Lookahead(m *topo.Machine, pm *topo.PartitionMap) sim.Time {
 			if pm.Part(sa) == pm.Part(sb) {
 				continue
 			}
-			if lat := crossLat(m, sa, sb); lat < min {
+			// The cheapest coherence transaction between the two sockets.
+			if lat := m.Costs.RemoteBase + sim.Time(m.Hops(sa, sb))*m.Costs.RemoteHop; lat < min {
 				min = lat
 			}
 		}
 	}
 	return min
-}
-
-// crossLat is the cheapest coherence transaction between two sockets: base
-// plus per-hop cost plus any per-link latency surcharge along the route.
-func crossLat(m *topo.Machine, a, b topo.SocketID) sim.Time {
-	return m.Costs.RemoteBase + sim.Time(m.Hops(a, b))*m.Costs.RemoteHop + m.PathExtra(a, b)
-}
-
-// LookaheadMatrix returns the per-partition-pair conservative lookahead:
-// entry [i][j] is the minimum cross latency from any socket of partition i to
-// any socket of partition j (sim.Forever on the diagonal and for partition
-// pairs with no cross traffic possible, i.e. never). On large meshes the
-// global Lookahead shrinks with the closest partition pair; a pairwise
-// matrix preserves the slack between distant partitions for engines that can
-// exploit it (ROADMAP item 4).
-func LookaheadMatrix(m *topo.Machine, pm *topo.PartitionMap) [][]sim.Time {
-	n := pm.NParts()
-	la := make([][]sim.Time, n)
-	for i := range la {
-		la[i] = make([]sim.Time, n)
-		for j := range la[i] {
-			la[i][j] = sim.Forever
-		}
-	}
-	for a := 0; a < m.NSockets; a++ {
-		for b := 0; b < m.NSockets; b++ {
-			sa, sb := topo.SocketID(a), topo.SocketID(b)
-			pa, pb := pm.Part(sa), pm.Part(sb)
-			if pa == pb {
-				continue
-			}
-			if lat := crossLat(m, sa, sb); lat < la[pa][pb] {
-				la[pa][pb] = lat
-			}
-		}
-	}
-	return la
 }
 
 // SetMetrics registers the fabric's accumulated state with a registry as lazy
@@ -275,16 +238,4 @@ func (f *Fabric) Utilization(a, b topo.SocketID, elapsed uint64, linkGBps float6
 	bytes := float64(f.LinkDwords(a, b)) * 4
 	seconds := float64(elapsed) / (f.m.ClockGHz * 1e9)
 	return bytes / (linkGBps * 1e9 * seconds)
-}
-
-// Snapshot returns a human-readable listing of every link that carried
-// traffic, ordered by source socket, then destination.
-func (f *Fabric) Snapshot() string {
-	var b strings.Builder
-	for k, v := range f.traffic {
-		if v != 0 {
-			fmt.Fprintf(&b, "link %d->%d: %d dwords\n", k/f.m.NSockets, k%f.m.NSockets, v)
-		}
-	}
-	return b.String()
 }

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -134,6 +135,18 @@ func TestReset(t *testing.T) {
 	if f.TotalDwords() != 0 {
 		t.Fatal("reset did not clear traffic")
 	}
+}
+
+// Snapshot returns a human-readable listing of every link that carried
+// traffic, ordered by source socket, then destination.
+func (f *Fabric) Snapshot() string {
+	var b strings.Builder
+	for k, v := range f.traffic {
+		if v != 0 {
+			fmt.Fprintf(&b, "link %d->%d: %d dwords\n", k/f.m.NSockets, k%f.m.NSockets, v)
+		}
+	}
+	return b.String()
 }
 
 func TestSnapshotListsLinks(t *testing.T) {

@@ -28,8 +28,8 @@ func TestLookaheadSinglePartition(t *testing.T) {
 
 // Mesh and torus partition maps: the lookahead is the cheapest adjacent
 // cross-partition pair, and it is the SAME for every mesh size — growing the
-// mesh never grows the epoch width, which is why per-partition-pair matrices
-// matter at scale (ROADMAP item 4).
+// mesh never grows the epoch width, which is why a per-partition-pair
+// lookahead would matter at scale (ROADMAP item 5).
 func TestLookaheadMeshTorus(t *testing.T) {
 	for _, k := range []int{3, 4, 8, 16} {
 		m := topo.Mesh(k)
@@ -48,68 +48,6 @@ func TestLookaheadMeshTorus(t *testing.T) {
 		if got := Lookahead(m, topo.PerSocket(m)); got != want {
 			t.Errorf("torus-%d Lookahead(PerSocket) = %d, want %d", k, got, want)
 		}
-	}
-}
-
-// The hierarchy's uplink surcharge must show up in the lookahead: two
-// clusters in separate partitions are at least one uplink crossing apart.
-func TestLookaheadHierUplink(t *testing.T) {
-	m := topo.Hier(4, 4, 2)
-	// One partition per cluster (4 sockets each).
-	pm := topo.Partition(m, 4)
-	base := m.Costs.RemoteBase + 1*m.Costs.RemoteHop
-	got := Lookahead(m, pm)
-	if got <= base {
-		t.Fatalf("Lookahead(per-cluster) = %d, want > %d (uplink surcharge)", got, base)
-	}
-	if got != base+m.PathExtra(0, 4) {
-		t.Fatalf("Lookahead(per-cluster) = %d, want %d", got, base+m.PathExtra(0, 4))
-	}
-}
-
-// TestLookaheadMatrix: every entry is the brute-force per-pair minimum, the
-// global Lookahead equals the matrix minimum, and on a big mesh distant
-// partition pairs keep strictly more slack than adjacent ones — the payoff
-// of tracking the matrix at all.
-func TestLookaheadMatrix(t *testing.T) {
-	machines := []*topo.Machine{topo.AMD8x4(), topo.Mesh(4), topo.Torus(4), topo.Mesh(8)}
-	for _, m := range machines {
-		pm := topo.PerSocket(m)
-		la := LookaheadMatrix(m, pm)
-		min := sim.Forever
-		for i := 0; i < pm.NParts(); i++ {
-			for j := 0; j < pm.NParts(); j++ {
-				want := sim.Forever
-				for _, sa := range pm.Sockets(i) {
-					for _, sb := range pm.Sockets(j) {
-						if pm.Part(sa) == pm.Part(sb) {
-							continue
-						}
-						lat := m.Costs.RemoteBase + sim.Time(m.Hops(sa, sb))*m.Costs.RemoteHop + m.PathExtra(sa, sb)
-						if lat < want {
-							want = lat
-						}
-					}
-				}
-				if la[i][j] != want {
-					t.Fatalf("%s matrix[%d][%d] = %d, brute force says %d", m.Name, i, j, la[i][j], want)
-				}
-				if la[i][j] < min {
-					min = la[i][j]
-				}
-			}
-		}
-		if got := Lookahead(m, pm); got != min {
-			t.Fatalf("%s: Lookahead = %d, matrix min = %d", m.Name, got, min)
-		}
-	}
-	// mesh-8 per-socket: corner partitions (sockets 0 and 63) are 14 hops
-	// apart; their pairwise lookahead must exceed the adjacent-pair epoch.
-	m := topo.Mesh(8)
-	pm := topo.PerSocket(m)
-	la := LookaheadMatrix(m, pm)
-	if la[0][63] <= la[0][1] {
-		t.Fatalf("distant pair lookahead %d not > adjacent %d", la[0][63], la[0][1])
 	}
 }
 

@@ -43,8 +43,7 @@ type Core struct {
 	eng  *sim.Engine
 
 	ipiHandler IPIHandler
-	occupancy  *sim.Resource // serializes privileged execution on the core
-	route      routeFn       // resolves CoreIDs for IPI delivery
+	route      routeFn // resolves CoreIDs for IPI delivery
 	stats      Stats
 }
 
@@ -60,10 +59,9 @@ func NewSystem(e *sim.Engine, m *topo.Machine) *System {
 	s := &System{Mach: m, Eng: e}
 	for i := 0; i < m.NumCores(); i++ {
 		s.Cores = append(s.Cores, &Core{
-			ID:        topo.CoreID(i),
-			mach:      m,
-			eng:       e,
-			occupancy: sim.NewResource(e, 1),
+			ID:   topo.CoreID(i),
+			mach: m,
+			eng:  e,
 		})
 	}
 	s.connect()
@@ -156,15 +154,6 @@ func (s *System) connect() {
 		c.route = func(id topo.CoreID) *Core { return s.Cores[id] }
 	}
 }
-
-// Acquire takes exclusive privileged occupancy of the core (e.g. while a
-// driver or monitor runs); Release frees it. Most models rely on proc
-// sequentiality instead, but contention-sensitive paths (a monitor sharing
-// its core with an application) use this.
-func (c *Core) Acquire(p *sim.Proc) { c.occupancy.Acquire(p) }
-
-// Release frees privileged occupancy.
-func (c *Core) Release() { c.occupancy.Release() }
 
 // String implements fmt.Stringer.
 func (c *Core) String() string { return fmt.Sprintf("cpu%d", c.ID) }

@@ -116,29 +116,6 @@ func TestSyscallTrapSwitchCounters(t *testing.T) {
 	}
 }
 
-func TestCoreOccupancySerializes(t *testing.T) {
-	e := sim.NewEngine(1)
-	sys := NewSystem(e, topo.AMD2x2())
-	var order []string
-	for _, name := range []string{"a", "b"} {
-		name := name
-		e.Spawn(name, func(p *sim.Proc) {
-			c := sys.Core(0)
-			c.Acquire(p)
-			p.Sleep(100)
-			order = append(order, name)
-			c.Release()
-		})
-	}
-	e.Run()
-	if e.Now() != 200 {
-		t.Fatalf("two 100-cycle occupancies finished at %d, want 200", e.Now())
-	}
-	if len(order) != 2 || order[0] != "a" {
-		t.Fatalf("order %v", order)
-	}
-}
-
 func TestPerCoreDriverIsolation(t *testing.T) {
 	e := sim.NewEngine(1)
 	sys := NewSystem(e, topo.AMD8x4())

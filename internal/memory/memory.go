@@ -51,12 +51,6 @@ type Region struct {
 	Home  topo.SocketID
 }
 
-// End returns one past the last byte of the region.
-func (r Region) End() Addr { return r.Base + Addr(r.Bytes) }
-
-// Lines returns the number of cache lines the region spans.
-func (r Region) Lines() int { return int(r.Bytes / LineSize) }
-
 // LineAt returns the base address of the i'th line of the region.
 func (r Region) LineAt(i int) Addr { return r.Base + Addr(i*LineSize) }
 
@@ -206,13 +200,6 @@ func (mem *Memory) LoadLine(a Addr) [WordsPerLine]uint64 {
 	}
 	copy(out[:], pg[(base%(1<<pageShift))/8:])
 	return out
-}
-
-// StoreLine writes the 8 words of the line containing a.
-func (mem *Memory) StoreLine(a Addr, vals [WordsPerLine]uint64) {
-	base := a.Line().Base()
-	pg := mem.pageFor(base, true)
-	copy(pg[(base%(1<<pageShift))/8:], vals[:])
 }
 
 // LoadBytes copies n bytes starting at a into a fresh slice. Byte access is

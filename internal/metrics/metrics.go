@@ -24,6 +24,7 @@
 package metrics
 
 import (
+	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -181,54 +182,60 @@ func (r *Registry) CheckpointState(w io.Writer) error {
 // RestoreState reads back what CheckpointState wrote. Counters and
 // histograms are created on demand and restored in place, so handles already
 // held by components (from build-time registration) observe the restored
-// values.
+// values. CheckpointState writes each section sorted by name, so a name that
+// repeats or sorts before its predecessor marks a corrupt image, as does a
+// histogram without exactly NumBuckets buckets.
 func (r *Registry) RestoreState(rd io.Reader) error {
-	var n uint64
-	if err := ckpt.ReadU64(rd, &n); err != nil {
-		return err
+	sections := []struct {
+		kind string
+		read func(name string) error
+	}{
+		{"counter", func(name string) error {
+			return ckpt.ReadU64(rd, &r.Counter(name).v)
+		}},
+		{"histogram", func(name string) error {
+			var n, sum, max uint64
+			if err := ckpt.ReadU64(rd, &n, &sum, &max); err != nil {
+				return err
+			}
+			counts, err := ckpt.ReadU64Slice(rd)
+			if err != nil {
+				return err
+			}
+			if len(counts) != stats.NumBuckets {
+				return fmt.Errorf("metrics: histogram %q has %d buckets, want %d", name, len(counts), stats.NumBuckets)
+			}
+			r.Histogram(name).SetRaw(counts, n, sum, max)
+			return nil
+		}},
+		{"gauge", func(name string) error {
+			var v uint64
+			if err := ckpt.ReadU64(rd, &v); err != nil {
+				return err
+			}
+			r.Gauge(name).v = int64(v)
+			return nil
+		}},
 	}
-	for i := uint64(0); i < n; i++ {
-		name, err := ckpt.ReadString(rd)
-		if err != nil {
+	for _, sec := range sections {
+		var n uint64
+		if err := ckpt.ReadU64(rd, &n); err != nil {
 			return err
 		}
-		var v uint64
-		if err := ckpt.ReadU64(rd, &v); err != nil {
-			return err
+		var prev string
+		for i := uint64(0); i < n; i++ {
+			name, err := ckpt.ReadString(rd)
+			if err != nil {
+				return err
+			}
+			if i > 0 && name <= prev {
+				return fmt.Errorf("metrics: %s %q does not sort after %q", sec.kind, name, prev)
+			}
+			prev = name
+			if err := sec.read(name); err != nil {
+				return err
+			}
 		}
-		r.Counter(name).v = v
-	}
-	if err := ckpt.ReadU64(rd, &n); err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		name, err := ckpt.ReadString(rd)
-		if err != nil {
-			return err
-		}
-		var hn, sum, max uint64
-		if err := ckpt.ReadU64(rd, &hn, &sum, &max); err != nil {
-			return err
-		}
-		counts, err := ckpt.ReadU64Slice(rd)
-		if err != nil {
-			return err
-		}
-		r.Histogram(name).SetRaw(counts, hn, sum, max)
-	}
-	if err := ckpt.ReadU64(rd, &n); err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		name, err := ckpt.ReadString(rd)
-		if err != nil {
-			return err
-		}
-		var v uint64
-		if err := ckpt.ReadU64(rd, &v); err != nil {
-			return err
-		}
-		r.Gauge(name).v = int64(v)
 	}
 	return nil
 }

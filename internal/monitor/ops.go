@@ -520,9 +520,6 @@ func (m *Monitor) unlock(opID uint64) {
 	}
 }
 
-// LockedRanges returns the number of currently locked ranges (for tests).
-func (m *Monitor) LockedRanges() int { return len(m.locks) }
-
 // ---------------------------------------------------------------------------
 // Capability transfer (§4.8)
 

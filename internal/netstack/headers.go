@@ -31,7 +31,6 @@ const (
 var (
 	ErrTruncated   = errors.New("netstack: truncated packet")
 	ErrBadChecksum = errors.New("netstack: bad IPv4 header checksum")
-	ErrBadProto    = errors.New("netstack: unexpected protocol")
 )
 
 // MAC is an Ethernet address.

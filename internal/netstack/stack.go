@@ -218,13 +218,6 @@ func (u *UDPSock) Recv(p *sim.Proc) Datagram {
 	}
 }
 
-// TryRecv returns a queued datagram without blocking, after processing any
-// pending frames.
-func (u *UDPSock) TryRecv(p *sim.Proc) (Datagram, bool) {
-	u.stack.PumpReady(p)
-	return u.inbox.TryPop()
-}
-
 // ---------------------------------------------------------------------------
 // URPC frame link: the multikernel's loopback path (Table 4). Frames move
 // between two stacks on different cores as URPC descriptor messages plus a

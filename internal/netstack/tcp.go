@@ -36,18 +36,6 @@ func (s *Stack) ListenTCP(port uint16) *TCPListener {
 	return l
 }
 
-// Accept returns the next established connection, pumping the stack while
-// waiting.
-func (l *TCPListener) Accept(p *sim.Proc) *TCPConn {
-	p.Sleep(costSockOp)
-	for {
-		if c, ok := l.backlog.TryPop(); ok {
-			return c
-		}
-		l.stack.Pump(p)
-	}
-}
-
 // TryAccept returns an established connection if one is pending.
 func (l *TCPListener) TryAccept(p *sim.Proc) (*TCPConn, bool) {
 	l.stack.PumpReady(p)
@@ -150,20 +138,6 @@ func (c *TCPConn) RecvTimeout(p *sim.Proc, d sim.Time) ([]byte, bool) {
 			p.Sleep(stackPollGap)
 		}
 	}
-}
-
-// RecvN collects exactly n bytes (concatenating segments); it returns false
-// if the peer closes first.
-func (c *TCPConn) RecvN(p *sim.Proc, n int) ([]byte, bool) {
-	var buf []byte
-	for len(buf) < n {
-		b, ok := c.Recv(p)
-		if !ok {
-			return buf, false
-		}
-		buf = append(buf, b...)
-	}
-	return buf, true
 }
 
 // Close sends a FIN and marks the connection closed. Once both sides have

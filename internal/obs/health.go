@@ -77,16 +77,6 @@ func (pl *Plane) EnableHealth() *Health {
 // Events returns every transition observed so far, in commit order.
 func (h *Health) Events() []HealthEvent { return h.events }
 
-// Degraded reports whether any shard is currently below target.
-func (h *Health) Degraded() bool {
-	for _, d := range h.degraded {
-		if d {
-			return true
-		}
-	}
-	return false
-}
-
 // check runs after window `tick` commits: replica state machine first, then
 // windowed quantiles.
 func (h *Health) check(p *sim.Proc, tick uint64) {

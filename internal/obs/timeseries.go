@@ -54,10 +54,6 @@ func (s *Series) Points() []Point {
 	return append(out, s.ring[:cut]...)
 }
 
-// N returns the number of points ever committed (≥ len(Points()) after the
-// ring wraps).
-func (s *Series) N() uint64 { return s.n }
-
 // Total returns the cumulative sum of every committed delta — for a counter
 // series, the cluster-wide counter value as of the last committed window.
 func (s *Series) Total() int64 { return s.total }

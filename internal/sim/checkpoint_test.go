@@ -296,12 +296,11 @@ func TestRestoreRejectsCorruptCounts(t *testing.T) {
 	}
 }
 
-// TestParallelCheckpointRestore runs the ring in two phases: phase 1 to
-// quiescence, checkpoint, then phase 2 with fresh tokens. Restoring the
-// mid-image — at a different worker count — and running the same phase 2 must
-// produce final images and metrics byte-identical to the original engine
-// continuing past its checkpoint, and to a run that never checkpointed.
-func TestParallelCheckpointRestore(t *testing.T) {
+// TestParallelCheckpointLeavesRunUnchanged runs the ring in two phases:
+// phase 1 to quiescence, checkpoint, then phase 2 with fresh tokens. The
+// final image and metrics must be byte-identical to a run that never
+// checkpointed.
+func TestParallelCheckpointLeavesRunUnchanged(t *testing.T) {
 	phase2 := func(pe *ParallelEngine) ([]byte, []byte) {
 		t.Helper()
 		ringSeed(pe, 40)
@@ -330,25 +329,6 @@ func TestParallelCheckpointRestore(t *testing.T) {
 		t.Fatalf("mid checkpoint: %v", err)
 	}
 	imgA, jsA := phase2(peA)
-
-	// B and C: restore the phase-1 image at other worker counts and run the
-	// same phase 2. The builder respawns only the procs alive at checkpoint
-	// time (the sink daemons; the phase-1 locals had finished).
-	for _, w := range []int{1, 4} {
-		pe, err := RestoreParallel(bytes.NewReader(mid.Bytes()), w, func(pe *ParallelEngine, part int, e *Engine) {
-			ringSetupOn(pe, part, e)
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: restore: %v", w, err)
-		}
-		img, js := phase2(pe)
-		if !bytes.Equal(img, imgA) {
-			t.Errorf("workers=%d: restored run's final image differs from the original", w)
-		}
-		if !bytes.Equal(js, jsA) {
-			t.Errorf("workers=%d: restored run's metrics differ from the original\n got: %s\nwant: %s", w, js, jsA)
-		}
-	}
 
 	// D: the same two phases with no checkpoint in between.
 	peD := buildRing(2)

@@ -67,7 +67,6 @@ type Engine struct {
 	limit   Time  // dispatch boundary (RunUntil), or ^Time(0)
 	rng     *RNG
 	perturb PerturbFunc // schedule-exploration hook, or nil (the default)
-	stopped bool
 	closing bool
 	nextID  int
 
@@ -277,11 +276,11 @@ func (e *Engine) nameStepPanic() {
 // dispatch is the scheduler loop, run by the Run/Close caller or inline by a
 // proc that is yielding or exiting. It runs engine callbacks inline and, on
 // reaching a proc event, records that proc in e.running and returns it. It
-// returns nil when the run is over (queue empty or past the limit, Stop
-// called, or the engine closing).
+// returns nil when the run is over (queue empty or past the limit, or the
+// engine closing).
 func (e *Engine) dispatch() *Proc {
 	e.running = nil
-	for !e.stopped && !e.closing {
+	for !e.closing {
 		if e.head == nil || e.headAt > e.limit {
 			return nil
 		}
@@ -324,18 +323,15 @@ func (e *Engine) runLoop() {
 	}
 }
 
-// Run processes events until the event queue is empty or Stop is called.
-// Procs that are parked with no pending wakeup remain parked; use Deadlocked
-// to inspect them.
+// Run processes events until the event queue is empty. Procs that are parked
+// with no pending wakeup remain parked; use Deadlocked to inspect them.
 func (e *Engine) Run() {
-	e.stopped = false
 	e.limit = ^Time(0)
 	e.runLoop()
 }
 
 // RunUntil processes events up to and including virtual time t.
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
 	e.limit = t
 	e.runLoop()
 	e.limit = ^Time(0)
@@ -343,10 +339,6 @@ func (e *Engine) RunUntil(t Time) {
 		e.now = t
 	}
 }
-
-// Stop makes Run return after the current event completes. It may be called
-// from engine callbacks or Procs.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Deadlocked returns the names of non-daemon procs that are alive but parked
 // with no scheduled wakeup. An empty result after Run means the simulation

@@ -176,25 +176,6 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 	}
 }
 
-func TestStopAbortsRun(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	e.Spawn("p", func(p *Proc) {
-		for {
-			p.Sleep(10)
-			n++
-			if n == 5 {
-				e.Stop()
-			}
-		}
-	})
-	e.Run()
-	if n != 5 {
-		t.Fatalf("ran %d iterations, want 5", n)
-	}
-	e.Close()
-}
-
 func TestCloseKillsLiveProcs(t *testing.T) {
 	e := NewEngine(1)
 	cleaned := false

@@ -175,31 +175,6 @@ func TestIdleMatchesSleepLoop(t *testing.T) {
 			log("caller")
 			e.Run()
 		}},
-		{"Stop inside an idle run", func(e *Engine, loop pollLoop, log func(string)) {
-			e.Spawn("poller", func(p *Proc) {
-				polls := 0
-				loop(p, func() (Time, bool) {
-					polls++
-					log("poll")
-					if polls == 3 || polls == 7 {
-						e.Stop()
-					}
-					return 4, polls == 10
-				})
-				log("poller done")
-			})
-			e.Spawn("ticker", func(p *Proc) {
-				for i := 0; i < 8; i++ {
-					p.Sleep(6)
-					log("ticker")
-				}
-			})
-			e.Run()
-			log("caller")
-			e.Run()
-			log("caller")
-			e.Run()
-		}},
 		{"Close while idling", func(e *Engine, loop pollLoop, log func(string)) {
 			e.Spawn("victim", func(p *Proc) {
 				defer log("victim unwound")

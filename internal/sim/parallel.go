@@ -344,11 +344,12 @@ func (pe *ParallelEngine) Close() {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint/restore: a parallel checkpoint is the per-partition engine
-// images plus the epoch geometry. Engine.Checkpoint's quiescence rule
-// applies per partition; pending cross-partition deliveries are engine
-// callbacks and are rejected there, so a parallel image is always taken at a
-// barrier with empty mailboxes.
+// Checkpoint: a parallel checkpoint is the per-partition engine images plus
+// the epoch geometry. Engine.Checkpoint's quiescence rule applies per
+// partition; pending cross-partition deliveries are engine callbacks and are
+// rejected there, so a parallel image is always taken at a barrier with
+// empty mailboxes. Nothing restores one: the image is the digest that
+// identity checks compare across worker counts.
 
 const pckptMagic = "MKPCKP1\n"
 
@@ -376,39 +377,4 @@ func (pe *ParallelEngine) Checkpoint(w io.Writer) error {
 		}
 	}
 	return ckpt.Magic(w, ckptTrailer)
-}
-
-// RestoreParallel reads a parallel checkpoint. build reconstructs partition
-// part's host-side graph on its fresh engine (see Restore for the
-// contract); it may also use pe to re-register cross-partition handlers,
-// which — like all engine callbacks — are never part of the serialized
-// image.
-func RestoreParallel(r io.Reader, workers int, build func(pe *ParallelEngine, part int, e *Engine)) (*ParallelEngine, error) {
-	if err := ckpt.ExpectMagic(r, pckptMagic); err != nil {
-		return nil, err
-	}
-	var nparts, lookahead uint64
-	if err := ckpt.ReadU64(r, &nparts, &lookahead); err != nil {
-		return nil, err
-	}
-	if nparts < 1 || lookahead == 0 {
-		return nil, fmt.Errorf("sim: corrupt parallel checkpoint header (%d parts, lookahead %d)", nparts, lookahead)
-	}
-	pe := &ParallelEngine{lookahead: Time(lookahead), parts: make([]*Engine, nparts)}
-	pe.init(workers)
-	for i := range pe.parts {
-		blob, err := ckpt.ReadBytes(r)
-		if err != nil {
-			return nil, err
-		}
-		e, err := Restore(bytes.NewReader(blob), func(e *Engine) { build(pe, i, e) })
-		if err != nil {
-			return nil, fmt.Errorf("sim: restore partition %d: %w", i, err)
-		}
-		pe.parts[i] = e
-	}
-	if err := ckpt.ExpectMagic(r, ckptTrailer); err != nil {
-		return nil, err
-	}
-	return pe, nil
 }

@@ -28,15 +28,8 @@ const (
 // sink daemon. The handler counts the token, wakes the sink, and forwards the
 // token to the next partition with an RNG-flavored delay at or above the
 // lookahead.
-func ringSetup(pe *ParallelEngine, i int) { ringSetupOn(pe, i, pe.Part(i)) }
-
-// ringSetupOn is ringSetup against an explicit engine, the form a
-// RestoreParallel builder needs (pe.Part(i) is not wired yet during restore).
-// The sink follows the checkpoint-restart-safe shape: durable progress lives
-// in counters and the condition is re-checked before parking, so a restored
-// sink entering its function from the top behaves exactly like one returning
-// from Park.
-func ringSetupOn(pe *ParallelEngine, i int, e *Engine) {
+func ringSetup(pe *ParallelEngine, i int) {
+	e := pe.Part(i)
 	tokens := e.Metrics().Counter("ring.tokens")
 	sinkWakes := e.Metrics().Counter("ring.sink_wakes")
 	sink := e.Spawn(fmt.Sprintf("sink%d", i), func(p *Proc) {

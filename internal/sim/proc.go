@@ -61,8 +61,8 @@ func (p *Proc) yieldToEngine() {
 // already queued for the current cycle.
 //
 // When the wakeup would be the next event dispatched anyway (no perturb
-// hook, no Stop or Close pending, within the RunUntil limit, and every
-// queued event strictly later), Sleep advances the clock in place. It leaves
+// hook, no Close pending, within the RunUntil limit, and every queued event
+// strictly later), Sleep advances the clock in place. It leaves
 // exactly what a push and pop of the wakeup would: the sequence number it
 // would have taken and the queue depth it would have reached.
 func (p *Proc) Sleep(d Time) {
@@ -79,7 +79,7 @@ func (p *Proc) Sleep(d Time) {
 // advances the clock and reports true.
 func (e *Engine) sleepInPlace(d Time) bool {
 	at := e.now + d
-	if e.perturb != nil || e.stopped || e.closing || at > e.limit || e.headAt <= at {
+	if e.perturb != nil || e.closing || at > e.limit || e.headAt <= at {
 		return false
 	}
 	e.seq++

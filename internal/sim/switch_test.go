@@ -124,19 +124,6 @@ func TestInPlaceWakeupMatchesHeapPath(t *testing.T) {
 			log("caller")
 			e.Run()
 		})},
-		{"Stop then Sleep", serialRow(func(e *Engine, log func(string)) {
-			e.Spawn("a", func(p *Proc) {
-				p.Sleep(5)
-				e.Stop()
-				p.Sleep(5) // Run returns before this wakeup
-				log("a")
-				p.Sleep(5)
-				log("a")
-			})
-			e.Run()
-			log("caller")
-			e.Run()
-		})},
 		{"Sleep(0)", serialRow(func(e *Engine, log func(string)) {
 			e.Spawn("a", func(p *Proc) {
 				p.Sleep(0) // nothing else this cycle

@@ -97,16 +97,6 @@ func (r *Resource) InUse() int { return r.inUse }
 // QueueLen returns the number of procs waiting to acquire.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
-// Use acquires the resource, holds it for d cycles, then releases it. This is
-// the common pattern for occupying a facility for a fixed service time.
-// If p is fail-stopped during the hold, the slot is still released on the
-// unwind path — the facility finishes the in-flight service time regardless.
-func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	defer r.Release()
-	p.Sleep(d)
-}
-
 // Queue is an unbounded FIFO of items with blocking receive, usable as a
 // mailbox between procs. Push never blocks; Pop parks until an item arrives.
 type Queue[T any] struct {

@@ -169,16 +169,6 @@ type Tree struct {
 	Local  []topo.CoreID // cores sharing the source's socket
 }
 
-// Fanout returns the total number of cores the tree reaches (excluding the
-// source).
-func (t *Tree) Fanout() int {
-	n := len(t.Local)
-	for _, g := range t.Groups {
-		n += 1 + len(g.Children)
-	}
-	return n
-}
-
 // MulticastTree computes the multicast tree from src covering the given
 // cores (pass nil for all cores). The aggregation node of each socket is its
 // lowest-numbered participating core; remote groups are ordered by
@@ -241,19 +231,6 @@ type HierTree struct {
 	Source  topo.CoreID
 	Regions []Region
 	Local   []topo.CoreID
-}
-
-// Fanout returns the total number of cores the tree reaches (excluding the
-// source).
-func (t *HierTree) Fanout() int {
-	n := len(t.Local)
-	for _, r := range t.Regions {
-		n += 1 + len(r.Children)
-		for _, g := range r.Subs {
-			n += 1 + len(g.Children)
-		}
-	}
-	return n
 }
 
 // HierMulticastTree computes a hierarchical multicast tree from src covering

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 // histBuckets is the fixed bucket count of Histogram: bucket b holds values
 // of bit length b (i.e. in [2^(b-1), 2^b-1]), so 48 buckets cover any
@@ -43,10 +39,6 @@ func bucketLe(b int) uint64 {
 // samplers that ship raw bucket deltas and reassemble summaries remotely.
 const NumBuckets = histBuckets
 
-// BucketUpperBound returns the inclusive upper bound of bucket b, the Le
-// value a HistogramSummary reports for it.
-func BucketUpperBound(b int) uint64 { return bucketLe(b) }
-
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
 	h.counts[bucketOf(v)]++
@@ -57,14 +49,8 @@ func (h *Histogram) Observe(v uint64) {
 	}
 }
 
-// N returns the number of observations.
-func (h *Histogram) N() uint64 { return h.n }
-
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Max returns the largest observation.
-func (h *Histogram) Max() uint64 { return h.max }
 
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 {
@@ -74,26 +60,15 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// Merge folds o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.n += o.n
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
 // Raw returns the histogram's complete internal state — bucket counts,
 // observation count, sum and max — for checkpoint serialization.
 func (h *Histogram) Raw() (counts []uint64, n, sum, max uint64) {
 	return h.counts[:], h.n, h.sum, h.max
 }
 
-// SetRaw restores state previously obtained from Raw. counts longer than the
-// bucket array is an error from a newer format; shorter is zero-padded.
+// SetRaw restores state previously obtained from Raw. counts must hold
+// NumBuckets entries; Registry.RestoreState rejects an image with any other
+// length before it calls SetRaw.
 func (h *Histogram) SetRaw(counts []uint64, n, sum, max uint64) {
 	h.counts = [histBuckets]uint64{}
 	copy(h.counts[:], counts)
@@ -199,33 +174,4 @@ func (s HistogramSummary) Quantile(q float64) uint64 {
 		}
 	}
 	return s.Max
-}
-
-// Mean returns the summary's arithmetic mean, or 0 when empty.
-func (s HistogramSummary) Mean() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.N)
-}
-
-// Render returns the summary as an aligned text bar chart, one row per
-// non-empty bucket.
-func (s HistogramSummary) Render() string {
-	if s.N == 0 {
-		return "(empty)\n"
-	}
-	var peak uint64
-	for _, b := range s.Buckets {
-		if b.Count > peak {
-			peak = b.Count
-		}
-	}
-	var out strings.Builder
-	for _, b := range s.Buckets {
-		bar := int(b.Count * 40 / peak)
-		fmt.Fprintf(&out, "  ≤%-12d %8d %s\n", b.Le, b.Count, strings.Repeat("#", bar))
-	}
-	fmt.Fprintf(&out, "  n=%d mean=%.1f max=%d\n", s.N, s.Mean(), s.Max)
-	return out.String()
 }

@@ -1,9 +1,27 @@
 package stats
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
+
+// N, Max and Merge read and fold a histogram's raw state. Only tests use
+// them: Merge is the reference that HistogramSummary.Merge must match.
+
+// N returns the number of observations.
+func (h *Histogram) N() uint64 { return h.n }
+
+// Max returns the largest observation.
+func (h *Histogram) Max() uint64 { return h.max }
+
+// Merge folds o into h.
+func (h *Histogram) Merge(o *Histogram) {
+	for i, c := range o.counts {
+		h.counts[i] += c
+	}
+	h.n += o.n
+	h.sum += o.sum
+	if o.max > h.max {
+		h.max = o.max
+	}
+}
 
 func TestHistogramObserve(t *testing.T) {
 	var h Histogram
@@ -153,7 +171,7 @@ func TestMergeEmptyAndOverflow(t *testing.T) {
 	if len(s.Buckets) != 1 {
 		t.Fatalf("overflow values split buckets: %+v", s.Buckets)
 	}
-	if want := BucketUpperBound(NumBuckets - 1); s.Buckets[0].Le != want || s.Buckets[0].Count != 2 {
+	if want := bucketLe(NumBuckets - 1); s.Buckets[0].Le != want || s.Buckets[0].Count != 2 {
 		t.Fatalf("overflow bucket: got ≤%d count=%d, want ≤%d count=2", s.Buckets[0].Le, s.Buckets[0].Count, want)
 	}
 	if s.Max != ^uint64(0) {
@@ -189,7 +207,7 @@ func TestDeltaSummary(t *testing.T) {
 		}
 	}
 	// Max degrades to bucket resolution: the overflow bound, not 1<<50.
-	if d.Max != BucketUpperBound(NumBuckets-1) {
+	if d.Max != bucketLe(NumBuckets-1) {
 		t.Fatalf("delta max=%d, want overflow bound", d.Max)
 	}
 	for _, q := range []float64{0.5, 0.99} {
@@ -228,23 +246,5 @@ func TestSummaryQuantile(t *testing.T) {
 	}
 	if got := s.Quantile(1); got != 131071 {
 		t.Fatalf("p100=%d, want 131071", got)
-	}
-}
-
-func TestSummaryRender(t *testing.T) {
-	var h Histogram
-	if got := h.Summary().Render(); got != "(empty)\n" {
-		t.Fatalf("empty render: %q", got)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(100)
-	}
-	h.Observe(100000)
-	out := h.Summary().Render()
-	if !strings.Contains(out, "≤127") || !strings.Contains(out, "n=11") {
-		t.Fatalf("render missing fields:\n%s", out)
-	}
-	if !strings.Contains(out, "########") {
-		t.Fatalf("render missing bar:\n%s", out)
 	}
 }

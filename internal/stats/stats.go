@@ -29,9 +29,6 @@ func (s *Sample) AddN(vs ...float64) {
 	s.sorted = false
 }
 
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
-
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -58,34 +55,6 @@ func (s *Sample) Stddev() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n-1))
-}
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, v := range s.xs[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, v := range s.xs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear

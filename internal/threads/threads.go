@@ -31,8 +31,7 @@ type Team struct {
 	kern  *kernel.System
 	cores []topo.CoreID
 
-	nthreads int
-	joinAll  *sim.WaitGroup
+	joinAll *sim.WaitGroup
 }
 
 // NewTeam creates a process spanning the given cores.
@@ -73,7 +72,6 @@ func (th *Thread) Proc() *sim.Proc { return th.p }
 func (t *Team) Go(from topo.CoreID, core topo.CoreID, name string, fn func(th *Thread)) *Thread {
 	th := &Thread{Team: t, core: core}
 	th.done = sim.NewFuture[struct{}](t.kern.Eng)
-	t.nthreads++
 	t.joinAll.Add(1)
 	remote := from != core && from >= 0
 	th.p = t.kern.Eng.Spawn(fmt.Sprintf("%s@c%d", name, core), func(p *sim.Proc) {

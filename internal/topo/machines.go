@@ -1,10 +1,6 @@
 package topo
 
-import (
-	"fmt"
-
-	"multikernel/internal/sim"
-)
+import "fmt"
 
 // The cost parameters below are calibrated so that the microbenchmark tables
 // of the paper (Tables 1–3) come out in the right range on each machine; the
@@ -12,7 +8,7 @@ import (
 // coherence-transaction constants fold the broadcast-probe cost into
 // RemoteBase (on HyperTransport every transaction probes every node, so
 // distance to the data source adds little and SnoopPerSocket stays zero);
-// the scaled Mesh/Torus/Hier machines instead separate the mode-dependent
+// the scaled Mesh/Torus machines instead separate the mode-dependent
 // costs into SnoopPerSocket (broadcast) and DirLookup (directory) so the two
 // coherence modes genuinely diverge as socket counts grow.
 
@@ -187,8 +183,8 @@ func scaledCosts() CostParams {
 }
 
 // Mesh builds a k×k socket mesh with 4 cores per socket (64 cores at k=4,
-// 1024 at k=16), dimension-ordered XY routing, per-link bandwidth maps and
-// the mode-dependent coherence costs of scaledCosts. This is the primary
+// 1024 at k=16), dimension-ordered XY routing and the mode-dependent
+// coherence costs of scaledCosts. This is the primary
 // scaled machine of the 64–1024 core sweeps.
 func Mesh(k int) *Machine {
 	if k < 2 {
@@ -206,7 +202,6 @@ func Mesh(k int) *Machine {
 		Costs:          scaledCosts(),
 		gridNX:         k,
 		gridNY:         k,
-		LinkGBps:       uniformGBps(gridLinks(k, k, false), DefaultLinkGBps),
 	}
 	return m.finish()
 }
@@ -231,69 +226,6 @@ func Torus(k int) *Machine {
 		gridNX:         k,
 		gridNY:         k,
 		gridWrap:       true,
-		LinkGBps:       uniformGBps(gridLinks(k, k, true), DefaultLinkGBps),
-	}
-	return m.finish()
-}
-
-// uniformGBps builds a bandwidth map assigning every listed link g GB/s.
-func uniformGBps(links []Link, g float64) map[Link]float64 {
-	out := make(map[Link]float64, len(links))
-	for _, l := range links {
-		out[l] = g
-	}
-	return out
-}
-
-// Hier builds a multi-socket hierarchy: clusters of fully-meshed sockets
-// joined by a ring of slower, narrower uplinks between each cluster's
-// gateway (lowest-numbered) socket. The uplinks carry a per-crossing
-// LinkLat surcharge and half the intra-cluster bandwidth, so routes that
-// leave a cluster are visibly more expensive — the NUMA-of-NUMAs shape of
-// large shared-memory machines.
-func Hier(clusters, socketsPerCluster, coresPerSocket int) *Machine {
-	if clusters < 2 || socketsPerCluster < 1 || coresPerSocket < 1 {
-		panic("topo: hierarchy needs ≥2 clusters and positive sockets/cores")
-	}
-	const uplinkExtra = 120 // cycles per uplink crossing
-	n := clusters * socketsPerCluster
-	var links []Link
-	linkLat := make(map[Link]sim.Time)
-	linkGBps := make(map[Link]float64)
-	for c := 0; c < clusters; c++ {
-		base := c * socketsPerCluster
-		for i := 0; i < socketsPerCluster; i++ {
-			for j := i + 1; j < socketsPerCluster; j++ {
-				l := Link{SocketID(base + i), SocketID(base + j)}
-				links = append(links, l)
-				linkGBps[l] = DefaultLinkGBps
-			}
-		}
-	}
-	for c := 0; c < clusters; c++ {
-		gw := SocketID(c * socketsPerCluster)
-		ngw := SocketID(((c + 1) % clusters) * socketsPerCluster)
-		if clusters == 2 && c == 1 {
-			break // a 2-cluster ring is a single link
-		}
-		l := Link{gw, ngw}
-		links = append(links, l)
-		linkLat[l] = uplinkExtra
-		linkGBps[l] = DefaultLinkGBps / 2
-	}
-	m := &Machine{
-		Name: fmt.Sprintf("hier-%dx%dx%dc",
-			clusters, socketsPerCluster, coresPerSocket),
-		ClockGHz:       2.0,
-		NSockets:       n,
-		DiesPerSocket:  1,
-		CoresPerSocket: coresPerSocket,
-		SharedL3:       true,
-		IOSocket:       0,
-		Links:          links,
-		Costs:          scaledCosts(),
-		LinkLat:        linkLat,
-		LinkGBps:       linkGBps,
 	}
 	return m.finish()
 }

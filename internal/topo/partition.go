@@ -49,26 +49,6 @@ func (pm *PartitionMap) Part(s SocketID) int { return pm.of[s] }
 // PartOfCore returns the partition of the socket housing core c.
 func (pm *PartitionMap) PartOfCore(c CoreID) int { return pm.of[pm.m.Socket(c)] }
 
-// Sockets returns the sockets of partition p in ascending order.
-func (pm *PartitionMap) Sockets(p int) []SocketID {
-	var out []SocketID
-	for s, ps := range pm.of {
-		if ps == p {
-			out = append(out, SocketID(s))
-		}
-	}
-	return out
-}
-
-// Cores returns the cores of partition p in ascending order.
-func (pm *PartitionMap) Cores(p int) []CoreID {
-	var out []CoreID
-	for _, s := range pm.Sockets(p) {
-		out = append(out, pm.m.CoresOf(s)...)
-	}
-	return out
-}
-
 // String implements fmt.Stringer.
 func (pm *PartitionMap) String() string {
 	return fmt.Sprintf("%s into %d partitions", pm.m.Name, pm.nparts)

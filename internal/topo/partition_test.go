@@ -60,33 +60,22 @@ func TestPartitionClamp(t *testing.T) {
 func TestPartitionSocketsAndCores(t *testing.T) {
 	m := AMD8x4()
 	pm := Partition(m, 4) // 8 sockets -> 2 per partition
-	seenSockets := make(map[SocketID]bool)
-	seenCores := make(map[CoreID]bool)
-	for p := 0; p < pm.NParts(); p++ {
-		socks := pm.Sockets(p)
-		if len(socks) != 2 {
-			t.Fatalf("partition %d has sockets %v, want 2 of them", p, socks)
-		}
-		for _, s := range socks {
-			if seenSockets[s] {
-				t.Fatalf("socket %d appears in two partitions", s)
-			}
-			seenSockets[s] = true
-		}
-		cores := pm.Cores(p)
-		if len(cores) != 2*m.CoresPerSocket {
-			t.Fatalf("partition %d has %d cores, want %d", p, len(cores), 2*m.CoresPerSocket)
-		}
-		for _, c := range cores {
-			if seenCores[c] {
-				t.Fatalf("core %d appears in two partitions", c)
-			}
-			seenCores[c] = true
-		}
+	sockets := make([]int, pm.NParts())
+	cores := make([]int, pm.NParts())
+	for s := 0; s < m.NSockets; s++ {
+		sockets[pm.Part(SocketID(s))]++
 	}
-	if len(seenSockets) != m.NSockets || len(seenCores) != m.NumCores() {
-		t.Fatalf("partitions cover %d sockets / %d cores, want %d / %d",
-			len(seenSockets), len(seenCores), m.NSockets, m.NumCores())
+	for c := 0; c < m.NumCores(); c++ {
+		p := pm.PartOfCore(CoreID(c))
+		if p != pm.Part(m.Socket(CoreID(c))) {
+			t.Fatalf("core %d in partition %d, its socket in %d", c, p, pm.Part(m.Socket(CoreID(c))))
+		}
+		cores[p]++
+	}
+	for p := range sockets {
+		if sockets[p] != 2 || cores[p] != 2*m.CoresPerSocket {
+			t.Fatalf("partition %d has %d sockets and %d cores, want 2 and %d", p, sockets[p], cores[p], 2*m.CoresPerSocket)
+		}
 	}
 }
 

@@ -77,22 +77,14 @@ type Machine struct {
 	Links          []Link
 	Costs          CostParams
 
-	// LinkLat maps a link to extra per-crossing latency beyond the uniform
-	// RemoteHop (e.g. slower inter-cluster uplinks of a hierarchy). LinkGBps
-	// maps a link to its bandwidth; links absent from either map use the
-	// uniform defaults. Both nil on the paper machines.
-	LinkLat  map[Link]sim.Time
-	LinkGBps map[Link]float64
-
 	// Grid geometry, set by the Mesh/Torus builders: routing is then
 	// dimension-ordered (X first, then Y) instead of BFS, the deterministic
 	// XY routing of network-on-chip fabrics.
 	gridNX, gridNY int
 	gridWrap       bool
 
-	dist  [][]int      // socket-to-socket hop counts
-	next  [][]SocketID // next hop on a shortest path
-	extra []sim.Time   // per socket pair: sum of LinkLat along the route (nil when LinkLat is)
+	dist [][]int      // socket-to-socket hop counts
+	next [][]SocketID // next hop on a shortest path
 }
 
 // finish validates the machine and computes routing tables.
@@ -117,7 +109,6 @@ func (m *Machine) finish() *Machine {
 	}
 	if m.gridNX > 0 {
 		m.finishGrid()
-		m.finishExtra()
 		return m
 	}
 	for s := 0; s < n; s++ {
@@ -154,7 +145,6 @@ func (m *Machine) finish() *Machine {
 		m.dist[s] = d
 		m.next[s] = nx
 	}
-	m.finishExtra()
 	return m
 }
 
@@ -228,35 +218,6 @@ func (m *Machine) finishGrid() {
 	}
 }
 
-// finishExtra precomputes, for every socket pair, the sum of LinkLat entries
-// along the routed path. Nil (free to query) when the machine has no
-// per-link latency map.
-func (m *Machine) finishExtra() {
-	if m.LinkLat == nil {
-		return
-	}
-	n := m.NSockets
-	m.extra = make([]sim.Time, n*n)
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			var sum sim.Time
-			prev := SocketID(a)
-			for _, hop := range m.Route(SocketID(a), SocketID(b)) {
-				if lat, ok := m.LinkLat[Link{prev, hop}]; ok {
-					sum += lat
-				} else if lat, ok := m.LinkLat[Link{hop, prev}]; ok {
-					sum += lat
-				}
-				prev = hop
-			}
-			m.extra[a*n+b] = sum
-		}
-	}
-}
-
 // NumCores returns the total core count.
 func (m *Machine) NumCores() int { return m.NSockets * m.CoresPerSocket }
 
@@ -322,33 +283,6 @@ func (m *Machine) Route(a, b SocketID) []SocketID {
 	return out
 }
 
-// PathExtra returns the sum of per-link extra latencies (LinkLat) along the
-// routed path from a to b. Zero on machines without a link latency map.
-func (m *Machine) PathExtra(a, b SocketID) sim.Time {
-	if m.extra == nil || a == b {
-		return 0
-	}
-	return m.extra[int(a)*m.NSockets+int(b)]
-}
-
-// DefaultLinkGBps is the bandwidth assumed for links absent from a machine's
-// LinkGBps map (one HyperTransport-class link).
-const DefaultLinkGBps = 4.0
-
-// LinkBandwidth returns the bandwidth in GB/s of the direct link between two
-// adjacent sockets, in either key order, defaulting to DefaultLinkGBps.
-func (m *Machine) LinkBandwidth(a, b SocketID) float64 {
-	if m.LinkGBps != nil {
-		if g, ok := m.LinkGBps[Link{a, b}]; ok {
-			return g
-		}
-		if g, ok := m.LinkGBps[Link{b, a}]; ok {
-			return g
-		}
-	}
-	return DefaultLinkGBps
-}
-
 // TransferLat returns the latency of one coherence transaction that moves a
 // line (or its ownership) from core src to core dst.
 func (m *Machine) TransferLat(dst, src CoreID) sim.Time {
@@ -361,8 +295,7 @@ func (m *Machine) TransferLat(dst, src CoreID) sim.Time {
 	case m.SameSocket(dst, src):
 		return c.IntraSocket
 	default:
-		return c.RemoteBase + sim.Time(m.CoreHops(dst, src))*c.RemoteHop +
-			m.PathExtra(m.Socket(dst), m.Socket(src))
+		return c.RemoteBase + sim.Time(m.CoreHops(dst, src))*c.RemoteHop
 	}
 }
 
@@ -373,12 +306,8 @@ func (m *Machine) MemLat(c CoreID, home SocketID) sim.Time {
 	if m.SingleMemCtrl {
 		return p.DRAMLocal
 	}
-	return p.DRAMLocal + sim.Time(m.Hops(m.Socket(c), home))*p.DRAMRemoteHop +
-		m.PathExtra(m.Socket(c), home)
+	return p.DRAMLocal + sim.Time(m.Hops(m.Socket(c), home))*p.DRAMRemoteHop
 }
-
-// Cycles converts a duration in nanoseconds to cycles on this machine.
-func (m *Machine) Cycles(ns float64) sim.Time { return sim.Time(ns * m.ClockGHz) }
 
 // Nanoseconds converts cycles to nanoseconds on this machine.
 func (m *Machine) Nanoseconds(t sim.Time) float64 { return float64(t) / m.ClockGHz }

@@ -3,6 +3,8 @@ package topo
 import (
 	"testing"
 	"testing/quick"
+
+	"multikernel/internal/sim"
 )
 
 func TestPredefinedMachineShapes(t *testing.T) {
@@ -168,6 +170,10 @@ func TestMemLat(t *testing.T) {
 	}
 }
 
+// Cycles converts a duration in nanoseconds to cycles on this machine, the
+// inverse of Nanoseconds.
+func (m *Machine) Cycles(ns float64) sim.Time { return sim.Time(ns * m.ClockGHz) }
+
 func TestCyclesNanosecondsRoundTrip(t *testing.T) {
 	m := AMD2x2() // 2.8 GHz
 	ns := m.Nanoseconds(2800)
@@ -224,7 +230,6 @@ func TestScaledMachineShapes(t *testing.T) {
 		{Mesh(16), 1024, 30},
 		{Torus(4), 64, 4}, // wrap halves each dimension: 2+2
 		{Torus(8), 256, 8},
-		{Hier(4, 4, 4), 64, 4}, // to gateway, ≤2 ring hops, from gateway
 	}
 	for _, c := range cases {
 		if got := c.m.NumCores(); got != c.cores {
@@ -240,7 +245,7 @@ func TestScaledMachineShapes(t *testing.T) {
 // count — the XY tables are built analytically, so cross-check them against
 // the link list the fabric charges.
 func TestScaledRoutesFollowLinks(t *testing.T) {
-	for _, m := range []*Machine{Mesh(3), Mesh(5), Torus(3), Torus(5), Hier(3, 3, 2)} {
+	for _, m := range []*Machine{Mesh(3), Mesh(5), Torus(3), Torus(5)} {
 		linked := map[[2]SocketID]bool{}
 		for _, l := range m.Links {
 			linked[[2]SocketID{l.A, l.B}] = true
@@ -303,36 +308,6 @@ func TestTorusWrapDistances(t *testing.T) {
 				t.Fatalf("torus-4 hops(%d,%d) asymmetric", a, b)
 			}
 		}
-	}
-}
-
-func TestHierUplinkCosts(t *testing.T) {
-	m := Hier(4, 4, 4)
-	// Intra-cluster: full mesh, no extra.
-	if got := m.PathExtra(0, 1); got != 0 {
-		t.Fatalf("intra-cluster PathExtra=%d, want 0", got)
-	}
-	// Cross-cluster: at least one uplink crossing.
-	if got := m.PathExtra(0, 4); got == 0 {
-		t.Fatal("cross-cluster PathExtra=0, want uplink surcharge")
-	}
-	// The surcharge shows up in coherence and memory latencies.
-	sameCluster := m.TransferLat(0, m.CoresOf(1)[0])
-	crossCluster := m.TransferLat(0, m.CoresOf(4)[0])
-	if crossCluster <= sameCluster {
-		t.Fatalf("cross-cluster transfer %d not > intra-cluster %d", crossCluster, sameCluster)
-	}
-	// Uplinks are half bandwidth; intra-cluster links full.
-	if g := m.LinkBandwidth(0, 1); g != DefaultLinkGBps {
-		t.Fatalf("intra-cluster bandwidth %v, want %v", g, DefaultLinkGBps)
-	}
-	if g := m.LinkBandwidth(0, 4); g != DefaultLinkGBps/2 {
-		t.Fatalf("uplink bandwidth %v, want %v", g, DefaultLinkGBps/2)
-	}
-	// Paper machines: no maps, defaults everywhere.
-	p := AMD8x4()
-	if p.PathExtra(0, 7) != 0 || p.LinkBandwidth(0, 1) != DefaultLinkGBps {
-		t.Fatal("paper machine should have zero PathExtra and default bandwidth")
 	}
 }
 

@@ -100,20 +100,8 @@ func NewBulk(sys *cache.System, sender, receiver topo.CoreID, opts BulkOptions) 
 	}
 }
 
-// Sender returns the sending core.
-func (b *BulkChannel) Sender() topo.CoreID { return b.desc.Sender }
-
-// Receiver returns the receiving core.
-func (b *BulkChannel) Receiver() topo.CoreID { return b.desc.Receiver }
-
 // SlotBytes returns the payload capacity of one pool slot.
 func (b *BulkChannel) SlotBytes() int { return b.slotLines * memory.LineSize }
-
-// Stats returns the descriptor ring's counters.
-func (b *BulkChannel) Stats() Stats { return b.desc.Stats() }
-
-// Pending reports whether a payload is ready (engine-side inspection).
-func (b *BulkChannel) Pending() bool { return b.desc.Pending() }
 
 func (b *BulkChannel) slotBase(seq uint64) memory.Addr {
 	return b.pool.LineAt(int(seq%uint64(b.slots)) * b.slotLines)

@@ -34,18 +34,14 @@ func (c *Channel) CheckpointState(w io.Writer) error {
 // run can reach: the sender's view of the ack line never passes what the
 // receiver published, the receiver publishes only what it received and
 // receives only what was sent, and at most one ring of messages is in flight.
-// A parallel replica runs only its own cores' procs, so on a channel that
-// crosses partitions it checks only the cursors of the end it holds.
 func (c *Channel) RestoreState(r io.Reader) error {
 	var sendSeq, recvSeq, sendAcked, published, flags uint64
 	if err := ckpt.ReadU64(r, &sendSeq, &recvSeq, &sendAcked, &published, &flags,
 		&c.stats.Sent, &c.stats.Received, &c.stats.FullStall, &c.stats.Notifies); err != nil {
 		return err
 	}
-	sender, receiver := c.sys.LocalCore(c.Sender), c.sys.LocalCore(c.Receiver)
-	if sender && (sendAcked > sendSeq || sendSeq-sendAcked > uint64(c.slots)) ||
-		receiver && published > recvSeq ||
-		sender && receiver && (sendAcked > published || recvSeq > sendSeq) {
+	if sendAcked > published || published > recvSeq || recvSeq > sendSeq ||
+		sendSeq-sendAcked > uint64(c.slots) {
 		return fmt.Errorf("urpc: channel %d->%d image has impossible cursors (sent %d, received %d, published %d, acked %d, %d slots)",
 			c.Sender, c.Receiver, sendSeq, recvSeq, published, sendAcked, c.slots)
 	}

@@ -231,12 +231,6 @@ func (c *Channel) remoteArrival() {
 	c.wakeParked()
 }
 
-// Stats returns a copy of the channel's counters.
-func (c *Channel) Stats() Stats { return c.stats }
-
-// Slots returns the ring size.
-func (c *Channel) Slots() int { return c.slots }
-
 func (c *Channel) slotAddr(seq uint64) memory.Addr {
 	return c.ring.LineAt(int(seq % uint64(c.slots)))
 }

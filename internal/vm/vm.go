@@ -122,9 +122,6 @@ func (t *TLB) invalidate(space uint8, va VAddr, pages int) int {
 	return n
 }
 
-// Len returns the number of live translations.
-func (t *TLB) Len() int { return len(t.entries) }
-
 // Space is one virtual address space: a root page table plus the capability
 // machinery to grow it.
 type Space struct {
@@ -157,9 +154,6 @@ func NewManager(sys *cache.System, tlbSize int) *Manager {
 	}
 	return m
 }
-
-// TLB returns core c's TLB.
-func (m *Manager) TLB(c topo.CoreID) *TLB { return m.tlbs[c] }
 
 // allocPT retypes one page of untyped memory into a page-table node and
 // returns its physical address, zeroed.

@@ -147,8 +147,6 @@ func TestTLBEvictionAtCapacity(t *testing.T) {
 		f := r.frame(8*PageSize, caps.AllRights)
 		for i := 0; i < 8; i++ {
 			// Map each page of the frame at consecutive VAs.
-			sub, _ := r.cs.Mint(f, 0xff)
-			_ = sub
 			s.Map(p, 0, VAddr(0x400000+i*PageSize), f, Read)
 			s.Translate(p, 0, VAddr(0x400000+i*PageSize), false)
 		}

@@ -35,21 +35,12 @@ import (
 // API: domains, virtual memory, globally-agreed capability operations.
 type System = core.System
 
-// Domain is a process spanning several cores with a shared address space.
-type Domain = core.Domain
-
 // Machine describes a simulated multiprocessor.
 type Machine = topo.Machine
 
-// Protocol selects a dissemination protocol for coordinated operations.
-type Protocol = monitor.Protocol
-
-// Dissemination protocols (paper §5.1).
-const (
-	Unicast   = monitor.Unicast
-	Multicast = monitor.Multicast
-	NUMAAware = monitor.NUMAAware
-)
+// NUMAAware is the NUMA-aware multicast dissemination protocol (paper §5.1)
+// for coordinated operations.
+const NUMAAware = monitor.NUMAAware
 
 // NewEngine returns a deterministic simulation engine with the given seed.
 func NewEngine(seed uint64) *sim.Engine { return sim.NewEngine(seed) }
@@ -59,29 +50,12 @@ func NewEngine(seed uint64) *sim.Engine { return sim.NewEngine(seed) }
 // spaces.
 func Boot(e *sim.Engine, m *Machine) *System { return core.Boot(e, m) }
 
-// The paper's four test platforms (§4.1).
+// Two of the paper's four test platforms (§4.1): the 4×4-core and 8×4-core
+// AMD systems. internal/topo has the others.
 var (
-	Intel2x4 = topo.Intel2x4
-	AMD2x2   = topo.AMD2x2
-	AMD4x4   = topo.AMD4x4
-	AMD8x4   = topo.AMD8x4
+	AMD4x4 = topo.AMD4x4
+	AMD8x4 = topo.AMD8x4
 )
-
-// Mesh builds a synthetic scalable machine: an nx×ny socket grid with the
-// paper-machine cost model.
-func Mesh(nx, ny, coresPerSocket int) *Machine { return topo.MeshXY(nx, ny, coresPerSocket) }
-
-// The scaled 64–1024-core machines: k×k meshes and tori with XY routing and
-// mode-dependent coherence costs, and clustered hierarchies with slower
-// uplinks. These are the platforms of the broadcast-vs-directory sweeps.
-var (
-	ScaledMesh  = topo.Mesh
-	ScaledTorus = topo.Torus
-	Hier        = topo.Hier
-)
-
-// AllMachines returns the paper's four test platforms.
-func AllMachines() []*Machine { return topo.AllMachines() }
 
 // AllCores lists every core of a machine, the common argument to NewDomain
 // and coordinated operations.

@@ -1,0 +1,415 @@
+package multikernel_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"maps"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// reachAllow lists the non-test functions and methods that no tool,
+// example or catalogue entry reaches but that stay anyway, each with the
+// reason. Keys are import path, receiver type (for a method) and name. What
+// an entry calls stays with it.
+var reachAllow = map[string]string{
+	// Paper mechanisms that no experiment runs yet.
+	"multikernel/internal/monitor.Monitor.SendCap":  "§4.8 capability transfer between monitors; it is the one caller of caps.Capability.PackWords",
+	"multikernel/internal/threads.Thread.Join":      "§4.8 cross-core thread join by dispatcher message",
+	"multikernel/internal/threads.Team.JoinAll":     "§4.8 joining every thread of a domain",
+	"multikernel/internal/threads.Thread.Migrate":   "§4.8 thread migration by dispatcher message",
+	"multikernel/internal/core.Domain.Protect":      "ROADMAP item 8: check mode drives Figure 7's mprotect through it and vm.Space.SetProt",
+	"multikernel/internal/core.System.GlobalRevoke": "ROADMAP item 8: check mode drives the two-phase revoke through it",
+
+	// Inspectors that other packages' tests call.
+	"multikernel/internal/caps.CSpace.Len":                 "core and vm tests count a core's capabilities",
+	"multikernel/internal/interconnect.Fabric.LinkDegrade": "fault tests read a link's impairment",
+	"multikernel/internal/kernel.Core.Stats":               "baseline tests read a core's kernel counters",
+	"multikernel/internal/skb.KB.Query":                    "obs tests read the SKB's facts",
+	"multikernel/internal/skb.KB.Count":                    "core tests count the SKB's facts",
+	"multikernel/internal/stats.Figure.Get":                "expt tests and the root benchmarks read a figure's series",
+	"multikernel/internal/netstack.Stack.Dial":             "the TCP client that the apps tests drive the web server with",
+	"multikernel/internal/netstack.TCPConn.Recv":           "the TCP client that the apps tests drive the web server with",
+}
+
+// reachModules are the directories of the repository's Go modules. The
+// benchmark module counts as a root: what mkperf runs is reached.
+var reachModules = []string{".", "bench"}
+
+// Code that no tool, example or catalogue entry runs backs no figure or
+// table of the reproduction. The roots are main, init and blank package
+// variables of every non-test package in both modules. Every non-test
+// function or method that the walk from those roots does not reach must be
+// deleted, moved into a _test.go file or given a reason in reachAllow.
+func TestNoTestOnlyCode(t *testing.T) {
+	g := newReachGraph()
+	for _, dir := range reachModules {
+		g.loadModule(t, dir)
+	}
+	live := g.walk(g.roots, g.ifaces, false)
+	// What an allow-listed declaration calls stays with it.
+	kept := g.walk(append(slices.Sorted(maps.Keys(reachAllow)), g.roots...), g.ifaces, false)
+	tested := g.walk(append(g.roots, g.testRoots...), g.testIfaces, true)
+
+	var dead []string
+	for key := range g.funcs {
+		if !kept[key] {
+			dead = append(dead, key)
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool {
+		a, b := g.funcs[dead[i]], g.funcs[dead[j]]
+		return a.Filename < b.Filename || a.Filename == b.Filename && a.Line < b.Line
+	})
+	for _, key := range dead {
+		how := "nothing reaches it"
+		if tested[key] {
+			how = "only tests reach it"
+		}
+		pos := g.funcs[key]
+		t.Errorf("%s:%d: %s: %s; delete it, move it into a _test.go file or give reachAllow a reason",
+			pos.Filename, pos.Line, key, how)
+	}
+	for key, reason := range reachAllow {
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("reachAllow[%q] gives no reason", key)
+		}
+		if _, ok := g.funcs[key]; !ok {
+			t.Errorf("reachAllow[%q] names no non-test function or method", key)
+		} else if live[key] {
+			t.Errorf("reachAllow[%q]: non-test code reaches it; drop the entry", key)
+		}
+	}
+}
+
+// listedPackage is the part of go list's JSON this test reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	Export     string
+	ForTest    string
+	GoFiles    []string
+	ImportMap  map[string]string
+	Module     *struct{ Main bool }
+}
+
+// reachGraph links every package-level declaration of the modules, named
+// "importpath.Name" or "importpath.Type.Method", to the declarations its
+// syntax refers to.
+type reachGraph struct {
+	fset  *token.FileSet
+	edges map[string][]string
+	// methods maps a named type to its method set, promoted methods
+	// included: method name → the declaring method's key.
+	methods map[string]map[string]string
+	// ifaces holds the method names of every interface type that non-test
+	// code mentions, testIfaces those that any code mentions. A reached
+	// type reaches its methods of those names: a call through an interface
+	// names no concrete method.
+	ifaces, testIfaces map[string]bool
+	roots, testRoots   []string
+	// inTest marks declarations made in _test.go files.
+	inTest map[string]bool
+	// funcs maps every non-test function and method to its position.
+	funcs map[string]token.Position
+}
+
+func newReachGraph() *reachGraph {
+	// fmt and errors find these methods by type assertion on values the
+	// caller passes as any, so no interface type in the caller names them.
+	implicit := []string{"Error", "String", "GoString", "Format", "Unwrap", "Is", "As"}
+	g := &reachGraph{
+		fset:       token.NewFileSet(),
+		edges:      map[string][]string{},
+		methods:    map[string]map[string]string{},
+		ifaces:     map[string]bool{},
+		testIfaces: map[string]bool{},
+		inTest:     map[string]bool{},
+		funcs:      map[string]token.Position{},
+	}
+	for _, name := range implicit {
+		g.ifaces[name], g.testIfaces[name] = true, true
+	}
+	return g
+}
+
+// loadModule type-checks every package of the module in dir from source,
+// each test variant once, importing dependencies from the export data of
+// one go list -deps -test -export.
+func (g *reachGraph) loadModule(t *testing.T, dir string) {
+	cmd := exec.Command("go", "list", "-deps", "-test", "-export",
+		"-json=ImportPath,Dir,Export,ForTest,GoFiles,ImportMap,Module", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	byID := map[string]*listedPackage{}
+	var pkgs []*listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err != nil {
+			t.Fatalf("go list in %s: %v", dir, err)
+		}
+		byID[p.ImportPath] = p
+		pkgs = append(pkgs, p)
+	}
+	for _, p := range pkgs {
+		if p.Module == nil || !p.Module.Main || strings.HasSuffix(p.ImportPath, ".test") {
+			continue
+		}
+		path, variant, _ := strings.Cut(p.ImportPath, " ")
+		switch {
+		case variant == "" && byID[path+" ["+path+".test]"] != nil:
+			continue // its test variant holds the same files and more
+		case variant != "" && path != p.ForTest && path != p.ForTest+"_test":
+			continue // a dependency recompiled for another package's test
+		}
+		g.check(t, path, p, byID)
+	}
+}
+
+// check type-checks one package variant and adds its declarations.
+func (g *reachGraph) check(t *testing.T, path string, p *listedPackage, byID map[string]*listedPackage) {
+	var files []*ast.File
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(g.fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	imp := importer.ForCompiler(g.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if id, ok := p.ImportMap[path]; ok {
+			path = id
+		}
+		if q := byID[path]; q != nil && q.Export != "" {
+			return os.Open(q.Export)
+		}
+		return nil, fmt.Errorf("no export data for %s", path)
+	})
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	pkg, err := (&types.Config{Importer: imp}).Check(path, g.fset, files, info)
+	if err != nil {
+		t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+	}
+	isTest := func(pos token.Pos) bool { return strings.HasSuffix(g.fset.File(pos).Name(), "_test.go") }
+
+	seen := map[bool]map[types.Type]bool{false: {}, true: {}} // by test
+	collect := func(typ types.Type, pos token.Pos) {
+		test := isTest(pos)
+		g.collectIfaces(typ, test, seen[test])
+	}
+	for expr, tv := range info.Types {
+		collect(tv.Type, expr.Pos())
+	}
+	for _, m := range []map[*ast.Ident]types.Object{info.Defs, info.Uses} {
+		for id, obj := range m {
+			if obj != nil {
+				collect(obj.Type(), id.Pos())
+			}
+		}
+	}
+
+	for _, f := range files {
+		test := isTest(f.Pos())
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				key := reachKey(info.Defs[d.Name])
+				root := test || d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Name() == "main")
+				if d.Name.Name == "init" && d.Recv == nil {
+					key = fmt.Sprintf("%s.init@%s", path, g.fset.Position(d.Pos()))
+				} else if !test {
+					start := d.Pos()
+					if d.Doc != nil {
+						start = d.Doc.Pos()
+					}
+					g.funcs[key] = g.fset.Position(start)
+				}
+				g.add(key, d, info, test, root)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						key := reachKey(info.Defs[s.Name])
+						g.add(key, s, info, test, test)
+						if named, ok := info.Defs[s.Name].Type().(*types.Named); ok && !types.IsInterface(named) {
+							g.addMethods(key, named)
+						}
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							key := reachKey(info.Defs[name])
+							if name.Name == "_" {
+								key = fmt.Sprintf("%s._@%s", path, g.fset.Position(name.Pos()))
+							}
+							g.add(key, s, info, test, test || name.Name == "_")
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// add records that the declaration key refers to what node's syntax names.
+func (g *reachGraph) add(key string, node ast.Node, info *types.Info, test, root bool) {
+	if key == "" {
+		return
+	}
+	ast.Inspect(node, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if k := reachKey(info.Uses[id]); k != "" {
+				g.edges[key] = append(g.edges[key], k)
+			}
+		}
+		return true
+	})
+	if test {
+		g.inTest[key] = true
+	}
+	if root && test {
+		g.testRoots = append(g.testRoots, key)
+	} else if root {
+		g.roots = append(g.roots, key)
+	}
+}
+
+// addMethods records the method sets of named and of a pointer to it.
+func (g *reachGraph) addMethods(key string, named *types.Named) {
+	ms := g.methods[key]
+	if ms == nil {
+		ms = map[string]string{}
+		g.methods[key] = ms
+	}
+	for _, typ := range []types.Type{named, types.NewPointer(named)} {
+		set := types.NewMethodSet(typ)
+		for i := 0; i < set.Len(); i++ {
+			if k := reachKey(set.At(i).Obj()); k != "" {
+				ms[set.At(i).Obj().Name()] = k
+			}
+		}
+	}
+}
+
+// collectIfaces adds the method names of every interface type inside typ.
+// It does not look inside a named type that is not an interface.
+func (g *reachGraph) collectIfaces(typ types.Type, test bool, seen map[types.Type]bool) {
+	if typ == nil || seen[typ] {
+		return
+	}
+	seen[typ] = true
+	switch t := typ.(type) {
+	case *types.Alias:
+		g.collectIfaces(types.Unalias(t), test, seen)
+	case *types.Named:
+		if types.IsInterface(t) {
+			g.collectIfaces(t.Underlying(), test, seen)
+		}
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			g.collectIfaces(t.TypeArgs().At(i), test, seen)
+		}
+	case *types.Interface:
+		for i := 0; i < t.NumMethods(); i++ {
+			g.testIfaces[t.Method(i).Name()] = true
+			if !test {
+				g.ifaces[t.Method(i).Name()] = true
+			}
+			g.collectIfaces(t.Method(i).Type(), test, seen)
+		}
+	case *types.TypeParam:
+		g.collectIfaces(t.Constraint(), test, seen)
+	case *types.Pointer:
+		g.collectIfaces(t.Elem(), test, seen)
+	case *types.Slice:
+		g.collectIfaces(t.Elem(), test, seen)
+	case *types.Array:
+		g.collectIfaces(t.Elem(), test, seen)
+	case *types.Chan:
+		g.collectIfaces(t.Elem(), test, seen)
+	case *types.Map:
+		g.collectIfaces(t.Key(), test, seen)
+		g.collectIfaces(t.Elem(), test, seen)
+	case *types.Signature:
+		g.collectIfaces(t.Params(), test, seen)
+		g.collectIfaces(t.Results(), test, seen)
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			g.collectIfaces(t.At(i).Type(), test, seen)
+		}
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			g.collectIfaces(t.Field(i).Type(), test, seen)
+		}
+	}
+}
+
+// walk returns every declaration reached from roots. A reached named type
+// reaches its methods whose names an interface in ifaces has. Without
+// withTests, the walk does not enter declarations of _test.go files.
+func (g *reachGraph) walk(roots []string, ifaces map[string]bool, withTests bool) map[string]bool {
+	reached := map[string]bool{}
+	queue := append([]string(nil), roots...)
+	for len(queue) > 0 {
+		key := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if reached[key] || g.inTest[key] && !withTests {
+			continue
+		}
+		reached[key] = true
+		queue = append(queue, g.edges[key]...)
+		for name, m := range g.methods[key] {
+			if ifaces[name] {
+				queue = append(queue, m)
+			}
+		}
+	}
+	return reached
+}
+
+// reachKey names a package-level object of the modules, or returns "" for
+// anything else: locals, fields, interface methods and the standard
+// library.
+func reachKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), "multikernel") {
+		return ""
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		fn = fn.Origin()
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return fn.Pkg().Path() + "." + fn.Name()
+		}
+		typ := recv.Type()
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		named, ok := typ.(*types.Named)
+		if !ok || types.IsInterface(named) {
+			return ""
+		}
+		return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
+	}
+	if obj.Parent() != obj.Pkg().Scope() {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
