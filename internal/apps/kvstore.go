@@ -166,11 +166,19 @@ func (s *KVService) Connect(client topo.CoreID) *KVClient {
 	return &KVClient{req: req, rsp: rsp, bulk: bulk, svc: s, Timeout: DefaultKVTimeout}
 }
 
+// The service loop sleeps kvIdleGap cycles between empty sweeps of its
+// request rings and parks in the kvIdleSweeps-th.
+const (
+	kvIdleSweeps = 40
+	kvIdleGap    = 200
+)
+
 func (s *KVService) loop(p *sim.Proc) {
 	idle := 0
 	var reqBuf [8]urpc.Message
 	var replies []urpc.Message
 	for {
+		idle = s.skipEmpty(p, idle)
 		progress := false
 		for i, req := range s.reqs {
 			// Burst dequeue: one check charge drains a client's whole request
@@ -209,13 +217,39 @@ func (s *KVService) loop(p *sim.Proc) {
 			continue
 		}
 		idle++
-		if idle < 40 {
-			p.Sleep(200)
+		if idle < kvIdleSweeps {
+			p.Sleep(kvIdleGap)
 			continue
 		}
 		p.Park()
 		idle = 0
 	}
+}
+
+// skipEmpty takes at once the loop's empty sweeps, up to its park point,
+// that would find every request ring empty through cache hits and wake in
+// place (sim.Proc.SkipSweeps), and returns the idle count after them.
+func (s *KVService) skipEmpty(p *sim.Proc, idle int) int {
+	if idle >= kvIdleSweeps-1 {
+		return idle // the next sweep parks
+	}
+	var k uint64
+	var d sim.Time
+	for _, req := range s.reqs {
+		rk, rd, ok := req.EmptyCheck()
+		if !ok {
+			return idle
+		}
+		k, d = k+rk, d+rd
+	}
+	n := p.SkipSweeps(uint64(kvIdleSweeps-1-idle), k+1, d+kvIdleGap)
+	if n == 0 {
+		return idle
+	}
+	for _, req := range s.reqs {
+		req.SkipChecks(n)
+	}
+	return idle + int(n)
 }
 
 // serveRange scans [lo, hi) and streams the matching row values to client i's
@@ -362,6 +396,7 @@ func (c *KVClient) SelectRange(p *sim.Proc, lo, hi uint64) ([]uint64, error) {
 	deadline := p.Now() + c.Timeout
 	var m [1]urpc.Message
 	for total < 0 || len(vals) < total {
+		c.skipEmpty(p, total < 0, deadline)
 		if total < 0 && c.rsp.Recv(p, m[:], urpc.Poll) > 0 {
 			total = int(m[0][0])
 			deadline = p.Now() + c.Timeout
@@ -378,7 +413,33 @@ func (c *KVClient) SelectRange(p *sim.Proc, lo, hi uint64) ([]uint64, error) {
 			c.fail()
 			return vals, ErrChannelDead
 		}
-		p.Sleep(200)
+		p.Sleep(rangePollGap)
 	}
 	return vals, nil
+}
+
+// rangePollGap is SelectRange's sleep between empty sweeps.
+const rangePollGap = 200
+
+// skipEmpty takes at once SelectRange's empty sweeps that wake in place
+// (sim.Proc.SkipSweeps) and test the clock before the deadline: each is a
+// Poll check of the reply ring while the count is due, one of the bulk
+// ring, the deadline test and the sleep.
+func (c *KVClient) skipEmpty(p *sim.Proc, countDue bool, deadline sim.Time) {
+	k, d, ok := c.bulk.EmptyCheck()
+	if countDue {
+		rk, rd, rok := c.rsp.EmptyCheck()
+		k, d, ok = k+rk, d+rd, ok && rok
+	}
+	if !ok {
+		return
+	}
+	n := sim.SweepsBefore(p.Now(), deadline, d, d+rangePollGap)
+	if n = p.SkipSweeps(n, k+1, d+rangePollGap); n == 0 {
+		return
+	}
+	c.bulk.SkipChecks(n)
+	if countDue {
+		c.rsp.SkipChecks(n)
+	}
 }

@@ -639,6 +639,31 @@ func (s *System) ProbeHit(c topo.CoreID, a memory.Addr) (sim.Time, bool) {
 	return s.mach.Costs.L1Hit, true
 }
 
+// HeldWord is the quiet test of a poll that sim.Proc.SkipSweeps may skip:
+// if core c holds the line containing a, it returns the word at a and the
+// hit latency a Load would charge. It counts nothing and records no touch;
+// SkipHits does both once the skip is taken.
+func (s *System) HeldWord(c topo.CoreID, a memory.Addr) (v uint64, lat sim.Time, ok bool) {
+	id := a.Line()
+	l := s.lookaside[id%lineSlots].l
+	if s.lookaside[id%lineSlots].id != id {
+		l = s.lines[id]
+	}
+	if l == nil || !l.holds(c) {
+		return 0, 0, false
+	}
+	return s.mem.LoadWord(a), s.mach.Costs.L1Hit, true
+}
+
+// SkipHits counts n Loads by core c that hit the line containing a, and
+// records the touch as they would: the polls a taken skip stood for.
+func (s *System) SkipHits(c topo.CoreID, a memory.Addr, n uint64) {
+	if s.tracking {
+		s.touched[a.Line()] = true
+	}
+	s.stats[c].Hits += n
+}
+
 // Store writes the word at a from core c.
 //
 // An uncontended store miss is asynchronous: the store buffer issues the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"multikernel/internal/apps"
+	"multikernel/internal/sim"
 	"multikernel/internal/urpc"
 )
 
@@ -144,4 +145,53 @@ func TestScriptRoundTrip(t *testing.T) {
 	if empty, err := ParseScript("none"); err != nil || len(empty) != 0 || empty == nil {
 		t.Fatalf("parsing the empty script: %v, err %v", empty, err)
 	}
+}
+
+// ParseScript rejects scripts no run produces. Before it did, a repeated N
+// replayed only its last entry yet reported success, and a jitter near 2^64
+// wrapped the wakeup time into a liveness failure.
+func TestParseScriptRejectsImpossibleScripts(t *testing.T) {
+	for _, s := range []string{
+		"5:1:0,5:2:0",                   // N repeats
+		"7:1:0,3:1:0",                   // N goes backwards
+		"0:1:1",                         // no schedule call has N 0
+		"3:18446744073709551615:0",      // the wakeup time wraps
+		"3:4611686018427387904:0",       // jitter of sim.Forever
+		"1:2:3,",                        // an empty entry
+		"1:2",                           // a field short
+		"1:-2:3",                        // not a number
+		"none,1:2:3",                    // "none" stands alone
+		"2:4611686018427387903:1,1:0:0", // a valid entry, then a backward one
+	} {
+		if got, err := ParseScript(s); err == nil {
+			t.Errorf("ParseScript(%q) = %v, want an error", s, got)
+		}
+	}
+	want := []Perturbation{{N: 1}, {N: 2, Jitter: sim.Forever - 1, Pri: 7}}
+	if got, err := ParseScript("1:0:0,2:4611686018427387903:7"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseScript of the largest valid jitter = %v, %v; want %v", got, err, want)
+	}
+}
+
+// FuzzParseScript: every script ParseScript accepts obeys its rules and
+// round-trips through FormatScript to the same list.
+func FuzzParseScript(f *testing.F) {
+	for _, s := range []string{"none", "", "12:90:0,774:0:3", "5:1:0,5:2:0", "3:18446744073709551615:0", "0:1:1", " 01:2:3 "} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		script, err := ParseScript(s)
+		if err != nil {
+			return
+		}
+		for i, pt := range script {
+			if pt.N == 0 || i > 0 && pt.N <= script[i-1].N || pt.Jitter >= sim.Forever {
+				t.Fatalf("ParseScript(%q) accepted %v", s, script)
+			}
+		}
+		again, err := ParseScript(FormatScript(script))
+		if err != nil || !reflect.DeepEqual(again, script) {
+			t.Fatalf("ParseScript(%q) = %v, but its FormatScript %q parses to %v, %v", s, script, FormatScript(script), again, err)
+		}
+	})
 }

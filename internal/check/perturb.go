@@ -113,7 +113,10 @@ func FormatScript(script []Perturbation) string {
 	return strings.Join(parts, ",")
 }
 
-// ParseScript inverts FormatScript.
+// ParseScript inverts FormatScript. It accepts only scripts a run can
+// produce: each N at least 1 and above the one before it, as the hook meets
+// schedule calls in order and each once, and each jitter below sim.Forever,
+// so that a replayed wakeup time cannot wrap.
 func ParseScript(s string) ([]Perturbation, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "none" {
@@ -130,6 +133,12 @@ func ParseScript(s string) ([]Perturbation, error) {
 		p, err3 := strconv.ParseUint(f[2], 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("check: bad perturbation %q", part)
+		}
+		if n == 0 || len(out) > 0 && n <= out[len(out)-1].N {
+			return nil, fmt.Errorf("check: perturbation %q: N must be at least 1 and above the one before it", part)
+		}
+		if sim.Time(j) >= sim.Forever {
+			return nil, fmt.Errorf("check: perturbation %q: jitter must be below %d", part, sim.Forever)
 		}
 		out = append(out, Perturbation{N: n, Jitter: sim.Time(j), Pri: p})
 	}

@@ -185,6 +185,23 @@ func (n *NIC) Poll(p *sim.Proc, core topo.CoreID) Frame {
 	return f
 }
 
+// emptyPoll is the quiet test of Poll from core, for the driver's skipped
+// sweeps: the driver has consumed every descriptor the device published and
+// core holds the next descriptor's line, so Poll is one cache hit. It
+// returns that hit's latency and charges and records nothing.
+func (n *NIC) emptyPoll(core topo.CoreID) (sim.Time, bool) {
+	if n.rxDrv < n.rxDev {
+		return 0, false
+	}
+	_, lat, ok := n.sys.HeldWord(core, n.rxDescs.LineAt(int(n.rxDrv%nicRings)))
+	return lat, ok
+}
+
+// skipPolls counts cnt empty Polls from core that a skip took.
+func (n *NIC) skipPolls(core topo.CoreID, cnt uint64) {
+	n.sys.SkipHits(core, n.rxDescs.LineAt(int(n.rxDrv%nicRings)), cnt)
+}
+
 // Transmit queues a frame for transmission from the driver core: the frame
 // is written into a transmit buffer, its descriptor published, and the
 // doorbell rung; the device then DMA-reads it and puts it on the wire.

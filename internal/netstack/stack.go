@@ -39,6 +39,7 @@ type Stack struct {
 	conns   map[connKey]*TCPConn
 	out     func(p *sim.Proc, f Frame) // transmit path
 	poller  func(p *sim.Proc) bool     // pulls frames from the link into inbox
+	link    *FrameLink                 // the link poller drains; nil for SetPoller's
 	inbox   *sim.Queue[Frame]
 	nextEph uint16
 	ipID    uint16
@@ -80,7 +81,7 @@ func (s *Stack) SetOutput(fn func(p *sim.Proc, f Frame)) { s.out = fn }
 // frames from the underlying link into the stack. ConnectLoopback and
 // NewDriver install one automatically; custom configurations (e.g. a merged
 // driver/app loop modelling an in-kernel stack) set their own.
-func (s *Stack) SetPoller(fn func(p *sim.Proc) bool) { s.poller = fn }
+func (s *Stack) SetPoller(fn func(p *sim.Proc) bool) { s.poller, s.link = fn, nil }
 
 // Inject queues a received frame into the stack (engine or proc context).
 func (s *Stack) Inject(f Frame) { s.inbox.Push(f) }
@@ -272,14 +273,15 @@ func ConnectLoopback(a, b *Stack) (pumpA, pumpB func(p *sim.Proc) bool) {
 	ba := NewFrameLink(b.sys, b.core, a.core)
 	a.SetOutput(func(p *sim.Proc, f Frame) { ab.Send(p, f) })
 	b.SetOutput(func(p *sim.Proc, f Frame) { ba.Send(p, f) })
-	a.poller = linkPoller(a, ba)
-	b.poller = linkPoller(b, ab)
+	a.pollLink(ba)
+	b.pollLink(ab)
 	return a.PumpReady, b.PumpReady
 }
 
-// linkPoller moves frames from a link into a stack's inbox.
-func linkPoller(s *Stack, link *FrameLink) func(p *sim.Proc) bool {
-	return func(p *sim.Proc) bool {
+// pollLink makes the stack's poller move frames from link into its inbox.
+func (s *Stack) pollLink(link *FrameLink) {
+	s.link = link
+	s.poller = func(p *sim.Proc) bool {
 		any := false
 		for {
 			f, ok := link.TryRecv(p)
@@ -318,7 +320,7 @@ func NewDriver(e *sim.Engine, sys *cache.System, nic *NIC, core topo.CoreID, app
 		d.toNIC.Send(p, f)
 		e.Wake(d.proc)
 	})
-	app.poller = linkPoller(app, d.toApp)
+	app.pollLink(d.toApp)
 	d.proc = e.Spawn(fmt.Sprintf("drv-%s", nic.Name), func(p *sim.Proc) {
 		p.SetDaemon(true)
 		d.loop(p)
@@ -327,9 +329,17 @@ func NewDriver(e *sim.Engine, sys *cache.System, nic *NIC, core topo.CoreID, app
 	return d
 }
 
+// The driver loop sleeps drvIdleGap cycles between empty sweeps of the NIC
+// and its transmit link and parks in the drvIdleSweeps-th.
+const (
+	drvIdleSweeps = 30
+	drvIdleGap    = 150
+)
+
 func (d *Driver) loop(p *sim.Proc) {
 	idle := 0
 	for {
+		idle = d.skipEmpty(p, idle)
 		progress := false
 		if f := d.nic.Poll(p, d.core); f != nil {
 			d.toApp.Send(p, f)
@@ -347,12 +357,34 @@ func (d *Driver) loop(p *sim.Proc) {
 			continue
 		}
 		idle++
-		if idle < 30 {
-			p.Sleep(150)
+		if idle < drvIdleSweeps {
+			p.Sleep(drvIdleGap)
 			continue
 		}
 		p.Park() // woken by the NIC interrupt or sender wakeups
 		idle = 0
 		p.Sleep(d.nic.sys.Machine().Costs.Trap)
 	}
+}
+
+// skipEmpty takes at once the loop's empty sweeps, up to its park point,
+// that would find the receive ring and the transmit link empty through cache
+// hits and wake in place (sim.Proc.SkipSweeps), and returns the idle count
+// after them.
+func (d *Driver) skipEmpty(p *sim.Proc, idle int) int {
+	if idle >= drvIdleSweeps-1 {
+		return idle // the next sweep parks
+	}
+	lat, ok := d.nic.emptyPoll(d.core)
+	k, dl, lok := d.toNIC.bulk.EmptyCheck()
+	if !ok || !lok {
+		return idle
+	}
+	n := p.SkipSweeps(uint64(drvIdleSweeps-1-idle), k+2, lat+dl+drvIdleGap)
+	if n == 0 {
+		return idle
+	}
+	d.nic.skipPolls(d.core, n)
+	d.toNIC.bulk.SkipChecks(n)
+	return idle + int(n)
 }

@@ -42,6 +42,23 @@ func (l *TCPListener) TryAccept(p *sim.Proc) (*TCPConn, bool) {
 	return l.backlog.TryPop()
 }
 
+// EmptyCheck is the quiet test of TryAccept, for an accept loop that skips
+// its empty sweeps with sim.Proc.SkipSweeps: no connection is pending, no
+// frame is queued, and the check of the stack's link would find it empty
+// through a cache hit (urpc.Channel.EmptyCheck). It returns the sleeps and
+// cycles of that check, and charges and records nothing. A stack with a
+// SetPoller poller is never quiet. SkipChecks counts the checks a skip took.
+func (l *TCPListener) EmptyCheck() (uint64, sim.Time, bool) {
+	s := l.stack
+	if l.backlog.Len() > 0 || s.inbox.Len() > 0 || s.link == nil {
+		return 0, 0, false
+	}
+	return s.link.bulk.EmptyCheck()
+}
+
+// SkipChecks counts n empty TryAccept checks that a skip took.
+func (l *TCPListener) SkipChecks(n uint64) { l.stack.link.bulk.SkipChecks(n) }
+
 // TCPConn is one end of an established connection.
 type TCPConn struct {
 	stack      *Stack

@@ -23,6 +23,10 @@
 //     never touch the proc machinery,
 //   - a Sleep whose own wakeup would be the next event advances the clock in
 //     place, with no event and no switch,
+//   - a poll loop whose quiet sweeps would each wake in place takes a run of
+//     them as one step of arithmetic (Proc.SkipSweeps), leaving the sequence
+//     numbers, queue depth and clock those sleeps would, and adds the
+//     skipped polls' counters in bulk,
 //   - the empty polls of a Proc.Idle loop run inline in the dispatch loop,
 //     like After callbacks, and resume the coroutine only when a poll finds
 //     work; each keeps the wakeup, sequence number and perturb-hook call of

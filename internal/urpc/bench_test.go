@@ -139,3 +139,32 @@ func BenchmarkBulkTransfer(b *testing.B) {
 	}
 	b.ReportMetric(float64(cycles)/(reps*DefaultBulkSlotLines), "simcycles/line")
 }
+
+// BenchmarkQuietRecv measures the host cost of a Spin receive that waits
+// out a quiet 100,000-cycle stretch, about 2,600 polls of a ring line the
+// receiver holds, before its message lands on the 2×2 machine. Nothing
+// else runs during the stretch, so every poll would wake in place and Recv
+// skips them in bulk (sim.Proc.SkipSweeps). One op is one message.
+func BenchmarkQuietRecv(b *testing.B) {
+	e, sys := newSys(topo.AMD2x2())
+	ch := New(sys, 0, 2, Options{Home: -1})
+	n := b.N
+	e.Spawn("recv", func(p *sim.Proc) {
+		buf := make([]Message, 1)
+		for i := 0; i < n; i++ {
+			ch.Recv(p, buf, Spin)
+		}
+	})
+	e.Spawn("send", func(p *sim.Proc) {
+		msg := make([]Message, 1)
+		for i := 0; i < n; i++ {
+			p.Sleep(100_000)
+			ch.Send(p, msg, Spin)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	e.Close()
+}

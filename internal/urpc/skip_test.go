@@ -1,0 +1,366 @@
+package urpc
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"multikernel/internal/cache"
+	"multikernel/internal/interconnect"
+	"multikernel/internal/memory"
+	"multikernel/internal/metrics"
+	"multikernel/internal/sim"
+	"multikernel/internal/topo"
+	"multikernel/internal/trace"
+)
+
+// skipOutcome is everything one engine of a skip row exposes: its (time,
+// what) log, final clock and sequence number, metrics snapshot and exported
+// trace.
+type skipOutcome struct {
+	log   []string
+	now   sim.Time
+	seq   uint64
+	snap  metrics.Snapshot
+	trace []byte
+}
+
+// seqOf returns the number of sequence numbers e has handed out: a hook
+// installed after the run sees the one the next event takes.
+func seqOf(e *sim.Engine) uint64 {
+	var seq uint64
+	e.SetPerturb(func(_, _ sim.Time, s uint64) (sim.Time, uint64) { seq = s; return 0, 0 })
+	e.After(0, func() {})
+	return seq - 1
+}
+
+// outcome closes e and collects what it exposes, the lines logged while
+// Close unwinds procs included.
+func outcome(e *sim.Engine, rec *trace.Recorder, log *[]string) skipOutcome {
+	e.Close()
+	out := skipOutcome{log: *log, now: e.Now(), snap: e.Metrics().Snapshot(), seq: seqOf(e)}
+	var b bytes.Buffer
+	if err := trace.WriteJSON(&b, rec); err != nil {
+		panic(err)
+	}
+	out.trace = b.Bytes()
+	return out
+}
+
+// skipRow builds a scenario on a fresh traced AMD2x2 engine under hook,
+// drives it, and returns the outcome.
+func skipRow(build func(e *sim.Engine, sys *cache.System, log func(string))) func(sim.PerturbFunc) []skipOutcome {
+	return func(hook sim.PerturbFunc) []skipOutcome {
+		e, sys := newSys(topo.AMD2x2())
+		e.SetPerturb(hook)
+		rec := trace.NewRecorder()
+		e.SetTracer(rec)
+		var log []string
+		build(e, sys, func(s string) { log = append(log, fmt.Sprintf("t=%d %s", e.Now(), s)) })
+		return []skipOutcome{outcome(e, rec, &log)}
+	}
+}
+
+// compareSkipRuns runs row with no hook, where quiet receive sweeps are
+// skipped, and with a hook that perturbs nothing, where every poll runs
+// and wakes through the queue, and requires equal outcomes.
+func compareSkipRuns(t *testing.T, row func(sim.PerturbFunc) []skipOutcome) {
+	t.Helper()
+	zero := func(sim.Time, sim.Time, uint64) (sim.Time, uint64) { return 0, 0 }
+	skipped, reference := row(nil), row(zero)
+	for i := range reference {
+		s, r := skipped[i], reference[i]
+		if len(r.log) == 0 {
+			t.Fatal("scenario logged nothing")
+		}
+		if !reflect.DeepEqual(s.log, r.log) {
+			t.Errorf("engine %d logs differ:\nno hook:   %s\nzero hook: %s", i, strings.Join(s.log, ", "), strings.Join(r.log, ", "))
+		}
+		if s.now != r.now || s.seq != r.seq {
+			t.Errorf("engine %d ends at t=%d seq=%d with no hook, t=%d seq=%d with a zero hook", i, s.now, s.seq, r.now, r.seq)
+		}
+		if !reflect.DeepEqual(s.snap, r.snap) {
+			t.Errorf("engine %d metrics differ:\nno hook:   %v\nzero hook: %v", i, s.snap, r.snap)
+		}
+		if !bytes.Equal(s.trace, r.trace) {
+			t.Errorf("engine %d traces differ (%d and %d bytes)", i, len(s.trace), len(r.trace))
+		}
+	}
+}
+
+// TestRecvSkipMatchesPolling: a receive's skipped sweeps leave every clock,
+// sequence number, counter, trace record and delivery exactly where the
+// polls that run one by one leave them.
+func TestRecvSkipMatchesPolling(t *testing.T) {
+	recv := func(ch *Channel, p *sim.Proc, w Wait, log func(string)) {
+		var buf [4]Message
+		n := ch.Recv(p, buf[:], w)
+		log(fmt.Sprintf("got %d, first %d", n, buf[0][0]))
+	}
+	rows := []struct {
+		name string
+		row  func(sim.PerturbFunc) []skipOutcome
+	}{
+		{"spin across quiet stretches", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv", func(p *sim.Proc) {
+				for i := 0; i < 3; i++ {
+					recv(ch, p, Spin, log)
+				}
+			})
+			e.Spawn("send", func(p *sim.Proc) {
+				for i := 1; i <= 3; i++ {
+					p.Sleep(200_000)
+					ch.Send(p, []Message{{uint64(i)}}, Spin)
+				}
+			})
+			e.Run()
+		})},
+		{"sender stores at every offset into a sweep", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// One sweep is the check charge, the hit and the poll gap: the
+			// sends at consecutive cycles land on every offset, a sweep
+			// boundary among them, of a receiver that started when they did.
+			sweep := recvCheckCost + sys.Machine().Costs.L1Hit + pollGap
+			e.Spawn("driver", func(p *sim.Proc) {
+				for off := sim.Time(0); off <= sweep+1; off++ {
+					ch := New(sys, 0, 2, Options{Home: -1})
+					done := false
+					e.Spawn("recv", func(q *sim.Proc) {
+						recv(ch, q, Spin, log)
+						done = true
+						q.Unpark(p)
+					})
+					e.Spawn("send", func(q *sim.Proc) {
+						q.Sleep(3_000 + off)
+						ch.Send(q, []Message{{uint64(off)}}, Spin)
+					})
+					for !done {
+						p.Park()
+					}
+				}
+			})
+			e.Run()
+		})},
+		{"deadline expires inside a stretch", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv", func(p *sim.Proc) {
+				recv(ch, p, Deadline(100_000), log)
+				recv(ch, p, Deadline(100_000), log)
+			})
+			e.Spawn("send", func(p *sim.Proc) {
+				p.Sleep(150_000)
+				ch.Send(p, []Message{{7}}, Spin)
+			})
+			e.Run()
+		})},
+		{"deadline expires at every offset into a sweep", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// Past the backoff ladder a sweep is the check charge, the hit
+			// and the capped gap: deadlines at consecutive cycles put the
+			// expiry test on every offset, a sweep boundary among them.
+			ch := New(sys, 0, 2, Options{Home: -1})
+			sweep := recvCheckCost + sys.Machine().Costs.L1Hit + maxBackoffGap
+			e.Spawn("recv", func(p *sim.Proc) {
+				for off := sim.Time(0); off <= sweep+1; off++ {
+					if ch.Recv(p, make([]Message, 1), Deadline(20_000+off)) != 0 {
+						log("delivered")
+					}
+				}
+				log("timed out")
+			})
+			e.Run()
+		})},
+		{"window parks at every offset into a sweep", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			ch := New(sys, 0, 2, Options{Home: -1})
+			sweep := recvCheckCost + sys.Machine().Costs.L1Hit + pollGap
+			e.Spawn("recv", func(p *sim.Proc) {
+				for off := sim.Time(0); off <= sweep+1; off++ {
+					recv(ch, p, Window(2_000+off), log)
+				}
+			})
+			e.Spawn("send", func(p *sim.Proc) {
+				for off := sim.Time(0); off <= sweep+1; off++ {
+					p.Sleep(10_000)
+					ch.Send(p, []Message{{uint64(off)}}, Spin)
+				}
+			})
+			e.Run()
+		})},
+		{"a write leaves the polled line empty", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// A device write to a payload word invalidates the receiver's
+			// copy of the slot without making it ready: the next poll
+			// misses. The writes land at several offsets into a sweep.
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv", func(p *sim.Proc) { recv(ch, p, Spin, log) })
+			for k := sim.Time(0); k < 8; k++ {
+				e.After(50_000+k*5_007, func() { sys.DMAWrite(ch.slotAddr(ch.recvSeq), []byte{9}, 0) })
+			}
+			e.Spawn("send", func(p *sim.Proc) {
+				p.Sleep(100_000)
+				ch.Send(p, []Message{{5}}, Spin)
+			})
+			e.Run()
+		})},
+		{"a prefetched slot is ready", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// A single-message receive prefetches the next slot, which the
+			// sender has already written: the receiver holds a ready line.
+			ch := New(sys, 0, 2, Options{Home: -1, Prefetch: true})
+			e.Spawn("recv", func(p *sim.Proc) {
+				p.Sleep(5_000)
+				for i := 0; i < 3; i++ {
+					_, _ = recvOne(ch, p, Spin)
+					log("got one")
+				}
+			})
+			e.Spawn("send", func(p *sim.Proc) {
+				ch.Send(p, []Message{{1}, {2}}, Spin)
+				p.Sleep(100_000)
+				ch.Send(p, []Message{{3}}, Spin)
+			})
+			e.Run()
+		})},
+		{"window parks at its end", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv", func(p *sim.Proc) {
+				recv(ch, p, Window(5_000), log)  // delivered inside the window
+				recv(ch, p, Window(20_000), log) // parks, then notified
+			})
+			e.Spawn("send", func(p *sim.Proc) {
+				p.Sleep(3_000)
+				ch.Send(p, []Message{{1}}, Spin)
+				p.Sleep(100_000)
+				ch.Send(p, []Message{{2}}, Spin)
+			})
+			e.Run()
+		})},
+		{"bulk receive", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			b := NewBulk(sys, 0, 2, BulkOptions{Home: -1, Prefetch: true})
+			e.Spawn("recv", func(p *sim.Proc) {
+				for i := 0; i < 2; i++ {
+					data, ok := b.Recv(p, Spin)
+					log(fmt.Sprintf("got %d bytes %v", len(data), ok))
+				}
+			})
+			e.Spawn("send", func(p *sim.Proc) {
+				for i := 0; i < 2; i++ {
+					p.Sleep(80_000)
+					b.Send(p, bytes.Repeat([]byte{byte(i)}, 1000))
+				}
+			})
+			e.Run()
+		})},
+		{"RunUntil limits inside a stretch", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv", func(p *sim.Proc) { recv(ch, p, Spin, log) })
+			e.Spawn("send", func(p *sim.Proc) {
+				p.Sleep(300_000)
+				ch.Send(p, []Message{{3}}, Spin)
+			})
+			e.RunUntil(100_000)
+			log("caller")
+			e.RunUntil(200_003)
+			log("caller")
+			e.Run()
+		})},
+		{"Kill from a callback", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			ch := New(sys, 0, 2, Options{Home: -1})
+			victim := e.Spawn("recv", func(p *sim.Proc) {
+				defer log("recv unwound")
+				recv(ch, p, Deadline(1_000_000), log)
+			})
+			e.After(300_001, func() { e.Kill(victim) })
+			e.Run()
+		})},
+		{"Close inside a stretch", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv", func(p *sim.Proc) {
+				defer log("recv unwound")
+				recv(ch, p, Spin, log)
+			})
+			e.RunUntil(400_000)
+		})},
+		{"parallel engine epoch ends", skipParallel},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) { compareSkipRuns(t, r.row) })
+	}
+}
+
+// skipParallel runs a receiver and a sender in each of two partitions of a
+// ParallelEngine with 1,000-cycle epochs, at two workers. Each sender parks
+// until a message posted from the other partition wakes it, so every
+// receiver's quiet stretch crosses several epoch ends.
+func skipParallel(hook sim.PerturbFunc) []skipOutcome {
+	const nparts = 2
+	m := topo.AMD2x2()
+	pe := sim.NewParallelEngine(nparts, 1_000, 1, nparts)
+	recs := make([]*trace.Recorder, nparts)
+	logs := make([][]string, nparts)
+	for i := 0; i < nparts; i++ {
+		e := pe.Part(i)
+		e.SetPerturb(hook)
+		recs[i] = trace.NewRecorder()
+		e.SetTracer(recs[i])
+		sys := cache.New(e, m, memory.New(m), interconnect.New(m))
+		ch := New(sys, 0, 2, Options{Home: -1})
+		log := func(s string) { logs[i] = append(logs[i], fmt.Sprintf("t=%d %s", e.Now(), s)) }
+		send := e.Spawn("send", func(p *sim.Proc) {
+			p.Park()
+			ch.Send(p, []Message{{uint64(i)}}, Spin)
+		})
+		pe.RegisterHandler(i, func(uint64, uint64) { e.Wake(send) })
+		e.Spawn("recv", func(p *sim.Proc) {
+			var buf [1]Message
+			ch.Recv(p, buf[:], Spin)
+			log(fmt.Sprintf("got %d", buf[0][0]))
+		})
+		e.Spawn("post", func(p *sim.Proc) {
+			p.Sleep(sim.Time(4_321 + 1_000*i))
+			pe.Post(i, 1-i, 1_000, 0, 0, 0)
+		})
+	}
+	pe.RunUntil(2_500)
+	pe.Run()
+	var out []skipOutcome
+	for i := 0; i < nparts; i++ {
+		out = append(out, outcome(pe.Part(i), recs[i], &logs[i]))
+	}
+	return out
+}
+
+// TestQuietSpinRecvIsSkipped fails if Recv stops skipping quiet sweeps. The
+// message lands 2^50 cycles after the receive starts: polled one by one,
+// the receive would take about 3*10^13 polls, which no host finishes, and
+// skipped it finishes at once. Host time is the only witness, since a
+// skip leaves every virtual count where the polls would.
+func TestQuietSpinRecvIsSkipped(t *testing.T) {
+	const at = sim.Time(1) << 50
+	e, sys := newSys(topo.AMD2x2())
+	ch := New(sys, 0, 2, Options{Home: -1})
+	var got Message
+	e.Spawn("recv", func(p *sim.Proc) { got, _ = recvOne(ch, p, Spin) })
+	e.Spawn("send", func(p *sim.Proc) {
+		p.Sleep(at)
+		sendOne(ch, p, Message{42}, Spin)
+	})
+	done := make(chan struct{})
+	go func() {
+		e.Run()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("a Spin receive quiet for 2^50 cycles did not finish in 60 s: its polls are not skipped")
+	}
+	if got[0] != 42 || e.Now() < at {
+		t.Fatalf("received %v at t=%d, want message 42 after t=%d", got, e.Now(), at)
+	}
+	sweeps := uint64(at) / uint64(recvCheckCost+sys.Machine().Costs.L1Hit+pollGap)
+	if hits := e.Metrics().Snapshot().Counters["cache.hits"]; hits < sweeps {
+		t.Fatalf("cache.hits = %d, want at least the %d skipped polls", hits, sweeps)
+	}
+	e.Close()
+}

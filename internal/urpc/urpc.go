@@ -409,6 +409,7 @@ func (c *Channel) Recv(p *sim.Proc, buf []Message, w Wait) int {
 	until := p.Now() + w.d
 	gap := transportBackoff.Base
 	for {
+		c.skipEmpty(p, w, until, gap)
 		t0 := p.Now()
 		p.Sleep(recvCheckCost)
 		if n := c.drain(p, buf, t0, false); n > 0 {
@@ -418,6 +419,68 @@ func (c *Channel) Recv(p *sim.Proc, buf []Message, w Wait) int {
 			return 0
 		}
 	}
+}
+
+// skipEmpty takes at once the sweeps of Recv's loop under w that would find
+// the ring empty through a cache hit and wake in place (sim.Proc.SkipSweeps):
+// each is the check charge, the hit and w's sleep. Poll has no next sweep,
+// and Deadline sweeps repeat only once the backoff gap is at its cap; this
+// test is apart from skipSweeps so that it inlines into Recv.
+func (c *Channel) skipEmpty(p *sim.Proc, w Wait, until, gap sim.Time) {
+	if w.mode != modePoll && (w.mode != modeDeadline || gap >= maxBackoffGap) {
+		c.skipSweeps(p, w, until, gap)
+	}
+}
+
+// skipSweeps is skipEmpty's skip. Window and Deadline sweeps count only
+// while their clock test falls before until. It counts what the sweeps
+// would: the hits and, under Deadline, one retry and one urpc.backoff
+// instant each.
+func (c *Channel) skipSweeps(p *sim.Proc, w Wait, until, gap sim.Time) {
+	sleep := sim.Time(pollGap)
+	if w.mode == modeDeadline {
+		sleep = gap
+	}
+	k, d, ok := c.EmptyCheck()
+	if !ok {
+		return
+	}
+	t0, n := p.Now(), ^uint64(0)
+	if w.mode != modeSpin {
+		n = sim.SweepsBefore(t0, until, d, d+sleep)
+	}
+	if n = p.SkipSweeps(n, k+1, d+sleep); n == 0 {
+		return
+	}
+	c.SkipChecks(n)
+	if w.mode == modeDeadline {
+		c.mRetries.Add(n)
+		rec := c.eng.Tracer()
+		for j := uint64(0); rec != nil && j < n; j++ {
+			at := t0 + sim.Time(j)*(d+sleep) + d
+			rec.Emit(uint64(at), trace.Instant, trace.SubURPC, int32(c.Receiver), "urpc.backoff", c.id<<32, uint64(gap))
+		}
+	}
+}
+
+// EmptyCheck is the quiet test of a Poll receive, for loops that skip their
+// empty sweeps with sim.Proc.SkipSweeps: it reports whether the check would
+// find the ring empty through a cache hit, as the receiver holds the next
+// slot's line and its sequence word is not recvSeq+1, and the sleeps and
+// cycles that check takes. It charges and records nothing; SkipChecks
+// counts the checks a skip took.
+func (c *Channel) EmptyCheck() (k uint64, d sim.Time, ok bool) {
+	v, lat, held := c.sys.HeldWord(c.Receiver, c.seqWord(c.recvSeq))
+	if !held || v == c.recvSeq+1 {
+		return 0, 0, false
+	}
+	return 2, recvCheckCost + lat, true
+}
+
+// SkipChecks counts n empty checks that a skip took: their hits on the
+// sequence word's line.
+func (c *Channel) SkipChecks(n uint64) {
+	c.sys.SkipHits(c.Receiver, c.seqWord(c.recvSeq), n)
 }
 
 // Check is one receive-ring check taken as sim.Proc.Idle steps, for loops
