@@ -20,9 +20,7 @@ type UDPEchoGen struct {
 	DstPort uint16
 	Payload int
 
-	Sent     uint64
 	Received uint64
-	RxBytes  uint64
 	FirstRx  sim.Time
 	LastRx   sim.Time
 
@@ -35,7 +33,6 @@ func (g *UDPEchoGen) Deliver(f netstack.Frame) {
 		g.FirstRx = g.eng.Now()
 	}
 	g.Received++
-	g.RxBytes += uint64(len(f))
 	if g.eng != nil {
 		g.LastRx = g.eng.Now()
 	}
@@ -53,7 +50,6 @@ func (g *UDPEchoGen) Run(e *sim.Engine, interval sim.Time, count int) {
 			return
 		}
 		sent++
-		g.Sent++
 		f := netstack.BuildUDPFrame(netstack.MAC{0xee}, g.DstMAC, g.SrcIP, g.DstIP, 9999, g.DstPort, payload)
 		g.Wire.Transmit(g.FromA, f)
 		e.After(interval, tick)
@@ -74,7 +70,6 @@ type extConn struct {
 	localPort uint16
 	state     connState
 	seq, ack  uint32
-	got       int
 	activity  int // frames seen; watchdog detects wedged connections
 	idleTicks int
 }
@@ -93,9 +88,7 @@ type HTTPLoadGen struct {
 	Concurrency int
 	Completed   uint64
 	BytesIn     uint64
-	Timeouts    uint64
 
-	eng      *sim.Engine
 	conns    map[uint16]*extConn
 	nextPort uint16
 	stopped  bool
@@ -109,7 +102,6 @@ const watchdogPeriod = 3_000_000
 
 // Start launches the client fleet.
 func (g *HTTPLoadGen) Start(e *sim.Engine) {
-	g.eng = e
 	g.conns = make(map[uint16]*extConn)
 	g.nextPort = 40000
 	for i := 0; i < g.Concurrency; i++ {
@@ -134,7 +126,6 @@ func (g *HTTPLoadGen) Start(e *sim.Engine) {
 		}
 		for _, port := range stale {
 			delete(g.conns, port)
-			g.Timeouts++
 			g.openConn()
 		}
 		e.After(watchdogPeriod, tick)
@@ -198,7 +189,6 @@ func (g *HTTPLoadGen) Deliver(f netstack.Frame) {
 	}
 	if len(payload) > 0 {
 		c.ack = h.Seq + uint32(len(payload))
-		c.got += len(payload)
 		g.BytesIn += uint64(len(payload))
 	}
 	if h.Flags&netstack.TCPFin != 0 && c.state == connAwaitResponse {

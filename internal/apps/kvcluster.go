@@ -140,8 +140,6 @@ type ClusterStats struct {
 	Recruits   uint64 // spare drafted into an under-replicated shard
 	Syncs      uint64 // anti-entropy transfers completed
 	Shed       uint64 // writes refused with ErrDegraded
-	WrongEpoch uint64 // requests answered wrong-primary
-	DedupHits  uint64 // retried writes answered from the dedup table
 }
 
 // KVCluster is the control plane plus the per-core server processes.
@@ -157,8 +155,6 @@ type KVCluster struct {
 	byCore   map[topo.CoreID]*kvServer
 	spares   []topo.CoreID // cores currently holding no shard
 	downSeen map[topo.CoreID]bool
-
-	stats ClusterStats
 
 	mPromotions, mDemotions *metrics.Counter
 	mRecruits, mSyncs       *metrics.Counter
@@ -319,8 +315,17 @@ func (cl *KVCluster) shardOfKey(key uint64) int {
 // the experiment harness, which attributes client operations to shards).
 func (cl *KVCluster) ShardOfKey(key uint64) int { return cl.shardOfKey(key) }
 
-// Stats returns a copy of the cluster's control-plane counters.
-func (cl *KVCluster) Stats() ClusterStats { return cl.stats }
+// Stats returns the cluster's control-plane counters. It reads them from
+// the engine's registry, so it assumes one cluster per engine.
+func (cl *KVCluster) Stats() ClusterStats {
+	return ClusterStats{
+		Promotions: cl.mPromotions.Value(),
+		Demotions:  cl.mDemotions.Value(),
+		Recruits:   cl.mRecruits.Value(),
+		Syncs:      cl.mSyncs.Value(),
+		Shed:       cl.mShed.Value(),
+	}
+}
 
 // Primary returns shard s's current primary (-1 if the shard is down).
 func (cl *KVCluster) Primary(s int) topo.CoreID { return cl.shards[s].primary }
@@ -382,14 +387,12 @@ func (cl *KVCluster) coreDown(p *sim.Proc, c topo.CoreID) {
 			st.isr = removeCore(st.isr, c)
 			if st.primary >= 0 {
 				st.isr = removeCore(st.isr, st.primary)
-				cl.stats.Promotions++
 				cl.mPromotions.Inc()
 				cl.emit(p, st.primary, "kv.promote", uint64(s), uint64(st.primary))
 				cl.wakeServer(st.primary)
 			}
 		} else if containsCore(st.isr, c) {
 			st.isr = removeCore(st.isr, c)
-			cl.stats.Demotions++
 			cl.mDemotions.Inc()
 		}
 		cl.updateShardGauge(s)
@@ -408,7 +411,6 @@ func (cl *KVCluster) demote(p *sim.Proc, s int, b topo.CoreID) {
 		return
 	}
 	st.isr = removeCore(st.isr, b)
-	cl.stats.Demotions++
 	cl.mDemotions.Inc()
 	cl.updateShardGauge(s)
 	if !cl.downSeen[b] && !containsCore(cl.spares, b) {
@@ -436,7 +438,6 @@ func (cl *KVCluster) maybeRecruit(p *sim.Proc, s int) {
 		if !cl.downSeen[sp] && sp != st.primary {
 			st.target = sp
 			cl.spares = removeCore(cl.spares, sp)
-			cl.stats.Recruits++
 			cl.mRecruits.Inc()
 			cl.emit(p, sp, "kv.recruit", uint64(s), uint64(sp))
 			cl.wakeServer(st.primary)
@@ -456,7 +457,6 @@ func (cl *KVCluster) syncDone(p *sim.Proc, s int, b topo.CoreID) {
 	sort.Slice(st.isr, func(i, j int) bool { return st.isr[i] < st.isr[j] })
 	st.syncing = 1+len(st.isr) < cl.cfg.Replicas
 	st.target = -1
-	cl.stats.Syncs++
 	cl.mSyncs.Inc()
 	cl.updateShardGauge(s)
 	cl.emit(p, b, "kv.sync_done", uint64(s), uint64(b))
@@ -661,7 +661,6 @@ func (srv *kvServer) handleClient(p *sim.Proc, client topo.CoreID, m urpc.Messag
 	cl := srv.cl
 	s := cl.shardOfKey(key)
 	if !srv.primaryOf(p, s) {
-		cl.stats.WrongEpoch++
 		srv.reply(p, client, 0, 0, ckStatusWrongPrimary, reqID)
 		return
 	}
@@ -681,7 +680,6 @@ func (srv *kvServer) handleClient(p *sim.Proc, client topo.CoreID, m urpc.Messag
 			// Exactly-once: a retry of a write already committed (for
 			// example acked by a primary that died before the client heard
 			// it... or re-routed after a promotion) answers from the table.
-			cl.stats.DedupHits++
 			srv.reply(p, client, val, flags, ckStatusOK, reqID)
 			return
 		}
@@ -704,7 +702,6 @@ func (srv *kvServer) handleClient(p *sim.Proc, client topo.CoreID, m urpc.Messag
 		if st.syncing || len(st.isr) == 0 {
 			// Below replication target: an ack here could be a lie (no
 			// surviving copy), so admission control sheds instead.
-			cl.stats.Shed++
 			cl.mShed.Inc()
 			cl.emit(p, srv.core, "kv.shed", uint64(s), reqID)
 			srv.reply(p, client, 0, 0, ckStatusDegraded, reqID)
@@ -839,7 +836,6 @@ func (srv *kvServer) serviceWrites(p *sim.Proc) bool {
 			}
 			w.waiting = make(map[topo.CoreID]bool)
 			if len(cl.shards[s].isr) == 0 {
-				cl.stats.Shed++
 				cl.mShed.Inc()
 				srv.reply(p, w.client, 0, 0, ckStatusDegraded, w.reqID)
 				srv.pending[s] = q[1:]

@@ -33,7 +33,6 @@ type KVStore struct {
 	core  topo.CoreID
 	rows  memory.Region
 	index []uint64 // sorted keys; row i of the region holds index[i]
-	vals  map[uint64]uint64
 
 	Queries uint64
 }
@@ -45,14 +44,11 @@ func NewKVStore(sys *cache.System, core topo.CoreID, n int) *KVStore {
 		sys:  sys,
 		core: core,
 		rows: sys.Memory().AllocLines(n, sys.Machine().Socket(core)),
-		vals: make(map[uint64]uint64, n),
 	}
 	for i := 0; i < n; i++ {
 		k := uint64(i)
-		v := k*2654435761 + 1
 		kv.index = append(kv.index, k)
-		kv.vals[k] = v
-		sys.Memory().StoreWord(kv.rows.LineAt(i), v)
+		sys.Memory().StoreWord(kv.rows.LineAt(i), k*2654435761+1)
 	}
 	return kv
 }
@@ -86,7 +82,6 @@ func (kv *KVStore) Update(p *sim.Proc, key, val uint64) bool {
 	}
 	p.Sleep(kvRowCost)
 	kv.sys.Store(p, kv.core, kv.rows.LineAt(i), val)
-	kv.vals[key] = val
 	return true
 }
 

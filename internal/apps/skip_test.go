@@ -214,7 +214,7 @@ func TestKVSkipMatchesPolling(t *testing.T) {
 			g.Start(e)
 			e.RunUntil(12_000_000)
 			g.Stop()
-			log(fmt.Sprintf("completed %d, %d bytes; server %d requests, %d errors", g.Completed, g.BytesIn, ws.Requests, ws.Errors))
+			log(fmt.Sprintf("completed %d, %d bytes; server %d requests", g.Completed, g.BytesIn, ws.Requests))
 		}},
 	}
 	zero := func(sim.Time, sim.Time, uint64) (sim.Time, uint64) { return 0, 0 }

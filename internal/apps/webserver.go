@@ -39,7 +39,6 @@ type WebServer struct {
 	DB    *KVClient // nil for static-only serving
 
 	Requests uint64
-	Errors   uint64
 }
 
 // acceptPollGap is the accept loop's sleep between empty polls.
@@ -97,18 +96,15 @@ func (w *WebServer) handle(p *sim.Proc, conn *netstack.TCPConn) {
 			key, err := strconv.ParseUint(path[len("/db/"):], 10, 64)
 			if err != nil {
 				status, body = "400 Bad Request", []byte("bad key")
-				w.Errors++
 				break
 			}
 			v, found, err := w.DB.Select(p, key)
 			if err != nil {
 				status, body = "503 Service Unavailable", []byte("db down")
-				w.Errors++
 				break
 			}
 			if !found {
 				status, body = "404 Not Found", []byte("no row")
-				w.Errors++
 				break
 			}
 			body = []byte(fmt.Sprintf("{\"key\":%d,\"value\":%d}", key, v))
@@ -116,14 +112,12 @@ func (w *WebServer) handle(p *sim.Proc, conn *netstack.TCPConn) {
 			lo, hi, ok := parseRangeSpec(path[len("/range/"):])
 			if !ok {
 				status, body = "400 Bad Request", []byte("bad range")
-				w.Errors++
 				break
 			}
 			// Row values arrive zero-copy over the client's bulk channel.
 			vals, err := w.DB.SelectRange(p, lo, hi)
 			if err != nil {
 				status, body = "503 Service Unavailable", []byte("db down")
-				w.Errors++
 				break
 			}
 			var sum uint64
@@ -133,7 +127,6 @@ func (w *WebServer) handle(p *sim.Proc, conn *netstack.TCPConn) {
 			body = []byte(fmt.Sprintf("{\"count\":%d,\"sum\":%d}", len(vals), sum))
 		default:
 			status, body = "404 Not Found", []byte("not found")
-			w.Errors++
 		}
 		p.Sleep(httpBuildCost)
 		resp := fmt.Sprintf("HTTP/1.0 %s\r\nContent-Length: %d\r\n\r\n", status, len(body))

@@ -60,11 +60,10 @@ func costsFor(f Flavor) flavorCosts {
 
 // Kernel is one booted monolithic kernel instance spanning all cores.
 type Kernel struct {
-	Flavor Flavor
-	sys    *cache.System
-	kern   *kernel.System
-	eng    *sim.Engine
-	fc     flavorCosts
+	sys  *cache.System
+	kern *kernel.System
+	eng  *sim.Engine
+	fc   flavorCosts
 
 	// Shootdown state shared between cores, as in a real kernel.
 	shootOp  memory.Addr // operation descriptor (range, generation)
@@ -78,7 +77,6 @@ type Kernel struct {
 func New(e *sim.Engine, sys *cache.System, kern *kernel.System, flavor Flavor) *Kernel {
 	mem := sys.Memory()
 	k := &Kernel{
-		Flavor:   flavor,
 		sys:      sys,
 		kern:     kern,
 		eng:      e,
@@ -155,7 +153,6 @@ type Barrier struct {
 	k       *Kernel
 	n       int
 	count   memory.Addr
-	gen     uint64
 	waiters []*sim.Proc
 }
 
@@ -178,7 +175,6 @@ func (b *Barrier) Wait(p *sim.Proc, core topo.CoreID) {
 		// are still waking the rest.
 		ws := b.waiters
 		b.waiters = nil
-		b.gen++
 		for _, w := range ws {
 			p.Sleep(b.k.fc.wake)
 			p.Unpark(w)

@@ -99,9 +99,6 @@ func (c Capability) String() string {
 // Ref names a slot in a CSpace.
 type Ref uint32
 
-// NilRef is the invalid slot.
-const NilRef Ref = 0
-
 // Errors returned by capability operations.
 var (
 	ErrBadRef       = errors.New("caps: invalid capability reference")

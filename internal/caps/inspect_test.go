@@ -16,6 +16,9 @@ var (
 	ErrNoGrant    = errors.New("caps: capability lacks grant right")
 )
 
+// NilRef is the invalid slot.
+const NilRef Ref = 0
+
 // MustGet is Get for slots known to be valid; it panics on a bad ref.
 func (cs *CSpace) MustGet(r Ref) Capability {
 	c, err := cs.Get(r)

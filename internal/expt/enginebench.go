@@ -27,19 +27,25 @@ import (
 // budget.
 func engineStorm(pe *sim.ParallelEngine, m *topo.Machine, scale int) {
 	nparts := pe.NParts()
+	// hop[i] takes a token with n hops left on partition i.
+	hop := make([]func(v, n uint64), nparts)
+	forward := func(src int, delay sim.Time, v, n uint64) {
+		dst := (src + 1) % nparts
+		pe.Send(src, dst, delay, func() { hop[dst](v, n) })
+	}
 	for i := 0; i < nparts; i++ {
 		i := i
 		e := pe.Part(i)
 		tokens := e.Metrics().Counter("storm.tokens")
-		pe.RegisterHandler(i, func(v, hop uint64) {
+		hop[i] = func(v, n uint64) {
 			tokens.Inc()
-			if hop == 0 {
+			if n == 0 {
 				return
 			}
 			e.After(1+e.RNG().Time(200), func() {
-				pe.Post(i, (i+1)%nparts, pe.Lookahead()+sim.Time(v%127), 0, v*0x9e3779b9+uint64(i), hop-1)
+				forward(i, pe.Lookahead()+sim.Time(v%127), v*0x9e3779b9+uint64(i), n-1)
 			})
-		})
+		}
 		for c := 0; c < m.CoresPerSocket; c++ {
 			pe.Spawn(i, fmt.Sprintf("core%d.%d", i, c), func(p *sim.Proc) {
 				for j := 0; j < scale; j++ {
@@ -50,7 +56,7 @@ func engineStorm(pe *sim.ParallelEngine, m *topo.Machine, scale int) {
 	}
 	for i := 0; i < nparts; i++ {
 		for k := 0; k < m.CoresPerSocket; k++ {
-			pe.Post(i, (i+1)%nparts, pe.Lookahead(), 0, uint64(i*100+k), uint64(scale))
+			forward(i, pe.Lookahead(), uint64(i*100+k), uint64(scale))
 		}
 	}
 }

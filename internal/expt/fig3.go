@@ -22,7 +22,7 @@ func Fig3(iters int) *figure {
 		for _, n := range sweepCores(2, 16) {
 			env := NewEnv(m, 1)
 			res := apps.SHMUpdate(env.E, env.Sys, n, lines, iters)
-			s.AddErr(float64(n), res.ClientLatency.Percentile(50), res.ClientLatency.Stddev())
+			s.Add(float64(n), res.ClientLatency.Percentile(50))
 			env.Close()
 		}
 	}
@@ -40,7 +40,7 @@ func Fig3(iters int) *figure {
 				clients = 1
 			}
 			res := apps.MSGUpdate(env.E, env.Sys, clients, lines, iters)
-			s.AddErr(float64(n), res.ClientLatency.Percentile(50), res.ClientLatency.Stddev())
+			s.Add(float64(n), res.ClientLatency.Percentile(50))
 			if server != nil {
 				server.Add(float64(n), res.ServerCost.Percentile(50))
 			}

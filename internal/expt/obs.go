@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 
 	"multikernel/internal/apps"
 	"multikernel/internal/harness"
@@ -46,14 +45,12 @@ type obsPoint struct {
 }
 
 type obsPointResult struct {
-	doneAt                     sim.Time // last client driver completion
-	ops                        uint64   // successful client ops
-	windows, msgs, pairs, late uint64
-	fidelityOK                 bool
-	detectLat                  uint64 // kill→degraded-event cycles (0: no plane)
-	recovered                  bool
-	storeHash                  [32]byte
-	storeBytes                 int
+	doneAt              sim.Time // last client driver completion
+	ops                 uint64   // successful client ops
+	windows, msgs, late uint64
+	fidelityOK          bool
+	detectLat           uint64 // kill→degraded-event cycles (0: no plane)
+	storeHash           [32]byte
 }
 
 func obsRun(seed uint64, pt obsPoint) obsPointResult {
@@ -119,7 +116,6 @@ func obsRun(seed uint64, pt obsPoint) obsPointResult {
 		reg := e.Metrics()
 		res.windows = reg.Counter("obs.windows").Value()
 		res.msgs = reg.Counter("obs.msgs").Value()
-		res.pairs = reg.Counter("obs.pairs").Value()
 		res.late = reg.Counter("obs.late").Value()
 		// Fidelity: the committed op-count series must sum to the exact
 		// engine-side histogram population.
@@ -130,37 +126,14 @@ func obsRun(seed uint64, pt obsPoint) obsPointResult {
 			if ev.Kind == obs.ShardDegraded && res.detectLat == 0 {
 				res.detectLat = ev.At - uint64(obsKillAt)
 			}
-			if ev.Kind == obs.ShardRecovered {
-				res.recovered = true
-			}
 		}
-		buf := newHashWriter()
-		if err := pl.Store().WriteJSON(buf); err != nil {
+		h := sha256.New()
+		if err := pl.Store().WriteJSON(h); err != nil {
 			panic(err)
 		}
-		res.storeHash = buf.sum()
-		res.storeBytes = buf.n
+		copy(res.storeHash[:], h.Sum(nil))
 	}
 	return res
-}
-
-// hashWriter hashes the store export without retaining it.
-type hashWriter struct {
-	h hash.Hash
-	n int
-}
-
-func newHashWriter() *hashWriter { return &hashWriter{h: sha256.New()} }
-
-func (w *hashWriter) Write(p []byte) (int, error) {
-	w.h.Write(p)
-	w.n += len(p)
-	return len(p), nil
-}
-
-func (w *hashWriter) sum() (out [32]byte) {
-	copy(out[:], w.h.Sum(nil))
-	return out
 }
 
 // obsBound is the documented detection bound for a sampling interval.

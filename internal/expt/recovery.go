@@ -29,7 +29,6 @@ type recoveryResult struct {
 	meanRecovery float64 // mean cycles from a kill to the next op completion
 	maxLatency   float64 // slowest single unmap round
 	throughput   float64 // completed unmaps per Mcycle of driver wall-clock
-	failures     int     // unmap rounds that returned false
 }
 
 func recoveryPoint(seed uint64, faults, rounds int) recoveryResult {
@@ -63,8 +62,6 @@ func recoveryPoint(seed uint64, faults, rounds int) recoveryResult {
 			if mon.Unmap(p, 0x10000, 4096, nil, monitor.NUMAAware) {
 				done++
 				completions = append(completions, p.Now())
-			} else {
-				res.failures++
 			}
 			if lat := p.Now() - t0; lat > maxLat {
 				maxLat = lat

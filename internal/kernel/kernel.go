@@ -26,16 +26,6 @@ const lrpcCheckCost = 75
 // work and wake a proc.
 type IPIHandler func(from topo.CoreID, vector int)
 
-// Stats counts per-core CPU-driver activity.
-type Stats struct {
-	Syscalls  uint64
-	Traps     uint64
-	LRPCs     uint64
-	IPIsSent  uint64
-	IPIsRecvd uint64
-	Switches  uint64
-}
-
 // Core is one CPU driver instance plus the hardware it mediates.
 type Core struct {
 	ID   topo.CoreID
@@ -44,19 +34,17 @@ type Core struct {
 
 	ipiHandler IPIHandler
 	route      routeFn // resolves CoreIDs for IPI delivery
-	stats      Stats
 }
 
 // System is the set of CPU drivers of one machine.
 type System struct {
-	Mach  *topo.Machine
 	Eng   *sim.Engine
 	Cores []*Core
 }
 
 // NewSystem creates one CPU driver per core of the machine.
 func NewSystem(e *sim.Engine, m *topo.Machine) *System {
-	s := &System{Mach: m, Eng: e}
+	s := &System{Eng: e}
 	for i := 0; i < m.NumCores(); i++ {
 		s.Cores = append(s.Cores, &Core{
 			ID:   topo.CoreID(i),
@@ -71,24 +59,18 @@ func NewSystem(e *sim.Engine, m *topo.Machine) *System {
 // Core returns the driver for core c.
 func (s *System) Core(c topo.CoreID) *Core { return s.Cores[c] }
 
-// Stats returns a copy of the core's counters.
-func (c *Core) Stats() Stats { return c.stats }
-
 // Syscall charges one system-call entry/exit on this core.
 func (c *Core) Syscall(p *sim.Proc) {
-	c.stats.Syscalls++
 	p.Sleep(c.mach.Costs.Syscall)
 }
 
 // Trap charges one hardware trap/interrupt entry/exit on this core.
 func (c *Core) Trap(p *sim.Proc) {
-	c.stats.Traps++
 	p.Sleep(c.mach.Costs.Trap)
 }
 
 // ContextSwitch charges a switch between dispatchers on this core.
 func (c *Core) ContextSwitch(p *sim.Proc) {
-	c.stats.Switches++
 	p.Sleep(c.mach.Costs.CSwitch)
 }
 
@@ -104,9 +86,6 @@ func LRPCCost(m *topo.Machine) sim.Time {
 // LRPC charges a one-way LRPC from the running process to another process on
 // the same core (the fast-path of §4.3).
 func (c *Core) LRPC(p *sim.Proc) {
-	c.stats.LRPCs++
-	c.stats.Syscalls++
-	c.stats.Switches++
 	p.Sleep(LRPCCost(c.mach))
 }
 
@@ -120,7 +99,6 @@ func (c *Core) OnIPI(h IPIHandler) { c.ipiHandler = h }
 // consumer (see Core.Trap), matching how the paper accounts the ~800-cycle
 // trap on each shot-down core.
 func (c *Core) SendIPI(p *sim.Proc, to topo.CoreID, vector int) {
-	c.stats.IPIsSent++
 	p.Sleep(c.mach.Costs.IPIDeliver)
 	target := to
 	delay := c.mach.TransferLat(target, c.ID) / 2 // one-way wire delay
@@ -139,7 +117,6 @@ func (c *Core) deliverIPI(to topo.CoreID, vector int) {
 		panic("kernel: core not connected to a system")
 	}
 	tc := c.route(to)
-	tc.stats.IPIsRecvd++
 	if tc.ipiHandler != nil {
 		tc.ipiHandler(c.ID, vector)
 	}

@@ -48,7 +48,6 @@ func (l LineID) Base() Addr { return Addr(l) * LineSize }
 type Region struct {
 	Base  Addr
 	Bytes uint64
-	Home  topo.SocketID
 }
 
 // LineAt returns the base address of the i'th line of the region.
@@ -116,7 +115,7 @@ func (mem *Memory) Alloc(bytes int, home topo.SocketID) Region {
 		panic(fmt.Sprintf("memory: home socket %d out of range", home))
 	}
 	lines := (bytes + LineSize - 1) / LineSize
-	r := Region{Base: mem.next, Bytes: uint64(lines * LineSize), Home: home}
+	r := Region{Base: mem.next, Bytes: uint64(lines * LineSize)}
 	if n := len(mem.homes); n == 0 || mem.homes[n-1].home != home {
 		mem.homes = append(mem.homes, homeRun{start: r.Base.Line(), home: home})
 	}

@@ -19,7 +19,6 @@ import (
 const (
 	mfParked = 1 << iota
 	mfDown
-	mfDead
 )
 
 // packBools packs a bool slice into u64 words, LSB first.
@@ -68,9 +67,6 @@ func (n *Network) CheckpointState(w io.Writer) error {
 		}
 		if mon.down {
 			flags |= mfDown
-		}
-		if mon.dead {
-			flags |= mfDead
 		}
 		st := &mon.stats
 		if err := ckpt.WriteU64(w, flags, mon.seq,
@@ -122,12 +118,11 @@ func (n *Network) RestoreState(r io.Reader) error {
 			&st.Excised, &st.Recoveries, &st.Strays, &st.Dropped); err != nil {
 			return err
 		}
-		if flags&^(mfParked|mfDown|mfDead) != 0 {
+		if flags&^(mfParked|mfDown) != 0 {
 			return fmt.Errorf("monitor: core %d image has unknown flag bits %#x", mon.Core, flags)
 		}
 		mon.parked = flags&mfParked != 0
 		mon.down = flags&mfDown != 0
-		mon.dead = flags&mfDead != 0
 		vwords, err := ckpt.ReadU64Slice(r)
 		if err != nil {
 			return err

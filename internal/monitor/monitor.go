@@ -175,7 +175,6 @@ type Monitor struct {
 	parked   bool
 	notified bool   // a wake found the loop running; cleared every pass
 	down     bool   // core powered off (§3.3 hotplug)
-	dead     bool   // core fail-stopped (fault injection); state is frozen
 	view     []bool // replicated membership: which cores this monitor believes online
 	seq      uint64
 

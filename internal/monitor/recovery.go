@@ -44,7 +44,6 @@ func (n *Network) FailStop(c topo.CoreID) {
 	}
 	n.failed[c] = true
 	m := n.monitors[c]
-	m.dead = true
 	m.parked = false   // a dead monitor must never be woken or unparked
 	if m.proc != nil { // nil under a parallel boot when c is a remote core
 		n.Eng.Kill(m.proc)

@@ -14,8 +14,8 @@ import (
 // and the one-word failed set come first, so the failed set's word is at
 // byte 16 and core 0's flags word at byte 24. Eleven words of flags,
 // sequence number and counters and the one-word view follow, so core 0's
-// view word is at byte 120. The 12 mesh channels' records end the blob, 72
-// bytes each: four cursors, the flags word and four counters.
+// view word is at byte 120. The 12 mesh channels' records end the blob, 40
+// bytes each: four cursors and the flags word.
 func bootImage(tb testing.TB) []byte {
 	e := sim.NewEngine(1)
 	defer e.Close()
@@ -35,7 +35,7 @@ func corruptImages(valid []byte) []struct {
 	img  []byte
 } {
 	const failed, monFlags, monView = 16, 24, 120
-	ch := len(valid) - 12*72 // the first mesh channel, 0->1
+	ch := len(valid) - 12*40 // the first mesh channel, 0->1
 	patch := func(off int, vs ...uint64) []byte {
 		b := bytes.Clone(valid)
 		for i, v := range vs {
@@ -48,6 +48,7 @@ func corruptImages(valid []byte) []struct {
 		img  []byte
 	}{
 		{"unknown monitor flag bit", patch(monFlags, 1<<3)},
+		{"the fail-stop flag bit images no longer carry", patch(monFlags, 1<<2)},
 		// Each dropped a bit the image re-checkpointed without.
 		{"failed core past the core count", patch(failed, 1<<10)},
 		{"view member past the core count", patch(monView, binary.LittleEndian.Uint64(valid[monView:])|1<<10)},

@@ -83,7 +83,6 @@ const (
 type NICStats struct {
 	RxFrames, TxFrames uint64
 	RxDropped          uint64
-	Interrupts         uint64
 }
 
 // NIC is an e1000-style device: receive and transmit descriptor rings plus
@@ -107,7 +106,6 @@ type NIC struct {
 	rxDev, rxDrv uint64 // device produce / driver consume indices
 	txDrv, txDev uint64
 	rxSizes      [nicRings]int
-	txSizes      [nicRings]int
 	txFrames     [nicRings]Frame
 
 	intr  func() // driver-installed interrupt handler (engine context)
@@ -158,7 +156,6 @@ func (n *NIC) Deliver(f Frame) {
 		n.rxDev++
 		n.stats.RxFrames++
 		if n.intr != nil {
-			n.stats.Interrupts++
 			n.intr()
 		}
 	})
@@ -216,7 +213,6 @@ func (n *NIC) Transmit(p *sim.Proc, core topo.CoreID, f Frame) error {
 		n.sys.StoreLine(p, core, base+memory.Addr(i*memory.LineSize), zero)
 	}
 	n.sys.Memory().StoreBytes(base, f)
-	n.txSizes[slot] = len(f)
 	n.txFrames[slot] = append(Frame(nil), f...)
 	n.sys.Store(p, core, n.txDescs.LineAt(int(slot)), slot+1)
 	n.txDrv++

@@ -22,7 +22,6 @@ const (
 // TCPListener accepts incoming connections on a port.
 type TCPListener struct {
 	stack   *Stack
-	port    uint16
 	backlog *sim.Queue[*TCPConn]
 }
 
@@ -31,7 +30,7 @@ func (s *Stack) ListenTCP(port uint16) *TCPListener {
 	if s.tcp[port] != nil {
 		panic(fmt.Sprintf("netstack: tcp port %d already bound", port))
 	}
-	l := &TCPListener{stack: s, port: port, backlog: sim.NewQueue[*TCPConn](s.e)}
+	l := &TCPListener{stack: s, backlog: sim.NewQueue[*TCPConn](s.e)}
 	s.tcp[port] = l
 	return l
 }

@@ -8,27 +8,25 @@ import (
 )
 
 // TestEpochBarrierAllocs pins the zero-allocation contract of the
-// steady-state epoch path: pooled events carry cross-partition payloads (no
-// closure per message) and outbox slices keep their capacity across epochs,
-// so once the heaps and outboxes are warm, running epochs of pure
-// cross-partition traffic performs no heap allocation. Gated out under -race
-// because the race runtime instruments allocations.
+// steady-state epoch path: events are pooled and outbox slices keep their
+// capacity across epochs, so once the heaps and outboxes are warm, running
+// epochs of cross-partition traffic that forwards pre-built closures
+// performs no engine allocation. Gated out under -race because the race
+// runtime instruments allocations.
 func TestEpochBarrierAllocs(t *testing.T) {
 	const nparts = 4
 	L := Time(500)
 	for _, workers := range []int{1, nparts} {
 		pe := NewParallelEngine(nparts, L, 3, workers)
-		for i := 0; i < nparts; i++ {
-			i := i
-			// Perpetual ring: forward immediately from the handler — the
-			// pooled-event path with no closures anywhere.
-			pe.RegisterHandler(i, func(v, hop uint64) {
-				pe.Post(i, (i+1)%nparts, L, 0, v, hop)
-			})
+		// Perpetual ring: fwd[i] runs on partition i and sends fwd[i+1] on.
+		fwd := make([]func(), nparts)
+		for i := range fwd {
+			next := (i + 1) % nparts
+			fwd[i] = func() { pe.Send(i, next, L, fwd[next]) }
 		}
 		for i := 0; i < nparts; i++ {
 			for k := 0; k < 8; k++ {
-				pe.Post(i, (i+1)%nparts, L, 0, uint64(i*8+k), 0)
+				pe.Send(i, (i+1)%nparts, L, fwd[(i+1)%nparts])
 			}
 		}
 		// Warm up: grow heaps, outbox capacity, the event free lists and the
@@ -60,11 +58,13 @@ func BenchmarkParallelEnginePinned(b *testing.B) {
 			var events uint64
 			for i := 0; i < b.N; i++ {
 				pe := NewParallelEngine(nparts, L, 3, workers)
+				// recv takes token v on partition p and sends v+1 on.
+				var recv func(p int, v uint64)
+				recv = func(p int, v uint64) {
+					q := (p + 1) % nparts
+					pe.Send(p, q, L+Time(v%63), func() { recv(q, v+1) })
+				}
 				for p := 0; p < nparts; p++ {
-					p := p
-					pe.RegisterHandler(p, func(v, hop uint64) {
-						pe.Post(p, (p+1)%nparts, L+Time(v%63), 0, v+1, hop)
-					})
 					e := pe.Part(p)
 					pe.Spawn(p, fmt.Sprintf("local%d", p), func(pr *Proc) {
 						for pr.Now() < 2000*L {
@@ -73,7 +73,8 @@ func BenchmarkParallelEnginePinned(b *testing.B) {
 					})
 				}
 				for p := 0; p < nparts; p++ {
-					pe.Post(p, (p+1)%nparts, L, 0, uint64(p), 0)
+					q := (p + 1) % nparts
+					pe.Send(p, q, L, func() { recv(q, uint64(p)) })
 				}
 				pe.RunUntil(2000 * L)
 				events = pe.MetricsSnapshot().Counters["sim.events_dispatched"]

@@ -40,7 +40,7 @@ import (
 
 // Checkpoint stream framing.
 const (
-	ckptMagic   = "MKCKPT1\n"
+	ckptMagic   = "MKCKPT2\n"
 	ckptTrailer = "MKCKPTE\n"
 )
 
@@ -113,7 +113,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	// Events, in dispatch order. Only proc wakeups are serializable.
 	var evs []*event
 	for _, ev := range e.queued() {
-		if ev.fn != nil || ev.hfn != nil {
+		if ev.fn != nil {
 			return fmt.Errorf("sim: checkpoint with pending engine callback at t=%d (not quiescent)", ev.at)
 		}
 		if !ev.p.done { // a dead proc's stale wakeup: dispatch would drop it
@@ -189,7 +189,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 // spawn order inside build does not matter. Any events build schedules
 // (including the spawned procs' start events) are discarded before the
 // serialized state is applied: build constructs, the image governs.
-func Restore(r io.Reader, build func(e *Engine)) (*Engine, error) {
+func Restore(r io.Reader, build func(e *Engine)) (_ *Engine, err error) {
 	if err := ckpt.ExpectMagic(r, ckptMagic); err != nil {
 		return nil, err
 	}
@@ -263,6 +263,11 @@ func Restore(r io.Reader, build func(e *Engine)) (*Engine, error) {
 
 	e := NewEngine(0)
 	build(e)
+	defer func() {
+		if err != nil {
+			e.Close() // release the coroutines of the procs build spawned
+		}
+	}()
 
 	// Discard build-time scheduling artifacts: the spawned procs' start
 	// events (their coroutines stay unstarted until first resumed) and any

@@ -301,7 +301,7 @@ func TestRestoreRejectsCorruptCounts(t *testing.T) {
 // final image and metrics must be byte-identical to a run that never
 // checkpointed.
 func TestParallelCheckpointLeavesRunUnchanged(t *testing.T) {
-	phase2 := func(pe *ParallelEngine) ([]byte, []byte) {
+	phase2 := func(pe *ring) ([]byte, []byte) {
 		t.Helper()
 		ringSeed(pe, 40)
 		pe.Run()

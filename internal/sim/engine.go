@@ -211,16 +211,6 @@ func (e *Engine) scheduleAt(at Time, fn func()) {
 	e.noteDepth(e.pending)
 }
 
-// scheduleArgsAt is scheduleAt for the pooled argument-carrying handler form:
-// no closure is created, the payload words travel in the event.
-func (e *Engine) scheduleArgsAt(at Time, hfn func(a, b uint64), a, b uint64) {
-	e.seq++
-	ev := e.newEvent()
-	ev.at, ev.seq, ev.hfn, ev.a, ev.b = at, e.seq, hfn, a, b
-	e.push(ev)
-	e.noteDepth(e.pending)
-}
-
 // After invokes fn at the current time plus d. fn runs in engine context and
 // must not block; to perform blocking work, have fn wake a Proc. Engine
 // callbacks are the fast path: they are dispatched inline with no proc
@@ -293,14 +283,10 @@ func (e *Engine) dispatch() *Proc {
 			panic("sim: event scheduled in the past")
 		}
 		e.now = ev.at
-		p, fn, hfn, a, b := ev.p, ev.fn, ev.hfn, ev.a, ev.b
+		p, fn := ev.p, ev.fn
 		e.releaseEvent(ev)
 		if fn != nil {
 			fn() // engine-context fast path: no switch
-			continue
-		}
-		if hfn != nil {
-			hfn(a, b) // mailbox-delivery fast path: pooled event, no closure
 			continue
 		}
 		if p.done {

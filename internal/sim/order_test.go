@@ -378,6 +378,7 @@ func orderParallel(t *testing.T, seed, hook uint64) {
 	sent := make([]int, nparts)
 	msgs := 0
 	rng := NewRNG(seed + 200)
+	var took func(dst, msg int)
 	send := func(src int) {
 		if msgs >= 400 {
 			return
@@ -389,7 +390,8 @@ func orderParallel(t *testing.T, seed, hook uint64) {
 		now := pe.Part(src).now
 		inbox[dst] = append(inbox[dst], post{now / L, src, sent[src], refKey{at: now + d, owner: fmt.Sprintf("m%d", msgs)}})
 		sent[src]++
-		pe.Post(src, dst, d, 0, uint64(msgs), 0)
+		msg := msgs
+		pe.Send(src, dst, d, func() { took(dst, msg) })
 	}
 	for i := 0; i < nparts; i++ {
 		e := pe.Part(i)
@@ -425,12 +427,6 @@ func orderParallel(t *testing.T, seed, hook uint64) {
 			}
 			return keys
 		}
-		pe.RegisterHandler(i, func(a, _ uint64) {
-			r.took(fmt.Sprintf("m%d", a))
-			if rng.Intn(2) == 0 {
-				send(i)
-			}
-		})
 		for k := 0; k < 4; k++ {
 			name := fmt.Sprintf("w%d", k)
 			r.will(name, 0)
@@ -444,6 +440,12 @@ func orderParallel(t *testing.T, seed, hook uint64) {
 					send(i)
 				}
 			})
+		}
+	}
+	took = func(dst, msg int) {
+		refs[dst].took(fmt.Sprintf("m%d", msg))
+		if rng.Intn(2) == 0 {
+			send(dst)
 		}
 	}
 	pe.RunUntil(7*L + L/2) // a limit inside an epoch, resumed by Run

@@ -39,19 +39,12 @@ import (
 	"multikernel/internal/metrics"
 )
 
-// HandlerID names a cross-partition message handler registered with
-// RegisterHandler.
-type HandlerID int32
-
 // xsend is one cross-partition message waiting in a source outbox for the
-// epoch barrier. The handler form (h >= 0) carries its payload in two words
-// and schedules with zero allocation; the fn form carries a closure.
+// epoch barrier.
 type xsend struct {
-	at   Time
-	dst  int32
-	h    int32 // handler index in the destination's table, or -1 for fn
-	a, b uint64
-	fn   func()
+	at  Time
+	dst int32
+	fn  func()
 }
 
 // ParallelEngine coordinates one sub-Engine per partition.
@@ -60,8 +53,7 @@ type ParallelEngine struct {
 	lookahead Time
 	workers   int
 
-	handlers [][]func(a, b uint64) // per destination partition
-	outbox   [][]xsend             // per source partition; reused across epochs
+	outbox [][]xsend // per source partition; reused across epochs
 
 	// Worker pool: persistent goroutines released once per epoch; each
 	// claims partitions off the shared counter until none remain.
@@ -74,9 +66,8 @@ type ParallelEngine struct {
 	// RunUntil limit cuts it short; outbox merges happen only when the whole
 	// window has executed, so a staged sequence of RunUntil calls assigns
 	// destination sequence numbers exactly as one uninterrupted Run would.
-	epochStart Time
-	epochLast  Time
-	epochOpen  bool
+	epochLast Time
+	epochOpen bool
 
 	stopped atomic.Bool
 	closed  bool
@@ -104,7 +95,7 @@ func NewParallelEngine(nparts int, lookahead Time, seed uint64, workers int) *Pa
 	return pe
 }
 
-// init sets up outboxes, handler tables and the worker pool on an engine
+// init sets up outboxes and the worker pool on an engine
 // whose parts slice is already populated (construction or restore).
 func (pe *ParallelEngine) init(workers int) {
 	n := len(pe.parts)
@@ -115,7 +106,6 @@ func (pe *ParallelEngine) init(workers int) {
 		workers = n
 	}
 	pe.workers = workers
-	pe.handlers = make([][]func(a, b uint64), n)
 	pe.outbox = make([][]xsend, n)
 	if workers > 1 {
 		pe.start = make([]chan struct{}, workers)
@@ -161,37 +151,17 @@ func (pe *ParallelEngine) Spawn(part int, name string, fn func(p *Proc)) *Proc {
 	return pe.parts[part].Spawn(name, fn)
 }
 
-// RegisterHandler registers a cross-partition message handler on destination
-// partition dst and returns its id. Handlers are registered once during
-// setup; Post then delivers (a, b) payloads to them with zero allocation.
-// Must not be called while Run is in progress.
-func (pe *ParallelEngine) RegisterHandler(dst int, h func(a, b uint64)) HandlerID {
-	pe.handlers[dst] = append(pe.handlers[dst], h)
-	return HandlerID(len(pe.handlers[dst]) - 1)
-}
-
-// Post sends a zero-allocation cross-partition message: handler h on
-// partition dst runs with payload (a, b) at the sender's current time plus
-// delay. It must be called from simulated code of partition src (its procs
-// or engine callbacks), and delay must be at least the lookahead — that is
-// the conservative contract that lets partitions run an epoch unsynchronized.
-func (pe *ParallelEngine) Post(src, dst int, delay Time, h HandlerID, a, b uint64) {
-	if delay < pe.lookahead {
-		panic(fmt.Sprintf("sim: cross-partition delay %d below lookahead %d", delay, pe.lookahead))
-	}
-	pe.outbox[src] = append(pe.outbox[src], xsend{
-		at: pe.parts[src].now + delay, dst: int32(dst), h: int32(h), a: a, b: b,
-	})
-}
-
-// Send is the closure form of Post, for low-rate control messages: fn runs
-// in partition dst's engine context at the sender's time plus delay.
+// Send is a cross-partition message: fn runs in partition dst's engine
+// context at the sender's current time plus delay. It must be called from
+// simulated code of partition src (its procs or engine callbacks), and
+// delay must be at least the lookahead — that is the conservative contract
+// that lets partitions run an epoch unsynchronized.
 func (pe *ParallelEngine) Send(src, dst int, delay Time, fn func()) {
 	if delay < pe.lookahead {
 		panic(fmt.Sprintf("sim: cross-partition delay %d below lookahead %d", delay, pe.lookahead))
 	}
 	pe.outbox[src] = append(pe.outbox[src], xsend{
-		at: pe.parts[src].now + delay, dst: int32(dst), h: -1, fn: fn,
+		at: pe.parts[src].now + delay, dst: int32(dst), fn: fn,
 	})
 }
 
@@ -233,13 +203,8 @@ func (pe *ParallelEngine) mergeOutboxes() {
 		box := pe.outbox[src]
 		for i := range box {
 			s := &box[i]
-			d := pe.parts[s.dst]
-			if s.h >= 0 {
-				d.scheduleArgsAt(s.at, pe.handlers[s.dst][s.h], s.a, s.b)
-			} else {
-				d.scheduleAt(s.at, s.fn)
-				s.fn = nil // drop the closure reference while pooled
-			}
+			pe.parts[s.dst].scheduleAt(s.at, s.fn)
+			s.fn = nil // drop the closure reference while pooled
 		}
 		pe.outbox[src] = box[:0]
 	}
@@ -257,7 +222,7 @@ func (pe *ParallelEngine) run(limit Time) {
 	pe.stopped.Store(false)
 	for !pe.stopped.Load() {
 		if !pe.epochOpen {
-			// Deliver sends Posted from driver context between runs (seeding
+			// Deliver sends made from driver context between runs (seeding
 			// work onto a quiescent or freshly-restored engine). At a closed
 			// epoch every partition clock is below any send's due time, and in
 			// the steady state the outboxes are already empty here.
@@ -272,7 +237,7 @@ func (pe *ParallelEngine) run(limit Time) {
 			if last < start { // start+L overflowed
 				last = ^Time(0)
 			}
-			pe.epochStart, pe.epochLast, pe.epochOpen = start, last, true
+			pe.epochLast, pe.epochOpen = last, true
 		}
 		if pe.epochLast > limit {
 			pe.runEpoch(limit)

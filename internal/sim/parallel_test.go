@@ -23,12 +23,18 @@ const (
 	ringHops      = 200
 )
 
-// ringSetup registers partition i's message handler (always HandlerID 0: one
-// handler per partition, registered in partition order) and spawns its parked
-// sink daemon. The handler counts the token, wakes the sink, and forwards the
+// ring is the token-ring engine: a ParallelEngine and each partition's
+// token handler.
+type ring struct {
+	*ParallelEngine
+	hop [ringParts]func(v, hop uint64)
+}
+
+// ringSetup sets partition i's token handler and spawns its parked sink
+// daemon. The handler counts the token, wakes the sink, and forwards the
 // token to the next partition with an RNG-flavored delay at or above the
 // lookahead.
-func ringSetup(pe *ParallelEngine, i int) {
+func ringSetup(pe *ring, i int) {
 	e := pe.Part(i)
 	tokens := e.Metrics().Counter("ring.tokens")
 	sinkWakes := e.Metrics().Counter("ring.sink_wakes")
@@ -41,7 +47,7 @@ func ringSetup(pe *ParallelEngine, i int) {
 			p.Park()
 		}
 	})
-	pe.RegisterHandler(i, func(v, hop uint64) {
+	pe.hop[i] = func(v, hop uint64) {
 		tokens.Inc()
 		e.Tracer().Emit(uint64(e.Now()), trace.Instant, trace.SubSim, int32(i), "ring.recv", v, hop)
 		e.Wake(sink)
@@ -51,15 +57,22 @@ func ringSetup(pe *ParallelEngine, i int) {
 		// Local work before forwarding, then a cross-partition send with a
 		// value-dependent delay ≥ lookahead.
 		e.After(1+e.RNG().Time(97), func() {
-			pe.Post(i, (i+1)%pe.NParts(), ringLookahead+Time(v%31), 0, v*0x9e3779b9+uint64(i), hop-1)
+			ringSend(pe, i, ringLookahead+Time(v%31), v*0x9e3779b9+uint64(i), hop-1)
 		})
-	})
+	}
+}
+
+// ringSend passes token v with hop budget hop from partition src to the
+// next partition's handler after delay.
+func ringSend(pe *ring, src int, delay Time, v, hop uint64) {
+	dst := (src + 1) % pe.NParts()
+	pe.Send(src, dst, delay, func() { pe.hop[dst](v, hop) })
 }
 
 // ringLocals spawns partition i's background chatter: a proc doing a few
 // hundred RNG sleeps, contributing local events that interleave with token
 // handling inside every epoch.
-func ringLocals(pe *ParallelEngine, i int) {
+func ringLocals(pe *ring, i int) {
 	e := pe.Part(i)
 	pe.Spawn(i, fmt.Sprintf("local%d", i), func(p *Proc) {
 		for j := 0; j < 300; j++ {
@@ -69,14 +82,14 @@ func ringLocals(pe *ParallelEngine, i int) {
 }
 
 // ringSeed injects one token per partition, each with the given hop budget.
-func ringSeed(pe *ParallelEngine, hops uint64) {
+func ringSeed(pe *ring, hops uint64) {
 	for i := 0; i < pe.NParts(); i++ {
-		pe.Post(i, (i+1)%pe.NParts(), ringLookahead, 0, uint64(i+1)*12345, hops)
+		ringSend(pe, i, ringLookahead, uint64(i+1)*12345, hops)
 	}
 }
 
-func buildRing(workers int) *ParallelEngine {
-	pe := NewParallelEngine(ringParts, ringLookahead, 7, workers)
+func buildRing(workers int) *ring {
+	pe := &ring{ParallelEngine: NewParallelEngine(ringParts, ringLookahead, 7, workers)}
 	for i := 0; i < ringParts; i++ {
 		ringSetup(pe, i)
 		ringLocals(pe, i)
@@ -161,7 +174,7 @@ func TestParallelDeterminismAcrossWorkers(t *testing.T) {
 // numbers and RNG streams). It also checks the clock contract: after
 // RunUntil(t), every partition clock reads exactly t.
 func TestParallelRunUntilStaged(t *testing.T) {
-	finish := func(pe *ParallelEngine) ([]byte, []byte) {
+	finish := func(pe *ring) ([]byte, []byte) {
 		if dl := pe.Deadlocked(); len(dl) > 0 {
 			t.Fatalf("deadlocked procs %v", dl)
 		}
@@ -237,10 +250,9 @@ func TestParallelCrossPartitionWake(t *testing.T) {
 		p.Park()
 		wokeAt = p.Now()
 	})
-	h := pe.RegisterHandler(0, func(a, b uint64) { pe.Part(0).Wake(waiter) })
 	pe.Spawn(1, "sender", func(p *Proc) {
 		p.Sleep(100)
-		pe.Post(1, 0, ringLookahead, h, 0, 0)
+		pe.Send(1, 0, ringLookahead, func() { pe.Part(0).Wake(waiter) })
 	})
 	pe.Run()
 	if dl := pe.Deadlocked(); len(dl) != 0 {
@@ -251,15 +263,15 @@ func TestParallelCrossPartitionWake(t *testing.T) {
 	}
 }
 
-func TestParallelPostBelowLookaheadPanics(t *testing.T) {
+func TestParallelSendBelowLookaheadPanics(t *testing.T) {
 	pe := NewParallelEngine(2, ringLookahead, 1, 1)
 	defer pe.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Post with delay below lookahead did not panic")
+			t.Fatal("Send with delay below lookahead did not panic")
 		}
 	}()
-	pe.Post(0, 1, ringLookahead-1, 0, 0, 0)
+	pe.Send(0, 1, ringLookahead-1, func() {})
 }
 
 // TestParallelStopAtBarrier checks that Stop from simulated code halts at the

@@ -39,13 +39,6 @@ type event struct {
 	seq uint64
 	p   *Proc  // proc to resume, or nil
 	fn  func() // callback to invoke, if p == nil
-	// hfn is the argument-carrying callback variant used for cross-partition
-	// message delivery (ParallelEngine mailboxes): the handler closure is
-	// created once at registration time and the two payload words ride in the
-	// pooled event itself, so steady-state cross-partition traffic schedules
-	// with zero allocation.
-	hfn  func(a, b uint64)
-	a, b uint64
 	// next links the event into its calendar bucket while queued, and into
 	// the free list while pooled.
 	next *event

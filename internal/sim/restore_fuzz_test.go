@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"multikernel/internal/core"
@@ -13,19 +14,69 @@ import (
 // corruptCountImage is a 72-byte checkpoint image: the magic, seven zero
 // header words and a proc count of n, with no proc records after it.
 func corruptCountImage(n uint64) []byte {
-	img := append([]byte("MKCKPT1\n"), make([]byte, 7*8)...)
+	img := append([]byte("MKCKPT2\n"), make([]byte, 7*8)...)
 	return binary.LittleEndian.AppendUint64(img, n)
 }
 
-// FuzzRestore feeds arbitrary bytes to sim.Restore: a malformed image must
-// come back as an error, never as a panic or as an allocation sized by a
-// corrupt count. The seeds are an AMD2x2 boot image and the two proc counts
-// that once crashed Restore (2^33 ran out of memory, 2^62 panicked). The
-// builder constructs nothing, so every input ends at Restore's own checks;
-// the component decoders behind a real builder are not reached.
-func FuzzRestore(f *testing.F) {
+// TestRestoreErrorClosesEngine: a Restore that fails after build has run
+// closes the engine it built, releasing the coroutines of the procs build
+// spawned. Both images reach build: one carries a monitor flag bit that no
+// image has, the other meets a builder that spawns one proc too many.
+func TestRestoreErrorClosesEngine(t *testing.T) {
+	m := topo.AMD2x2()
 	e := sim.NewEngine(1)
-	core.Boot(e, topo.AMD2x2())
+	sys := core.Boot(e, m)
+	e.Run()
+	var img, mon bytes.Buffer
+	if err := e.Checkpoint(&img); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Net.CheckpointState(&mon); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	// Core 0's flags word is the monitor blob's fourth word; bit 3 is no flag.
+	off := bytes.Index(img.Bytes(), mon.Bytes())
+	if off < 0 {
+		t.Fatal("monitor blob not found in the boot image")
+	}
+	badFlag := bytes.Clone(img.Bytes())
+	binary.LittleEndian.PutUint64(badFlag[off+24:], 1<<3)
+	cases := []struct {
+		name  string
+		img   []byte
+		build func(*sim.Engine)
+	}{
+		{"unknown monitor flag bit", badFlag, func(e *sim.Engine) { core.Boot(e, m) }},
+		{"one proc too many", img.Bytes(), func(e *sim.Engine) {
+			core.Boot(e, m)
+			e.Spawn("extra", func(*sim.Proc) {})
+		}},
+	}
+	for _, c := range cases {
+		before := runtime.NumGoroutine()
+		for range 3 {
+			if _, err := sim.Restore(bytes.NewReader(c.img), c.build); err == nil {
+				t.Fatalf("%s: restored without error", c.name)
+			}
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after three failed restores, %d before", c.name, after, before)
+		}
+	}
+}
+
+// FuzzRestore feeds arbitrary bytes to sim.Restore with the builder mksim
+// -restore uses, core.Boot on the AMD2x2: a malformed image must come back
+// as an error, never as a panic or as an allocation sized by a corrupt
+// count, and an accepted one must re-checkpoint to the bytes it was read
+// from, so every component decoder of a boot image is reached. The seeds
+// are an AMD2x2 boot image and the two proc counts that once crashed
+// Restore (2^33 ran out of memory, 2^62 panicked).
+func FuzzRestore(f *testing.F) {
+	m := topo.AMD2x2()
+	e := sim.NewEngine(1)
+	core.Boot(e, m)
 	e.Run()
 	var img bytes.Buffer
 	if err := e.Checkpoint(&img); err != nil {
@@ -36,8 +87,18 @@ func FuzzRestore(f *testing.F) {
 	f.Add(corruptCountImage(1 << 33))
 	f.Add(corruptCountImage(1 << 62))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if e, err := sim.Restore(bytes.NewReader(b), func(*sim.Engine) {}); err == nil {
-			e.Close()
+		r := bytes.NewReader(b)
+		e, err := sim.Restore(r, func(e *sim.Engine) { core.Boot(e, m) })
+		if err != nil {
+			return
+		}
+		defer e.Close()
+		var again bytes.Buffer
+		if err := e.Checkpoint(&again); err != nil {
+			t.Fatalf("checkpoint after restore: %v", err)
+		}
+		if read := b[:len(b)-r.Len()]; !bytes.Equal(again.Bytes(), read) {
+			t.Fatalf("restored %d image bytes; they re-checkpoint to %d other bytes", len(read), again.Len())
 		}
 	})
 }

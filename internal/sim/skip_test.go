@@ -153,13 +153,14 @@ func TestSkipSweepsAcrossEpochEnds(t *testing.T) {
 		pe := NewParallelEngine(nparts, 100, 1, workers)
 		defer pe.Close()
 		logs := make([][]string, nparts)
+		logAt := make([]func(string), nparts)
 		for i := 0; i < nparts; i++ {
 			e := pe.Part(i)
 			log := func(who string) { logs[i] = append(logs[i], fmt.Sprintf("p%d t=%d %s", i, e.Now(), who)) }
-			pe.RegisterHandler(i, func(a, _ uint64) { log(fmt.Sprintf("msg %d", a)) })
+			logAt[i] = log
 			e.Spawn("sweeper", func(p *Proc) {
 				sweepLogged(p, 40+7*i, new(bool), skip, log)
-				pe.Post(i, 1-i, 100, 0, uint64(i), 0)
+				pe.Send(i, 1-i, 100, func() { logAt[1-i](fmt.Sprintf("msg %d", i)) })
 			})
 		}
 		pe.RunUntil(250) // a limit inside an epoch, resumed by Run

@@ -43,6 +43,7 @@ func parallelStraddle(hook PerturbFunc) switchOutcome {
 	pe := NewParallelEngine(nparts, 100, 1, nparts)
 	defer pe.Close()
 	logs := make([][]string, nparts)
+	recv := make([]func(k int), nparts)
 	for i := 0; i < nparts; i++ {
 		e := pe.Part(i)
 		e.SetPerturb(hook)
@@ -54,16 +55,16 @@ func parallelStraddle(hook PerturbFunc) switchOutcome {
 				log("sink")
 			}
 		})
-		pe.RegisterHandler(i, func(a, _ uint64) {
-			log(fmt.Sprintf("msg %d", a))
+		recv[i] = func(k int) {
+			log(fmt.Sprintf("msg %d", k))
 			e.Wake(sink)
-		})
+		}
 		e.Spawn("worker", func(p *Proc) {
 			for k := 0; k < 24; k++ {
 				p.Sleep(Time(29 + 13*i + k%5))
 				log("worker")
 				if k%3 == 0 {
-					pe.Post(i, (i+1)%nparts, 100+Time(k), 0, uint64(k), 0)
+					pe.Send(i, (i+1)%nparts, 100+Time(k), func() { recv[(i+1)%nparts](k) })
 				}
 			}
 		})

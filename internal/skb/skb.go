@@ -159,12 +159,11 @@ type Group struct {
 	Latency  sim.Time // measured latency from the tree source to Agg
 }
 
-// Tree is a two-level, NUMA-aware multicast tree rooted at Source (§5.1):
-// one aggregation node per socket, ordered by decreasing latency so the
-// longest paths are started first, plus the source's own socket-local
+// Tree is a two-level, NUMA-aware multicast tree rooted at a source core
+// (§5.1): one aggregation node per socket, ordered by decreasing latency so
+// the longest paths are started first, plus the source's own socket-local
 // children.
 type Tree struct {
-	Source topo.CoreID
 	Groups []Group       // remote sockets, decreasing latency order
 	Local  []topo.CoreID // cores sharing the source's socket
 }
@@ -188,7 +187,7 @@ func (kb *KB) MulticastTree(src topo.CoreID, cores []topo.CoreID) *Tree {
 		}
 		bySocket[m.Socket(c)] = append(bySocket[m.Socket(c)], c)
 	}
-	t := &Tree{Source: src}
+	t := &Tree{}
 	srcSocket := m.Socket(src)
 	for s, cs := range bySocket {
 		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
@@ -228,7 +227,6 @@ type Region struct {
 // sockets, which in turn forward to their children. On machines with no more
 // than `fanout` remote sockets it degenerates to the flat two-level Tree.
 type HierTree struct {
-	Source  topo.CoreID
 	Regions []Region
 	Local   []topo.CoreID
 }
@@ -245,7 +243,7 @@ func (kb *KB) HierMulticastTree(src topo.CoreID, cores []topo.CoreID, fanout int
 		panic("skb: hierarchical multicast fanout must be >= 1")
 	}
 	flat := kb.MulticastTree(src, cores)
-	t := &HierTree{Source: flat.Source, Local: flat.Local}
+	t := &HierTree{Local: flat.Local}
 	n := len(flat.Groups)
 	if n == 0 {
 		return t

@@ -101,8 +101,6 @@ func (s *Sample) Sum() float64 {
 type Point struct {
 	X float64
 	Y float64
-	// Err is an optional error-bar half-height (e.g. standard deviation).
-	Err float64
 }
 
 // Series is a named sequence of points, one line on a figure.
@@ -113,11 +111,6 @@ type Series struct {
 
 // Add appends a point.
 func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{X: x, Y: y}) }
-
-// AddErr appends a point with an error bar.
-func (s *Series) AddErr(x, y, err float64) {
-	s.Points = append(s.Points, Point{X: x, Y: y, Err: err})
-}
 
 // YAt returns the Y value at the given X, or (0, false) if absent.
 func (s *Series) YAt(x float64) (float64, bool) {

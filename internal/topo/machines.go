@@ -74,7 +74,6 @@ func AMD4x4() *Machine {
 		NSockets:       4,
 		DiesPerSocket:  1,
 		CoresPerSocket: 4,
-		SharedL3:       true,
 		IOSocket:       0,
 		Links:          []Link{{0, 1}, {1, 3}, {3, 2}, {2, 0}},
 		Costs: CostParams{
@@ -100,7 +99,6 @@ func AMD8x4() *Machine {
 		NSockets:       8,
 		DiesPerSocket:  1,
 		CoresPerSocket: 4,
-		SharedL3:       true,
 		IOSocket:       0,
 		// Figure 2 layout: top row 7-5-3-1, bottom row 6-2-4-0, with
 		// vertical links 7-6, 5-2, 3-4, 1-0.
@@ -137,7 +135,6 @@ func MeshXY(nx, ny, coresPerSocket int) *Machine {
 		NSockets:       nx * ny,
 		DiesPerSocket:  1,
 		CoresPerSocket: coresPerSocket,
-		SharedL3:       true,
 		IOSocket:       0,
 		Links:          gridLinks(nx, ny, false),
 		Costs:          AMD8x4().Costs,
@@ -196,7 +193,6 @@ func Mesh(k int) *Machine {
 		NSockets:       k * k,
 		DiesPerSocket:  1,
 		CoresPerSocket: 4,
-		SharedL3:       true,
 		IOSocket:       0,
 		Links:          gridLinks(k, k, false),
 		Costs:          scaledCosts(),
@@ -219,7 +215,6 @@ func Torus(k int) *Machine {
 		NSockets:       k * k,
 		DiesPerSocket:  1,
 		CoresPerSocket: 4,
-		SharedL3:       true,
 		IOSocket:       0,
 		Links:          gridLinks(k, k, true),
 		Costs:          scaledCosts(),

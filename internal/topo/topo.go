@@ -71,7 +71,6 @@ type Machine struct {
 	DiesPerSocket  int
 	CoresPerSocket int  // total per socket, across its dies
 	SharedDieCache bool // cores on one die share a cache (Intel L2)
-	SharedL3       bool // all cores of a socket share an L3
 	SingleMemCtrl  bool // one external memory controller (Intel FSB system)
 	IOSocket       SocketID
 	Links          []Link

@@ -2,8 +2,8 @@ package urpc
 
 // Checkpoint serialization for one channel's Go-side protocol state. The
 // ring and ack lines themselves live in simulated memory and travel with the
-// memory image; this blob carries the sender/receiver cursors and counters
-// that shadow them. A channel with a parked receiver (blocked != nil) is not
+// memory image; this blob carries the sender/receiver cursors that shadow
+// them. A channel with a parked receiver (blocked != nil) is not
 // quiescent — the wait is a goroutine state the image cannot carry — so it
 // is an error, matching the engine-level quiescence rule.
 
@@ -17,7 +17,7 @@ import (
 // chDead is the channel flag bit in the serialized image.
 const chDead = 1 << iota
 
-// CheckpointState serializes the channel's cursors, flags and counters.
+// CheckpointState serializes the channel's cursors and flags.
 func (c *Channel) CheckpointState(w io.Writer) error {
 	if c.blocked != nil {
 		return fmt.Errorf("urpc: channel %d->%d has a blocked receiver (not quiescent)", c.Sender, c.Receiver)
@@ -26,8 +26,7 @@ func (c *Channel) CheckpointState(w io.Writer) error {
 	if c.dead {
 		flags |= chDead
 	}
-	return ckpt.WriteU64(w, c.sendSeq, c.recvSeq, c.sendAcked, c.published, flags,
-		c.stats.Sent, c.stats.Received, c.stats.FullStall, c.stats.Notifies)
+	return ckpt.WriteU64(w, c.sendSeq, c.recvSeq, c.sendAcked, c.published, flags)
 }
 
 // RestoreState reads back what CheckpointState wrote. It rejects cursors no
@@ -36,8 +35,7 @@ func (c *Channel) CheckpointState(w io.Writer) error {
 // receives only what was sent, and at most one ring of messages is in flight.
 func (c *Channel) RestoreState(r io.Reader) error {
 	var sendSeq, recvSeq, sendAcked, published, flags uint64
-	if err := ckpt.ReadU64(r, &sendSeq, &recvSeq, &sendAcked, &published, &flags,
-		&c.stats.Sent, &c.stats.Received, &c.stats.FullStall, &c.stats.Notifies); err != nil {
+	if err := ckpt.ReadU64(r, &sendSeq, &recvSeq, &sendAcked, &published, &flags); err != nil {
 		return err
 	}
 	if sendAcked > published || published > recvSeq || recvSeq > sendSeq ||

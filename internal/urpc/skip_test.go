@@ -298,6 +298,7 @@ func skipParallel(hook sim.PerturbFunc) []skipOutcome {
 	pe := sim.NewParallelEngine(nparts, 1_000, 1, nparts)
 	recs := make([]*trace.Recorder, nparts)
 	logs := make([][]string, nparts)
+	sends := make([]*sim.Proc, nparts)
 	for i := 0; i < nparts; i++ {
 		e := pe.Part(i)
 		e.SetPerturb(hook)
@@ -306,11 +307,10 @@ func skipParallel(hook sim.PerturbFunc) []skipOutcome {
 		sys := cache.New(e, m, memory.New(m), interconnect.New(m))
 		ch := New(sys, 0, 2, Options{Home: -1})
 		log := func(s string) { logs[i] = append(logs[i], fmt.Sprintf("t=%d %s", e.Now(), s)) }
-		send := e.Spawn("send", func(p *sim.Proc) {
+		sends[i] = e.Spawn("send", func(p *sim.Proc) {
 			p.Park()
 			ch.Send(p, []Message{{uint64(i)}}, Spin)
 		})
-		pe.RegisterHandler(i, func(uint64, uint64) { e.Wake(send) })
 		e.Spawn("recv", func(p *sim.Proc) {
 			var buf [1]Message
 			ch.Recv(p, buf[:], Spin)
@@ -318,7 +318,7 @@ func skipParallel(hook sim.PerturbFunc) []skipOutcome {
 		})
 		e.Spawn("post", func(p *sim.Proc) {
 			p.Sleep(sim.Time(4_321 + 1_000*i))
-			pe.Post(i, 1-i, 1_000, 0, 0, 0)
+			pe.Send(i, 1-i, 1_000, func() { pe.Part(1 - i).Wake(sends[1-i]) })
 		})
 	}
 	pe.RunUntil(2_500)

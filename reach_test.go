@@ -14,16 +14,17 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// reachAllow lists the non-test functions and methods that no tool,
+// reachAllow lists the non-test package-level declarations that no tool,
 // example or catalogue entry reaches but that stay anyway, each with the
 // reason. Keys are import path, receiver type (for a method) and name. What
-// an entry calls stays with it.
+// an entry refers to stays with it.
 var reachAllow = map[string]string{
 	// Paper mechanisms that no experiment runs yet.
 	"multikernel/internal/monitor.Monitor.SendCap":  "§4.8 capability transfer between monitors; it is the one caller of caps.Capability.PackWords",
@@ -36,12 +37,26 @@ var reachAllow = map[string]string{
 	// Inspectors that other packages' tests call.
 	"multikernel/internal/caps.CSpace.Len":                 "core and vm tests count a core's capabilities",
 	"multikernel/internal/interconnect.Fabric.LinkDegrade": "fault tests read a link's impairment",
-	"multikernel/internal/kernel.Core.Stats":               "baseline tests read a core's kernel counters",
 	"multikernel/internal/skb.KB.Query":                    "obs tests read the SKB's facts",
 	"multikernel/internal/skb.KB.Count":                    "core tests count the SKB's facts",
 	"multikernel/internal/stats.Figure.Get":                "expt tests and the root benchmarks read a figure's series",
 	"multikernel/internal/netstack.Stack.Dial":             "the TCP client that the apps tests drive the web server with",
 	"multikernel/internal/netstack.TCPConn.Recv":           "the TCP client that the apps tests drive the web server with",
+
+	// Positions of iota sequences whose neighbours are in use.
+	"multikernel/internal/netstack.TCPRst": "the RST bit between SYN and PSH in the TCP flags byte",
+	"multikernel/internal/apps.KVMutNone":  "the zero KVMutation: a ClusterConfig without Mut runs the correct protocol",
+	"multikernel/internal/apps.kvOpPoint":  "opcode 0, a point SELECT: KVClient.Select sends a request whose third word is left zero",
+}
+
+// readAllow lists the non-test struct fields that no non-test expression
+// reads but that stay anyway, each with the reason. Keys are import path,
+// type and field; a field of a local or nested struct type names each
+// enclosing declaration and field instead of the type.
+var readAllow = map[string]string{
+	"multikernel/bench/mkperf.workload.why":       "BENCHMARK.json's reason for the workload; bench/ changes only with the benchmark",
+	"multikernel/internal/check.Result.TraceHash": "TestReplayReproducesGenerativeRun and TestEmptyReplayIsByteIdentical check replays event for event through it",
+	"multikernel/internal/expt.cohRun.events":     "BenchmarkDirectoryPinned reports it, and ci/traceguard pins it",
 }
 
 // reachModules are the directories of the repository's Go modules. The
@@ -49,10 +64,13 @@ var reachAllow = map[string]string{
 var reachModules = []string{".", "bench"}
 
 // Code that no tool, example or catalogue entry runs backs no figure or
-// table of the reproduction. The roots are main, init and blank package
-// variables of every non-test package in both modules. Every non-test
-// function or method that the walk from those roots does not reach must be
-// deleted, moved into a _test.go file or given a reason in reachAllow.
+// table of the reproduction, and state that nothing reads changes no
+// output. The roots are main, init and blank package variables of every
+// non-test package in both modules. Every non-test function, method, type,
+// variable or constant that the walk from those roots does not reach must
+// be deleted, moved into a _test.go file or given a reason in reachAllow;
+// every non-test struct field that no non-test expression reads must be
+// deleted with its writes or given a reason in readAllow.
 func TestNoTestOnlyCode(t *testing.T) {
 	g := newReachGraph()
 	for _, dir := range reachModules {
@@ -64,21 +82,18 @@ func TestNoTestOnlyCode(t *testing.T) {
 	tested := g.walk(append(g.roots, g.testRoots...), g.testIfaces, true)
 
 	var dead []string
-	for key := range g.funcs {
+	for key := range g.decls {
 		if !kept[key] {
 			dead = append(dead, key)
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		a, b := g.funcs[dead[i]], g.funcs[dead[j]]
-		return a.Filename < b.Filename || a.Filename == b.Filename && a.Line < b.Line
-	})
+	sort.Slice(dead, func(i, j int) bool { return posLess(g.decls[dead[i]], g.decls[dead[j]]) })
 	for _, key := range dead {
 		how := "nothing reaches it"
 		if tested[key] {
 			how = "only tests reach it"
 		}
-		pos := g.funcs[key]
+		pos := g.decls[key]
 		t.Errorf("%s:%d: %s: %s; delete it, move it into a _test.go file or give reachAllow a reason",
 			pos.Filename, pos.Line, key, how)
 	}
@@ -86,12 +101,48 @@ func TestNoTestOnlyCode(t *testing.T) {
 		if strings.TrimSpace(reason) == "" {
 			t.Errorf("reachAllow[%q] gives no reason", key)
 		}
-		if _, ok := g.funcs[key]; !ok {
-			t.Errorf("reachAllow[%q] names no non-test function or method", key)
+		if _, ok := g.decls[key]; !ok {
+			t.Errorf("reachAllow[%q] names no non-test package-level declaration", key)
 		} else if live[key] {
 			t.Errorf("reachAllow[%q]: non-test code reaches it; drop the entry", key)
 		}
 	}
+
+	byName := map[string][]string{}
+	var unread []string
+	for at, f := range g.fields {
+		byName[f.name] = append(byName[f.name], at)
+		if !g.reads[false][at] && readAllow[f.name] == "" {
+			unread = append(unread, at)
+		}
+	}
+	sort.Slice(unread, func(i, j int) bool { return posLess(g.fields[unread[i]].pos, g.fields[unread[j]].pos) })
+	for _, at := range unread {
+		how := "nothing reads it"
+		if g.reads[true][at] {
+			how = "only tests read it"
+		}
+		f := g.fields[at]
+		t.Errorf("%s:%d: field %s: %s; delete it with its writes or give readAllow a reason",
+			f.pos.Filename, f.pos.Line, f.name, how)
+	}
+	for name, reason := range readAllow {
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("readAllow[%q] gives no reason", name)
+		}
+		if len(byName[name]) == 0 {
+			t.Errorf("readAllow[%q] names no non-test struct field", name)
+		}
+		for _, at := range byName[name] {
+			if g.reads[false][at] {
+				t.Errorf("readAllow[%q]: non-test code reads it; drop the entry", name)
+			}
+		}
+	}
+}
+
+func posLess(a, b token.Position) bool {
+	return a.Filename < b.Filename || a.Filename == b.Filename && a.Line < b.Line
 }
 
 // listedPackage is the part of go list's JSON this test reads.
@@ -122,8 +173,22 @@ type reachGraph struct {
 	roots, testRoots   []string
 	// inTest marks declarations made in _test.go files.
 	inTest map[string]bool
-	// funcs maps every non-test function and method to its position.
-	funcs map[string]token.Position
+	// decls maps every non-test package-level declaration to its position.
+	decls map[string]token.Position
+	// fields holds every non-test struct field, keyed by at: a field
+	// object from export data is a different object from the one its
+	// declaring package's source defines.
+	fields map[string]fieldDecl
+	// reads[test] holds the fields, keyed by at, that expressions of
+	// non-test files (false) or of _test.go files (true) read.
+	reads map[bool]map[string]bool
+}
+
+// fieldDecl is a non-test struct field: its name as readAllow keys it and
+// its position.
+type fieldDecl struct {
+	name string
+	pos  token.Position
 }
 
 func newReachGraph() *reachGraph {
@@ -137,7 +202,9 @@ func newReachGraph() *reachGraph {
 		ifaces:     map[string]bool{},
 		testIfaces: map[string]bool{},
 		inTest:     map[string]bool{},
-		funcs:      map[string]token.Position{},
+		decls:      map[string]token.Position{},
+		fields:     map[string]fieldDecl{},
+		reads:      map[bool]map[string]bool{false: {}, true: {}},
 	}
 	for _, name := range implicit {
 		g.ifaces[name], g.testIfaces[name] = true, true
@@ -203,9 +270,10 @@ func (g *reachGraph) check(t *testing.T, path string, p *listedPackage, byID map
 		return nil, fmt.Errorf("no export data for %s", path)
 	})
 	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	pkg, err := (&types.Config{Importer: imp}).Check(path, g.fset, files, info)
 	if err != nil {
@@ -220,6 +288,10 @@ func (g *reachGraph) check(t *testing.T, path string, p *listedPackage, byID map
 	}
 	for expr, tv := range info.Types {
 		collect(tv.Type, expr.Pos())
+		// A map compares its keys whole.
+		if m, ok := tv.Type.(*types.Map); ok {
+			g.readWhole(m.Key(), isTest(expr.Pos()))
+		}
 	}
 	for _, m := range []map[*ast.Ident]types.Object{info.Defs, info.Uses} {
 		for id, obj := range m {
@@ -231,6 +303,7 @@ func (g *reachGraph) check(t *testing.T, path string, p *listedPackage, byID map
 
 	for _, f := range files {
 		test := isTest(f.Pos())
+		g.addReads(f, info, test)
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -243,9 +316,12 @@ func (g *reachGraph) check(t *testing.T, path string, p *listedPackage, byID map
 					if d.Doc != nil {
 						start = d.Doc.Pos()
 					}
-					g.funcs[key] = g.fset.Position(start)
+					g.decls[key] = g.fset.Position(start)
 				}
 				g.add(key, d, info, test, root)
+				if !test && d.Body != nil {
+					g.addFields(key, d.Body, info)
+				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
@@ -255,19 +331,146 @@ func (g *reachGraph) check(t *testing.T, path string, p *listedPackage, byID map
 						if named, ok := info.Defs[s.Name].Type().(*types.Named); ok && !types.IsInterface(named) {
 							g.addMethods(key, named)
 						}
+						if !test {
+							g.decls[key] = g.fset.Position(s.Pos())
+							g.addFields(key, s.Type, info)
+						}
 					case *ast.ValueSpec:
 						for _, name := range s.Names {
 							key := reachKey(info.Defs[name])
 							if name.Name == "_" {
 								key = fmt.Sprintf("%s._@%s", path, g.fset.Position(name.Pos()))
+							} else if !test {
+								g.decls[key] = g.fset.Position(name.Pos())
 							}
 							g.add(key, s, info, test, test || name.Name == "_")
+						}
+						if !test {
+							g.addFields(reachKey(info.Defs[s.Names[0]]), s, info)
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// addFields records the fields of every struct type that node's syntax
+// spells out, named after prefix, the declaration node belongs to.
+func (g *reachGraph) addFields(prefix string, node ast.Node, info *types.Info) {
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec: // a type local to a function
+			g.addFields(prefix+"."+n.Name.Name, n.Type, info)
+			return false
+		case *ast.StructType:
+			st := info.TypeOf(n).(*types.Struct)
+			i := 0
+			for _, field := range n.Fields.List {
+				for range max(1, len(field.Names)) {
+					v := st.Field(i)
+					name := prefix + "." + v.Name()
+					g.fields[g.at(v)] = fieldDecl{name, g.fset.Position(v.Pos())}
+					// encoding/json reads every field it has a key for.
+					if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+						g.reads[false][g.at(v)] = true
+					}
+					g.addFields(name, field.Type, info)
+					i++
+				}
+			}
+			return false
+		}
+		return true
+	})
+}
+
+// addReads records the struct fields that file's expressions read. A
+// field is written, not read, on the left of an assignment or increment,
+// and so is every field of a selector or index chain that is written into
+// without following a pointer. A struct compared whole, or used as a map
+// key, reads every field; a promoted selection reads the embedded fields on
+// its path.
+func (g *reachGraph) addReads(file *ast.File, info *types.Info, test bool) {
+	written := map[*ast.SelectorExpr]bool{}
+	write := func(e ast.Expr) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				sel := info.Selections[x]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					return
+				}
+				written[x] = true
+				if sel.Indirect() {
+					return
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				write(lhs)
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				write(n.Key)
+				write(n.Value)
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				g.readWhole(info.TypeOf(n.X), test)
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil {
+				break
+			}
+			typ, path := sel.Recv(), sel.Index()
+			for k, i := range path {
+				if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok || k == len(path)-1 && (sel.Kind() != types.FieldVal || written[n]) {
+					break
+				}
+				g.reads[test][g.at(st.Field(i))] = true
+				typ = st.Field(i).Type()
+			}
+		}
+		return true
+	})
+}
+
+// readWhole records that every field of typ's values is read, as a
+// comparison or a map lookup reads them.
+func (g *reachGraph) readWhole(typ types.Type, test bool) {
+	switch t := typ.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			g.reads[test][g.at(t.Field(i))] = true
+			g.readWhole(t.Field(i).Type(), test)
+		}
+	case *types.Array:
+		g.readWhole(t.Elem(), test)
+	}
+}
+
+// at keys a field by its name and the line that declares it. Export data
+// keeps a field's line but not its column.
+func (g *reachGraph) at(v *types.Var) string {
+	pos := g.fset.Position(v.Origin().Pos())
+	return fmt.Sprintf("%s:%d:%s", pos.Filename, pos.Line, v.Name())
 }
 
 // add records that the declaration key refers to what node's syntax names.
