@@ -61,7 +61,32 @@ type line struct {
 	// launching a fresh fetch — requests outstanding at the home node are
 	// answered as soon as the writer's transaction completes.
 	xferStore bool
-	res       *sim.Resource
+	// storer is the core whose asynchronous store miss holds res, if one
+	// does: at most one is pending, completed by host.storeDone.
+	storer int16
+	res    *sim.Resource
+	// host is host state only some lines need, apart so that an entry
+	// keeps its size.
+	host *lineHost
+}
+
+// lineHost is the host state of a line that has been watched or has taken
+// an asynchronous store miss.
+type lineHost struct {
+	// watch is the proc whose skipped idle steps poll the line, if any
+	// (Watch). A stale one costs only a spurious nudge.
+	watch *sim.Proc
+	// storeDone completes the line's asynchronous store miss. It is made
+	// once per line, so a store miss allocates nothing.
+	storeDone func()
+}
+
+// hostState returns l's host state, making it on first use.
+func (l *line) hostState() *lineHost {
+	if l.host == nil {
+		l.host = new(lineHost)
+	}
+	return l.host
 }
 
 // forwardLat is the cost of the directory forwarding a line to a reader
@@ -69,6 +94,17 @@ type line struct {
 const forwardLat = 90
 
 func (l *line) holds(c topo.CoreID) bool { return l.holders.Has(c) }
+
+// changed nudges the proc watching l, if any: a write landed in the line or
+// dropped a core's copy. A watcher holds the line, so a store by another
+// core reaches it first through ownershipLat's invalidation; until that
+// store's write lands the writer holds the line's transfer queue, so no
+// core can hold the line again in between.
+func (l *line) changed() {
+	if l.host != nil && l.host.watch != nil {
+		l.host.watch.Nudge()
+	}
+}
 
 func (l *line) view() LineView { return LineView{Holders: l.holders, Owner: l.owner, Dirty: l.dirty} }
 
@@ -258,8 +294,10 @@ func New(e *sim.Engine, m *topo.Machine, mem *memory.Memory, fab *interconnect.F
 	return s
 }
 
-// sumStats folds one field across the per-core counters.
+// sumStats folds one field across the per-core counters, counting the
+// hits of skipped polls up to now.
 func (s *System) sumStats(field func(*Stats) uint64) uint64 {
+	s.eng.Settle()
 	var total uint64
 	for i := range s.stats {
 		total += field(&s.stats[i])
@@ -358,10 +396,14 @@ func (s *System) Memory() *memory.Memory { return s.mem }
 func (s *System) Fabric() *interconnect.Fabric { return s.fab }
 
 // Stats returns a copy of core c's counters.
-func (s *System) Stats(c topo.CoreID) Stats { return s.stats[c] }
+func (s *System) Stats(c topo.CoreID) Stats {
+	s.eng.Settle()
+	return s.stats[c]
+}
 
 // ResetStats zeroes all per-core counters.
 func (s *System) ResetStats() {
+	s.eng.Settle() // hits of skipped polls before now are reset too
 	for i := range s.stats {
 		s.stats[i] = Stats{}
 	}
@@ -369,10 +411,16 @@ func (s *System) ResetStats() {
 
 // StartTouchTracking begins recording the set of distinct lines accessed
 // (by any core). Used to measure cache-footprint figures like Table 3.
+// Skipped polls record no touches, so every skipping loop's next poll
+// runs as an event, and Tracking tells loops not to skip while it is on.
 func (s *System) StartTouchTracking() {
+	s.eng.NudgeAll()
 	s.tracking = true
 	s.touched = make(map[memory.LineID]bool)
 }
+
+// Tracking reports whether touch tracking is on.
+func (s *System) Tracking() bool { return s.tracking }
 
 // StopTouchTracking ends recording and returns the number of distinct lines
 // touched since StartTouchTracking.
@@ -644,15 +692,24 @@ func (s *System) ProbeHit(c topo.CoreID, a memory.Addr) (sim.Time, bool) {
 // hit latency a Load would charge. It counts nothing and records no touch;
 // SkipHits does both once the skip is taken.
 func (s *System) HeldWord(c topo.CoreID, a memory.Addr) (v uint64, lat sim.Time, ok bool) {
+	if s.held(c, a) == nil {
+		return 0, 0, false
+	}
+	return s.mem.LoadWord(a), s.mach.Costs.L1Hit, true
+}
+
+// held returns the line containing a if core c holds it, else nil. It
+// fills neither the map nor the lookaside and records no touch.
+func (s *System) held(c topo.CoreID, a memory.Addr) *line {
 	id := a.Line()
 	l := s.lookaside[id%lineSlots].l
 	if s.lookaside[id%lineSlots].id != id {
 		l = s.lines[id]
 	}
 	if l == nil || !l.holds(c) {
-		return 0, 0, false
+		return nil
 	}
-	return s.mem.LoadWord(a), s.mach.Costs.L1Hit, true
+	return l
 }
 
 // SkipHits counts n Loads by core c that hit the line containing a, and
@@ -663,6 +720,25 @@ func (s *System) SkipHits(c topo.CoreID, a memory.Addr, n uint64) {
 	}
 	s.stats[c].Hits += n
 }
+
+// Watch is the quiet test of a poll whose steps sim.Proc.Idle may
+// skip: if core c holds the line containing a, it returns the word at a and
+// marks the line so that every later write to it, or drop of a copy,
+// nudges p until the line is watched again. It counts and records nothing;
+// AddHits counts the skipped probes.
+func (s *System) Watch(c topo.CoreID, a memory.Addr, p *sim.Proc) (uint64, bool) {
+	l := s.held(c, a)
+	if l == nil {
+		return 0, false
+	}
+	l.hostState().watch = p
+	return s.mem.LoadWord(a), true
+}
+
+// AddHits counts n hits by core c: probes of watched lines that a skipped
+// idle pass stood for. Touch tracking, which would record their lines, is
+// never on while steps are skipped.
+func (s *System) AddHits(c topo.CoreID, n uint64) { s.stats[c].Hits += n }
 
 // Store writes the word at a from core c.
 //
@@ -675,6 +751,11 @@ func (s *System) SkipHits(c topo.CoreID, a memory.Addr, n uint64) {
 // while heavily-shared data structures degrade linearly with writer count
 // (paper Figures 3 and 6).
 func (s *System) Store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) {
+	s.store(p, c, a, v)
+}
+
+// store is Store; it returns the line it wrote.
+func (s *System) store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) *line {
 	l := s.lineFor(a)
 	if l.holds(c) && l.owner == c && l.holders.Only(c) && l.res.QueueLen() == 0 {
 		// Exclusive or Modified with no rival request queued: silent upgrade.
@@ -686,7 +767,7 @@ func (s *System) Store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) {
 		p.Sleep(s.mach.Costs.Store)
 		s.mem.StoreWord(a, v)
 		s.maybeForward(a)
-		return
+		return l
 	}
 	if s.inflight[c] < maxInflightStores && l.res.TryAcquire() {
 		// Uncontended and within the store-buffer budget: issue
@@ -697,14 +778,20 @@ func (s *System) Store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) {
 		s.markDirty(c, a, l)
 		l.xferStore = true
 		s.mem.StoreWord(a, v)
+		l.changed()
 		s.inflight[c]++
-		s.eng.After(lat, func() {
-			s.inflight[c]--
-			l.res.Release()
-		})
+		h := l.hostState()
+		if h.storeDone == nil {
+			h.storeDone = func() {
+				s.inflight[l.storer]--
+				l.res.Release()
+			}
+		}
+		l.storer = int16(c)
+		s.eng.After(lat, h.storeDone)
 		p.Sleep(s.mach.Costs.StoreIssue)
 		s.maybeForward(a)
-		return
+		return l
 	}
 	// Contended: queue behind in-flight transfers. Having waited in the
 	// pipeline, the requester receives the line as a direct handoff rather
@@ -713,6 +800,7 @@ func (s *System) Store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) {
 	waited := l.res.InUse()+l.res.QueueLen() > 0
 	l.res.Acquire(p)
 	lat := s.ownershipLat(p, c, a, l)
+	l.changed() // copies dropped; no core can hold the line again before the write lands
 	if waited && lat > handoffLat {
 		lat = handoffLat + s.dirDelay(a)
 	}
@@ -729,6 +817,7 @@ func (s *System) Store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) {
 	}()
 	s.mem.StoreWord(a, v)
 	s.maybeForward(a)
+	return l
 }
 
 // ownershipLat performs the directory updates for core c taking exclusive
@@ -760,6 +849,7 @@ func (s *System) RMW(p *sim.Proc, c topo.CoreID, a memory.Addr, fn func(uint64) 
 	waited := l.res.InUse()+l.res.QueueLen() > 0
 	l.res.Acquire(p)
 	lat := s.ownershipLat(p, c, a, l)
+	l.changed() // as in Store: this nudge covers the write below
 	if waited && lat > handoffLat {
 		lat = handoffLat + s.dirDelay(a)
 	}
@@ -792,13 +882,16 @@ func (s *System) StoreLine(p *sim.Proc, c topo.CoreID, a memory.Addr, vals [memo
 			s.maybeForward(base)
 		}()
 	}
-	s.Store(p, c, base, vals[0])
+	l := s.store(p, c, base, vals[0])
 	// Remaining words are hits in the now-exclusive line.
 	p.Sleep(s.mach.Costs.Store * sim.Time(memory.WordsPerLine-1))
 	s.stats[c].Hits += memory.WordsPerLine - 1
 	for i := 1; i < memory.WordsPerLine; i++ {
 		s.mem.StoreWord(base+memory.Addr(i*8), vals[i])
 	}
+	// A contended first store releases the line before these words land,
+	// so a reader may hold it again by now.
+	l.changed()
 }
 
 // LoadLine reads a full cache line: one fill (or hit) plus word reads.
@@ -848,6 +941,7 @@ func (s *System) DMAWrite(a memory.Addr, b []byte, devSocket topo.SocketID) {
 			if s.audit != nil {
 				s.audit.Transition(id, AuditDMA, -1, before, l.view(), 0)
 			}
+			l.changed()
 		}
 		home := s.mem.Home(id.Base())
 		if home != devSocket {

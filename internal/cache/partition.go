@@ -198,6 +198,7 @@ func (s *System) remoteStore(idx int, base memory.Addr, vals [memory.WordsPerLin
 	if s.audit != nil {
 		s.audit.Transition(base.Line(), AuditRemote, r.writer, before, l.view(), 0)
 	}
+	l.changed()
 	if r.onDeliver != nil {
 		r.onDeliver()
 	}
@@ -222,6 +223,7 @@ func (s *System) remoteBytes(idx int, a memory.Addr, b []byte) {
 		if s.audit != nil {
 			s.audit.Transition(id, AuditRemote, r.writer, before, l.view(), 0)
 		}
+		l.changed()
 	}
 	if r.onDeliver != nil {
 		r.onDeliver()

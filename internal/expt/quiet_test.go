@@ -1,0 +1,89 @@
+package expt
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+
+	"multikernel/internal/core"
+	"multikernel/internal/interconnect"
+	"multikernel/internal/sim"
+	"multikernel/internal/topo"
+	"multikernel/internal/trace"
+)
+
+// TestMonitorIdleStepsAreSkipped fails if the engine stops skipping the
+// monitors' quiet idle steps: on BenchmarkMonitorIdlePinned's scenario,
+// which dispatches 4,957,679 events and nearly all of them empty polls, at
+// least 90% of them must be skipped steps rather than events.
+func TestMonitorIdleStepsAreSkipped(t *testing.T) {
+	e := monitorIdleScenario()
+	defer e.Close()
+	events := e.Metrics().Snapshot().Counters["sim.events_dispatched"]
+	skipped := e.SkippedSteps()
+	if events != 4_957_679 {
+		t.Fatalf("sim.events_dispatched = %d, want the pinned 4,957,679", events)
+	}
+	if skipped*10 < events*9 {
+		t.Fatalf("%d of %d dispatched events were skipped steps; want at least 90%%", skipped, events)
+	}
+}
+
+// TestParallelBootSkipMatchesStepped runs every parallel-boot workload on
+// the per-socket 8x4 engine with no perturb hook, where the monitors' quiet
+// idle steps are skipped across epochs, and with a zero hook in every
+// partition, where each is an event, and requires the same checkpoint
+// image, merged metrics and per-partition trace events.
+func TestParallelBootSkipMatchesStepped(t *testing.T) {
+	run := func(wl bootWorkload, hook sim.PerturbFunc) (img, met []byte, evs []trace.Event, skipped uint64) {
+		m := topo.AMD8x4()
+		pm := topo.PerSocket(m)
+		pe := sim.NewParallelEngine(pm.NParts(), interconnect.Lookahead(m, pm), bootSeed, 1)
+		defer pe.Close()
+		recs := make([]*trace.Recorder, pm.NParts())
+		for i := range recs {
+			recs[i] = trace.NewRecorder()
+			pe.Part(i).SetTracer(recs[i])
+			pe.Part(i).SetPerturb(hook)
+		}
+		wl.setup(core.BootParallel(pe, m, core.Options{}), 2)
+		if wl.staged {
+			pe.RunUntil(50_000)
+			pe.RunUntil(123_457)
+		}
+		pe.Run()
+		js, err := json.Marshal(pe.MetricsSnapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := pe.Checkpoint(&b); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range recs {
+			evs = append(evs, r.Events()...)
+			skipped += pe.Part(i).SkippedSteps()
+		}
+		return b.Bytes(), js, evs, skipped
+	}
+	zero := func(sim.Time, sim.Time, uint64) (sim.Time, uint64) { return 0, 0 }
+	for _, wl := range bootWorkloads() {
+		t.Run(wl.name, func(t *testing.T) {
+			img, met, evs, skipped := run(wl, nil)
+			wantImg, wantMet, wantEvs, _ := run(wl, zero)
+			if skipped == 0 {
+				t.Error("no idle step was skipped")
+			}
+			if !bytes.Equal(img, wantImg) {
+				t.Error("checkpoint images differ")
+			}
+			if !bytes.Equal(met, wantMet) {
+				t.Errorf("metrics differ:\nreference: %s\nskipping:  %s", wantMet, met)
+			}
+			if !reflect.DeepEqual(evs, wantEvs) {
+				t.Errorf("trace events differ (%d vs %d)", len(wantEvs), len(evs))
+			}
+		})
+	}
+}

@@ -186,14 +186,18 @@ func (r *Registry) CheckpointState(w io.Writer) error {
 // repeats or sorts before its predecessor marks a corrupt image, as does a
 // histogram without exactly NumBuckets buckets.
 func (r *Registry) RestoreState(rd io.Reader) error {
+	// The image was written by a registry that the same construction
+	// filled, so it names every metric registered before the restore: one
+	// it left out would be written back as an extra. held counts a kind.
 	sections := []struct {
 		kind string
+		held func() int
 		read func(name string) error
 	}{
-		{"counter", func(name string) error {
+		{"counter", func() int { return len(r.counters) }, func(name string) error {
 			return ckpt.ReadU64(rd, &r.Counter(name).v)
 		}},
-		{"histogram", func(name string) error {
+		{"histogram", func() int { return len(r.hists) }, func(name string) error {
 			var n, sum, max uint64
 			if err := ckpt.ReadU64(rd, &n, &sum, &max); err != nil {
 				return err
@@ -208,7 +212,7 @@ func (r *Registry) RestoreState(rd io.Reader) error {
 			r.Histogram(name).SetRaw(counts, n, sum, max)
 			return nil
 		}},
-		{"gauge", func(name string) error {
+		{"gauge", func() int { return len(r.gauges) }, func(name string) error {
 			var v uint64
 			if err := ckpt.ReadU64(rd, &v); err != nil {
 				return err
@@ -235,6 +239,9 @@ func (r *Registry) RestoreState(rd io.Reader) error {
 			if err := sec.read(name); err != nil {
 				return err
 			}
+		}
+		if got := sec.held(); uint64(got) != n {
+			return fmt.Errorf("metrics: image names %d %ss; the registry holds %d", n, sec.kind, got)
 		}
 	}
 	return nil

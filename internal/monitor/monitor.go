@@ -171,7 +171,9 @@ type Monitor struct {
 
 	local    *sim.Queue[*localReq]
 	proc     *sim.Proc
-	pass     pass // the dispatch loop's position in its current pass
+	pass     pass       // the dispatch loop's position in its current pass
+	sweep    *sim.Sweep // the quiet schedule of one idle pass (see quiet)
+	skip     skipRun    // the stretch of steps the engine is skipping
 	parked   bool
 	notified bool   // a wake found the loop running; cleared every pass
 	down     bool   // core powered off (§3.3 hotplug)
@@ -246,7 +248,7 @@ func NewNetwork(e *sim.Engine, sys *cache.System, kern *kernel.System, kb *skb.K
 				ipi := m.Costs.IPIDeliver
 				ch.OnRemoteDeliver = func() {
 					if !t.parked {
-						t.notified = true
+						t.notify()
 						return
 					}
 					t.stats.Wakeups++
@@ -255,6 +257,7 @@ func NewNetwork(e *sim.Engine, sys *cache.System, kern *kernel.System, kb *skb.K
 			}
 		}
 	}
+	sweeps := make(map[int]*sim.Sweep)
 	for _, mon := range n.monitors {
 		// Build the poll order by walking core ids in ascending order, never
 		// by ranging over the channel map: the poll order feeds the event
@@ -265,6 +268,10 @@ func NewNetwork(e *sim.Engine, sys *cache.System, kern *kernel.System, kb *skb.K
 				mon.peers = append(mon.peers, topo.CoreID(c))
 				mon.rings = append(mon.rings, ch)
 			}
+		}
+		if mon.sweep = sweeps[len(mon.rings)]; mon.sweep == nil {
+			mon.sweep = passSweep(mon.rings)
+			sweeps[len(mon.rings)] = mon.sweep
 		}
 		if !sys.LocalCore(mon.Core) {
 			// Parallel boot: a remote core's monitor exists as structure (its
@@ -298,12 +305,21 @@ func (m *Monitor) Stats() Stats { return m.stats }
 func (n *Network) wake(p *sim.Proc, target topo.CoreID) {
 	t := n.monitors[target]
 	if !t.parked {
-		t.notified = true
+		t.notify()
 		return
 	}
 	t.stats.Wakeups++
 	p.Sleep(n.Sys.Machine().Costs.IPIDeliver)
 	p.Unpark(t.proc)
+}
+
+// notify flags a running monitor so that it takes one more pass before it
+// may park; a pass whose steps are being skipped runs its next step.
+func (m *Monitor) notify() {
+	m.notified = true
+	if m.proc != nil {
+		m.proc.Nudge()
+	}
 }
 
 // send transmits a protocol message to another monitor and wakes it. With
@@ -442,6 +458,114 @@ func (m *Monitor) step() (sim.Time, bool) {
 	}
 }
 
+// An idle pass's steps follow one fixed schedule while nothing arrives: a
+// sweep of 2n+2 steps for n rings. Step 2i+1 probes ring i's sequence word
+// and step 2i+2 reads it and starts the next ring's check (the last one
+// charges loopCost instead); step 2n+1 ends the pass and step 0 starts the
+// next one and ring 0's check. quiet hands the engine that schedule
+// (sim.Proc.Idle); settle rebuilds the pass from the number of steps
+// skipped.
+
+// passSweep returns the sweep of an idle pass over rings.
+func passSweep(rings []*urpc.Channel) *sim.Sweep {
+	gaps := make([]sim.Time, 0, 2*len(rings)+2)
+	for _, r := range rings {
+		check, probe := r.CheckGaps()
+		gaps = append(gaps, check, probe)
+	}
+	return sim.NewSweep(append(gaps, loopCost, idleSleep))
+}
+
+// skipRun is what settle needs of a skipped stretch: the sweep index and
+// time of its first step, and how many steps it has been settled through.
+type skipRun struct {
+	first uint64
+	t1    sim.Time
+	done  uint64
+}
+
+// quiet is the pass's quiet schedule from the step at t1 on: where that
+// step stands in the sweep, and the first step that must run (act). It is
+// the first step that finds a message, meets a probe that would miss, or
+// parks; with a wake flag or work pending from this pass, the pass's end.
+// Every ring line the steps before act read is watched, so a write to one
+// nudges the proc, as do requests, wakes and kills. It declines (act 0)
+// with fault tolerance armed, a request queued, touch tracking on, or a
+// wake flag that the next step, a pass start, would clear.
+func (m *Monitor) quiet(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
+	s := &m.pass
+	if m.net.OpTimeout > 0 || m.local.Len() > 0 || m.net.Sys.Tracking() {
+		return nil, 0, 0
+	}
+	n := m.sweep.Len()
+	var first uint64
+	switch s.at {
+	case passStart:
+		if m.notified {
+			return nil, 0, 0
+		}
+	case passRing:
+		first = 2*uint64(s.peer) + 1
+		if s.check.Probed() {
+			first++
+		}
+	case passEnd:
+		first = n - 1
+	default:
+		return nil, 0, 0
+	}
+	// at is the first step at sweep position pos.
+	at := func(pos uint64) uint64 { return (pos+n-first)%n + 1 }
+	act := at(n-1) + n*uint64(max(0, idleToBlock-1-s.idle))
+	if first != 0 && (s.progress || m.notified) {
+		act = at(n - 1)
+	}
+	for i, r := range m.rings {
+		probe := 2*uint64(i) + 1
+		switch hit, ready := r.Watch(m.proc); {
+		case !hit && first == probe+1:
+			return nil, 0, 0 // the next step reads a line nothing watches
+		case !hit:
+			act = min(act, at(probe))
+		case ready:
+			act = min(act, at(probe+1))
+		}
+	}
+	m.skip = skipRun{first: first, t1: t1}
+	return m.sweep, first, act
+}
+
+// settle leaves the pass as steps 1..k of the skipped stretch would: the
+// probes' hits counted, every pass end's idle count taken, and the pass
+// positioned before step k+1 with its ring check begun where that check's
+// own step ran.
+func (m *Monitor) settle(k uint64) {
+	q, s, sw := &m.skip, &m.pass, m.sweep
+	n, rings := sw.Len(), uint64(len(m.rings))
+	// Steps done+1..k are at sweep indices [lo, hi). Probes sit at the
+	// odd positions below 2*rings, pass ends at position n-1.
+	lo, hi := q.first+q.done, q.first+k
+	probes := func(x uint64) uint64 { return x/n*rings + min(x%n, 2*rings)/2 }
+	m.net.Sys.AddHits(m.Core, probes(hi)-probes(lo))
+	s.idle += int(hi/n - lo/n)
+	q.done = k
+	at := func(k uint64) sim.Time { return q.t1 + sw.At(q.first+k-1) - sw.At(q.first) }
+	// The check before a probe began at the step before it; step 0 is
+	// the step that began the stretch, a check a sweep gap before step 1.
+	switch pos := hi % n; {
+	case pos == 0:
+		s.at, s.peer, s.check = passStart, len(m.rings), urpc.Check{}
+	case pos == n-1:
+		s.at, s.peer, s.check = passEnd, len(m.rings), urpc.Check{}
+	case pos%2 == 1:
+		s.at, s.peer = passRing, int(pos/2)
+		m.rings[s.peer].SetCheck(&s.check, at(k), false)
+	default:
+		s.at, s.peer = passRing, int(pos/2-1)
+		m.rings[s.peer].SetCheck(&s.check, at(k-1), true)
+	}
+}
+
 // run is the monitor dispatch loop: poll local requests and every incoming
 // channel; block after a sustained idle period and wait for notification.
 // The polling runs as steps (see pass); the proc does only what can block.
@@ -458,9 +582,9 @@ func (m *Monitor) run(p *sim.Proc) {
 	}
 	s := &m.pass
 	*s = pass{}
-	step := m.step
+	step, quiet, settle := m.step, m.quiet, m.settle
 	for {
-		p.Idle(step)
+		p.Idle(step, quiet, settle)
 		switch s.at {
 		case passOp:
 			req, _ := m.local.TryPop()

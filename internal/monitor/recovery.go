@@ -32,7 +32,10 @@ const maxRecoveries = 3
 // every monitor. opTimeout is the aggregation deadline (how long an
 // aggregation node waits for its children); initiators wait twice that per
 // phase so that subtree recovery gets a chance to resolve first.
-func (n *Network) EnableFaultTolerance(opTimeout sim.Time) { n.OpTimeout = opTimeout }
+func (n *Network) EnableFaultTolerance(opTimeout sim.Time) {
+	n.OpTimeout = opTimeout
+	n.Eng.NudgeAll() // armed deadlines change what an idle pass does
+}
 
 // FailStop fail-stops core c: its monitor process is killed at the current
 // virtual time and never responds again. The rest of the system is NOT

@@ -137,7 +137,7 @@ func TestIdleStepAllocs(t *testing.T) {
 		polls++
 		return 3, false
 	}
-	e.Spawn("poller", func(p *Proc) { p.Idle(step) })
+	e.Spawn("poller", func(p *Proc) { p.Idle(step, nil, nil) })
 	e.Spawn("ticker", func(p *Proc) {
 		for {
 			p.Sleep(2)

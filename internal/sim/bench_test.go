@@ -71,7 +71,7 @@ func BenchmarkIdlePollDeep(b *testing.B) {
 					return 10, false
 				}
 				return 3, false
-			})
+			}, nil, nil)
 		})
 	}
 	e.RunUntil(10000)

@@ -88,6 +88,11 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	if e.running != nil {
 		return fmt.Errorf("sim: checkpoint requires driver context")
 	}
+	if len(e.chains) > 0 {
+		// A skipped run of idle steps is an idle loop mid-flight, like a
+		// pending idle step.
+		return fmt.Errorf("sim: checkpoint with proc %q's idle steps being skipped (not quiescent)", e.chains[0].p.name)
+	}
 
 	// Procs, sorted by id. Mid-unwind procs (killed but not yet done) and
 	// duplicate names would make the image unrestorable.
@@ -115,6 +120,11 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	for _, ev := range e.queued() {
 		if ev.fn != nil {
 			return fmt.Errorf("sim: checkpoint with pending engine callback at t=%d (not quiescent)", ev.at)
+		}
+		if e.lagLo != 0 && ev.seq >= e.lagLo && ev.seq <= e.lagHi {
+			// Numbered while the counter ran behind the skipped steps: it
+			// orders right but is not the reference schedule's number.
+			return fmt.Errorf("sim: checkpoint with an event at t=%d scheduled while idle steps were skipped", ev.at)
 		}
 		if !ev.p.done { // a dead proc's stale wakeup: dispatch would drop it
 			evs = append(evs, ev)
@@ -259,6 +269,11 @@ func Restore(r io.Reader, build func(e *Engine)) (_ *Engine, err error) {
 	}
 	if err := ckpt.ExpectMagic(r, ckptTrailer); err != nil {
 		return nil, err
+	}
+	if rest, err := io.ReadAll(r); err != nil {
+		return nil, err
+	} else if len(rest) > 0 {
+		return nil, fmt.Errorf("sim: %d bytes after the image's trailer", len(rest))
 	}
 
 	e := NewEngine(0)

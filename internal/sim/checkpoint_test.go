@@ -225,7 +225,7 @@ func TestCheckpointRejectsPendingIdleStep(t *testing.T) {
 		p.Idle(func() (Time, bool) {
 			polls++
 			return 10, polls == 5
-		})
+		}, nil, nil)
 		p.Park()
 	})
 	e.RunUntil(25) // the wakeup at 30 went through the heap: a step is pending

@@ -30,7 +30,13 @@
 //   - the empty polls of a Proc.Idle loop run inline in the dispatch loop,
 //     like After callbacks, and resume the coroutine only when a poll finds
 //     work; each keeps the wakeup, sequence number and perturb-hook call of
-//     the Sleep it replaces, so a run is event-for-event the same, and
+//     the Sleep it replaces, so a run is event-for-event the same,
+//   - a Proc.Idle loop that can say ahead of time which of its steps
+//     must run gives the engine its quiet schedule, and the engine runs no
+//     event for the steps before that one while other procs' events run; the
+//     one it files takes exactly the place in (time, sequence) order the
+//     skipped steps would have given it, and counters derived from the
+//     skipped steps read as if they had run (quiet.go), and
 //   - a yielding proc dispatches inline and keeps running when its own event
 //     is next; only a switch to a different proc goes through the Run
 //     caller, as two coroutine switches rather than a pass through the Go
@@ -59,10 +65,14 @@ const Forever = Time(1) << 62
 type Engine struct {
 	now     Time
 	seq     uint64
-	head    *event    // earliest queued event, or nil (see queue.go)
-	headAt  Time      // head.at, or ^Time(0) when nothing is queued
-	filed   bool      // head is in the heap or the calendar, not held alone
-	pending int       // queued events
+	head    *event // earliest queued event, or nil (see queue.go)
+	headAt  Time   // head.at, or ^Time(0) when nothing is queued
+	filed   bool   // head is in the heap or the calendar, not held alone
+	pending int    // queued events
+	// chains are the live runs of skipped idle steps and chainAt the
+	// earliest act among them, or ^Time(0) when there are none (quiet.go).
+	chainAt Time
+	chains  []*chain
 	heap    eventHeap // queued events outside the calendar
 	cal     *calendar // allocated when the queue first grows deep
 	free    *event    // recycled events; makes steady-state scheduling zero-alloc
@@ -92,27 +102,46 @@ type Engine struct {
 	// registration order (see checkpoint.go). The engine's own metrics
 	// registry is always the first entry.
 	ckpts []ckptComponent
+
+	// Skipped idle steps, continued. plog logs the dispatch points while a
+	// chain is live, from cycle plogFrom on, and pord numbers them. starts and skips are the wakeups
+	// chains took without sequence numbers, not yet added to seq; skipped
+	// counts every skipped step. Events numbered lagLo..lagHi were
+	// scheduled while seq ran behind.
+	freeChains    []*chain
+	plog          []point
+	plogFrom      Time
+	pord          uint64
+	starts, skips uint64
+	skipped       uint64
+	lagLo, lagHi  uint64
 }
 
 // NewEngine returns an engine with its clock at zero and the given RNG seed.
 func NewEngine(seed uint64) *Engine {
 	e := &Engine{
-		headAt: ^Time(0),
-		procs:  make(map[*Proc]struct{}),
-		limit:  ^Time(0),
-		rng:    NewRNG(seed),
-		met:    metrics.NewRegistry(),
+		headAt:  ^Time(0),
+		chainAt: ^Time(0),
+		procs:   make(map[*Proc]struct{}),
+		limit:   ^Time(0),
+		rng:     NewRNG(seed),
+		met:     metrics.NewRegistry(),
 	}
 	// Dispatched is derived, not counted: sequence minus queue length. Every
 	// sequence number stands for one event that is either still queued or
 	// has been delivered — popped by the dispatch loop, or taken in place by
 	// a Sleep or an idle step whose wakeup was next (there is no
-	// cancellation path) — so the loop itself stays untouched.
-	e.met.CounterFunc("sim.events_dispatched", func() uint64 { return e.seq - uint64(e.pending) })
+	// cancellation path) — so the loop itself stays untouched. Skipped idle
+	// steps count as the wakeups they stand for, and each live chain's next
+	// step as queued.
+	e.met.CounterFunc("sim.events_dispatched", func() uint64 {
+		e.Settle()
+		return e.seq + e.starts + e.skips - uint64(e.pending) - uint64(len(e.chains))
+	})
 	// The queue's high-water mark (named for the heap it once was) is a
 	// level, not a monotone count: a shared Gauge handle bumped inline keeps
 	// the dispatch loop registry-free while letting samplers read it as a
-	// level series.
+	// level series. Each live chain's next step counts as queued.
 	e.heapMax = e.met.Gauge("sim.heap_max_depth")
 	e.met.CounterFunc("sim.proc_wakes", func() uint64 { return e.wakes })
 	e.met.CounterFunc("sim.procs_spawned", func() uint64 { return uint64(e.nextID) })
@@ -176,8 +205,17 @@ type PerturbFunc func(now Time, delay Time, seq uint64) (extra Time, pri uint64)
 // The hook is part of the run's identity: a given (seed, hook) pair is as
 // deterministic as a plain seeded run, which is what lets the exploration
 // harness replay and shrink failing schedules. With no hook installed the
-// scheduling path is unchanged.
-func (e *Engine) SetPerturb(fn PerturbFunc) { e.perturb = fn }
+// scheduling path is unchanged. A hook turns off skipped idle steps: every
+// live chain's next step runs as an event, and the counter catches up, so
+// the hook sees the reference schedule's sequence numbers.
+func (e *Engine) SetPerturb(fn PerturbFunc) {
+	if fn != nil && len(e.chains) > 0 {
+		e.NudgeAll() // no chain skips another step
+		e.Settle()
+		e.fold()
+	}
+	e.perturb = fn
+}
 
 // noteDepth raises the queue's high-water mark to n events if that is higher.
 func (e *Engine) noteDepth(n int) {
@@ -196,7 +234,7 @@ func (e *Engine) schedule(d Time, p *Proc, fn func()) {
 		ev.pri = pri
 	}
 	e.push(ev)
-	e.noteDepth(e.pending)
+	e.noteDepth(e.pending + len(e.chains))
 }
 
 // scheduleAt enqueues an engine callback at an absolute virtual time,
@@ -208,7 +246,7 @@ func (e *Engine) scheduleAt(at Time, fn func()) {
 	ev := e.newEvent()
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
 	e.push(ev)
-	e.noteDepth(e.pending)
+	e.noteDepth(e.pending + len(e.chains))
 }
 
 // After invokes fn at the current time plus d. fn runs in engine context and
@@ -275,6 +313,20 @@ func (e *Engine) nameStepPanic() {
 func (e *Engine) dispatch() *Proc {
 	e.running = nil
 	for !e.closing {
+		if e.chainAt <= e.headAt && e.chainAt != ^Time(0) {
+			if e.chainAt > e.limit {
+				return nil
+			}
+			if c := e.nextAct(); c != nil {
+				e.runAct(c) // the owner's wakeup, at its place in the order
+				p := c.p
+				if p.done || p.idle != nil && !p.killed && e.runIdle(p) {
+					continue
+				}
+				e.running = p
+				return p
+			}
+		}
 		if e.head == nil || e.headAt > e.limit {
 			return nil
 		}
@@ -283,6 +335,9 @@ func (e *Engine) dispatch() *Proc {
 			panic("sim: event scheduled in the past")
 		}
 		e.now = ev.at
+		if e.chainAt != ^Time(0) {
+			e.notePop(ev)
+		}
 		p, fn := ev.p, ev.fn
 		e.releaseEvent(ev)
 		if fn != nil {
@@ -325,9 +380,7 @@ func (e *Engine) RunUntil(t Time) {
 	e.limit = t
 	e.runLoop()
 	e.limit = ^Time(0)
-	if e.now < t {
-		e.now = t
-	}
+	e.boundary(t)
 }
 
 // Deadlocked returns the names of non-daemon procs that are alive but parked
@@ -393,9 +446,11 @@ func (e *Engine) Kill(p *Proc) {
 		return
 	}
 	p.killed = true
-	// Whether p is parked, sleeping, or running (self-kill), one immediate
-	// resume event unwinds it at its next yield; any other scheduled wakeup
-	// finds p.done and is discarded.
+	// Whether p is parked, sleeping, idling or running (self-kill), one
+	// immediate resume event unwinds it at its next yield; any other
+	// scheduled wakeup, a skipped idle step's included, finds p.done and is
+	// discarded.
+	p.Nudge()
 	p.waiting = false
 	p.token = false
 	e.schedule(0, p, nil)

@@ -26,7 +26,7 @@ func sleepLoop(p *Proc, step func() (Time, bool)) {
 	}
 }
 
-func idleLoop(p *Proc, step func() (Time, bool)) { p.Idle(step) }
+func idleLoop(p *Proc, step func() (Time, bool)) { p.Idle(step, nil, nil) }
 
 // idleOutcome is everything one run of a TestIdleMatchesSleepLoop row
 // exposes: its (time, who) log, the final clock and sequence number, the

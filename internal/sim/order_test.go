@@ -225,7 +225,7 @@ func orderMix(r *orderRef, rng *RNG) {
 						r.will(name, d)
 						woke = true
 						return d, false
-					})
+					}, nil, nil)
 				case 6:
 					if iters > 8 {
 						spawn(8)

@@ -166,15 +166,17 @@ func (pe *ParallelEngine) Send(src, dst int, delay Time, fn func()) {
 }
 
 // earliest returns the earliest pending event time across all partitions,
-// or ^Time(0) when every queue is empty.
+// or ^Time(0) when every queue is empty. A skipped idle step counts as the
+// event it stands for, so epochs fall as in the reference schedule.
 func (pe *ParallelEngine) earliest() Time {
-	min := ^Time(0)
+	t := ^Time(0)
 	for _, p := range pe.parts {
-		if p.headAt < min {
-			min = p.headAt
+		t = min(t, p.headAt)
+		if len(p.chains) > 0 {
+			t = min(t, p.nextStep())
 		}
 	}
-	return min
+	return t
 }
 
 // runEpoch executes every partition up to and including time last.
@@ -258,9 +260,7 @@ func (pe *ParallelEngine) Run() { pe.run(^Time(0)) }
 func (pe *ParallelEngine) RunUntil(t Time) {
 	pe.run(t)
 	for _, p := range pe.parts {
-		if p.now < t {
-			p.now = t
-		}
+		p.boundary(t)
 	}
 }
 

@@ -30,6 +30,13 @@ type Proc struct {
 	// idle is the step of the Idle loop the proc is in. While its wakeup
 	// is queued, dispatch runs the step instead of resuming the coroutine.
 	idle func() (Time, bool)
+	// quiet and settle are the Idle loop's schedule offer and catch-up
+	// (see Idle); chain is the live run of its skipped steps, or nil.
+	quiet  func(t1 Time) (sw *Sweep, first, act uint64)
+	settle func(n uint64)
+	chain  *chain
+	// waiter is the proc's place in a Resource's queue while it waits.
+	waiter resWaiter
 }
 
 // Engine returns the engine this proc belongs to.
@@ -67,6 +74,9 @@ func (p *Proc) yieldToEngine() {
 // would have taken and the queue depth it would have reached.
 func (p *Proc) Sleep(d Time) {
 	if p.e.sleepInPlace(d) {
+		if p.e.chainAt != ^Time(0) {
+			p.e.note(p.e.now, p.e.seq, nil)
+		}
 		return
 	}
 	p.e.schedule(d, p, nil)
@@ -76,14 +86,15 @@ func (p *Proc) Sleep(d Time) {
 // sleepInPlace is Sleep's in-place path: when a wakeup d cycles from now
 // would be the next event dispatched, it takes the wakeup's sequence number,
 // raises the queue's high-water mark to the depth the push would have reached,
-// advances the clock and reports true.
+// advances the clock and reports true. While chains are live the caller logs
+// the wakeup as a dispatch point; the test stays here, so that this inlines.
 func (e *Engine) sleepInPlace(d Time) bool {
 	at := e.now + d
-	if e.perturb != nil || e.closing || at > e.limit || e.headAt <= at {
+	if e.perturb != nil || e.closing || at > e.limit || e.headAt <= at || e.chainAt <= at {
 		return false
 	}
 	e.seq++
-	e.noteDepth(e.pending + 1)
+	e.noteDepth(e.pending + 1 + len(e.chains))
 	e.now = at
 	return true
 }
@@ -92,10 +103,11 @@ func (e *Engine) sleepInPlace(d Time) bool {
 // Sleeps totalling d cycles, at once, and returns how many it took. It takes
 // only the repeats whose every wakeup Sleep would take in place (no perturb
 // hook, no Close pending, each wakeup within the RunUntil limit and strictly
-// before every queued event), and never moves the clock past Forever. Since
-// no other event runs among those wakeups, each repeat sees what the one
-// before it saw, and the sleeps leave exactly what SkipSweeps does: their
-// sequence numbers, their queue depth and the clock.
+// before every queued event and every skipped idle step of another proc),
+// and never moves the clock past Forever. Since no other event runs among
+// those wakeups, each repeat sees what the one before it saw, and the
+// sleeps leave exactly what SkipSweeps does: their sequence numbers, their
+// queue depth and the clock.
 //
 // The caller must have checked that a sweep changes nothing but the clock
 // and its own counters, and makes the skipped sweeps' counters and trace
@@ -112,10 +124,22 @@ func (p *Proc) SkipSweeps(n, k uint64, d Time) uint64 {
 	if e.headAt <= e.now || end <= e.now || end-e.now < d {
 		return 0
 	}
+	if len(e.chains) > 0 {
+		next := e.nextStep()
+		if next <= end {
+			end = next - 1
+		}
+		if next <= e.now || end <= e.now || end-e.now < d {
+			return 0
+		}
+	}
 	n = min(n, uint64((end-e.now)/d))
 	e.seq += n * k
-	e.noteDepth(e.pending + 1)
+	e.noteDepth(e.pending + 1 + len(e.chains))
 	e.now += Time(n) * d
+	if len(e.chains) > 0 {
+		e.note(e.now, e.seq, nil) // the last wakeup taken
+	}
 	return n
 }
 
@@ -152,17 +176,34 @@ func SweepsBefore(now, t, off, d Time) uint64 {
 // side effects the loop body would make at that instant. A panic in step
 // surfaces naming p, as one in p's own code does. Like an After closure, a
 // pending step is Go state a checkpoint cannot capture.
-func (p *Proc) Idle(step func() (d Time, resume bool)) {
-	p.idle = step
+//
+// A loop that can say, after a step, what its next steps would do if
+// nothing they read changed passes that quiet schedule as quiet and settle
+// (both nil otherwise). When the engine asks (no perturb hook, not
+// closing), quiet(t1) returns the loop's Sweep, the sweep index of the next
+// step, which runs at t1, and act, the first step (1 = the next one) that
+// must run, because it would find work or end the loop; act < 2 declines.
+// The engine then runs no event for the steps before act (quiet.go). Once
+// steps 1..n have passed, it calls settle(n) before it runs a later step
+// and before counters are read: settle must leave the loop's state and
+// counters as those steps would have. The loop must call Nudge on its proc
+// whenever something a quiet step reads changes (the lines it polls, its
+// request queue, the flags that end it), at the instant it changes; the
+// first step after that instant then runs, like every step from act on.
+// The loop is still event-for-event the Sleep loop above, with the skipped
+// steps' wakeups counted as dispatched.
+func (p *Proc) Idle(step func() (d Time, resume bool), quiet func(t1 Time) (sw *Sweep, first, act uint64), settle func(n uint64)) {
+	p.idle, p.quiet, p.settle = step, quiet, settle
 	if p.e.runIdle(p) {
 		p.yieldToEngine() // dispatch resumes p once a step asks to resume
 	}
-	p.idle = nil
+	p.idle, p.quiet, p.settle = nil, nil, nil
 }
 
 // runIdle runs p's idle step, and the steps after it while their sleeps
-// wake in place. It reports whether a step's sleep went through the queue;
-// false means a step asked to resume p.
+// wake in place or the engine skips them. It reports whether a step's
+// sleep went through the queue or began a chain; false means a step asked
+// to resume p.
 func (e *Engine) runIdle(p *Proc) bool {
 	e.stepping = p // a panic in the step is p's (see procPanic)
 	for {
@@ -171,10 +212,17 @@ func (e *Engine) runIdle(p *Proc) bool {
 			e.stepping = nil
 			return false
 		}
+		if p.quiet != nil && e.perturb == nil && !e.closing && e.startChain(p, d) {
+			e.stepping = nil
+			return true
+		}
 		if !e.sleepInPlace(d) {
 			e.stepping = nil
 			e.schedule(d, p, nil)
 			return true
+		}
+		if e.chainAt != ^Time(0) {
+			e.note(e.now, e.seq, nil)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 
 	"multikernel/internal/core"
@@ -66,11 +67,32 @@ func TestRestoreErrorClosesEngine(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsTrailingBytes: an image is exactly the bytes up to its
+// trailer, so the AMD2x2 boot image with 16 bytes appended is an error that
+// names the extra length.
+func TestRestoreRejectsTrailingBytes(t *testing.T) {
+	m := topo.AMD2x2()
+	e := sim.NewEngine(1)
+	core.Boot(e, m)
+	e.Run()
+	var img bytes.Buffer
+	if err := e.Checkpoint(&img); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	b := append(img.Bytes(), "sixteen bytes!!\n"...)
+	_, err := sim.Restore(bytes.NewReader(b), func(e *sim.Engine) { core.Boot(e, m) })
+	if err == nil || !strings.Contains(err.Error(), "16 bytes after") {
+		t.Fatalf("Restore of an image with 16 trailing bytes returned %v", err)
+	}
+}
+
 // FuzzRestore feeds arbitrary bytes to sim.Restore with the builder mksim
 // -restore uses, core.Boot on the AMD2x2: a malformed image must come back
 // as an error, never as a panic or as an allocation sized by a corrupt
-// count, and an accepted one must re-checkpoint to the bytes it was read
-// from, so every component decoder of a boot image is reached. The seeds
+// count, and an accepted one must re-checkpoint to its whole input, so
+// every component decoder of a boot image is reached and no byte of an
+// accepted image goes unread. The seeds
 // are an AMD2x2 boot image and the two proc counts that once crashed
 // Restore (2^33 ran out of memory, 2^62 panicked).
 func FuzzRestore(f *testing.F) {
@@ -87,8 +109,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add(corruptCountImage(1 << 33))
 	f.Add(corruptCountImage(1 << 62))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		r := bytes.NewReader(b)
-		e, err := sim.Restore(r, func(e *sim.Engine) { core.Boot(e, m) })
+		e, err := sim.Restore(bytes.NewReader(b), func(e *sim.Engine) { core.Boot(e, m) })
 		if err != nil {
 			return
 		}
@@ -97,8 +118,8 @@ func FuzzRestore(f *testing.F) {
 		if err := e.Checkpoint(&again); err != nil {
 			t.Fatalf("checkpoint after restore: %v", err)
 		}
-		if read := b[:len(b)-r.Len()]; !bytes.Equal(again.Bytes(), read) {
-			t.Fatalf("restored %d image bytes; they re-checkpoint to %d other bytes", len(read), again.Len())
+		if !bytes.Equal(again.Bytes(), b) {
+			t.Fatalf("restored a %d-byte image; it re-checkpoints to %d other bytes", len(b), again.Len())
 		}
 	})
 }

@@ -214,21 +214,21 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 			e.Spawn("bystander", func(p *Proc) { p.Sleep(100) })
 		}},
 		{name: "step in its own proc", proc: "poller", at: "t=50", build: func(e *Engine) {
-			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p)) })
+			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p), nil, nil) })
 		}},
 		{name: "step inline in a yielding proc", proc: "poller", at: "t=50", build: func(e *Engine) {
-			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p)) })
+			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p), nil, nil) })
 			e.Spawn("other", func(p *Proc) {
 				p.Sleep(45)
 				p.Sleep(10) // dispatches the poller's t=50 step
 			})
 		}},
 		{name: "step inline in an exiting proc", proc: "poller", at: "t=50", build: func(e *Engine) {
-			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p)) })
+			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p), nil, nil) })
 			e.Spawn("other", func(p *Proc) { p.Sleep(45) })
 		}},
 		{name: "step inline in the Run caller", proc: "poller", at: "t=50", build: func(e *Engine) {
-			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p)) })
+			e.Spawn("poller", func(p *Proc) { p.Idle(pollUntil(p), nil, nil) })
 			e.RunUntil(45) // the t=50 step is queued when Run starts
 		}},
 	} {

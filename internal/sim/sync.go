@@ -35,7 +35,10 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	w := &resWaiter{p: p}
+	// A parked proc waits on one resource at a time, so its own waiter
+	// record serves: queueing allocates nothing.
+	w := &p.waiter
+	*w = resWaiter{p: p}
 	r.waiters = append(r.waiters, w)
 	// Fail-stop audit: if p is killed while queued, its Park unwinds through
 	// this frame. A corpse must not stay in the FIFO (Release would hand the

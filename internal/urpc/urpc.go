@@ -486,6 +486,36 @@ const (
 	checkMissed                   // done: the probe missed; Drain loads the word
 )
 
+// CheckGaps returns the sleeps of the two steps of a check that finds the
+// ring empty through a hit: the check charge, then the hit latency.
+func (c *Channel) CheckGaps() (check, probe sim.Time) {
+	return recvCheckCost, c.sys.Machine().Costs.L1Hit
+}
+
+// Watch is the quiet test of a check, for loops whose steps
+// sim.Proc.Idle may skip: hit reports whether the probe would hit (the
+// receiver holds the line of the next slot's sequence word) and ready
+// whether that word shows a message. On a hit the line is watched: a write
+// to it, or a drop of the receiver's copy, nudges p. It charges and counts
+// nothing.
+func (c *Channel) Watch(p *sim.Proc) (hit, ready bool) {
+	v, hit := c.sys.Watch(c.Receiver, c.seqWord(c.recvSeq), p)
+	return hit, v == c.recvSeq+1
+}
+
+// Probed reports whether ck's probe has hit and its read is next.
+func (ck *Check) Probed() bool { return ck.state == checkRead }
+
+// SetCheck puts ck where a quiet check of this ring begun at t0 stands:
+// before its probe, or, probed, after the probe hit and before the read.
+func (c *Channel) SetCheck(ck *Check, t0 sim.Time, probed bool) {
+	ck.t0, ck.word = t0, c.seqWord(c.recvSeq)
+	ck.state = checkProbe
+	if probed {
+		ck.state = checkRead
+	}
+}
+
 // CheckStep advances ck by one step on the receiver core. Until the check
 // is done it returns the sleep before the next step. The steps make exactly
 // the charges and side effects of the blocking check they replace: the

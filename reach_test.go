@@ -42,6 +42,7 @@ var reachAllow = map[string]string{
 	"multikernel/internal/stats.Figure.Get":                "expt tests and the root benchmarks read a figure's series",
 	"multikernel/internal/netstack.Stack.Dial":             "the TCP client that the apps tests drive the web server with",
 	"multikernel/internal/netstack.TCPConn.Recv":           "the TCP client that the apps tests drive the web server with",
+	"multikernel/internal/sim.Engine.SkippedSteps":         "host-side count of skipped idle steps; the expt test that keeps the monitor skip firing reads it",
 
 	// Positions of iota sequences whose neighbours are in use.
 	"multikernel/internal/netstack.TCPRst": "the RST bit between SYN and PSH in the TCP flags byte",
