@@ -71,6 +71,7 @@ var contracts = []contract{
 	{"./internal/urpc/", "URPCPipelined|URPCOneHop|BulkTransfer", ceiling},
 	{"./internal/sim/", "ParallelEnginePinned", equal},
 	{"./internal/expt/", "BootParallelPinned", equal},
+	{"./internal/expt/", "KVClusterPinned", equal},
 	{"./internal/expt/", "DirectoryPinned", ceiling},
 	{"./internal/expt/", "MonitorIdlePinned", ceiling},
 	{"./internal/obs/", "ObsPinned/(base|disabled)", equal},
