@@ -83,6 +83,14 @@ const (
 	ckSyncRow   = 250   // marshaling one anti-entropy row
 )
 
+// The server loop's pass (urpc.Pass): its bookkeeping charge, the gap
+// between idle passes and the idle passes before it parks.
+const (
+	ckLoopCost   = 100
+	ckIdleSleep  = 400
+	ckIdleToPark = 40
+)
+
 // Cluster deadlines in cycles, and the consistent-hash ring's vnodes per shard.
 const (
 	ckReplTimeout    = 60_000  // backup ack; past it the backup leaves the in-sync set
@@ -153,7 +161,8 @@ type KVCluster struct {
 
 	members  []topo.CoreID // servers + spares, ascending
 	byCore   map[topo.CoreID]*kvServer
-	spares   []topo.CoreID // cores currently holding no shard
+	plan     *urpc.PassPlan // the servers' loop passes
+	spares   []topo.CoreID  // cores currently holding no shard
 	downSeen map[topo.CoreID]bool
 
 	mPromotions, mDemotions *metrics.Counter
@@ -191,6 +200,7 @@ func NewKVCluster(e *sim.Engine, sys *cache.System, net *monitor.Network, cfg Cl
 		eng: e, sys: sys, cfg: cfg,
 		byCore:   make(map[topo.CoreID]*kvServer),
 		downSeen: make(map[topo.CoreID]bool),
+		plan:     &urpc.PassPlan{Loop: ckLoopCost, Sleep: ckIdleSleep, Park: ckIdleToPark},
 	}
 	reg := e.Metrics()
 	cl.mPromotions = reg.Counter("kv.cluster.promotions")
@@ -246,6 +256,17 @@ func NewKVCluster(e *sim.Engine, sys *cache.System, net *monitor.Network, cfg Cl
 			rcv := b
 			ch.OnRemoteDeliver = func() { cl.wakeServer(rcv) }
 		}
+	}
+	for _, c := range cl.members {
+		// The loop checks the mesh rings in member order first.
+		srv := cl.byCore[c]
+		for _, src := range cl.members {
+			if ch, ok := srv.in[src]; ok {
+				srv.srcs = append(srv.srcs, src)
+				srv.rings = append(srv.rings, ch)
+			}
+		}
+		srv.pass = cl.plan.NewPass(srv, srv.rings)
 	}
 	// Seed every shard copy identically (the linearizability checker's
 	// initial state): key k -> k*2654435761 + 1, as in NewKVStore.
@@ -346,6 +367,16 @@ func (cl *KVCluster) KillCore(c topo.CoreID) {
 	}
 }
 
+// nudgeServers tells the local servers' loops that the shard map changed:
+// what their service points do depends on it.
+func (cl *KVCluster) nudgeServers() {
+	for _, c := range cl.members {
+		if srv := cl.byCore[c]; srv.proc != nil {
+			srv.proc.Nudge()
+		}
+	}
+}
+
 // wakeServer notifies core c's shard server if its loop runs in this replica.
 // A nil proc means the core is remote under a parallel boot — there the
 // channel's delivery doorbell (OnRemoteDeliver) wakes the real server in its
@@ -366,6 +397,7 @@ func (cl *KVCluster) coreDown(p *sim.Proc, c topo.CoreID) {
 		return // not ours (an unrelated core died)
 	}
 	cl.downSeen[c] = true
+	cl.nudgeServers()
 	cl.spares = removeCore(cl.spares, c)
 	for s, st := range cl.shards {
 		if st.syncing && st.target == c {
@@ -411,6 +443,7 @@ func (cl *KVCluster) demote(p *sim.Proc, s int, b topo.CoreID) {
 		return
 	}
 	st.isr = removeCore(st.isr, b)
+	cl.nudgeServers()
 	cl.mDemotions.Inc()
 	cl.updateShardGauge(s)
 	if !cl.downSeen[b] && !containsCore(cl.spares, b) {
@@ -429,6 +462,7 @@ func (cl *KVCluster) maybeRecruit(p *sim.Proc, s int) {
 	if st.primary < 0 || st.syncing {
 		return
 	}
+	cl.nudgeServers()
 	if 1+len(st.isr) >= cl.cfg.Replicas {
 		st.syncing = false
 		return
@@ -453,6 +487,7 @@ func (cl *KVCluster) maybeRecruit(p *sim.Proc, s int) {
 // control.
 func (cl *KVCluster) syncDone(p *sim.Proc, s int, b topo.CoreID) {
 	st := cl.shards[s]
+	cl.nudgeServers()
 	st.isr = append(st.isr, b)
 	sort.Slice(st.isr, func(i, j int) bool { return st.isr[i] < st.isr[j] })
 	st.syncing = 1+len(st.isr) < cl.cfg.Replicas
@@ -472,6 +507,7 @@ func (cl *KVCluster) syncFailed(p *sim.Proc, s int, b topo.CoreID) {
 	if !st.syncing || st.target != b {
 		return
 	}
+	cl.nudgeServers()
 	st.target = -1
 	st.syncing = false // maybeRecruit re-raises it
 	cl.maybeRecruit(p, s)
@@ -523,17 +559,24 @@ type kvServer struct {
 
 	in, out map[topo.CoreID]*urpc.Channel // member mesh
 
+	// The loop's rings: the mesh rings from srcs, in member order, then
+	// the client request rings in connect order. pass checks them; a
+	// Connect that lands after a pass's mesh rings reaches it at the next
+	// pass start.
+	pass  *urpc.Pass
+	srcs  []topo.CoreID
+	rings []*urpc.Channel
+
 	clients     []topo.CoreID // connected client cores, connect order
-	clientReq   map[topo.CoreID]*urpc.Channel
 	clientRsp   map[topo.CoreID]*urpc.Channel
 	clientProcs map[topo.CoreID]*sim.Proc
 
 	data  map[int]map[uint64]uint64 // shard -> committed rows
 	dedup map[int]map[uint64]uint64 // shard -> reqID -> response flags
 
-	pending  map[int][]*pendingWrite // shard -> admitted writes, FIFO
-	syncs    map[int]*pendingSync    // shard -> in-flight transfer
-	syncRecv map[int]*syncBuffer     // shard -> transfer being received
+	pending  [][]*pendingWrite    // shard -> admitted writes, FIFO
+	syncs    map[int]*pendingSync // shard -> in-flight transfer
+	syncRecv map[int]*syncBuffer  // shard -> transfer being received
 
 	gPending *metrics.Gauge // admitted writes queued, all shards
 
@@ -553,12 +596,11 @@ func newKVServer(cl *KVCluster, core topo.CoreID) *kvServer {
 		cl: cl, core: core,
 		in:          make(map[topo.CoreID]*urpc.Channel),
 		out:         make(map[topo.CoreID]*urpc.Channel),
-		clientReq:   make(map[topo.CoreID]*urpc.Channel),
 		clientRsp:   make(map[topo.CoreID]*urpc.Channel),
 		clientProcs: make(map[topo.CoreID]*sim.Proc),
 		data:        make(map[int]map[uint64]uint64),
 		dedup:       make(map[int]map[uint64]uint64),
-		pending:     make(map[int][]*pendingWrite),
+		pending:     make([][]*pendingWrite, cl.cfg.Shards),
 		syncs:       make(map[int]*pendingSync),
 		syncRecv:    make(map[int]*syncBuffer),
 		gPending:    cl.eng.Metrics().Gauge(fmt.Sprintf("kv.server.%d.pending", core)),
@@ -570,9 +612,64 @@ func newKVServer(cl *KVCluster, core topo.CoreID) *kvServer {
 	return srv
 }
 
-// busy reports whether the server holds protocol state that forbids parking:
-// its deadlines are its failure detector.
-func (srv *kvServer) busy() bool {
+// run is the server loop: check the mesh rings, then the client rings,
+// drive pending writes and transfers, and park after a sustained idle
+// period. The polling runs as steps (urpc.Pass); the proc does only what
+// can block.
+func (srv *kvServer) run(p *sim.Proc) {
+	p.SetDaemon(true)
+	var buf [16]urpc.Message
+	s := srv.pass
+	for {
+		switch s.Next(p) {
+		case urpc.PassRing:
+			// Mesh traffic first: replication acks and anti-entropy answers
+			// unblock pending client writes, and draining every ready repl
+			// message before any snapshot is taken is what keeps a promoted
+			// backup's transfer a superset of everything the dead primary
+			// published.
+			n := s.Drain(p, buf[:])
+			for i := 0; i < n; i++ {
+				if s.Ring < len(srv.srcs) {
+					srv.handleMesh(p, srv.srcs[s.Ring], buf[i])
+				} else {
+					srv.handleClient(p, srv.clients[s.Ring-len(srv.srcs)], buf[i])
+				}
+			}
+			s.Ring++
+		case urpc.PassService:
+			// Drive pending writes (send repl, collect acks, commit, demote
+			// laggards) and anti-entropy transfers.
+			if srv.serviceWrites(p) {
+				s.Progress = true
+			}
+			if srv.serviceSyncs(p) {
+				s.Progress = true
+			}
+			s.At = urpc.PassLoop
+		case urpc.PassPark:
+			p.Park()
+			s.Idle = 0
+			s.At = urpc.PassStart
+		}
+	}
+}
+
+// Begin takes the client rings connected since the last pass start; the
+// server has no work before its rings.
+func (srv *kvServer) Begin() bool {
+	if srv.pass.Rings() != len(srv.rings) {
+		srv.pass.SetRings(srv.rings)
+	}
+	return false
+}
+
+// Service reports whether serviceWrites or serviceSyncs would act now.
+func (srv *kvServer) Service() bool { return srv.serviceAt() <= srv.cl.eng.Now() }
+
+// Busy reports whether the server holds protocol state that forbids
+// parking: its deadlines are its failure detector.
+func (srv *kvServer) Busy() bool {
 	for _, q := range srv.pending {
 		if len(q) > 0 {
 			return true
@@ -581,62 +678,43 @@ func (srv *kvServer) busy() bool {
 	return len(srv.syncs) > 0
 }
 
-func (srv *kvServer) run(p *sim.Proc) {
-	p.SetDaemon(true)
-	cl := srv.cl
-	idle := 0
-	var buf [16]urpc.Message
-	for {
-		progress := false
-		// 1) Mesh traffic first: replication acks and anti-entropy answers
-		// unblock pending client writes, and draining every ready repl
-		// message before any snapshot is taken is what keeps a promoted
-		// backup's transfer a superset of everything the dead primary
-		// published.
-		for _, src := range cl.members {
-			ch, ok := srv.in[src]
-			if !ok {
-				continue
-			}
-			n := ch.Recv(p, buf[:], urpc.Poll)
-			for i := 0; i < n; i++ {
-				srv.handleMesh(p, src, buf[i])
-			}
-			if n > 0 {
-				progress = true
-			}
-		}
-		// 2) Client requests.
-		for _, c := range srv.clients {
-			n := srv.clientReq[c].Recv(p, buf[:], urpc.Poll)
-			for i := 0; i < n; i++ {
-				srv.handleClient(p, c, buf[i])
-			}
-			if n > 0 {
-				progress = true
-			}
-		}
-		// 3) Drive pending writes (send repl, collect acks, commit, demote
-		// laggards) and anti-entropy transfers.
-		if srv.serviceWrites(p) {
-			progress = true
-		}
-		if srv.serviceSyncs(p) {
-			progress = true
-		}
-		p.Sleep(100)
-		if progress {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle < 40 || srv.busy() {
-			p.Sleep(400)
-			continue
-		}
-		p.Park()
-		idle = 0
+// Quiet lets the engine skip idle passes unless touch tracking is on or a
+// client ring waits for the next pass start. The service points read the
+// server's own queues, which only its proc changes, the clock, and the
+// shard map, whose every mutation nudges the local servers.
+func (srv *kvServer) Quiet() (bool, sim.Time) {
+	if srv.cl.sys.Tracking() || srv.pass.Rings() != len(srv.rings) {
+		return false, 0
 	}
+	return true, srv.serviceAt()
+}
+
+// serviceAt returns the earliest time at which serviceWrites or
+// serviceSyncs would act if neither the queues nor the shard map change:
+// at once for a head write unsent, fully acked or on a shard this core no
+// longer leads, and for a transfer ready to start; otherwise the first
+// deadline of a head write or a transfer; sim.Forever if none.
+func (srv *kvServer) serviceAt() sim.Time {
+	t := sim.Forever
+	for s, st := range srv.cl.shards {
+		lead := st.primary == srv.core
+		q := srv.pending[s]
+		if len(q) > 0 {
+			if w := q[0]; !lead || !w.sent || len(w.waiting) == 0 {
+				return 0
+			}
+			t = min(t, q[0].deadline)
+		}
+		if !lead {
+			continue
+		}
+		if ps, ok := srv.syncs[s]; ok {
+			t = min(t, ps.deadline)
+		} else if st.syncing && st.target >= 0 && len(q) == 0 {
+			return 0
+		}
+	}
+	return t
 }
 
 // primaryOf reports whether this core currently leads shard s (charging the
@@ -986,8 +1064,8 @@ func (cl *KVCluster) Connect(core topo.CoreID) *ClusterClient {
 		c.rsp[m] = urpc.New(sys, m, core, urpc.Options{Slots: 8, Home: int(sys.Machine().Socket(core))})
 		srv := cl.byCore[m]
 		srv.clients = append(srv.clients, core)
-		srv.clientReq[core] = c.req[m]
 		srv.clientRsp[core] = c.rsp[m]
+		srv.connect(c.req[m])
 		// Parallel boot: a request arriving from a cross-partition client is
 		// the server's interrupt.
 		dst := m
@@ -996,6 +1074,21 @@ func (cl *KVCluster) Connect(core topo.CoreID) *ClusterClient {
 	}
 	// Register the client proc lazily: the first request records it.
 	return c
+}
+
+// connect adds a client's request ring to the server's loop. The loop
+// checks the client rings in connect order from the list it holds as its
+// mesh rings end, so a pass already past them checks the new ring from the
+// next pass on.
+func (srv *kvServer) connect(r *urpc.Channel) {
+	srv.rings = append(srv.rings, r)
+	if srv.proc != nil {
+		srv.cl.eng.Settle() // the pass stands where the steps before now left it
+		srv.proc.Nudge()
+	}
+	if s := srv.pass; s.At == urpc.PassStart || s.At == urpc.PassRing && s.Ring < len(srv.srcs) {
+		s.SetRings(srv.rings)
+	}
 }
 
 // call runs one request to completion across retries. Returns the response

@@ -64,7 +64,11 @@ type line struct {
 	// storer is the core whose asynchronous store miss holds res, if one
 	// does: at most one is pending, completed by host.storeDone.
 	storer int16
-	res    *sim.Resource
+	// fwd is 1 + the index of the shared region this replica forwards the
+	// line's stores through (partition.go), or 0. It fills the padding
+	// before res, so an entry keeps its size.
+	fwd int32
+	res *sim.Resource
 	// host is host state only some lines need, apart so that an entry
 	// keeps its size.
 	host *lineHost
@@ -443,6 +447,7 @@ func (s *System) lineFor(a memory.Addr) *line {
 		l := s.lines[id]
 		if l == nil {
 			l = &line{owner: -1, res: sim.NewResource(s.eng, 1)}
+			s.markForward(id, l)
 			s.lines[id] = l
 		}
 		e.id, e.l = id, l
@@ -766,7 +771,7 @@ func (s *System) store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) *lin
 		s.markDirty(c, a, l)
 		p.Sleep(s.mach.Costs.Store)
 		s.mem.StoreWord(a, v)
-		s.maybeForward(a)
+		s.maybeForward(l, a)
 		return l
 	}
 	if s.inflight[c] < maxInflightStores && l.res.TryAcquire() {
@@ -790,7 +795,7 @@ func (s *System) store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) *lin
 		l.storer = int16(c)
 		s.eng.After(lat, h.storeDone)
 		p.Sleep(s.mach.Costs.StoreIssue)
-		s.maybeForward(a)
+		s.maybeForward(l, a)
 		return l
 	}
 	// Contended: queue behind in-flight transfers. Having waited in the
@@ -816,7 +821,7 @@ func (s *System) store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) *lin
 		p.Sleep(lat)
 	}()
 	s.mem.StoreWord(a, v)
-	s.maybeForward(a)
+	s.maybeForward(l, a)
 	return l
 }
 
@@ -863,7 +868,7 @@ func (s *System) RMW(p *sim.Proc, c topo.CoreID, a memory.Addr, fn func(uint64) 
 		v = fn(s.mem.LoadWord(a))
 		s.mem.StoreWord(a, v)
 	}()
-	s.maybeForward(a)
+	s.maybeForward(l, a)
 	return v
 }
 
@@ -872,14 +877,15 @@ func (s *System) RMW(p *sim.Proc, c topo.CoreID, a memory.Addr, fn func(uint64) 
 // into the line" fast path (§4.6).
 func (s *System) StoreLine(p *sim.Proc, c topo.CoreID, a memory.Addr, vals [memory.WordsPerLine]uint64) {
 	base := a.Line().Base()
-	if s.part != nil {
+	if pt := s.part; pt != nil {
 		// Forward once, after the full line is written, not per word — the
 		// word-0 store's hook is suppressed so the reader's replica never
 		// sees a half-written line image.
-		s.part.suppress = true
+		l := s.lineFor(base)
+		pt.suppress = true
 		defer func() {
-			s.part.suppress = false
-			s.maybeForward(base)
+			pt.suppress = false
+			s.maybeForward(l, base)
 		}()
 	}
 	l := s.store(p, c, base, vals[0])

@@ -139,13 +139,15 @@ func (s *System) RestoreState(r io.Reader) error {
 		if flags&^(clDirty|clXferStore) != 0 {
 			return fmt.Errorf("cache: image line %#x has unknown flag bits %#x", id, flags)
 		}
-		lines[memory.LineID(id)] = &line{
+		l := &line{
 			holders:   holders,
 			owner:     topo.CoreID(int64(owner)),
 			dirty:     flags&clDirty != 0,
 			xferStore: flags&clXferStore != 0,
 			res:       sim.NewResource(s.eng, 1),
 		}
+		s.markForward(memory.LineID(id), l)
+		lines[memory.LineID(id)] = l
 	}
 	dirFree, err := ckpt.ReadU64Slice(r)
 	if err != nil {

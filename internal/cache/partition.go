@@ -28,6 +28,7 @@ import (
 	"fmt"
 
 	"multikernel/internal/memory"
+	"multikernel/internal/sim"
 	"multikernel/internal/topo"
 )
 
@@ -51,9 +52,9 @@ type sharedRegion struct {
 type partState struct {
 	pm   *topo.PartitionMap
 	self int
-	// send enqueues fn on dst's engine one lookahead ahead, through the
-	// ParallelEngine outbox (core.BootParallel binds it to pe.Send).
-	send  func(dst int, fn func())
+	// pe carries forwarded lines and byte ranges to their reader's
+	// replica, one lookahead ahead, through its cross-partition outbox.
+	pe    *sim.ParallelEngine
 	peers []*System // all replicas, indexed by partition; peers[self] == owner
 
 	// regions in registration order. Construction order is identical in
@@ -61,7 +62,9 @@ type partState struct {
 	// that is what lets a forwarding closure address the destination
 	// replica's region table.
 	regions []*sharedRegion
-	// fwd maps lines this replica forwards on store (writer is local).
+	// fwd maps lines this replica forwards on store (writer is local) to
+	// their region. A line's entry carries the same index (line.fwd), so
+	// a store reads it from the line it holds.
 	fwd map[memory.LineID]int
 	// suppress disables store forwarding while StoreLine writes words 1..7
 	// (the whole line forwards once, after the last word).
@@ -69,17 +72,16 @@ type partState struct {
 }
 
 // SetPartition marks this system as partition self's replica of a
-// parallel-booted machine. Must be called before any cache activity; send
-// must deliver with at least the engine's lookahead delay (BootParallel binds
-// pe.Send). Registering is what arms LocalCore and ShareRegion.
-func (s *System) SetPartition(pm *topo.PartitionMap, self int, send func(dst int, fn func())) {
+// parallel-booted machine on pe. Must be called before any cache activity.
+// Registering is what arms LocalCore and ShareRegion.
+func (s *System) SetPartition(pm *topo.PartitionMap, self int, pe *sim.ParallelEngine) {
 	if s.part != nil {
 		panic("cache: SetPartition called twice")
 	}
 	s.part = &partState{
 		pm:   pm,
 		self: self,
-		send: send,
+		pe:   pe,
 		fwd:  make(map[memory.LineID]int),
 	}
 }
@@ -131,31 +133,42 @@ func (s *System) ShareRegion(reg memory.Region, writer, reader topo.CoreID, onDe
 				panic(fmt.Sprintf("cache: line %#x shared by regions %d and %d (single-writer regions must not overlap)", id, old, idx))
 			}
 			pt.fwd[id] = idx
+			if l := s.lines[id]; l != nil {
+				s.markForward(id, l)
+			}
 		}
 	}
 }
 
-// maybeForward ships the line containing a to its reader partition if this
-// replica writes a registered shared region through it. Runs after the store
-// has landed in local memory, so the forwarded payload is the full
-// post-store line image.
-func (s *System) maybeForward(a memory.Addr) {
-	pt := s.part
-	if pt == nil || pt.suppress {
+// markForward marks l, the entry of line id, with the region this replica
+// forwards its stores through, if any.
+func (s *System) markForward(id memory.LineID, l *line) {
+	if pt := s.part; pt != nil {
+		if idx, ok := pt.fwd[id]; ok {
+			l.fwd = int32(idx) + 1
+		}
+	}
+}
+
+// maybeForward ships l, the line containing a, to its reader partition if
+// this replica writes a registered shared region through it. Runs after the
+// store has landed in local memory, so the forwarded payload is the full
+// post-store line image. The line travels as a letter, so a store
+// allocates nothing.
+func (s *System) maybeForward(l *line, a memory.Addr) {
+	if l.fwd == 0 || s.part.suppress {
 		return
 	}
-	idx, ok := pt.fwd[a.Line()]
-	if !ok {
-		return
-	}
-	r := pt.regions[idx]
-	base := a.Line().Base()
-	vals := s.mem.LoadLine(base)
-	peer := pt.peers[r.rpart]
-	pt.send(r.rpart, func() {
-		peer.remoteStore(idx, base, vals)
+	pt, idx := s.part, int(l.fwd-1)
+	r, base := pt.regions[idx], a.Line().Base()
+	pt.pe.Post(pt.self, r.rpart, pt.pe.Lookahead(), &sim.Letter{
+		To: pt.peers[r.rpart], A: uint64(idx), B: uint64(base), Data: s.mem.LoadLine(base),
 	})
 }
+
+// Receive lands a line that the writer's replica forwarded (maybeForward):
+// l.A is its region's index, l.B its base address.
+func (s *System) Receive(l *sim.Letter) { s.remoteStore(int(l.A), memory.Addr(l.B), l.Data) }
 
 // MirrorBytes forwards a raw byte range of a shared region this replica
 // writes — the path for bulk-pool payloads written through
@@ -173,7 +186,7 @@ func (s *System) MirrorBytes(a memory.Addr, b []byte) {
 	r := pt.regions[idx]
 	payload := append([]byte(nil), b...)
 	peer := pt.peers[r.rpart]
-	pt.send(r.rpart, func() {
+	pt.pe.Send(pt.self, r.rpart, pt.pe.Lookahead(), func() {
 		peer.remoteBytes(idx, a, payload)
 	})
 }

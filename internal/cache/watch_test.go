@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"multikernel/internal/memory"
@@ -74,7 +75,8 @@ func (l *linePoller) settle(k uint64) {
 // TestWatchedLineWritesNudge runs a line poller on core 0 against each
 // path that can change a watched line: an asynchronous store miss, a store
 // queued behind another core's transfer, an RMW, a full-line store whose
-// later words land after its first, and a DMA write. With no perturb hook
+// later words land after its first, the same store queued behind another
+// core's transfer, and a DMA write. With no perturb hook
 // the poller's quiet steps are skipped, with a zero hook each is an event;
 // the two runs must agree on when the poller noticed each write, on the
 // clock and on every counter. A path that does not nudge the poller lets
@@ -93,6 +95,14 @@ func TestWatchedLineWritesNudge(t *testing.T) {
 		"line store": func(r *rig, p *sim.Proc, a memory.Addr, v uint64) {
 			r.sys.StoreLine(p, 2, a, [memory.WordsPerLine]uint64{0, v})
 		},
+		"contended line store": func(r *rig, p *sim.Proc, a memory.Addr, v uint64) {
+			// The first word's store queues behind the rival's transfer and
+			// releases the line before the later words land, Store*7 cycles
+			// on; the poller's prefetches take the line back in between.
+			r.e.Spawn("rival", func(q *sim.Proc) { r.sys.Store(q, 3, a+16, 7) })
+			p.Sleep(1)
+			r.sys.StoreLine(p, 2, a, [memory.WordsPerLine]uint64{0, v})
+		},
 		"dma": func(r *rig, p *sim.Proc, a memory.Addr, v uint64) {
 			var b [8]byte
 			b[0] = byte(v)
@@ -107,14 +117,27 @@ func TestWatchedLineWritesNudge(t *testing.T) {
 				r.e.SetPerturb(hook)
 				line := r.mem.AllocLines(1, 0).Base
 				a := line
-				if name == "line store" {
+				if strings.HasSuffix(name, "line store") {
 					a = line + 8 // a word the line store writes after its first
+				}
+				refill := func(p *sim.Proc) uint64 { return r.sys.Load(p, 0, a) }
+				if name == "contended line store" {
+					// Refill by prefetches, which take the line as soon as a
+					// transfer releases it, not a fill's latency later.
+					refill = func(p *sim.Proc) uint64 {
+						for {
+							r.sys.Prefetch(p, 0, a)
+							if v, _, held := r.sys.HeldWord(0, a); held {
+								return v
+							}
+						}
+					}
 				}
 				var log []string
 				l := &linePoller{s: r.sys, a: a, sw: sim.NewSweep([]sim.Time{r.m.Costs.L1Hit, linePollGap})}
 				l.p = r.e.Spawn("poller", func(p *sim.Proc) {
 					for round := 0; round < 6; round++ {
-						l.want = r.sys.Load(p, 0, a)
+						l.want = refill(p)
 						l.pos, l.sweeps = 0, 0
 						p.Idle(l.step, l.quiet, l.settle)
 						log = append(log, fmt.Sprintf("t=%d noticed pos=%d sweeps=%d", p.Now(), l.pos, l.sweeps))

@@ -62,15 +62,12 @@ func BootParallel(pe *sim.ParallelEngine, m *topo.Machine, opts Options) *Parall
 		panic(fmt.Sprintf("core: engine lookahead %d exceeds %s's cross-partition minimum %d", pe.Lookahead(), m.Name, max))
 	}
 	ps := &ParallelSystem{PE: pe, PM: pm, Mach: m}
-	la := pe.Lookahead()
 	for i := 0; i < pe.NParts(); i++ {
 		// Each replica runs the full BootWith sequence on its partition's
 		// engine, its cache system partition-marked before any channel or
 		// proc exists.
 		ps.Parts = append(ps.Parts, bootWith(pe.Part(i), m, opts, func(s *System) {
-			s.Cache.SetPartition(pm, i, func(dst int, fn func()) {
-				pe.Send(i, dst, la, fn)
-			})
+			s.Cache.SetPartition(pm, i, pe)
 		}))
 	}
 	ps.link()

@@ -87,3 +87,28 @@ func TestParallelBootSkipMatchesStepped(t *testing.T) {
 		})
 	}
 }
+
+// TestKVServerStepsAreSkipped fails if the engine stops skipping the kv
+// shard servers' quiet idle passes: on BenchmarkKVClusterPinned's scenario
+// (the kvcluster boot workload at scale 24, one worker), which dispatches
+// 99,342 events, most of them the servers' empty polls, at least 90% of
+// them must be skipped steps rather than events (94.5% are).
+func TestKVServerStepsAreSkipped(t *testing.T) {
+	m := topo.AMD8x4()
+	pm := topo.PerSocket(m)
+	pe := sim.NewParallelEngine(pm.NParts(), interconnect.Lookahead(m, pm), bootSeed, 1)
+	defer pe.Close()
+	bootKVCluster(core.BootParallel(pe, m, core.Options{}), 24)
+	pe.Run()
+	var skipped uint64
+	for i := 0; i < pe.NParts(); i++ {
+		skipped += pe.Part(i).SkippedSteps()
+	}
+	events := pe.MetricsSnapshot().Counters["sim.events_dispatched"]
+	if events != 99_342 {
+		t.Fatalf("sim.events_dispatched = %d, want the pinned 99,342", events)
+	}
+	if skipped*10 < events*9 {
+		t.Fatalf("%d of %d dispatched events were skipped steps; want at least 90%%", skipped, events)
+	}
+}

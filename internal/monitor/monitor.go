@@ -166,19 +166,15 @@ type Monitor struct {
 
 	in    map[topo.CoreID]*urpc.Channel
 	out   map[topo.CoreID]*urpc.Channel
-	peers []topo.CoreID   // deterministic poll order
-	rings []*urpc.Channel // in[peers[i]], in poll order
+	peers []topo.CoreID // deterministic poll order: pass checks in[peers[i]]
 
-	local    *sim.Queue[*localReq]
-	proc     *sim.Proc
-	pass     pass       // the dispatch loop's position in its current pass
-	sweep    *sim.Sweep // the quiet schedule of one idle pass (see quiet)
-	skip     skipRun    // the stretch of steps the engine is skipping
-	parked   bool
-	notified bool   // a wake found the loop running; cleared every pass
-	down     bool   // core powered off (§3.3 hotplug)
-	view     []bool // replicated membership: which cores this monitor believes online
-	seq      uint64
+	local  *sim.Queue[*localReq]
+	proc   *sim.Proc
+	pass   *urpc.Pass // the dispatch loop's polls of rings (see run)
+	parked bool
+	down   bool   // core powered off (§3.3 hotplug)
+	view   []bool // replicated membership: which cores this monitor believes online
+	seq    uint64
 
 	ops   map[uint64]*opState
 	fwd   map[uint64]*fwdState
@@ -257,22 +253,20 @@ func NewNetwork(e *sim.Engine, sys *cache.System, kern *kernel.System, kb *skb.K
 			}
 		}
 	}
-	sweeps := make(map[int]*sim.Sweep)
+	plan := &urpc.PassPlan{Loop: loopCost, Sleep: idleSleep, Park: idleToBlock}
 	for _, mon := range n.monitors {
 		// Build the poll order by walking core ids in ascending order, never
 		// by ranging over the channel map: the poll order feeds the event
 		// queue every dispatch pass, so it must be visibly deterministic
 		// rather than map-iteration order laundered through a sort.
+		var rings []*urpc.Channel
 		for c := 0; c < m.NumCores(); c++ {
 			if ch, ok := mon.in[topo.CoreID(c)]; ok {
 				mon.peers = append(mon.peers, topo.CoreID(c))
-				mon.rings = append(mon.rings, ch)
+				rings = append(rings, ch)
 			}
 		}
-		if mon.sweep = sweeps[len(mon.rings)]; mon.sweep == nil {
-			mon.sweep = passSweep(mon.rings)
-			sweeps[len(mon.rings)] = mon.sweep
-		}
+		mon.pass = plan.NewPass(mon, rings)
 		if !sys.LocalCore(mon.Core) {
 			// Parallel boot: a remote core's monitor exists as structure (its
 			// channels are the local ends of the mesh) but never runs here —
@@ -316,7 +310,7 @@ func (n *Network) wake(p *sim.Proc, target topo.CoreID) {
 // notify flags a running monitor so that it takes one more pass before it
 // may park; a pass whose steps are being skipped runs its next step.
 func (m *Monitor) notify() {
-	m.notified = true
+	m.pass.Notified = true
 	if m.proc != nil {
 		m.proc.Nudge()
 	}
@@ -369,206 +363,34 @@ func (m *Monitor) sendMany(p *sim.Proc, plan []sendPlan, kind MsgKind, op Op, au
 	}
 }
 
-// pass is the dispatch loop's state between the steps of a pass. A pass
-// checks the local request queue, then every incoming ring in peer order,
-// runs the failure detector when fault tolerance is armed, and charges
-// loopCost; an idle pass then sleeps idleSleep, or parks once the monitor
-// has been idle long enough. The steps run as sim.Proc.Idle steps, so an
-// empty pass never resumes the monitor's coroutine; at names the point
-// where the proc is needed, or where the next step continues.
-type pass struct {
-	at       passPoint
-	idle     int  // consecutive passes that did no work
-	progress bool // this pass did work
-	peer     int  // index in peers of the ring being checked
-	check    urpc.Check
+// The dispatch loop's passes (urpc.Pass) begin with the local request
+// queue, run the failure detector after the rings when fault tolerance is
+// armed, and keep polling while it watches outstanding protocol state.
+
+// Begin reports whether a local request waits to be started.
+func (m *Monitor) Begin() bool { return m.local.Len() > 0 }
+
+// Service reports whether the failure detector runs after the rings.
+func (m *Monitor) Service() bool { return m.net.OpTimeout > 0 }
+
+// Busy reports whether an idle monitor must keep polling: with fault
+// tolerance armed, a monitor with outstanding protocol state must, since
+// its deadlines are its failure detector, and a blocked monitor would only
+// wake on a message that a dead peer will never send.
+func (m *Monitor) Busy() bool {
+	return m.net.OpTimeout > 0 && len(m.ops)+len(m.fwd) > 0
 }
 
-type passPoint uint8
-
-const (
-	passStart     passPoint = iota // the next step begins a pass
-	passOp                         // proc: start the request at the queue's head
-	passRing                       // checking peers[peer]; proc: drain it
-	passDeadlines                  // proc: run the failure detector
-	passLoop                       // the next step charges loopCost
-	passEnd                        // the next step ends the pass
-	passPark                       // proc: park until notified
-)
-
-// step runs the current pass up to its next sleep, or to a point that needs
-// the proc. Its side effects are the loop's own at the same instants: the
-// notified flag cleared at pass start, and each ring check's charges.
-func (m *Monitor) step() (sim.Time, bool) {
-	s := &m.pass
-	for {
-		switch s.at {
-		case passStart:
-			s.progress = false
-			m.notified = false
-			if m.local.Len() > 0 {
-				s.at = passOp
-				return 0, true
-			}
-			s.at, s.peer = passRing, 0
-		case passRing:
-			if s.peer == len(m.peers) {
-				s.at = passDeadlines
-				continue
-			}
-			d, done, work := m.rings[s.peer].CheckStep(&s.check)
-			if !done {
-				return d, false
-			}
-			if work {
-				return 0, true
-			}
-			s.peer++
-		case passDeadlines:
-			if m.net.OpTimeout > 0 {
-				return 0, true
-			}
-			s.at = passLoop
-		case passLoop:
-			s.at = passEnd
-			return loopCost, false
-		case passEnd:
-			s.at = passStart
-			if s.progress {
-				s.idle = 0
-				continue
-			}
-			s.idle++
-			// With fault tolerance armed, a monitor with outstanding
-			// protocol state must keep polling: its deadlines are its
-			// failure detector, and a blocked monitor would only wake on a
-			// message that a dead peer will never send.
-			if s.idle < idleToBlock || (m.net.OpTimeout > 0 && len(m.ops)+len(m.fwd) > 0) {
-				return idleSleep, false
-			}
-			if m.notified {
-				// A wake arrived during this pass, possibly for a ring the
-				// pass had already polled: poll again instead of parking
-				// past it.
-				continue
-			}
-			s.at = passPark
-			return 0, true
-		}
-	}
-}
-
-// An idle pass's steps follow one fixed schedule while nothing arrives: a
-// sweep of 2n+2 steps for n rings. Step 2i+1 probes ring i's sequence word
-// and step 2i+2 reads it and starts the next ring's check (the last one
-// charges loopCost instead); step 2n+1 ends the pass and step 0 starts the
-// next one and ring 0's check. quiet hands the engine that schedule
-// (sim.Proc.Idle); settle rebuilds the pass from the number of steps
-// skipped.
-
-// passSweep returns the sweep of an idle pass over rings.
-func passSweep(rings []*urpc.Channel) *sim.Sweep {
-	gaps := make([]sim.Time, 0, 2*len(rings)+2)
-	for _, r := range rings {
-		check, probe := r.CheckGaps()
-		gaps = append(gaps, check, probe)
-	}
-	return sim.NewSweep(append(gaps, loopCost, idleSleep))
-}
-
-// skipRun is what settle needs of a skipped stretch: the sweep index and
-// time of its first step, and how many steps it has been settled through.
-type skipRun struct {
-	first uint64
-	t1    sim.Time
-	done  uint64
-}
-
-// quiet is the pass's quiet schedule from the step at t1 on: where that
-// step stands in the sweep, and the first step that must run (act). It is
-// the first step that finds a message, meets a probe that would miss, or
-// parks; with a wake flag or work pending from this pass, the pass's end.
-// Every ring line the steps before act read is watched, so a write to one
-// nudges the proc, as do requests, wakes and kills. It declines (act 0)
-// with fault tolerance armed, a request queued, touch tracking on, or a
-// wake flag that the next step, a pass start, would clear.
-func (m *Monitor) quiet(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
-	s := &m.pass
-	if m.net.OpTimeout > 0 || m.local.Len() > 0 || m.net.Sys.Tracking() {
-		return nil, 0, 0
-	}
-	n := m.sweep.Len()
-	var first uint64
-	switch s.at {
-	case passStart:
-		if m.notified {
-			return nil, 0, 0
-		}
-	case passRing:
-		first = 2*uint64(s.peer) + 1
-		if s.check.Probed() {
-			first++
-		}
-	case passEnd:
-		first = n - 1
-	default:
-		return nil, 0, 0
-	}
-	// at is the first step at sweep position pos.
-	at := func(pos uint64) uint64 { return (pos+n-first)%n + 1 }
-	act := at(n-1) + n*uint64(max(0, idleToBlock-1-s.idle))
-	if first != 0 && (s.progress || m.notified) {
-		act = at(n - 1)
-	}
-	for i, r := range m.rings {
-		probe := 2*uint64(i) + 1
-		switch hit, ready := r.Watch(m.proc); {
-		case !hit && first == probe+1:
-			return nil, 0, 0 // the next step reads a line nothing watches
-		case !hit:
-			act = min(act, at(probe))
-		case ready:
-			act = min(act, at(probe+1))
-		}
-	}
-	m.skip = skipRun{first: first, t1: t1}
-	return m.sweep, first, act
-}
-
-// settle leaves the pass as steps 1..k of the skipped stretch would: the
-// probes' hits counted, every pass end's idle count taken, and the pass
-// positioned before step k+1 with its ring check begun where that check's
-// own step ran.
-func (m *Monitor) settle(k uint64) {
-	q, s, sw := &m.skip, &m.pass, m.sweep
-	n, rings := sw.Len(), uint64(len(m.rings))
-	// Steps done+1..k are at sweep indices [lo, hi). Probes sit at the
-	// odd positions below 2*rings, pass ends at position n-1.
-	lo, hi := q.first+q.done, q.first+k
-	probes := func(x uint64) uint64 { return x/n*rings + min(x%n, 2*rings)/2 }
-	m.net.Sys.AddHits(m.Core, probes(hi)-probes(lo))
-	s.idle += int(hi/n - lo/n)
-	q.done = k
-	at := func(k uint64) sim.Time { return q.t1 + sw.At(q.first+k-1) - sw.At(q.first) }
-	// The check before a probe began at the step before it; step 0 is
-	// the step that began the stretch, a check a sweep gap before step 1.
-	switch pos := hi % n; {
-	case pos == 0:
-		s.at, s.peer, s.check = passStart, len(m.rings), urpc.Check{}
-	case pos == n-1:
-		s.at, s.peer, s.check = passEnd, len(m.rings), urpc.Check{}
-	case pos%2 == 1:
-		s.at, s.peer = passRing, int(pos/2)
-		m.rings[s.peer].SetCheck(&s.check, at(k), false)
-	default:
-		s.at, s.peer = passRing, int(pos/2-1)
-		m.rings[s.peer].SetCheck(&s.check, at(k-1), true)
-	}
+// Quiet lets the engine skip idle passes unless fault tolerance is armed,
+// a request is queued or touch tracking is on. Requests, wakes and kills
+// nudge the proc; arming fault tolerance and tracking nudge every proc.
+func (m *Monitor) Quiet() (bool, sim.Time) {
+	return m.net.OpTimeout == 0 && m.local.Len() == 0 && !m.net.Sys.Tracking(), sim.Forever
 }
 
 // run is the monitor dispatch loop: poll local requests and every incoming
 // channel; block after a sustained idle period and wait for notification.
-// The polling runs as steps (see pass); the proc does only what can block.
+// The polling runs as steps (urpc.Pass); the proc does only what can block.
 func (m *Monitor) run(p *sim.Proc) {
 	p.SetDaemon(true)
 	var burst [recvBurst]urpc.Message
@@ -580,42 +402,36 @@ func (m *Monitor) run(p *sim.Proc) {
 		m.parked = false
 		m.wakeUp(p)
 	}
-	s := &m.pass
-	*s = pass{}
-	step, quiet, settle := m.step, m.quiet, m.settle
+	s := m.pass
 	for {
-		p.Idle(step, quiet, settle)
-		switch s.at {
-		case passOp:
+		switch s.Next(p) {
+		case urpc.PassBegin:
 			req, _ := m.local.TryPop()
 			m.startOp(p, req)
-			s.progress = true
-			s.at, s.peer = passRing, 0
-		case passRing:
+			s.Progress = true
+			s.At, s.Ring = urpc.PassRing, 0
+		case urpc.PassRing:
 			// Burst dequeue: one check charge drains up to recvBurst queued
 			// messages from this peer. The burst is capped so one chatty
 			// peer cannot starve the others in a single pass.
-			src := m.peers[s.peer]
-			n := m.rings[s.peer].Drain(p, burst[:], &s.check)
+			src := m.peers[s.Ring]
+			n := s.Drain(p, burst[:])
 			for i := 0; i < n; i++ {
 				m.dispatch(p, src, burst[i])
 			}
-			if n > 0 {
-				s.progress = true
-			}
-			s.peer++
-		case passDeadlines:
+			s.Ring++
+		case urpc.PassService:
 			if m.checkDeadlines(p) {
-				s.progress = true
+				s.Progress = true
 			}
-			s.at = passLoop
-		case passPark:
+			s.At = urpc.PassLoop
+		case urpc.PassPark:
 			m.parked = true
 			p.Park()
 			m.parked = false
-			s.idle = 0
+			s.Idle = 0
 			m.wakeUp(p)
-			s.at = passStart
+			s.At = urpc.PassStart
 		}
 	}
 }

@@ -84,7 +84,8 @@ type Engine struct {
 	closing bool
 	nextID  int
 
-	stepping *Proc // proc whose idle step is running inline, or nil
+	stepping    *Proc      // proc whose idle step is running inline, or nil
+	freeLetters *letterBox // pooled holders of cross-partition letters (Post)
 
 	// Telemetry. rec is nil unless tracing is on (the tracing-off fast path
 	// is the nil check inside trace.Recorder methods); met always exists.

@@ -40,12 +40,26 @@ import (
 )
 
 // xsend is one cross-partition message waiting in a source outbox for the
-// epoch barrier.
+// epoch barrier: a callback, or without one a letter.
 type xsend struct {
 	at  Time
 	dst int32
 	fn  func()
+	l   Letter
 }
+
+// A Letter is a cross-partition message whose payload travels by value
+// (Post), so sending one allocates nothing: the cache's forwarded line
+// stores are letters.
+type Letter struct {
+	To   Recipient
+	A, B uint64
+	Data [8]uint64
+}
+
+// Recipient receives letters in its partition's engine context. The letter
+// is valid only during the call.
+type Recipient interface{ Receive(l *Letter) }
 
 // ParallelEngine coordinates one sub-Engine per partition.
 type ParallelEngine struct {
@@ -165,13 +179,69 @@ func (pe *ParallelEngine) Send(src, dst int, delay Time, fn func()) {
 	})
 }
 
+// Post is Send for a letter: l.To.Receive runs with a copy of *l in
+// partition dst's engine context at the sender's current time plus delay.
+func (pe *ParallelEngine) Post(src, dst int, delay Time, l *Letter) {
+	if delay < pe.lookahead {
+		panic(fmt.Sprintf("sim: cross-partition delay %d below lookahead %d", delay, pe.lookahead))
+	}
+	pe.outbox[src] = append(pe.outbox[src], xsend{
+		at: pe.parts[src].now + delay, dst: int32(dst), l: *l,
+	})
+}
+
+// letterBox holds a merged letter until its delivery event runs. An engine
+// pools its boxes, each with its delivery callback made once, so a
+// delivery allocates nothing.
+type letterBox struct {
+	l    Letter
+	run  func()
+	next *letterBox
+}
+
+// boxLetter returns the callback that delivers a copy of l.
+func (e *Engine) boxLetter(l *Letter) func() {
+	b := e.freeLetters
+	if b == nil {
+		b = new(letterBox)
+		b.run = func() {
+			b.l.To.Receive(&b.l)
+			b.l = Letter{}
+			b.next, e.freeLetters = e.freeLetters, b
+		}
+	} else {
+		e.freeLetters = b.next
+	}
+	b.l = *l
+	return b.run
+}
+
 // earliest returns the earliest pending event time across all partitions,
-// or ^Time(0) when every queue is empty. A skipped idle step counts as the
-// event it stands for, so epochs fall as in the reference schedule.
-func (pe *ParallelEngine) earliest() Time {
-	t := ^Time(0)
+// or ^Time(0) when every queue is empty, or a time that stands for it: in
+// its grid epoch, and at most limit if and only if it is. A skipped idle
+// step counts as the event it stands for, so epochs fall as in the
+// reference schedule. A live chain's next step comes no earlier than its
+// engine's current dispatch point, and after it if that is a RunUntil
+// boundary, as between epochs. So once the earliest queued event is at most
+// limit and its epoch starts no later than every such bound, it stands for
+// the answer, and the chains' next steps need not be found.
+func (pe *ParallelEngine) earliest(limit Time) Time {
+	t, bound := ^Time(0), ^Time(0)
 	for _, p := range pe.parts {
 		t = min(t, p.headAt)
+		if len(p.chains) > 0 {
+			pt := p.cur()
+			if pt.seq == endPoint {
+				bound = min(bound, pt.at+1)
+			} else {
+				bound = min(bound, pt.at)
+			}
+		}
+	}
+	if bound == ^Time(0) || t <= limit && t-t%pe.lookahead <= bound {
+		return t
+	}
+	for _, p := range pe.parts {
 		if len(p.chains) > 0 {
 			t = min(t, p.nextStep())
 		}
@@ -205,8 +275,13 @@ func (pe *ParallelEngine) mergeOutboxes() {
 		box := pe.outbox[src]
 		for i := range box {
 			s := &box[i]
-			pe.parts[s.dst].scheduleAt(s.at, s.fn)
-			s.fn = nil // drop the closure reference while pooled
+			if d := pe.parts[s.dst]; s.fn != nil {
+				d.scheduleAt(s.at, s.fn)
+				s.fn = nil // drop the closure reference while pooled
+			} else {
+				d.scheduleAt(s.at, d.boxLetter(&s.l))
+				s.l.To = nil
+			}
 		}
 		pe.outbox[src] = box[:0]
 	}
@@ -229,7 +304,7 @@ func (pe *ParallelEngine) run(limit Time) {
 			// epoch every partition clock is below any send's due time, and in
 			// the steady state the outboxes are already empty here.
 			pe.mergeOutboxes()
-			next := pe.earliest()
+			next := pe.earliest(limit)
 			if next == ^Time(0) || next > limit {
 				return
 			}

@@ -1,0 +1,307 @@
+package urpc
+
+import "multikernel/internal/sim"
+
+// Pass runs a dispatch loop's polls of its receive rings as sim.Proc.Idle
+// steps and hands the engine the loop's quiet schedule: the monitor's
+// dispatch loop and the kv cluster's shard servers both drive one.
+//
+// A pass lets the owner act first (Begin), checks every ring in order,
+// lets the owner act on what the rings brought (Service) and charges the
+// plan's loop cost. Then it ends: a pass that did work starts the next one
+// at once; an idle one sleeps the plan's idle gap, or, once the loop has
+// been idle for Park passes in a row and the owner need not keep polling
+// (Busy), parks, unless a wake found the loop running during the pass
+// (Notified), in which case it polls again. The steps run in engine context
+// and resume the proc only at the points its own code handles: PassBegin,
+// PassRing (drain the ring), PassService and PassPark. Each handler leaves
+// At where the pass continues.
+type Pass struct {
+	At       PassPoint
+	Ring     int  // index in the rings of the one being checked
+	Idle     int  // consecutive passes that did no work
+	Progress bool // this pass did work
+	Notified bool // a wake found the loop running; cleared every pass
+
+	plan  *PassPlan
+	owner PassOwner
+	rings []*Channel
+	sweep *sim.Sweep // the quiet schedule of one idle pass over rings
+	check Check
+	skip  skipRun
+	proc  *sim.Proc
+
+	// The Idle callbacks, made once so that a pass allocates nothing.
+	step   func() (sim.Time, bool)
+	quiet  func(sim.Time) (*sim.Sweep, uint64, uint64)
+	settle func(uint64)
+}
+
+// PassPoint is where a pass stands between steps.
+type PassPoint uint8
+
+const (
+	PassStart   PassPoint = iota // the next step begins a pass
+	PassBegin                    // proc: the owner's work before the rings
+	PassRing                     // checking rings[Ring]; proc: drain it
+	PassService                  // proc: the owner's work after the rings
+	PassLoop                     // the next step charges the loop cost
+	PassEnd                      // the next step ends the pass
+	PassPark                     // proc: park until woken
+)
+
+// PassOwner is what a pass asks the loop that drives it. Every method runs
+// in engine context and must not block or charge time.
+type PassOwner interface {
+	// Begin reports, at a pass start, whether the proc must act before
+	// the rings are checked.
+	Begin() bool
+	// Service reports, after the last ring's check, whether the proc must
+	// act.
+	Service() bool
+	// Busy reports whether an idle loop must keep polling instead of
+	// parking.
+	Busy() bool
+	// Quiet reports whether the engine may skip the loop's idle steps
+	// now, and the earliest time at which Service will report true if
+	// nothing changes that the loop must nudge its proc for (sim.Forever:
+	// never).
+	Quiet() (ok bool, service sim.Time)
+}
+
+// PassPlan is the fixed shape of one kind of loop's passes: the cycles a
+// pass charges at its end, the idle gap, and the idle passes after which
+// the loop parks. Passes made from one plan with equal ring counts share
+// one sweep, which lets the engine order their skipped steps cheaply.
+type PassPlan struct {
+	Loop, Sleep sim.Time
+	Park        int
+	sweeps      map[int]*sim.Sweep
+}
+
+// NewPass returns owner's pass over rings, which must all be received on
+// one core, at a pass start.
+func (pl *PassPlan) NewPass(owner PassOwner, rings []*Channel) *Pass {
+	ps := &Pass{plan: pl, owner: owner}
+	ps.step, ps.quiet, ps.settle = ps.stepOnce, ps.quietFrom, ps.settleTo
+	ps.SetRings(rings)
+	return ps
+}
+
+// SetRings makes rings the pass's rings from its current position on; the
+// ring being checked keeps its index.
+func (ps *Pass) SetRings(rings []*Channel) {
+	pl := ps.plan
+	if pl.sweeps == nil {
+		pl.sweeps = make(map[int]*sim.Sweep)
+	}
+	sw := pl.sweeps[len(rings)]
+	if sw == nil {
+		// Step 2i+1 probes ring i's sequence word and step 2i+2 reads it
+		// and starts the next ring's check; the last one instead charges
+		// the loop cost, and the step after it ends the pass.
+		gaps := make([]sim.Time, 0, 2*len(rings)+2)
+		for _, r := range rings {
+			check, probe := r.CheckGaps()
+			gaps = append(gaps, check, probe)
+		}
+		sw = sim.NewSweep(append(gaps, pl.Loop, pl.Sleep))
+		pl.sweeps[len(rings)] = sw
+	}
+	ps.rings, ps.sweep = rings, sw
+}
+
+// Rings returns the number of rings the pass checks.
+func (ps *Pass) Rings() int { return len(ps.rings) }
+
+// Next runs the pass's steps on p, as sim.Proc.Idle steps, until one needs
+// the proc, and returns the point it stopped at.
+func (ps *Pass) Next(p *sim.Proc) PassPoint {
+	ps.proc = p
+	p.Idle(ps.step, ps.quiet, ps.settle)
+	return ps.At
+}
+
+// Drain copies the ready messages of the ring the pass stopped at into
+// buf, as Channel.Drain, and marks the pass as having done work if there
+// were any. The caller handles them and then moves on with Ring++.
+func (ps *Pass) Drain(p *sim.Proc, buf []Message) int {
+	n := ps.rings[ps.Ring].Drain(p, buf, &ps.check)
+	if n > 0 {
+		ps.Progress = true
+	}
+	return n
+}
+
+// stepOnce runs the pass up to its next sleep, or to a point that needs
+// the proc. Its side effects are the loop's own at the same instants: the
+// flags cleared at a pass start, and each ring check's charges.
+func (ps *Pass) stepOnce() (sim.Time, bool) {
+	for {
+		switch ps.At {
+		case PassStart:
+			ps.Progress, ps.Notified = false, false
+			if ps.owner.Begin() {
+				ps.At = PassBegin
+				return 0, true
+			}
+			ps.At, ps.Ring = PassRing, 0
+		case PassRing:
+			if ps.Ring == len(ps.rings) {
+				if ps.owner.Service() {
+					ps.At = PassService
+					return 0, true
+				}
+				ps.At = PassLoop
+				continue
+			}
+			d, done, work := ps.rings[ps.Ring].CheckStep(&ps.check)
+			if !done {
+				return d, false
+			}
+			if work {
+				return 0, true
+			}
+			ps.Ring++
+		case PassLoop:
+			ps.At = PassEnd
+			return ps.plan.Loop, false
+		case PassEnd:
+			ps.At = PassStart
+			if ps.Progress {
+				ps.Idle = 0
+				continue
+			}
+			ps.Idle++
+			if ps.Idle < ps.plan.Park || ps.owner.Busy() {
+				return ps.plan.Sleep, false
+			}
+			if ps.Notified {
+				// A wake arrived during this pass, possibly for a ring the
+				// pass had already checked: poll again instead of parking
+				// past it.
+				continue
+			}
+			ps.At = PassPark
+			return 0, true
+		}
+	}
+}
+
+// An idle pass's steps follow one fixed schedule while nothing arrives,
+// its sweep of 2n+2 steps for n rings (see SetRings): step 0 starts a pass
+// and ring 0's check, and step 2n+1 ends it. quietFrom hands the engine
+// that schedule (sim.Proc.Idle); settleTo rebuilds the pass from the
+// number of steps skipped.
+
+// skipRun is what settleTo needs of a skipped stretch: the sweep and ring
+// count it ran over, the sweep index and time of its first step, and how
+// many steps it has been settled through.
+type skipRun struct {
+	sweep *sim.Sweep
+	rings []*Channel
+	first uint64
+	t1    sim.Time
+	done  uint64
+}
+
+// quietFrom is the pass's quiet schedule from the step at t1 on: where
+// that step stands in the sweep, and the first step that must run (act).
+// That is the first step that finds a message, meets a probe that would
+// miss, reaches a service point at or after the owner's service time, or
+// parks; with work done or a wake seen in this pass, the pass's end. It
+// is at most Park passes away, so a stretch stays short. Every ring line
+// the steps before act read is watched, so a write to one nudges the
+// proc; the owner nudges it for everything else its hooks read. It
+// declines (act 0) when the owner does, or with a wake flag that the next
+// step, a pass start, would clear.
+func (ps *Pass) quietFrom(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
+	ok, service := ps.owner.Quiet()
+	if !ok {
+		return nil, 0, 0
+	}
+	sw := ps.sweep
+	n := sw.Len()
+	var first uint64
+	switch ps.At {
+	case PassStart:
+		if ps.Notified {
+			return nil, 0, 0
+		}
+	case PassRing:
+		first = 2*uint64(ps.Ring) + 1
+		if ps.check.Probed() {
+			first++
+		}
+	case PassEnd:
+		first = n - 1
+	default:
+		return nil, 0, 0
+	}
+	// at is the first step at sweep position pos.
+	at := func(pos uint64) uint64 { return (pos+n-first)%n + 1 }
+	park := uint64(ps.plan.Park)
+	act := at(n-1) + n*park
+	if !ps.owner.Busy() {
+		act = at(n-1) + n*(park-min(park, uint64(ps.Idle)+1))
+	}
+	if first != 0 && (ps.Progress || ps.Notified) {
+		act = at(n - 1)
+	}
+	if service < sim.Forever {
+		// The first service point, at sweep position n-2, at or after
+		// service.
+		k := at(n - 2)
+		if t := t1 + sw.At(first+k-1) - sw.At(first); t < service {
+			k += n * min(park+1, uint64((service-t+sw.At(n)-1)/sw.At(n)))
+		}
+		act = min(act, k)
+	}
+	for i, r := range ps.rings {
+		probe := 2*uint64(i) + 1
+		switch hit, ready := r.Watch(ps.proc); {
+		case !hit && first == probe+1:
+			return nil, 0, 0 // the next step reads a line nothing watches
+		case !hit:
+			act = min(act, at(probe))
+		case ready:
+			act = min(act, at(probe+1))
+		}
+	}
+	ps.skip = skipRun{sweep: sw, rings: ps.rings, first: first, t1: t1}
+	return sw, first, act
+}
+
+// settleTo leaves the pass as steps 1..k of the skipped stretch would: the
+// probes' hits counted, every pass end's idle count taken, and the pass
+// positioned before step k+1 with its ring check begun where that check's
+// own step ran.
+func (ps *Pass) settleTo(k uint64) {
+	q := &ps.skip
+	sw, rings := q.sweep, q.rings
+	n, nr := sw.Len(), uint64(len(rings))
+	// Steps done+1..k are at sweep indices [lo, hi). Probes sit at the
+	// odd positions below 2*nr, pass ends at position n-1.
+	lo, hi := q.first+q.done, q.first+k
+	probes := func(x uint64) uint64 { return x/n*nr + min(x%n, 2*nr)/2 }
+	if hits := probes(hi) - probes(lo); hits > 0 {
+		rings[0].sys.AddHits(rings[0].Receiver, hits)
+	}
+	ps.Idle += int(hi/n - lo/n)
+	q.done = k
+	at := func(k uint64) sim.Time { return q.t1 + sw.At(q.first+k-1) - sw.At(q.first) }
+	// The check before a probe began at the step before it; step 0 is
+	// the step that began the stretch, a check a sweep gap before step 1.
+	switch pos := hi % n; {
+	case pos == 0:
+		ps.At, ps.Ring, ps.check = PassStart, len(rings), Check{}
+	case pos == n-1:
+		ps.At, ps.Ring, ps.check = PassEnd, len(rings), Check{}
+	case pos%2 == 1:
+		ps.At, ps.Ring = PassRing, int(pos/2)
+		rings[ps.Ring].SetCheck(&ps.check, at(k), false)
+	default:
+		ps.At, ps.Ring = PassRing, int(pos/2-1)
+		rings[ps.Ring].SetCheck(&ps.check, at(k-1), true)
+	}
+}
