@@ -118,6 +118,9 @@ type KVService struct {
 	bulks []*urpc.BulkChannel
 	proc  *sim.Proc
 	eng   *sim.Engine
+	// rangeBuf gathers one pool slot of range values; BulkChannel.Send
+	// copies it out before it returns, so every request reuses it.
+	rangeBuf [kvBulkSlotLines * memory.LineSize]byte
 }
 
 // NewKVService starts the service on its store's core. Under a parallel boot
@@ -256,7 +259,7 @@ func (s *KVService) serveRange(p *sim.Proc, client int, lo, hi uint64) int {
 	p.Sleep(kvParseCost)
 	i := sort.Search(len(kv.index), func(j int) bool { return kv.index[j] >= lo })
 	bulk := s.bulks[client]
-	buf := make([]byte, 0, bulk.SlotBytes())
+	buf := s.rangeBuf[:0]
 	n := 0
 	for ; i < len(kv.index) && kv.index[i] < hi; i++ {
 		p.Sleep(kvRowCost)

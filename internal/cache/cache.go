@@ -77,9 +77,9 @@ type line struct {
 // lineHost is the host state of a line that has been watched or has taken
 // an asynchronous store miss.
 type lineHost struct {
-	// watch is the proc whose skipped idle steps poll the line, if any
-	// (Watch). A stale one costs only a spurious nudge.
-	watch *sim.Proc
+	// watch is the record of the last Watch of the line, if any. A stale
+	// one costs only a spurious nudge and a spurious re-watch.
+	watch *Watcher
 	// storeDone completes the line's asynchronous store miss. It is made
 	// once per line, so a store miss allocates nothing.
 	storeDone func()
@@ -99,15 +99,30 @@ const forwardLat = 90
 
 func (l *line) holds(c topo.CoreID) bool { return l.holders.Has(c) }
 
-// changed nudges the proc watching l, if any: a write landed in the line or
-// dropped a core's copy. A watcher holds the line, so a store by another
-// core reaches it first through ownershipLat's invalidation; until that
-// store's write lands the writer holds the line's transfer queue, so no
-// core can hold the line again in between.
+// changed dirties the record watching l, if any, and nudges its proc: a
+// write landed in the line or dropped a core's copy. A watcher holds the
+// line, so a store by another core reaches it first through ownershipLat's
+// invalidation; until that store's write lands the writer holds the line's
+// transfer queue, so no core can hold the line again in between.
 func (l *line) changed() {
 	if l.host != nil && l.host.watch != nil {
-		l.host.watch.Nudge()
+		w := l.host.watch
+		w.Clean = false
+		w.Proc.Nudge()
 	}
+}
+
+// A Watcher is a poller's record of its watch of one line (Watch): the proc
+// a change to the line nudges, and whether the line is unchanged since.
+// A line points at the record until another one watches it, so a record
+// must not move in memory while it is in use.
+type Watcher struct {
+	Proc *sim.Proc
+	// Clean reports that, since the Watch that found the line held, no
+	// write has landed in it, no copy of it was dropped, no other record
+	// has watched it and RestoreState has not replaced the line table.
+	// The watcher may clear it; only Watch sets it.
+	Clean bool
 }
 
 func (l *line) view() LineView { return LineView{Holders: l.holders, Owner: l.owner, Dirty: l.dirty} }
@@ -727,16 +742,21 @@ func (s *System) SkipHits(c topo.CoreID, a memory.Addr, n uint64) {
 }
 
 // Watch is the quiet test of a poll whose steps sim.Proc.Idle may
-// skip: if core c holds the line containing a, it returns the word at a and
-// marks the line so that every later write to it, or drop of a copy,
-// nudges p until the line is watched again. It counts and records nothing;
+// skip: if core c holds the line containing a, it returns the word at a,
+// makes the line point at w and marks w clean, so that the next write to
+// the line, or drop of a copy, dirties w and nudges w.Proc. A record the
+// line pointed at before is dirtied. It counts and records nothing;
 // AddHits counts the skipped probes.
-func (s *System) Watch(c topo.CoreID, a memory.Addr, p *sim.Proc) (uint64, bool) {
+func (s *System) Watch(c topo.CoreID, a memory.Addr, w *Watcher) (uint64, bool) {
 	l := s.held(c, a)
 	if l == nil {
 		return 0, false
 	}
-	l.hostState().watch = p
+	h := l.hostState()
+	if h.watch != nil && h.watch != w {
+		h.watch.Clean = false
+	}
+	h.watch, w.Clean = w, true
 	return s.mem.LoadWord(a), true
 }
 

@@ -100,7 +100,8 @@ func (s *System) CheckpointState(w io.Writer) error {
 // count, so a corrupt count fails at the end of the image instead of
 // allocating whatever the count says. Line ids must strictly ascend, as
 // CheckpointState writes them, every core index the image names must be a
-// core of this machine, and a line may carry only the known flag bits.
+// core of this machine, and a line may carry only the known flag bits. A
+// restore leaves no Watcher clean.
 func (s *System) RestoreState(r io.Reader) error {
 	var nlines uint64
 	if err := ckpt.ReadU64(r, &nlines); err != nil {
@@ -192,6 +193,13 @@ func (s *System) RestoreState(r io.Reader) error {
 		return fmt.Errorf("cache: image has unknown coherence mode %d", mode)
 	}
 
+	// Every clean record is the watch of some line of the table replaced
+	// here, and no write to the new lines can reach it.
+	for _, l := range s.lines {
+		if l.host != nil && l.host.watch != nil {
+			l.host.watch.Clean = false
+		}
+	}
 	s.lines = lines
 	s.clearLookaside()
 	s.mode = CoherenceMode(mode)

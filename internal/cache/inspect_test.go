@@ -88,6 +88,7 @@ func (s *System) Flush(p *sim.Proc, c topo.CoreID, a memory.Addr) {
 	if s.audit != nil {
 		s.audit.Transition(a.Line(), AuditFlush, c, before, l.view(), 0)
 	}
+	l.changed() // a dropped copy, as on every write path
 	if writeback {
 		home := s.mem.Home(a)
 		if cs := s.mach.Socket(c); cs != home {

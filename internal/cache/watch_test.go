@@ -15,17 +15,19 @@ import (
 // a URPC receiver polls a ring's sequence word: a probe that must hit, then
 // a read that must find the word unchanged, then a gap. It resumes when a
 // probe misses or the word changed, and its quiet schedule watches the line
-// through System.Watch, so every write path must nudge it.
+// through System.Watch with one record that it keeps across quiet calls,
+// as urpc.Pass does: every write path must dirty the record and nudge it.
 type linePoller struct {
-	s      *System
-	a      memory.Addr
-	want   uint64
-	pos    uint64
-	first  uint64
-	done   uint64
-	sweeps int
-	p      *sim.Proc
-	sw     *sim.Sweep
+	s       *System
+	a       memory.Addr
+	want    uint64
+	pos     uint64
+	first   uint64
+	done    uint64
+	sweeps  int
+	w       Watcher
+	decline bool // quiet declines, so no chain is live
+	sw      *sim.Sweep
 }
 
 const linePollGap = 9
@@ -50,16 +52,22 @@ func (l *linePoller) step() (sim.Time, bool) {
 }
 
 func (l *linePoller) quiet(sim.Time) (*sim.Sweep, uint64, uint64) {
+	if l.decline {
+		return nil, 0, 0
+	}
 	at := func(pos uint64) uint64 { return (pos+2-l.pos)%2 + 1 }
 	act := at(1) + 2*uint64(max(0, 399-l.sweeps))
-	v, held := l.s.Watch(0, l.a, l.p)
-	switch {
-	case !held && l.pos == 1:
-		return nil, 0, 0
-	case !held:
-		act = min(act, at(0))
-	case v != l.want:
-		act = min(act, at(1))
+	if !l.w.Clean {
+		v, held := l.s.Watch(0, l.a, &l.w)
+		switch {
+		case !held && l.pos == 1:
+			return nil, 0, 0
+		case !held:
+			act = min(act, at(0))
+		case v != l.want:
+			l.w.Clean = false // the read must run
+			act = min(act, at(1))
+		}
 	}
 	l.first, l.done = l.pos, 0
 	return l.sw, l.pos, act
@@ -81,6 +89,14 @@ func (l *linePoller) settle(k uint64) {
 // the two runs must agree on when the poller noticed each write, on the
 // clock and on every counter. A path that does not nudge the poller lets
 // the skipping run miss the write.
+//
+// In each path's "while quiet declines" row the poller polls the line's
+// last word, which no write changes, and its quiet declines for the 50
+// cycles before each write, so no chain is live when the write lands.
+// The write lands just after a probe hit: only the next probe can notice
+// it, and the next quiet call, which no longer declines, comes first. A
+// path that leaves the record clean lets the chain started there skip
+// that probe.
 func TestWatchedLineWritesNudge(t *testing.T) {
 	paths := map[string]func(r *rig, p *sim.Proc, a memory.Addr, v uint64){
 		"store miss": func(r *rig, p *sim.Proc, a memory.Addr, v uint64) { r.sys.Store(p, 2, a, v) },
@@ -110,59 +126,85 @@ func TestWatchedLineWritesNudge(t *testing.T) {
 		},
 	}
 	for name, write := range paths {
-		t.Run(name, func(t *testing.T) {
-			run := func(hook sim.PerturbFunc) ([]string, uint64) {
-				r := newRig(topo.AMD2x2())
-				defer r.e.Close()
-				r.e.SetPerturb(hook)
-				line := r.mem.AllocLines(1, 0).Base
-				a := line
-				if strings.HasSuffix(name, "line store") {
-					a = line + 8 // a word the line store writes after its first
-				}
-				refill := func(p *sim.Proc) uint64 { return r.sys.Load(p, 0, a) }
-				if name == "contended line store" {
-					// Refill by prefetches, which take the line as soon as a
-					// transfer releases it, not a fill's latency later.
-					refill = func(p *sim.Proc) uint64 {
-						for {
-							r.sys.Prefetch(p, 0, a)
-							if v, _, held := r.sys.HeldWord(0, a); held {
-								return v
-							}
-						}
-					}
-				}
-				var log []string
-				l := &linePoller{s: r.sys, a: a, sw: sim.NewSweep([]sim.Time{r.m.Costs.L1Hit, linePollGap})}
-				l.p = r.e.Spawn("poller", func(p *sim.Proc) {
-					for round := 0; round < 6; round++ {
-						l.want = refill(p)
-						l.pos, l.sweeps = 0, 0
-						p.Idle(l.step, l.quiet, l.settle)
-						log = append(log, fmt.Sprintf("t=%d noticed pos=%d sweeps=%d", p.Now(), l.pos, l.sweeps))
-					}
-				})
-				r.e.Spawn("writer", func(p *sim.Proc) {
-					for i := 0; i < 5; i++ {
-						p.Sleep(sim.Time(613 + 97*i))
-						write(r, p, line, uint64(i+1))
-						log = append(log, fmt.Sprintf("t=%d wrote", p.Now()))
-					}
-				})
-				r.e.Run()
-				snap := r.e.Metrics().Snapshot()
-				log = append(log, fmt.Sprintf("t=%d %v %+v", r.e.Now(), snap.Counters, r.sys.Stats(0)))
-				return log, r.e.SkippedSteps()
+		for _, declined := range []bool{false, true} {
+			row := name
+			if declined {
+				row += " while quiet declines"
 			}
-			got, skipped := run(nil)
-			want, _ := run(func(sim.Time, sim.Time, uint64) (sim.Time, uint64) { return 0, 0 })
-			if skipped == 0 {
-				t.Error("no poll was skipped")
+			t.Run(row, func(t *testing.T) { watchRow(t, name, declined, write) })
+		}
+	}
+}
+
+// watchRow runs one row of TestWatchedLineWritesNudge.
+func watchRow(t *testing.T, name string, declined bool, write func(r *rig, p *sim.Proc, a memory.Addr, v uint64)) {
+	run := func(hook sim.PerturbFunc) ([]string, uint64) {
+		r := newRig(topo.AMD2x2())
+		defer r.e.Close()
+		r.e.SetPerturb(hook)
+		line := r.mem.AllocLines(1, 0).Base
+		a := line
+		switch {
+		case declined:
+			a = line + memory.LineSize - 8
+		case strings.HasSuffix(name, "line store"):
+			a = line + 8 // a word the line store writes after its first
+		}
+		refill := func(p *sim.Proc) uint64 { return r.sys.Load(p, 0, a) }
+		if name == "contended line store" {
+			// Refill by prefetches, which take the line as soon as a
+			// transfer releases it, not a fill's latency later.
+			refill = func(p *sim.Proc) uint64 {
+				for {
+					r.sys.Prefetch(p, 0, a)
+					if v, _, held := r.sys.HeldWord(0, a); held {
+						return v
+					}
+				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("runs differ:\nreference: %v\nskipping:  %v", want, got)
+		}
+		var log []string
+		l := &linePoller{s: r.sys, a: a, sw: sim.NewSweep([]sim.Time{r.m.Costs.L1Hit, linePollGap})}
+		l.w.Proc = r.e.Spawn("poller", func(p *sim.Proc) {
+			for round := 0; round < 6; round++ {
+				l.want = refill(p)
+				l.pos, l.sweeps = 0, 0
+				p.Idle(l.step, l.quiet, l.settle)
+				log = append(log, fmt.Sprintf("t=%d noticed pos=%d sweeps=%d", p.Now(), l.pos, l.sweeps))
 			}
 		})
+		r.e.Spawn("writer", func(p *sim.Proc) {
+			for i := 0; i < 5; i++ {
+				gap := sim.Time(613 + 97*i)
+				if declined {
+					// The nudge ends the live chain at the poller's
+					// next step; from then on its steps are events.
+					p.Sleep(gap - 50)
+					l.decline = true
+					l.w.Proc.Nudge()
+					p.Sleep(50)
+					for l.pos != 1 {
+						p.Sleep(1)
+					}
+					l.decline = false
+				} else {
+					p.Sleep(gap)
+				}
+				write(r, p, line, uint64(i+1))
+				log = append(log, fmt.Sprintf("t=%d wrote", p.Now()))
+			}
+		})
+		r.e.Run()
+		snap := r.e.Metrics().Snapshot()
+		log = append(log, fmt.Sprintf("t=%d %v %+v", r.e.Now(), snap.Counters, r.sys.Stats(0)))
+		return log, r.e.SkippedSteps()
+	}
+	got, skipped := run(nil)
+	want, _ := run(func(sim.Time, sim.Time, uint64) (sim.Time, uint64) { return 0, 0 })
+	if skipped == 0 {
+		t.Error("no poll was skipped")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("runs differ:\nreference: %v\nskipping:  %v", want, got)
 	}
 }

@@ -1,6 +1,9 @@
 package urpc
 
-import "multikernel/internal/sim"
+import (
+	"multikernel/internal/cache"
+	"multikernel/internal/sim"
+)
 
 // Pass runs a dispatch loop's polls of its receive rings as sim.Proc.Idle
 // steps and hands the engine the loop's quiet schedule: the monitor's
@@ -16,6 +19,11 @@ import "multikernel/internal/sim"
 // and resume the proc only at the points its own code handles: PassBegin,
 // PassRing (drain the ring), PassService and PassPark. Each handler leaves
 // At where the pass continues.
+//
+// Each ring keeps a watch record (cache.Watcher) across the engine's
+// skipped stretches: a chain start re-watches only the rings whose record
+// a write, a dropped copy, another record's watch, SetRings or a cache
+// restore has dirtied since (see quietFrom).
 type Pass struct {
 	At       PassPoint
 	Ring     int  // index in the rings of the one being checked
@@ -26,10 +34,13 @@ type Pass struct {
 	plan  *PassPlan
 	owner PassOwner
 	rings []*Channel
-	sweep *sim.Sweep // the quiet schedule of one idle pass over rings
-	check Check
-	skip  skipRun
-	proc  *sim.Proc
+	// watches[i] is rings[i]'s watch record. Lines point at the records,
+	// so SetRings gives new rings new ones and never moves the old.
+	watches []cache.Watcher
+	sweep   *sim.Sweep // the quiet schedule of one idle pass over rings
+	check   Check
+	skip    skipRun
+	proc    *sim.Proc
 
 	// The Idle callbacks, made once so that a pass allocates nothing.
 	step   func() (sim.Time, bool)
@@ -89,7 +100,7 @@ func (pl *PassPlan) NewPass(owner PassOwner, rings []*Channel) *Pass {
 }
 
 // SetRings makes rings the pass's rings from its current position on; the
-// ring being checked keeps its index.
+// ring being checked keeps its index. Every ring is watched afresh.
 func (ps *Pass) SetRings(rings []*Channel) {
 	pl := ps.plan
 	if pl.sweeps == nil {
@@ -109,6 +120,7 @@ func (ps *Pass) SetRings(rings []*Channel) {
 		pl.sweeps[len(rings)] = sw
 	}
 	ps.rings, ps.sweep = rings, sw
+	ps.watches = make([]cache.Watcher, len(rings))
 }
 
 // Rings returns the number of rings the pass checks.
@@ -215,6 +227,13 @@ type skipRun struct {
 // proc; the owner nudges it for everything else its hooks read. It
 // declines (act 0) when the owner does, or with a wake flag that the next
 // step, a pass start, would clear.
+//
+// A ring whose record is clean is not watched again: its line is still
+// held and its sequence word unchanged since a watch that found the ring
+// empty, so a watch now would report the same. Its cursor has not moved
+// either, with no guard needed: a drain follows a check that found a
+// message or missed, and either needs a write to, or a drop of, the
+// watched line after that watch, which dirtied the record.
 func (ps *Pass) quietFrom(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
 	ok, service := ps.owner.Quiet()
 	if !ok {
@@ -258,8 +277,13 @@ func (ps *Pass) quietFrom(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
 		act = min(act, k)
 	}
 	for i, r := range ps.rings {
+		w := &ps.watches[i]
+		if w.Clean {
+			continue
+		}
+		w.Proc = ps.proc
 		probe := 2*uint64(i) + 1
-		switch hit, ready := r.Watch(ps.proc); {
+		switch hit, ready := r.Watch(w); {
 		case !hit && first == probe+1:
 			return nil, 0, 0 // the next step reads a line nothing watches
 		case !hit:

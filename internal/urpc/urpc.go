@@ -495,12 +495,17 @@ func (c *Channel) CheckGaps() (check, probe sim.Time) {
 // Watch is the quiet test of a check, for loops whose steps
 // sim.Proc.Idle may skip: hit reports whether the probe would hit (the
 // receiver holds the line of the next slot's sequence word) and ready
-// whether that word shows a message. On a hit the line is watched: a write
-// to it, or a drop of the receiver's copy, nudges p. It charges and counts
-// nothing.
-func (c *Channel) Watch(p *sim.Proc) (hit, ready bool) {
-	v, hit := c.sys.Watch(c.Receiver, c.seqWord(c.recvSeq), p)
-	return hit, v == c.recvSeq+1
+// whether that word shows a message. On a hit the line is watched through
+// w (cache.System.Watch): a write to it, or a drop of the receiver's copy,
+// dirties w and nudges w.Proc. w stays clean only for an empty ring, so
+// while it is clean the check would hit and find no message. It charges
+// and counts nothing.
+func (c *Channel) Watch(w *cache.Watcher) (hit, ready bool) {
+	v, hit := c.sys.Watch(c.Receiver, c.seqWord(c.recvSeq), w)
+	if ready = v == c.recvSeq+1; ready {
+		w.Clean = false
+	}
+	return hit, ready
 }
 
 // Probed reports whether ck's probe has hit and its read is next.
