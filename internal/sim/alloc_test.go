@@ -30,7 +30,7 @@ func TestEpochBarrierAllocs(t *testing.T) {
 			}
 		}
 		// Warm up: grow heaps, outbox capacity, the event free lists and the
-		// worker pool's steady state.
+		// helpers' steady state.
 		end := 50 * L
 		pe.RunUntil(end)
 		avg := testing.AllocsPerRun(20, func() {

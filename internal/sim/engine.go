@@ -260,9 +260,9 @@ func (e *Engine) After(d Time, fn func()) { e.schedule(d, nil, fn) }
 // current virtual time. fn runs as a coroutine (iter.Pull) that only the Run
 // or Close caller resumes. A panic in fn, or in a Proc.Idle step of fn's
 // wherever dispatch runs it, surfaces from that call, naming the proc, the
-// virtual time and the panicking stack. On a ParallelEngine with more than
-// one worker, the caller is a worker goroutine, so the panic still ends the
-// process.
+// virtual time and the panicking stack. On a ParallelEngine, whichever
+// goroutine ran the partition recovers it, and the ParallelEngine's Run or
+// RunUntil re-panics with it once the epoch's partitions are done.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextID++
 	p := &Proc{e: e, id: e.nextID, name: name}

@@ -5,10 +5,9 @@ package sim
 //
 // The machine is partitioned along socket boundaries (topo.PartitionMap);
 // each partition gets its own Engine — event queue, clock, RNG stream, metrics
-// registry, procs — running in a worker goroutine. Partitions share no
-// simulated state: all cross-partition interaction goes through explicit
-// messages, mirroring the multikernel's own no-shared-state discipline at
-// the simulator level.
+// registry, procs. Partitions share no simulated state: all cross-partition
+// interaction goes through explicit messages, mirroring the multikernel's own
+// no-shared-state discipline at the simulator level.
 //
 // Synchronization is the classic conservative-lookahead barrier. The minimum
 // latency of any cross-partition transaction (interconnect.Lookahead) is the
@@ -22,17 +21,28 @@ package sim
 // fixed grid E = k·L, so epoch boundaries — and therefore checkpoint points
 // — do not depend on event timing either.
 //
+// Each epoch runs on the goroutine that called Run or RunUntil: it claims
+// partitions off a shared counter and runs each to the epoch end, while
+// workers-1 helper goroutines, woken by a non-blocking send, claim whatever
+// is left. The caller then waits only for the partitions a helper claimed,
+// parking on a channel that the helper finishing the epoch's last partition
+// sends on; a helper that wakes after the caller has claimed everything
+// finds nothing to claim and costs the caller nothing. Nothing spins: an
+// epoch can take about a microsecond of host time, and a waiter that spins
+// takes a host core from the goroutine it waits for. A partition's panic is
+// recovered on the goroutine that ran it, and once every claimed partition
+// is done the caller re-panics with the lowest-numbered partition's, so a
+// proc panic surfaces from Run or RunUntil at any worker count.
+//
 // The serial Engine remains the reference implementation: a ParallelEngine
-// with workers=1 executes partitions sequentially on the caller's goroutine
-// with no synchronization, and the determinism gate in parallel_test.go
-// asserts byte-identical traces, metrics and final state across worker
-// counts.
+// with workers=1 has no helpers and runs every partition on the caller, and
+// the determinism gate in parallel_test.go asserts byte-identical traces,
+// metrics and final state across worker counts.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"multikernel/internal/ckpt"
@@ -69,12 +79,16 @@ type ParallelEngine struct {
 
 	outbox [][]xsend // per source partition; reused across epochs
 
-	// Worker pool: persistent goroutines released once per epoch; each
-	// claims partitions off the shared counter until none remain.
-	start    []chan struct{}
-	wg       sync.WaitGroup
+	// The epoch barrier (runEpoch): claim hands out partitions, done counts
+	// the finished ones, wake releases the helpers, a helper sends on
+	// finished when it ran the epoch's last partition and when it exits, and
+	// panics holds each partition's recovered panic.
 	claim    atomic.Int64
+	done     atomic.Int64
 	epochEnd Time
+	wake     chan struct{}
+	finished chan struct{}
+	panics   []any
 
 	// Current epoch window. An epoch stays open across run calls when a
 	// RunUntil limit cuts it short; outbox merges happen only when the whole
@@ -100,50 +114,55 @@ func NewParallelEngine(nparts int, lookahead Time, seed uint64, workers int) *Pa
 	if lookahead == 0 {
 		panic("sim: parallel engine needs a positive lookahead")
 	}
-	pe := &ParallelEngine{lookahead: lookahead}
-	pe.parts = make([]*Engine, nparts)
+	pe := &ParallelEngine{
+		parts:     make([]*Engine, nparts),
+		lookahead: lookahead,
+		workers:   min(max(workers, 1), nparts),
+		outbox:    make([][]xsend, nparts),
+		finished:  make(chan struct{}, 1),
+		panics:    make([]any, nparts),
+	}
 	for i := range pe.parts {
 		pe.parts[i] = NewEngine(seed + uint64(i)*0x9e3779b97f4a7c15)
 	}
-	pe.init(workers)
+	pe.wake = make(chan struct{}, pe.workers-1) // a token per helper
+	for range pe.workers - 1 {
+		go pe.help()
+	}
 	return pe
 }
 
-// init sets up outboxes and the worker pool on an engine
-// whose parts slice is already populated (construction or restore).
-func (pe *ParallelEngine) init(workers int) {
-	n := len(pe.parts)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	pe.workers = workers
-	pe.outbox = make([][]xsend, n)
-	if workers > 1 {
-		pe.start = make([]chan struct{}, workers)
-		for i := range pe.start {
-			c := make(chan struct{}, 1)
-			pe.start[i] = c
-			go pe.worker(c)
+// help is one helper goroutine: each time it is woken, it runs the
+// partitions it claims, and tells the caller if it finished the epoch's last
+// one. Once Close closes wake, it tells Close that it has exited.
+func (pe *ParallelEngine) help() {
+	for range pe.wake {
+		if pe.runClaimed() {
+			pe.finished <- struct{}{}
 		}
 	}
+	pe.finished <- struct{}{}
 }
 
-// worker is one pool goroutine: released at each epoch, it claims partitions
-// off the shared counter and runs each to the epoch end.
-func (pe *ParallelEngine) worker(c chan struct{}) {
-	for range c {
-		for {
-			i := int(pe.claim.Add(1)) - 1
-			if i >= len(pe.parts) {
-				break
-			}
-			pe.parts[i].RunUntil(pe.epochEnd)
+// runClaimed claims and runs partitions until none is left, and reports
+// whether it finished the epoch's last one. A partition's panic ends the
+// loop; the deferred call records it for partition i, counts the partition
+// as done and claims on. A helper that claims after the caller reset the
+// counter runs a partition of the caller's current epoch: the reset follows
+// the epochEnd write and the end of every partition claimed before it.
+func (pe *ParallelEngine) runClaimed() (last bool) {
+	n, i := int64(len(pe.parts)), 0
+	defer func() {
+		if r := recover(); r != nil {
+			pe.panics[i] = r
+			last = pe.done.Add(1) == n || pe.runClaimed()
 		}
-		pe.wg.Done()
+	}()
+	for i = int(pe.claim.Add(1)) - 1; i < len(pe.parts); i = int(pe.claim.Add(1)) - 1 {
+		pe.parts[i].RunUntil(pe.epochEnd)
+		last = pe.done.Add(1) == n
 	}
+	return last
 }
 
 // NParts returns the partition count.
@@ -249,21 +268,28 @@ func (pe *ParallelEngine) earliest(limit Time) Time {
 	return t
 }
 
-// runEpoch executes every partition up to and including time last.
+// runEpoch executes every partition up to and including time last: it
+// wakes the helpers, runs the partitions it claims, waits for those a
+// helper claimed, and re-panics with the lowest-numbered partition's panic.
 func (pe *ParallelEngine) runEpoch(last Time) {
-	if pe.workers <= 1 {
-		for _, p := range pe.parts {
-			p.RunUntil(last)
-		}
-		return
-	}
 	pe.epochEnd = last
+	pe.done.Store(0)
 	pe.claim.Store(0)
-	pe.wg.Add(pe.workers)
-	for _, c := range pe.start {
-		c <- struct{}{}
+	for range pe.workers - 1 {
+		select {
+		case pe.wake <- struct{}{}:
+		default: // a token already waits for a helper
+		}
 	}
-	pe.wg.Wait()
+	if !pe.runClaimed() {
+		<-pe.finished // a helper runs the epoch's last partition
+	}
+	for _, r := range pe.panics {
+		if r != nil {
+			clear(pe.panics)
+			panic(r)
+		}
+	}
 }
 
 // mergeOutboxes drains every outbox into the destination queues, in (source
@@ -368,15 +394,17 @@ func (pe *ParallelEngine) MetricsSnapshot() metrics.Snapshot {
 	return s
 }
 
-// Close shuts down the worker pool and closes every partition engine in
-// partition order, releasing proc goroutines and flushing telemetry.
+// Close stops the helper goroutines, waits for them to exit, and closes
+// every partition engine in partition order, releasing proc goroutines and
+// flushing telemetry.
 func (pe *ParallelEngine) Close() {
 	if pe.closed {
 		return
 	}
 	pe.closed = true
-	for _, c := range pe.start {
-		close(c)
+	close(pe.wake)
+	for range pe.workers - 1 {
+		<-pe.finished
 	}
 	for _, p := range pe.parts {
 		p.Close()

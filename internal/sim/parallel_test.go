@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"multikernel/internal/trace"
 )
@@ -331,4 +333,84 @@ func TestParallelWorkerClamp(t *testing.T) {
 		t.Errorf("Workers() = %d, want clamp to 1", pe.Workers())
 	}
 	pe.Close()
+}
+
+// TestParallelProcPanicReachesRunCaller: a proc panic surfaces from Run and
+// RunUntil at every worker count, whichever goroutine ran its partition.
+// Partitions 1 and 3 panic in the same epoch; every partition finishes the
+// epoch, and the caller re-panics with partition 1's panic, naming the proc,
+// the virtual time and the panicking stack.
+func TestParallelProcPanicReachesRunCaller(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		for _, until := range []bool{false, true} {
+			pe := NewParallelEngine(4, ringLookahead, 1, w)
+			for i := 0; i < pe.NParts(); i++ {
+				pe.Spawn(i, fmt.Sprintf("proc%d", i), func(p *Proc) {
+					p.Sleep(Time(5 + i))
+					if i%2 == 1 {
+						explode()
+					}
+					p.Sleep(2 * ringLookahead)
+				})
+			}
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				if until {
+					pe.RunUntil(10 * ringLookahead)
+				} else {
+					pe.Run()
+				}
+				return "run returned"
+			}()
+			for _, want := range []string{`proc "proc1"`, "t=6", "boom", "sim.explode"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("workers=%d RunUntil=%v: recovered panic lacks %q:\n%s", w, until, want, msg)
+				}
+			}
+			if strings.Count(msg, "panicked") != 1 {
+				t.Errorf("workers=%d RunUntil=%v: panic named more than once:\n%s", w, until, msg)
+			}
+			for i := 0; i < pe.NParts(); i++ {
+				want := ringLookahead - 1 // the epoch's end
+				if i%2 == 1 {
+					want = Time(5 + i) // where it panicked
+				}
+				if now := pe.Part(i).Now(); now != want {
+					t.Errorf("workers=%d RunUntil=%v: partition %d stopped at t=%d, want %d", w, until, i, now, want)
+				}
+			}
+			pe.Close()
+		}
+	}
+}
+
+// TestParallelHelpersRunPartitions: a helper goroutine runs a partition
+// while another goroutine runs the other one. Partition 0's proc blocks its
+// host goroutine until partition 1's proc, in the same epoch, closes a
+// channel, so the run finishes only if two goroutines run the epoch; if
+// every partition ran on the caller, it would wait forever. The worker-count
+// determinism tests cannot see this: they pass with every partition on the
+// caller.
+func TestParallelHelpersRunPartitions(t *testing.T) {
+	const timeout = 10 * time.Second
+	pe := NewParallelEngine(2, ringLookahead, 1, 2)
+	defer pe.Close()
+	released := make(chan struct{})
+	var waited bool
+	pe.Spawn(0, "blocker", func(p *Proc) {
+		p.Sleep(1)
+		select {
+		case <-released:
+		case <-time.After(timeout):
+			waited = true
+		}
+	})
+	pe.Spawn(1, "releaser", func(p *Proc) {
+		p.Sleep(2)
+		close(released)
+	})
+	pe.Run()
+	if waited {
+		t.Fatalf("partition 0 waited %v for partition 1 within one epoch: no helper ran a partition", timeout)
+	}
 }
