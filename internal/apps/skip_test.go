@@ -31,26 +31,31 @@ type skipOutcome struct {
 	skipped uint64
 }
 
-// runSkipRow builds a row on a fresh traced engine over m under hook,
-// drives it, closes the engine and collects the outcome. A hook installed
-// after the run reads the sequence number: it sees the one the next event
-// takes.
-func runSkipRow(m *topo.Machine, build func(e *sim.Engine, sys *cache.System, log func(string)), hook sim.PerturbFunc) skipOutcome {
+// runSkipRow builds a row on a fresh engine over m under hook, traced if
+// asked, drives it, closes the engine and collects the outcome. A hook
+// installed after the run reads the sequence number: it sees the one the
+// next event takes.
+func runSkipRow(m *topo.Machine, build func(e *sim.Engine, sys *cache.System, log func(string)), hook sim.PerturbFunc, traced bool) skipOutcome {
 	e, sys := newSys(m)
 	e.SetPerturb(hook)
-	rec := trace.NewRecorder()
-	e.SetTracer(rec)
+	var rec *trace.Recorder
+	if traced {
+		rec = trace.NewRecorder()
+		e.SetTracer(rec)
+	}
 	var out skipOutcome
 	build(e, sys, func(s string) { out.log = append(out.log, fmt.Sprintf("t=%d %s", e.Now(), s)) })
 	e.Close()
 	out.now, out.snap, out.skipped = e.Now(), e.Metrics().Snapshot(), e.SkippedSteps()
 	e.SetPerturb(func(_, _ sim.Time, s uint64) (sim.Time, uint64) { out.seq = s - 1; return 0, 0 })
 	e.After(0, func() {})
-	var b bytes.Buffer
-	if err := trace.WriteJSON(&b, rec); err != nil {
-		panic(err)
+	if rec != nil {
+		var b bytes.Buffer
+		if err := trace.WriteJSON(&b, rec); err != nil {
+			panic(err)
+		}
+		out.trace = b.Bytes()
 	}
-	out.trace = b.Bytes()
 	return out
 }
 
@@ -223,17 +228,17 @@ func TestKVSkipMatchesPolling(t *testing.T) {
 		}},
 	}
 	for _, r := range rows {
-		t.Run(r.name, func(t *testing.T) { checkSkipRow(t, topo.AMD2x2(), r.build) })
+		t.Run(r.name, func(t *testing.T) { checkSkipRow(t, topo.AMD2x2(), r.build, true) })
 	}
 }
 
-// checkSkipRow runs build on m with no perturb hook and with a hook that
-// perturbs nothing, the reference, requires the two outcomes to be equal,
-// and returns the no-hook run's.
-func checkSkipRow(t *testing.T, m *topo.Machine, build func(e *sim.Engine, sys *cache.System, log func(string))) skipOutcome {
+// checkSkipRow runs build on m, traced if asked, with no perturb hook and
+// with a hook that perturbs nothing, the reference, requires the two
+// outcomes to be equal, and returns the no-hook run's.
+func checkSkipRow(t *testing.T, m *topo.Machine, build func(e *sim.Engine, sys *cache.System, log func(string)), traced bool) skipOutcome {
 	t.Helper()
 	zero := func(sim.Time, sim.Time, uint64) (sim.Time, uint64) { return 0, 0 }
-	s, ref := runSkipRow(m, build, nil), runSkipRow(m, build, zero)
+	s, ref := runSkipRow(m, build, nil, traced), runSkipRow(m, build, zero, traced)
 	if len(ref.log) == 0 {
 		t.Fatal("scenario logged nothing")
 	}
@@ -445,7 +450,7 @@ var kvServerRows = []struct {
 func TestKVServerSkipMatchesStepped(t *testing.T) {
 	for _, r := range kvServerRows {
 		t.Run(r.name, func(t *testing.T) {
-			if s := checkSkipRow(t, topo.AMD4x4(), r.build); s.skipped == 0 {
+			if s := checkSkipRow(t, topo.AMD4x4(), r.build, true); s.skipped == 0 {
 				t.Error("no idle step was skipped")
 			}
 		})

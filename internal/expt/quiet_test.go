@@ -112,3 +112,37 @@ func TestKVServerStepsAreSkipped(t *testing.T) {
 		t.Fatalf("%d of %d dispatched events were skipped steps; want at least 90%%", skipped, events)
 	}
 }
+
+// TestKVClientStepsAreSkipped fails if the engine stops skipping the kv
+// clients' quiet Deadline receive checks. On BenchmarkKVClusterPinned's
+// scenario the two clients run on sockets 4 and 5, beside monitors that
+// dispatch and skip exactly what the monitors of sockets 6 and 7 do (which
+// host no client), so what partitions 4 and 5 dispatch beyond partitions 6
+// and 7 is the clients' wakeups and the reply deliveries. At least half of
+// it must be skipped steps: 58% is, and none was while the receive polled
+// through a blocking loop.
+func TestKVClientStepsAreSkipped(t *testing.T) {
+	m := topo.AMD8x4()
+	pm := topo.PerSocket(m)
+	pe := sim.NewParallelEngine(pm.NParts(), interconnect.Lookahead(m, pm), bootSeed, 1)
+	defer pe.Close()
+	bootKVCluster(core.BootParallel(pe, m, core.Options{}), 24)
+	pe.Run()
+	events := pe.MetricsSnapshot().Counters["sim.events_dispatched"]
+	if events != 99_342 {
+		t.Fatalf("sim.events_dispatched = %d, want the pinned 99,342", events)
+	}
+	var added, skipped uint64
+	for _, pair := range [][2]int{{4, 6}, {5, 7}} {
+		c, ctl := pe.Part(pair[0]), pe.Part(pair[1])
+		ce, cs := c.Metrics().Snapshot().Counters["sim.events_dispatched"], c.SkippedSteps()
+		le, ls := ctl.Metrics().Snapshot().Counters["sim.events_dispatched"], ctl.SkippedSteps()
+		if ce <= le || cs < ls {
+			t.Fatalf("partition %d dispatched %d and skipped %d, its control %d and %d", pair[0], ce, cs, le, ls)
+		}
+		added, skipped = added+ce-le, skipped+cs-ls
+	}
+	if skipped*2 < added {
+		t.Fatalf("%d of the %d wakeups the clients' partitions add were skipped steps; want at least half", skipped, added)
+	}
+}

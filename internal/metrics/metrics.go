@@ -67,6 +67,7 @@ type Registry struct {
 	funcs    map[string]func() uint64
 	gauges   map[string]*Gauge
 	hists    map[string]*stats.Histogram
+	onRead   func() // runs before every Snapshot and SnapshotDelta, or nil
 }
 
 // NewRegistry returns an empty registry.
@@ -95,6 +96,11 @@ func (r *Registry) Counter(name string) *Counter {
 func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	r.funcs[name] = fn
 }
+
+// OnRead makes fn run at the start of every Snapshot and SnapshotDelta,
+// before any value is read: the owning engine brings counters that lag the
+// current instant up to date there.
+func (r *Registry) OnRead(fn func()) { r.onRead = fn }
 
 // Gauge returns the gauge registered under name, creating it if needed. All
 // callers asking for one name share one gauge.
@@ -258,6 +264,9 @@ type Snapshot struct {
 
 // Snapshot samples every counter (live and lazy), gauge and histogram.
 func (r *Registry) Snapshot() Snapshot {
+	if r.onRead != nil {
+		r.onRead()
+	}
 	s := Snapshot{Counters: make(map[string]uint64, len(r.counters)+len(r.funcs))}
 	for name, c := range r.counters {
 		s.Counters[name] = c.v
@@ -369,6 +378,9 @@ func (c *Cursor) accepts(name string) bool { return c.filter == nil || c.filter(
 // summary and are omitted when no observation landed. An idle window is an
 // empty snapshot.
 func (c *Cursor) SnapshotDelta() Snapshot {
+	if c.r.onRead != nil {
+		c.r.onRead()
+	}
 	var s Snapshot
 	counter := func(name string, cur uint64) {
 		prev := c.counters[name]

@@ -136,7 +136,6 @@ func NewEngine(seed uint64) *Engine {
 	// steps count as the wakeups they stand for, and each live chain's next
 	// step as queued.
 	e.met.CounterFunc("sim.events_dispatched", func() uint64 {
-		e.Settle()
 		return e.seq + e.starts + e.skips - uint64(e.pending) - uint64(len(e.chains))
 	})
 	// The queue's high-water mark (named for the heap it once was) is a
@@ -149,6 +148,10 @@ func NewEngine(seed uint64) *Engine {
 	if trace.Capturing() {
 		e.rec = trace.NewRecorder()
 	}
+	// Counters that skipped idle steps stand for (hits, retries) and the
+	// counts derived from them read as of the current point: every read of
+	// the registry settles first, before any plain counter is read.
+	e.met.OnRead(e.Settle)
 	// The registry participates in checkpoint/restore like any model
 	// component, so counters and histograms survive a warm start.
 	e.ckpts = []ckptComponent{{name: "metrics", c: e.met}}
@@ -166,8 +169,14 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // sites emit unconditionally: e.Tracer().Emit(...).
 func (e *Engine) Tracer() *trace.Recorder { return e.rec }
 
-// SetTracer installs (or, with nil, removes) the trace recorder.
-func (e *Engine) SetTracer(r *trace.Recorder) { e.rec = r }
+// SetTracer installs (or, with nil, removes) the trace recorder. Idle
+// loops whose skipped steps would emit trace records decline to be skipped
+// while a recorder is installed, so every live chain's next step runs as
+// an event.
+func (e *Engine) SetTracer(r *trace.Recorder) {
+	e.NudgeAll()
+	e.rec = r
+}
 
 // Metrics returns the engine's counter/histogram registry.
 func (e *Engine) Metrics() *metrics.Registry { return e.met }
@@ -287,15 +296,21 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// procPanic is the message a panic r in proc p's code surfaces with. An
+// procPanic is the value a panic r in proc p's code surfaces with. An
 // idle step runs inline in whichever proc or caller is dispatching, so a
 // panic while one is running is the stepping proc's.
-func (e *Engine) procPanic(p *Proc, r any) string {
+func (e *Engine) procPanic(p *Proc, r any) procPanicked {
 	if e.stepping != nil {
 		p, e.stepping = e.stepping, nil
 	}
-	return fmt.Sprintf("sim: proc %q panicked at t=%d: %v\n%s", p.name, e.now, r, debug.Stack())
+	return procPanicked(fmt.Sprintf("sim: proc %q panicked at t=%d: %v\n%s", p.name, e.now, r, debug.Stack()))
 }
+
+// procPanicked is a proc's panic as it surfaces: a message that names the
+// proc and the virtual time and carries the panicking stack.
+type procPanicked string
+
+func (m procPanicked) Error() string { return string(m) }
 
 // nameStepPanic, deferred around a dispatch outside any proc's code, turns
 // a panic in an idle step that dispatch ran inline into the stepping

@@ -21,18 +21,23 @@ package sim
 // fixed grid E = k·L, so epoch boundaries — and therefore checkpoint points
 // — do not depend on event timing either.
 //
-// Each epoch runs on the goroutine that called Run or RunUntil: it claims
-// partitions off a shared counter and runs each to the epoch end, while
-// workers-1 helper goroutines, woken by a non-blocking send, claim whatever
-// is left. The caller then waits only for the partitions a helper claimed,
-// parking on a channel that the helper finishing the epoch's last partition
-// sends on; a helper that wakes after the caller has claimed everything
-// finds nothing to claim and costs the caller nothing. Nothing spins: an
-// epoch can take about a microsecond of host time, and a waiter that spins
-// takes a host core from the goroutine it waits for. A partition's panic is
-// recovered on the goroutine that ran it, and once every claimed partition
-// is done the caller re-panics with the lowest-numbered partition's, so a
-// proc panic surfaces from Run or RunUntil at any worker count.
+// Each epoch runs on the goroutine that called Run or RunUntil. It lists
+// the partitions with work due in the epoch (a queued event or a skipped
+// idle chain's act at or before its end) and logs the others' boundaries
+// directly, which is all RunUntil would do for them. It then claims listed
+// partitions off a shared counter and runs each to the epoch end, while up
+// to one helper goroutine fewer than the list is long, woken by a
+// non-blocking send, claims whatever is left. The caller waits only for
+// the partitions a helper claimed, parking on a channel that the helper
+// finishing the epoch's last partition sends on; a helper that wakes after
+// the caller has claimed everything finds nothing to claim and costs the
+// caller nothing. Nothing spins: an epoch can take about a microsecond of
+// host time, and a waiter that spins takes a host core from the goroutine
+// it waits for. A partition's panic is recovered on the goroutine that ran
+// it, and once every claimed partition is done the caller re-panics with
+// the lowest-numbered partition's, so a panic surfaces from Run or
+// RunUntil at any worker count; an engine callback's is wrapped with the
+// partition, the virtual time and the stack it panicked on.
 //
 // The serial Engine remains the reference implementation: a ParallelEngine
 // with workers=1 has no helpers and runs every partition on the caller, and
@@ -43,6 +48,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"sync/atomic"
 
 	"multikernel/internal/ckpt"
@@ -79,11 +85,14 @@ type ParallelEngine struct {
 
 	outbox [][]xsend // per source partition; reused across epochs
 
-	// The epoch barrier (runEpoch): claim hands out partitions, done counts
-	// the finished ones, wake releases the helpers, a helper sends on
-	// finished when it ran the epoch's last partition and when it exits, and
-	// panics holds each partition's recovered panic.
-	claim    atomic.Int64
+	// The epoch barrier (runEpoch): active lists the partitions with work
+	// due in the epoch, claim hands them out (the list's length in the high
+	// half, claims in the low half), done counts the finished ones, wake
+	// releases the helpers, a helper sends on finished when it ran the
+	// epoch's last partition and when it exits, and panics holds each
+	// partition's recovered panic.
+	active   []int
+	claim    atomic.Uint64
 	done     atomic.Int64
 	epochEnd Time
 	wake     chan struct{}
@@ -119,6 +128,7 @@ func NewParallelEngine(nparts int, lookahead Time, seed uint64, workers int) *Pa
 		lookahead: lookahead,
 		workers:   min(max(workers, 1), nparts),
 		outbox:    make([][]xsend, nparts),
+		active:    make([]int, 0, nparts),
 		finished:  make(chan struct{}, 1),
 		panics:    make([]any, nparts),
 	}
@@ -144,25 +154,38 @@ func (pe *ParallelEngine) help() {
 	pe.finished <- struct{}{}
 }
 
-// runClaimed claims and runs partitions until none is left, and reports
-// whether it finished the epoch's last one. A partition's panic ends the
-// loop; the deferred call records it for partition i, counts the partition
-// as done and claims on. A helper that claims after the caller reset the
-// counter runs a partition of the caller's current epoch: the reset follows
-// the epochEnd write and the end of every partition claimed before it.
+// runClaimed claims and runs listed partitions until none is left, and
+// reports whether it finished the epoch's last one. A partition's panic
+// ends the loop; the deferred call records it for partition i, counts the
+// partition as done and claims on. A claim reads the list's length from
+// the same word as its index, so it is the length of the epoch it claimed
+// in: the caller stores length and a zero index together, after writing
+// the list and epochEnd and after every partition of the epoch before is
+// done. A claim with an index below that length therefore sees this
+// epoch's list and end, and the caller cannot write the next epoch's
+// until the claimed partition is done; a claim made after the epoch's
+// last one, however late, finds an index past the length.
 func (pe *ParallelEngine) runClaimed() (last bool) {
-	n, i := int64(len(pe.parts)), 0
+	var i, n int
 	defer func() {
 		if r := recover(); r != nil {
+			if _, ok := r.(procPanicked); !ok {
+				r = fmt.Sprintf("sim: partition %d panicked at t=%d: %v\n%s", i, pe.parts[i].now, r, debug.Stack())
+			}
 			pe.panics[i] = r
-			last = pe.done.Add(1) == n || pe.runClaimed()
+			last = pe.done.Add(1) == int64(n) || pe.runClaimed()
 		}
 	}()
-	for i = int(pe.claim.Add(1)) - 1; i < len(pe.parts); i = int(pe.claim.Add(1)) - 1 {
+	for {
+		c := pe.claim.Add(1)
+		k := int(uint32(c)) - 1
+		if n = int(c >> 32); k >= n {
+			return last
+		}
+		i = pe.active[k]
 		pe.parts[i].RunUntil(pe.epochEnd)
-		last = pe.done.Add(1) == n
+		last = pe.done.Add(1) == int64(n)
 	}
-	return last
 }
 
 // NParts returns the partition count.
@@ -269,13 +292,27 @@ func (pe *ParallelEngine) earliest(limit Time) Time {
 }
 
 // runEpoch executes every partition up to and including time last: it
-// wakes the helpers, runs the partitions it claims, waits for those a
-// helper claimed, and re-panics with the lowest-numbered partition's panic.
+// lists the partitions with work due, logs the others' boundaries, wakes
+// helpers for all but one listed partition, runs the partitions it claims,
+// waits for those a helper claimed, and re-panics with the lowest-numbered
+// partition's panic.
 func (pe *ParallelEngine) runEpoch(last Time) {
+	pe.active = pe.active[:0]
+	for i, p := range pe.parts {
+		if p.headAt <= last || p.chainAt <= last {
+			pe.active = append(pe.active, i)
+		} else {
+			p.boundary(last)
+		}
+	}
+	n := len(pe.active)
+	if n == 0 {
+		return
+	}
 	pe.epochEnd = last
 	pe.done.Store(0)
-	pe.claim.Store(0)
-	for range pe.workers - 1 {
+	pe.claim.Store(uint64(n) << 32)
+	for range min(pe.workers, n) - 1 {
 		select {
 		case pe.wake <- struct{}{}:
 		default: // a token already waits for a helper

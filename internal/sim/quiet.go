@@ -170,10 +170,25 @@ func (e *Engine) notePop(ev *event) {
 // at the cycles of live chains' steps and entries, and, where a step ties
 // with a live chain's entry, at the steps a few gaps before it; the margin
 // of two periods keeps those, and bound panics if one is ever missing.
+//
+// A lone live chain's entry is read only by a walk back from a tie with an
+// older chain's step, and the only older chains left are ended ones whose
+// acts are logged. So while it is alone and no point of its last two
+// periods is another chain's act, only those points stay: a wait skipped
+// as one long stretch does not keep every point since it began.
 func (e *Engine) trim() {
 	cut := ^Time(0)
 	for _, c := range e.chains {
 		cut = min(cut, c.entry.at-min(c.entry.at, 2*c.sw.period()))
+	}
+	if len(e.chains) == 1 {
+		recent := e.now - min(e.now, 2*e.chains[0].sw.period())
+		j := sort.Search(len(e.plog), func(j int) bool { return e.plog[j].at >= recent })
+		for ; j < len(e.plog) && e.plog[j].ch == nil; j++ {
+		}
+		if j == len(e.plog) {
+			cut = max(cut, recent)
+		}
 	}
 	i := sort.Search(len(e.plog), func(i int) bool { return e.plog[i].at >= cut })
 	if i > 0 {
@@ -450,12 +465,23 @@ func (e *Engine) nextStep() Time {
 }
 
 // boundary advances the clock to t at the end of a run and logs the point
-// after which driver code may schedule: every step up to t has run.
+// after which driver code may schedule: every step up to t has run. When
+// the last point is the previous boundary and nothing has been scheduled
+// since, that point moves to t instead: a step at its old cycle then finds
+// no point there and reads the same counter from the moved one, so every
+// order comes out as with both logged. (Without a perturb hook, the only
+// points past every skipped step are boundaries.) A partition of a
+// ParallelEngine that has no work in an epoch logs its boundary this way.
 func (e *Engine) boundary(t Time) {
 	if e.now < t {
 		e.now = t
 	}
-	if len(e.chains) > 0 {
-		e.note(e.now, endPoint, nil)
+	if len(e.chains) == 0 {
+		return
 	}
+	if pt := e.cur(); pt.seq == endPoint && pt.cb == e.seq && e.perturb == nil {
+		pt.at = e.now
+		return
+	}
+	e.note(e.now, endPoint, nil)
 }
