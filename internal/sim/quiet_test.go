@@ -243,6 +243,32 @@ func TestQuietChainsMatchSteppedLoop(t *testing.T) {
 			}
 			e.Run()
 		}},
+		{"a lone chain's log trimmed after an older chain's act", func(r *quietRig) {
+			// a and c run one sweep in phase, c started at one of a's
+			// steps. a acts at 140, where c skips a step; 1,100 callbacks
+			// at 141 then fill the dispatch log while c is alone, and a
+			// write at c's next step orders it against a's act, a walk
+			// back that reaches c's entry at 28 and a's step there. The
+			// trim must keep those points.
+			e := r.e
+			a := r.poller(e, "a", []Time{5, 7, 2}, 1, 1000, 1)
+			var c *quietPoller
+			e.Spawn("late", func(p *Proc) {
+				p.Sleep(28)
+				c = r.poller(e, "c", []Time{5, 7, 2}, 1, 1000, 1)
+			})
+			e.Spawn("writer", func(p *Proc) {
+				p.Sleep(139)
+				a.write(0)
+				p.Sleep(6)
+				c.write(0)
+				r.note("wrote")
+			})
+			for range 1100 {
+				e.After(141, func() {})
+			}
+			e.Run()
+		}},
 		{"inline idle steps in place beside chains", func(r *quietRig) {
 			// A plain Idle loop steps every cycle, in place while nothing
 			// is queued, and arms callbacks that land on the chained
