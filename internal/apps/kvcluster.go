@@ -266,7 +266,7 @@ func NewKVCluster(e *sim.Engine, sys *cache.System, net *monitor.Network, cfg Cl
 				srv.rings = append(srv.rings, ch)
 			}
 		}
-		srv.pass = cl.plan.NewPass(srv, srv.rings)
+		srv.pass = cl.plan.NewPass(srv, nil, srv.rings)
 	}
 	// Seed every shard copy identically (the linearizability checker's
 	// initial state): key k -> k*2654435761 + 1, as in NewKVStore.

@@ -118,6 +118,7 @@ type KVService struct {
 	bulks []*urpc.BulkChannel
 	proc  *sim.Proc
 	eng   *sim.Engine
+	pass  *urpc.Pass // the loop's checks of reqs
 	// rangeBuf gathers one pool slot of range values; BulkChannel.Send
 	// copies it out before it returns, so every request reuses it.
 	rangeBuf [kvBulkSlotLines * memory.LineSize]byte
@@ -128,6 +129,7 @@ type KVService struct {
 // hold the structure (and the channel ends built by Connect) without a loop.
 func NewKVService(e *sim.Engine, kv *KVStore) *KVService {
 	s := &KVService{kv: kv, eng: e}
+	s.pass = (&urpc.PassPlan{Sleep: kvIdleGap, Park: kvIdleSweeps}).NewPass(s, nil, nil)
 	if kv.sys.LocalCore(kv.core) {
 		s.proc = e.Spawn(fmt.Sprintf("kvsvc@c%d", kv.core), func(p *sim.Proc) {
 			p.SetDaemon(true)
@@ -160,32 +162,39 @@ func (s *KVService) Connect(client topo.CoreID) *KVClient {
 	s.reqs = append(s.reqs, req)
 	s.rsps = append(s.rsps, rsp)
 	s.bulks = append(s.bulks, bulk)
+	if s.proc != nil {
+		s.proc.Nudge() // the next pass start takes the new ring
+	}
 	s.wake()
 	return &KVClient{req: req, rsp: rsp, bulk: bulk, svc: s, Timeout: DefaultKVTimeout}
 }
 
 // The service loop sleeps kvIdleGap cycles between empty sweeps of its
-// request rings and parks in the kvIdleSweeps-th.
+// request rings and parks in the kvIdleSweeps-th. It charges no loop cost.
 const (
 	kvIdleSweeps = 40
 	kvIdleGap    = 200
 )
 
+// loop serves requests. Each sweep checks the request rings connected when
+// it began, in connect order, serving a ring's requests as its check finds
+// them; a sweep that served any starts the next at once. The checks run as
+// steps (urpc.Pass); the proc does only what can block.
 func (s *KVService) loop(p *sim.Proc) {
-	idle := 0
 	var reqBuf [8]urpc.Message
 	var replies []urpc.Message
+	ps := s.pass
 	for {
-		idle = s.skipEmpty(p, idle)
-		progress := false
-		for i, req := range s.reqs {
+		switch ps.Next(p) {
+		case urpc.PassRing:
 			// Burst dequeue: one check charge drains a client's whole request
 			// batch, and the replies go back as one vectored send.
-			n := req.Recv(p, reqBuf[:], urpc.Poll)
+			i := ps.Ring
+			n := ps.Drain(p, reqBuf[:])
+			ps.Ring++
 			if n == 0 {
 				continue
 			}
-			progress = true
 			replies = replies[:0]
 			for _, m := range reqBuf[:n] {
 				switch m[2] {
@@ -209,45 +218,33 @@ func (s *KVService) loop(p *sim.Proc) {
 				}
 			}
 			s.rsps[i].Send(p, replies, urpc.Spin)
+		case urpc.PassPark:
+			p.Park() // Connect and every request wake it
+			ps.Idle = 0
+			ps.At = urpc.PassStart
 		}
-		if progress {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle < kvIdleSweeps {
-			p.Sleep(kvIdleGap)
-			continue
-		}
-		p.Park()
-		idle = 0
 	}
 }
 
-// skipEmpty takes at once the loop's empty sweeps, up to its park point,
-// that would find every request ring empty through cache hits and wake in
-// place (sim.Proc.SkipSweeps), and returns the idle count after them.
-func (s *KVService) skipEmpty(p *sim.Proc, idle int) int {
-	if idle >= kvIdleSweeps-1 {
-		return idle // the next sweep parks
+// Begin takes the request rings connected since the last pass start; the
+// service has no work before its rings.
+func (s *KVService) Begin() bool {
+	if s.pass.Rings() != len(s.reqs) {
+		s.pass.SetRings(s.reqs)
 	}
-	var k uint64
-	var d sim.Time
-	for _, req := range s.reqs {
-		rk, rd, ok := req.EmptyCheck()
-		if !ok {
-			return idle
-		}
-		k, d = k+rk, d+rd
-	}
-	n := p.SkipSweeps(uint64(kvIdleSweeps-1-idle), k+1, d+kvIdleGap)
-	if n == 0 {
-		return idle
-	}
-	for _, req := range s.reqs {
-		req.SkipChecks(n)
-	}
-	return idle + int(n)
+	return false
+}
+
+// Service reports false: the service acts only on its rings.
+func (s *KVService) Service() bool { return false }
+
+// Busy reports false: an idle service parks.
+func (s *KVService) Busy() bool { return false }
+
+// Quiet lets the engine skip idle passes unless touch tracking is on or a
+// request ring waits for the next pass start (Connect nudges the proc).
+func (s *KVService) Quiet() (bool, sim.Time) {
+	return !s.kv.sys.Tracking() && s.pass.Rings() == len(s.reqs), sim.Forever
 }
 
 // serveRange scans [lo, hi) and streams the matching row values to client i's
@@ -310,6 +307,12 @@ type KVClient struct {
 	// Timeout bounds each request/response exchange; Connect sets it to
 	// DefaultKVTimeout.
 	Timeout sim.Time
+
+	// SelectRange's wait: its passes over the reply and bulk rings while
+	// the count is due (waits[0]) and over the bulk ring after (waits[1]),
+	// and the deadline they test.
+	waits    [2]*urpc.Pass
+	deadline sim.Time
 }
 
 // fail renders the ChannelDead verdict on both directions: once a deadline
@@ -383,35 +386,53 @@ func (c *KVClient) Update(p *sim.Proc, key, val uint64) (bool, error) {
 // waiting for the count reply, so result sets larger than the bulk ring
 // never stall the server. The deadline re-arms on every payload, so a large
 // result set is bounded by per-transfer progress, not total size.
+//
+// The wait sweeps the reply ring while the count is due, then the bulk
+// ring, tests the deadline and sleeps rangePollGap; anything a check finds
+// restarts the sweep at once. Its checks run as steps (urpc.Pass), which
+// the engine skips while both rings stay empty, up to the first deadline
+// test at or after the deadline.
 func (c *KVClient) SelectRange(p *sim.Proc, lo, hi uint64) ([]uint64, error) {
 	if c.req.Send(p, []urpc.Message{{lo, hi, kvOpRange}}, urpc.Deadline(c.Timeout)) == 0 {
 		c.fail()
 		return nil, ErrChannelDead
 	}
 	c.svc.wake()
+	if c.waits[0] == nil {
+		plan := &urpc.PassPlan{Sleep: rangePollGap}
+		c.waits[0] = plan.NewPass(c, nil, []*urpc.Channel{c.rsp, c.bulk.Ring()})
+		c.waits[1] = plan.NewPass(c, nil, []*urpc.Channel{c.bulk.Ring()})
+	}
 	var vals []uint64
 	total := -1
-	deadline := p.Now() + c.Timeout
+	c.deadline = p.Now() + c.Timeout
+	ps := c.waits[0]
+	ps.At = urpc.PassStart
 	var m [1]urpc.Message
 	for total < 0 || len(vals) < total {
-		c.skipEmpty(p, total < 0, deadline)
-		if total < 0 && c.rsp.Recv(p, m[:], urpc.Poll) > 0 {
-			total = int(m[0][0])
-			deadline = p.Now() + c.Timeout
-			continue
-		}
-		if b, ok := c.bulk.Recv(p, urpc.Poll); ok {
-			for off := 0; off+8 <= len(b); off += 8 {
-				vals = append(vals, binary.LittleEndian.Uint64(b[off:]))
+		switch ps.Next(p) {
+		case urpc.PassRing: // a check found a message, or its probe missed
+			if total < 0 && ps.Ring == 0 {
+				if ps.Drain(p, m[:]) > 0 {
+					total = int(m[0][0])
+					c.deadline = p.Now() + c.Timeout
+					ps = c.waits[1]
+					ps.At = urpc.PassStart
+					continue
+				}
+			} else if b, ok := ps.DrainBulk(p, c.bulk); ok {
+				for off := 0; off+8 <= len(b); off += 8 {
+					vals = append(vals, binary.LittleEndian.Uint64(b[off:]))
+				}
+				c.deadline = p.Now() + c.Timeout
+				ps.At = urpc.PassStart
+				continue
 			}
-			deadline = p.Now() + c.Timeout
-			continue
-		}
-		if p.Now() >= deadline {
+			ps.Ring++
+		case urpc.PassService: // the deadline passed
 			c.fail()
 			return vals, ErrChannelDead
 		}
-		p.Sleep(rangePollGap)
 	}
 	return vals, nil
 }
@@ -419,25 +440,15 @@ func (c *KVClient) SelectRange(p *sim.Proc, lo, hi uint64) ([]uint64, error) {
 // rangePollGap is SelectRange's sleep between empty sweeps.
 const rangePollGap = 200
 
-// skipEmpty takes at once SelectRange's empty sweeps that wake in place
-// (sim.Proc.SkipSweeps) and test the clock before the deadline: each is a
-// Poll check of the reply ring while the count is due, one of the bulk
-// ring, the deadline test and the sleep.
-func (c *KVClient) skipEmpty(p *sim.Proc, countDue bool, deadline sim.Time) {
-	k, d, ok := c.bulk.EmptyCheck()
-	if countDue {
-		rk, rd, rok := c.rsp.EmptyCheck()
-		k, d, ok = k+rk, d+rd, ok && rok
-	}
-	if !ok {
-		return
-	}
-	n := sim.SweepsBefore(p.Now(), deadline, d, d+rangePollGap)
-	if n = p.SkipSweeps(n, k+1, d+rangePollGap); n == 0 {
-		return
-	}
-	c.bulk.SkipChecks(n)
-	if countDue {
-		c.rsp.SkipChecks(n)
-	}
-}
+// Begin reports false: the range wait acts only on its rings.
+func (c *KVClient) Begin() bool { return false }
+
+// Service reports whether the range wait's deadline has passed.
+func (c *KVClient) Service() bool { return c.svc.eng.Now() >= c.deadline }
+
+// Busy reports false; the range wait never parks.
+func (c *KVClient) Busy() bool { return false }
+
+// Quiet lets the engine skip the range wait's polls up to its deadline
+// test unless touch tracking is on; the rings' lines are watched.
+func (c *KVClient) Quiet() (bool, sim.Time) { return !c.svc.kv.sys.Tracking(), c.deadline }

@@ -2,7 +2,9 @@
 // evaluation: the shared-memory-versus-messages update microbenchmark
 // (Figure 3), skeletons of the NAS OpenMP and SPLASH-2 compute benchmarks
 // (Figure 9), a UDP echo service, a web server and a relational-ish
-// key-value store (§5.4).
+// key-value store (§5.4). The KV service, SelectRange's wait and the kv
+// cluster's servers poll their rings through urpc.Pass, whose quiet polls
+// the engine skips.
 package apps
 
 import (

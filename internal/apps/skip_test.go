@@ -66,12 +66,36 @@ func kvFixture(e *sim.Engine, sys *cache.System) (*KVService, *KVClient) {
 	return svc, svc.Connect(3)
 }
 
+// snapEvery logs a registry snapshot every d cycles from d to end, as an
+// obs sampler would: a read mid-stretch must find every skipped poll's
+// counts.
+func snapEvery(e *sim.Engine, d, end sim.Time, log func(string)) {
+	for t := d; t <= end; t += d {
+		e.After(t, func() {
+			s := e.Metrics().Snapshot()
+			log(fmt.Sprintf("snap hits=%d recv=%d retries=%d events=%d", s.Counters["cache.hits"], s.Counters["urpc.received"], s.Counters["urpc.retries"], s.Counters["sim.events_dispatched"]))
+		})
+	}
+}
+
+// busy spawns a proc that sleeps steps of d cycles until end: other procs'
+// events inside every quiet stretch, so that a skipped stretch cannot wake
+// in place.
+func busy(e *sim.Engine, d, end sim.Time) {
+	e.Spawn("busy", func(p *sim.Proc) {
+		for p.Now() < end {
+			p.Sleep(d)
+		}
+	})
+}
+
 // TestKVSkipMatchesPolling runs each row with no perturb hook, where the
-// KV service, SelectRange, the client's Deadline receives and the NIC
-// driver skip their quiet sweeps, and with a hook that perturbs nothing,
-// where every poll runs and wakes through the queue. Both runs must log the
-// same (time, what) sequence and end with the same clock, sequence number,
-// metrics and trace bytes.
+// engine skips the quiet polls of the KV service, SelectRange's wait, the
+// client's Deadline receives, the NIC driver and the accept loop, and with
+// a hook that perturbs nothing, where every poll runs and wakes through
+// the queue, both traced and untraced. Both runs must log the same (time,
+// what) sequence and end with the same clock, sequence number, metrics and
+// trace bytes.
 func TestKVSkipMatchesPolling(t *testing.T) {
 	rows := []struct {
 		name  string
@@ -175,6 +199,95 @@ func TestKVSkipMatchesPolling(t *testing.T) {
 			})
 			e.RunUntil(500_000)
 		}},
+		{"a busy proc beside the idle service, and a client connecting mid-stretch", func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// The busy proc's 37-cycle sleeps land inside every 200-cycle
+			// gap of the service's idle sweeps. The second client connects
+			// 2,013 cycles after the first one's reply, while the service
+			// sweeps the one ring it had, and its first request is served
+			// once a sweep start takes the new ring.
+			svc, cli := kvFixture(e, sys)
+			busy(e, 37, 3_000_000)
+			snapEvery(e, 97_001, 3_000_000, log)
+			e.Spawn("cli", func(p *sim.Proc) {
+				for i := uint64(0); i < 3; i++ {
+					v, ok, err := cli.Select(p, 7*i)
+					log(fmt.Sprintf("select %d = %d %v %v", 7*i, v, ok, err))
+					if i == 0 {
+						p.Sleep(2_013)
+						late := svc.Connect(2)
+						log("connected")
+						e.Spawn("late", func(q *sim.Proc) {
+							v, ok, err := late.Select(q, 11)
+							log(fmt.Sprintf("late select = %d %v %v", v, ok, err))
+						})
+					}
+					p.Sleep(3_000)
+				}
+			})
+			e.Run()
+		}},
+		{"a range payload lands mid-stretch beside a busy proc", func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// The wait polls both rings while the service parses; the
+			// payloads and the count land inside its quiet stretches.
+			_, cli := kvFixture(e, sys)
+			busy(e, 37, 2_000_000)
+			snapEvery(e, 89_003, 2_000_000, log)
+			e.Spawn("cli", func(p *sim.Proc) {
+				for i := uint64(0); i < 2; i++ {
+					vals, err := cli.SelectRange(p, 10*i, 10*i+700) // two bulk payloads
+					log(fmt.Sprintf("range %d rows %v", len(vals), err))
+				}
+			})
+			e.Run()
+		}},
+		{"a range deadline expires mid-stretch beside a busy proc", func(e *sim.Engine, sys *cache.System, log func(string)) {
+			svc, cli := kvFixture(e, sys)
+			e.Kill(svc.proc)
+			cli.Timeout = 300_017
+			busy(e, 37, 600_000)
+			snapEvery(e, 71_009, 600_000, log)
+			e.Spawn("cli", func(p *sim.Proc) {
+				vals, err := cli.SelectRange(p, 0, 10)
+				log(fmt.Sprintf("range %d rows %v", len(vals), err))
+			})
+			e.Run()
+		}},
+		{"a SYN lands mid-stretch at the accept loop", func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// The client's frames reach the server by Inject, not by the
+			// link the server's accept loop checks, which stays empty: only
+			// Inject's nudge ends the loop's stretch.
+			server := netstack.NewStack(e, sys, "web", 3, netstack.IP4(10, 0, 0, 1))
+			client := netstack.NewStack(e, sys, "cli", 1, netstack.IP4(10, 0, 0, 2))
+			netstack.ConnectLoopback(server, client)
+			client.SetOutput(func(p *sim.Proc, f netstack.Frame) {
+				p.Sleep(500)
+				server.Inject(f)
+			})
+			ws := &WebServer{Stack: server, Page: StaticPage()}
+			busy(e, 37, 1_500_000)
+			snapEvery(e, 99_007, 1_500_000, log)
+			e.Spawn("websrv", func(p *sim.Proc) {
+				p.SetDaemon(true)
+				ws.Serve(p)
+			})
+			e.Spawn("client", func(p *sim.Proc) {
+				for i := 0; i < 3; i++ {
+					p.Sleep(sim.Time(200_000 + 77*i))
+					conn := client.Dial(p, server.IP, 80)
+					conn.Send(p, BuildRequest("/index.html"))
+					n := 0
+					for {
+						b, ok := conn.Recv(p)
+						if !ok {
+							break
+						}
+						n += len(b)
+					}
+					log(fmt.Sprintf("response %d bytes", n))
+				}
+			})
+			e.RunUntil(5_000_000)
+		}},
 		{"static web server over loopback", func(e *sim.Engine, sys *cache.System, log func(string)) {
 			// The accept loop sleeps between empty polls of its link while
 			// the client waits between requests.
@@ -228,7 +341,13 @@ func TestKVSkipMatchesPolling(t *testing.T) {
 		}},
 	}
 	for _, r := range rows {
-		t.Run(r.name, func(t *testing.T) { checkSkipRow(t, topo.AMD2x2(), r.build, true) })
+		t.Run(r.name, func(t *testing.T) {
+			for _, traced := range []bool{true, false} {
+				t.Run(map[bool]string{true: "traced", false: "untraced"}[traced], func(t *testing.T) {
+					checkSkipRow(t, topo.AMD2x2(), r.build, traced)
+				})
+			}
+		})
 	}
 }
 

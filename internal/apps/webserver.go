@@ -41,34 +41,13 @@ type WebServer struct {
 	Requests uint64
 }
 
-// acceptPollGap is the accept loop's sleep between empty polls.
-const acceptPollGap = 300
-
 // Serve runs the accept loop forever on the caller's proc (mark it daemon).
 func (w *WebServer) Serve(p *sim.Proc) {
 	lis := w.Stack.ListenTCP(80)
 	for {
-		skipAccepts(p, lis)
-		conn, ok := lis.TryAccept(p)
-		if !ok {
-			p.Sleep(acceptPollGap)
-			continue
-		}
+		conn := lis.PollAccept(p)
 		p.Sleep(connAcceptCost)
 		w.handle(p, conn)
-	}
-}
-
-// skipAccepts takes at once the accept loop's empty sweeps, a TryAccept
-// that finds nothing and the sleep, that wake in place
-// (sim.Proc.SkipSweeps).
-func skipAccepts(p *sim.Proc, lis *netstack.TCPListener) {
-	k, d, ok := lis.EmptyCheck()
-	if !ok {
-		return
-	}
-	if n := p.SkipSweeps(^uint64(0), k+1, d+acceptPollGap); n > 0 {
-		lis.SkipChecks(n)
 	}
 }
 

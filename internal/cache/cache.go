@@ -707,17 +707,6 @@ func (s *System) ProbeHit(c topo.CoreID, a memory.Addr) (sim.Time, bool) {
 	return s.mach.Costs.L1Hit, true
 }
 
-// HeldWord is the quiet test of a poll that sim.Proc.SkipSweeps may skip:
-// if core c holds the line containing a, it returns the word at a and the
-// hit latency a Load would charge. It counts nothing and records no touch;
-// SkipHits does both once the skip is taken.
-func (s *System) HeldWord(c topo.CoreID, a memory.Addr) (v uint64, lat sim.Time, ok bool) {
-	if s.held(c, a) == nil {
-		return 0, 0, false
-	}
-	return s.mem.LoadWord(a), s.mach.Costs.L1Hit, true
-}
-
 // held returns the line containing a if core c holds it, else nil. It
 // fills neither the map nor the lookaside and records no touch.
 func (s *System) held(c topo.CoreID, a memory.Addr) *line {
@@ -730,15 +719,6 @@ func (s *System) held(c topo.CoreID, a memory.Addr) *line {
 		return nil
 	}
 	return l
-}
-
-// SkipHits counts n Loads by core c that hit the line containing a, and
-// records the touch as they would: the polls a taken skip stood for.
-func (s *System) SkipHits(c topo.CoreID, a memory.Addr, n uint64) {
-	if s.tracking {
-		s.touched[a.Line()] = true
-	}
-	s.stats[c].Hits += n
 }
 
 // Watch is the quiet test of a poll whose steps sim.Proc.Idle may

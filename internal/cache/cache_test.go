@@ -302,38 +302,6 @@ func TestTouchTracking(t *testing.T) {
 	}
 }
 
-// The quiet test of a skipped poll, HeldWord, counts nothing and records
-// no touch; SkipHits counts and records what the Loads it stands for would.
-func TestHeldWordAndSkipHits(t *testing.T) {
-	r := newRig(topo.AMD2x2())
-	a := r.mem.AllocLines(1, 0).LineAt(0) + 8
-	r.mem.StoreWord(a, 42)
-	if _, _, ok := r.sys.HeldWord(0, a); ok {
-		t.Fatal("a line no core has loaded reads as held")
-	}
-	r.runOn(func(p *sim.Proc) { r.sys.Load(p, 0, a) })
-	hits := r.sys.Stats(0).Hits
-	r.sys.StartTouchTracking()
-	if v, lat, ok := r.sys.HeldWord(0, a); !ok || v != 42 || lat != r.m.Costs.L1Hit {
-		t.Fatalf("HeldWord on the loading core = %d, %d, %v; want 42, %d, true", v, lat, ok, r.m.Costs.L1Hit)
-	}
-	if _, _, ok := r.sys.HeldWord(1, a); ok {
-		t.Fatal("a core that never loaded the line reads it as held")
-	}
-	if n, h := r.sys.StopTouchTracking(), r.sys.Stats(0).Hits; n != 0 || h != hits {
-		t.Fatalf("HeldWord touched %d lines and left %d hits, want 0 and %d", n, h, hits)
-	}
-	r.sys.StartTouchTracking()
-	r.sys.SkipHits(0, a, 5)
-	if n, h := r.sys.StopTouchTracking(), r.sys.Stats(0).Hits; n != 1 || h != hits+5 {
-		t.Fatalf("SkipHits touched %d lines and left %d hits, want 1 and %d", n, h, hits+5)
-	}
-	r.sys.DMAWrite(a, []byte{1}, 0)
-	if _, _, ok := r.sys.HeldWord(0, a); ok {
-		t.Fatal("a line a device write invalidated reads as held")
-	}
-}
-
 func TestTooManyCoresPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

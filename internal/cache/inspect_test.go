@@ -111,3 +111,12 @@ func (s *System) CheckInvariants() {
 		}
 	}
 }
+
+// HeldWord reports whether core c holds the line containing a, and if so
+// the word at a, counting and recording nothing.
+func (s *System) HeldWord(c topo.CoreID, a memory.Addr) (uint64, bool) {
+	if s.held(c, a) == nil {
+		return 0, false
+	}
+	return s.mem.LoadWord(a), true
+}

@@ -157,7 +157,7 @@ func watchRow(t *testing.T, name string, declined bool, write func(r *rig, p *si
 			refill = func(p *sim.Proc) uint64 {
 				for {
 					r.sys.Prefetch(p, 0, a)
-					if v, _, held := r.sys.HeldWord(0, a); held {
+					if v, held := r.sys.HeldWord(0, a); held {
 						return v
 					}
 				}

@@ -20,6 +20,7 @@ import (
 // another partition only the delivered line's own nudge can end a skipped
 // stretch.
 type ringPoller struct {
+	sys         *cache.System
 	ch          *urpc.Channel
 	ck          urpc.Check
 	next        uint64 // sweep position of the next step: check, probe or read
@@ -75,7 +76,7 @@ func (r *ringPoller) quiet(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
 func (r *ringPoller) settle(k uint64) {
 	at := func(k uint64) sim.Time { return r.t1 + r.sw.At(r.first+k-1) - r.sw.At(r.first) }
 	lo, hi := r.first+r.done, r.first+k
-	r.ch.SkipChecks((hi+1)/3 - (lo+1)/3) // probes sit at index 1 mod 3
+	r.sys.AddHits(r.ch.Receiver, (hi+1)/3-(lo+1)/3) // probes sit at index 1 mod 3
 	r.done, r.next = k, hi%3
 	switch r.next {
 	case 0:
@@ -130,7 +131,7 @@ func remoteRingRun(t *testing.T, declined bool, hook sim.PerturbFunc) ([]string,
 		ch := urpc.New(s.Cache, 0, 2, urpc.Options{Home: -1, Slots: 4})
 		if s.Cache.LocalCore(2) {
 			check, probe := ch.CheckGaps()
-			r := &ringPoller{ch: ch, oneChain: declined, sw: sim.NewSweep([]sim.Time{check, probe, ringPollGap})}
+			r := &ringPoller{sys: s.Cache, ch: ch, oneChain: declined, sw: sim.NewSweep([]sim.Time{check, probe, ringPollGap})}
 			if declined {
 				ch.OnRemoteDeliver = func() { r.decline = false }
 			}

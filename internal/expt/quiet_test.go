@@ -146,3 +146,27 @@ func TestKVClientStepsAreSkipped(t *testing.T) {
 		t.Fatalf("%d of the %d wakeups the clients' partitions add were skipped steps; want at least half", skipped, added)
 	}
 }
+
+// TestWebStepsAreSkipped fails if the engine stops skipping the quiet polls
+// of section 5.4's web+database pipeline: the NIC driver's, the web
+// server's accept loop and database waits, and the KV service's. Over 50M
+// cycles after a 5M-cycle warm-up, at least 85% of the wakeups must be
+// skipped steps: 89.9% are, and 48.8% were while only the database waits
+// ran as skippable idle steps.
+func TestWebStepsAreSkipped(t *testing.T) {
+	env, gen := buildWebServer(true, false)
+	defer env.Close()
+	events := func() uint64 { return env.E.Metrics().Snapshot().Counters["sim.events_dispatched"] }
+	env.E.RunUntil(5_000_000)
+	e0, s0, c0 := events(), env.E.SkippedSteps(), gen.Completed
+	env.E.RunUntil(55_000_000)
+	added, skipped := events()-e0, env.E.SkippedSteps()-s0
+	gen.Stop()
+	if gen.Completed == c0 {
+		t.Fatal("no request completed in the window")
+	}
+	t.Logf("%d of %d wakeups were skipped steps (%.1f%%)", skipped, added, 100*float64(skipped)/float64(added))
+	if skipped*100 < added*85 {
+		t.Fatalf("%d of the %d wakeups in the window were skipped steps; want at least 85%%", skipped, added)
+	}
+}

@@ -123,9 +123,27 @@ func WebServerLinux(window sim.Time) *WebResult {
 }
 
 func webServer(db, kernelStack bool, window sim.Time) *WebResult {
+	env, gen := buildWebServer(db, kernelStack)
+	defer env.Close()
+	// Warm-up, then measure over the window.
+	warm := window / 4
+	env.E.RunUntil(warm)
+	before, beforeBytes := gen.Completed, gen.BytesIn
+	env.E.RunUntil(warm + window)
+	done := gen.Completed - before
+	bytes := gen.BytesIn - beforeBytes
+	gen.Stop()
+	seconds := float64(window) / (env.M.ClockGHz * 1e9)
+	return &WebResult{
+		ReqPerSec: float64(done) / seconds,
+		Mbit:      float64(bytes) * 8 / seconds / 1e6,
+	}
+}
+
+// buildWebServer builds webServer's system, its fleet of clients started.
+func buildWebServer(db, kernelStack bool) (*Env, *apps.HTTPLoadGen) {
 	m := topo.AMD2x2()
 	env := NewEnv(m, 6)
-	defer env.Close()
 	w := netstack.NewWire(env.E, 1, m.ClockGHz)
 	nic := netstack.NewNIC(env.E, env.Sys, "e1000", w, true)
 
@@ -177,20 +195,7 @@ func webServer(db, kernelStack bool, window sim.Time) *WebResult {
 	}
 	w.Attach(nic, gen)
 	gen.Start(env.E)
-
-	// Warm-up, then measure over the window.
-	warm := window / 4
-	env.E.RunUntil(warm)
-	before, beforeBytes := gen.Completed, gen.BytesIn
-	env.E.RunUntil(warm + window)
-	done := gen.Completed - before
-	bytes := gen.BytesIn - beforeBytes
-	gen.Stop()
-	seconds := float64(window) / (m.ClockGHz * 1e9)
-	return &WebResult{
-		ReqPerSec: float64(done) / seconds,
-		Mbit:      float64(bytes) * 8 / seconds / 1e6,
-	}
+	return env, gen
 }
 
 // Sec54 regenerates the §5.4 I/O results as one table.

@@ -17,6 +17,7 @@
 package memory
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -202,29 +203,59 @@ func (mem *Memory) LoadLine(a Addr) [WordsPerLine]uint64 {
 }
 
 // LoadBytes copies n bytes starting at a into a fresh slice. Byte access is
-// implemented over the word store, so it interoperates with word writes.
+// implemented over the word store, so it interoperates with word writes:
+// word i holds bytes 8i to 8i+7, little-endian. Each page's run is copied
+// at once, in whole words between its edge bytes.
 func (mem *Memory) LoadBytes(a Addr, n int) []byte {
 	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		addr := a + Addr(i)
-		var w uint64
-		if pg := mem.pageFor(addr, false); pg != nil {
-			w = pg[(addr%(1<<pageShift))/8]
+	for i := 0; i < n; {
+		off := int((a + Addr(i)) % (1 << pageShift))
+		run := out[i:min(n, i+1<<pageShift-off)]
+		if pg := mem.pageFor(a+Addr(i), false); pg != nil {
+			j := 0
+			for ; j < len(run) && (off+j)%8 != 0; j++ {
+				run[j] = pg.byteAt(off + j)
+			}
+			for ; j+8 <= len(run); j += 8 {
+				binary.LittleEndian.PutUint64(run[j:], pg[(off+j)/8])
+			}
+			for ; j < len(run); j++ {
+				run[j] = pg.byteAt(off + j)
+			}
 		}
-		out[i] = byte(w >> (8 * (addr & 7)))
+		i += len(run)
 	}
 	return out
 }
 
-// StoreBytes writes b starting at address a.
+// StoreBytes writes b starting at address a, creating every page it
+// touches. Each page's run is written at once, as LoadBytes reads it.
 func (mem *Memory) StoreBytes(a Addr, b []byte) {
-	for i, c := range b {
-		addr := a + Addr(i)
-		pg := mem.pageFor(addr, true)
-		w := &pg[(addr%(1<<pageShift))/8]
-		shift := 8 * (addr & 7)
-		*w = (*w &^ (uint64(0xff) << shift)) | uint64(c)<<shift
+	for i := 0; i < len(b); {
+		off := int((a + Addr(i)) % (1 << pageShift))
+		run := b[i:min(len(b), i+1<<pageShift-off)]
+		pg := mem.pageFor(a+Addr(i), true)
+		j := 0
+		for ; j < len(run) && (off+j)%8 != 0; j++ {
+			pg.setByte(off+j, run[j])
+		}
+		for ; j+8 <= len(run); j += 8 {
+			pg[(off+j)/8] = binary.LittleEndian.Uint64(run[j:])
+		}
+		for ; j < len(run); j++ {
+			pg.setByte(off+j, run[j])
+		}
+		i += len(run)
 	}
+}
+
+// byteAt returns the byte at offset off of the page.
+func (pg *page) byteAt(off int) byte { return byte(pg[off/8] >> (8 * (off % 8))) }
+
+// setByte writes the byte at offset off of the page.
+func (pg *page) setByte(off int, c byte) {
+	w, shift := &pg[off/8], 8*(off%8)
+	*w = *w&^(0xff<<shift) | uint64(c)<<shift
 }
 
 // Size returns the total allocated bytes.

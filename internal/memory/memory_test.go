@@ -104,18 +104,70 @@ func TestBytesWordInterop(t *testing.T) {
 	}
 }
 
-func TestBytesRoundTripProperty(t *testing.T) {
-	mem := New(topo.AMD4x4())
-	r := mem.AllocLines(64, 0)
-	f := func(off uint16, data []byte) bool {
-		if len(data) == 0 || len(data) > 1024 {
-			return true
-		}
-		a := r.Base + Addr(off%1024)
-		mem.StoreBytes(a, data)
-		return bytes.Equal(mem.LoadBytes(a, len(data)), data)
+// refStoreBytes and refLoadBytes copy one byte at a time, with a page
+// lookup per byte: the reference StoreBytes and LoadBytes must match.
+func refStoreBytes(mem *Memory, a Addr, b []byte) {
+	for i, c := range b {
+		addr := a + Addr(i)
+		pg := mem.pageFor(addr, true)
+		w := &pg[(addr%(1<<pageShift))/8]
+		shift := 8 * (addr & 7)
+		*w = (*w &^ (uint64(0xff) << shift)) | uint64(c)<<shift
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+}
+
+func refLoadBytes(mem *Memory, a Addr, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		addr := a + Addr(i)
+		if pg := mem.pageFor(addr, false); pg != nil {
+			out[i] = byte(pg[(addr%(1<<pageShift))/8] >> (8 * (addr & 7)))
+		}
+	}
+	return out
+}
+
+// samePages reports whether two memories hold the same pages with the same
+// words.
+func samePages(a, b *Memory) bool {
+	if len(a.pages) != len(b.pages) {
+		return false
+	}
+	for k, pg := range a.pages {
+		if q, ok := b.pages[k]; !ok || *q != *pg {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBytesRoundTripProperty: byte stores at unaligned starts with lengths
+// that straddle words and pages, mixed with word stores, leave the pages
+// and words the byte-at-a-time reference leaves, and loads of unaligned
+// ranges read what it reads.
+func TestBytesRoundTripProperty(t *testing.T) {
+	mem, ref := New(topo.AMD4x4()), New(topo.AMD4x4())
+	r := mem.AllocLines(256, 0) // four pages
+	ref.AllocLines(256, 0)
+	f := func(off uint16, data []byte, word uint64, loadOff, loadLen uint16) bool {
+		// Starts up to 39 bytes before one of three page boundaries, and
+		// every fifth run longer than a page.
+		a := (r.Base>>pageShift+1+Addr(off%3))<<pageShift - Addr(off/3%40)
+		if loadLen%5 == 0 {
+			data = bytes.Repeat(data, 100)
+		}
+		mem.StoreBytes(a, data)
+		refStoreBytes(ref, a, data)
+		if !bytes.Equal(mem.LoadBytes(a, len(data)), data) {
+			return false
+		}
+		wa := r.Base + Addr(off%2048)*8
+		mem.StoreWord(wa, word)
+		ref.StoreWord(wa, word)
+		la, n := r.Base+Addr(loadOff%8192), int(loadLen%8192)
+		return bytes.Equal(mem.LoadBytes(la, n), refLoadBytes(ref, la, n)) && samePages(mem, ref)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -184,13 +236,36 @@ func TestStoreToUnallocatedAddress(t *testing.T) {
 	}
 }
 
+// TestBytesAcrossPageBoundary stores and loads runs at every start from 9
+// bytes before a page boundary to 9 after it, with every length up to 20
+// and one run across three pages, against the byte-at-a-time reference.
 func TestBytesAcrossPageBoundary(t *testing.T) {
-	mem := New(topo.AMD2x2())
+	mem, ref := New(topo.AMD2x2()), New(topo.AMD2x2())
 	a := Addr(1<<pageShift) - 7 // straddles the first page boundary
 	msg := []byte("boundary-crossing payload")
 	mem.StoreBytes(a, msg)
 	if got := mem.LoadBytes(a, len(msg)); !bytes.Equal(got, msg) {
 		t.Fatalf("got %q, want %q", got, msg)
+	}
+	refStoreBytes(ref, a, msg)
+	long := bytes.Repeat([]byte("0123456789abcdef"), 600) // 9,600 bytes
+	for start := Addr(3<<pageShift) - 9; start <= Addr(3<<pageShift)+9; start++ {
+		for n := 0; n <= 20; n++ {
+			b := long[int(start)%16 : int(start)%16+n]
+			mem.StoreBytes(start, b)
+			refStoreBytes(ref, start, b)
+			if got, want := mem.LoadBytes(start-3, n+6), refLoadBytes(ref, start-3, n+6); !bytes.Equal(got, want) {
+				t.Fatalf("%d bytes at %#x: read back %q, want %q", n, uint64(start), got, want)
+			}
+		}
+	}
+	mem.StoreBytes(Addr(6<<pageShift)-5, long)
+	refStoreBytes(ref, Addr(6<<pageShift)-5, long)
+	if got := mem.LoadBytes(Addr(6<<pageShift)-13, len(long)+20); !bytes.Equal(got, refLoadBytes(ref, Addr(6<<pageShift)-13, len(long)+20)) {
+		t.Fatal("a run across three pages reads back differently")
+	}
+	if !samePages(mem, ref) {
+		t.Fatal("the stores left different pages or words than the byte-at-a-time reference")
 	}
 }
 

@@ -266,7 +266,7 @@ func NewNetwork(e *sim.Engine, sys *cache.System, kern *kernel.System, kb *skb.K
 				rings = append(rings, ch)
 			}
 		}
-		mon.pass = plan.NewPass(mon, rings)
+		mon.pass = plan.NewPass(mon, nil, rings)
 		if !sys.LocalCore(mon.Core) {
 			// Parallel boot: a remote core's monitor exists as structure (its
 			// channels are the local ends of the mesh) but never runs here —

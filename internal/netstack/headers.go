@@ -6,7 +6,10 @@
 //
 // Header marshalling is real code over real bytes — checksums included — so
 // the protocol path is exercised, while transport costs (DMA, cache-line
-// copies, wire time) come from the simulation models.
+// copies, wire time) come from the simulation models. The NIC driver and
+// the accept loop poll through urpc.Pass, whose quiet polls the engine
+// skips: the NIC's next receive descriptor and the links' ring lines are
+// watched, and Inject nudges the accept loop.
 package netstack
 
 import (

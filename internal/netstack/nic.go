@@ -182,21 +182,13 @@ func (n *NIC) Poll(p *sim.Proc, core topo.CoreID) Frame {
 	return f
 }
 
-// emptyPoll is the quiet test of Poll from core, for the driver's skipped
-// sweeps: the driver has consumed every descriptor the device published and
-// core holds the next descriptor's line, so Poll is one cache hit. It
-// returns that hit's latency and charges and records nothing.
-func (n *NIC) emptyPoll(core topo.CoreID) (sim.Time, bool) {
-	if n.rxDrv < n.rxDev {
-		return 0, false
-	}
-	_, lat, ok := n.sys.HeldWord(core, n.rxDescs.LineAt(int(n.rxDrv%nicRings)))
-	return lat, ok
-}
-
-// skipPolls counts cnt empty Polls from core that a skip took.
-func (n *NIC) skipPolls(core topo.CoreID, cnt uint64) {
-	n.sys.SkipHits(core, n.rxDescs.LineAt(int(n.rxDrv%nicRings)), cnt)
+// nextRx returns the line of the descriptor Poll reads next, and whether
+// the device has published it: the driver pass's lead line (urpc.PassLead).
+// Deliver's DMA write to that line publishes the descriptor and advances
+// rxDev in one callback, so a write to the watched line nudges the driver
+// at the point the index moves.
+func (n *NIC) nextRx() (memory.Addr, bool) {
+	return n.rxDescs.LineAt(int(n.rxDrv % nicRings)), n.rxDrv < n.rxDev
 }
 
 // Transmit queues a frame for transmission from the driver core: the frame

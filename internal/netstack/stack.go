@@ -34,15 +34,18 @@ type Stack struct {
 	sys  *cache.System
 	core topo.CoreID
 
-	udp     map[uint16]*UDPSock
-	tcp     map[uint16]*TCPListener
-	conns   map[connKey]*TCPConn
-	out     func(p *sim.Proc, f Frame) // transmit path
-	poller  func(p *sim.Proc) bool     // pulls frames from the link into inbox
-	link    *FrameLink                 // the link poller drains; nil for SetPoller's
-	inbox   *sim.Queue[Frame]
-	nextEph uint16
-	ipID    uint16
+	udp    map[uint16]*UDPSock
+	tcp    map[uint16]*TCPListener
+	conns  map[connKey]*TCPConn
+	out    func(p *sim.Proc, f Frame) // transmit path
+	poller func(p *sim.Proc) bool     // pulls frames from the link into inbox
+	link   *FrameLink                 // the link poller drains; nil for SetPoller's
+	inbox  *sim.Queue[Frame]
+	// acceptor is the proc in PollAccept, whose skipped steps read the
+	// inbox, the backlogs and the link: a change to any nudges it.
+	acceptor *sim.Proc
+	nextEph  uint16
+	ipID     uint16
 }
 
 // stackPollGap is the idle polling interval of blocking socket operations.
@@ -81,10 +84,24 @@ func (s *Stack) SetOutput(fn func(p *sim.Proc, f Frame)) { s.out = fn }
 // frames from the underlying link into the stack. ConnectLoopback and
 // NewDriver install one automatically; custom configurations (e.g. a merged
 // driver/app loop modelling an in-kernel stack) set their own.
-func (s *Stack) SetPoller(fn func(p *sim.Proc) bool) { s.poller, s.link = fn, nil }
+func (s *Stack) SetPoller(fn func(p *sim.Proc) bool) {
+	s.poller, s.link = fn, nil
+	s.nudge()
+}
 
 // Inject queues a received frame into the stack (engine or proc context).
-func (s *Stack) Inject(f Frame) { s.inbox.Push(f) }
+func (s *Stack) Inject(f Frame) {
+	s.inbox.Push(f)
+	s.nudge()
+}
+
+// nudge tells PollAccept's proc that a queue or the link its skipped steps
+// read changed.
+func (s *Stack) nudge() {
+	if s.acceptor != nil {
+		s.acceptor.Nudge()
+	}
+}
 
 // Pump processes at least one received frame, polling the underlying link
 // until one arrives. The application's proc drives the stack, as with a
@@ -113,6 +130,12 @@ func (s *Stack) PumpReady(p *sim.Proc) bool {
 	if s.poller != nil {
 		s.poller(p)
 	}
+	return s.handleInbox(p)
+}
+
+// handleInbox processes the queued frames; it reports whether there were
+// any.
+func (s *Stack) handleInbox(p *sim.Proc) bool {
 	any := false
 	for {
 		f, ok := s.inbox.TryPop()
@@ -281,6 +304,7 @@ func ConnectLoopback(a, b *Stack) (pumpA, pumpB func(p *sim.Proc) bool) {
 // pollLink makes the stack's poller move frames from link into its inbox.
 func (s *Stack) pollLink(link *FrameLink) {
 	s.link = link
+	s.nudge()
 	s.poller = func(p *sim.Proc) bool {
 		any := false
 		for {
@@ -305,6 +329,7 @@ type Driver struct {
 	toApp *FrameLink
 	toNIC *FrameLink
 	proc  *sim.Proc
+	pass  *urpc.Pass // the NIC's next descriptor, then the transmit link
 }
 
 // NewDriver starts the driver loop on the given core, bridging nic to the
@@ -316,6 +341,9 @@ func NewDriver(e *sim.Engine, sys *cache.System, nic *NIC, core topo.CoreID, app
 		toApp: NewFrameLink(sys, core, app.core),
 		toNIC: NewFrameLink(sys, app.core, core),
 	}
+	plan := &urpc.PassPlan{Sleep: drvIdleGap, Park: drvIdleSweeps}
+	lead := &urpc.PassLead{Sys: sys, Core: core, Line: nic.nextRx}
+	d.pass = plan.NewPass(d, lead, []*urpc.Channel{d.toNIC.bulk.Ring()})
 	app.SetOutput(func(p *sim.Proc, f Frame) {
 		d.toNIC.Send(p, f)
 		e.Wake(d.proc)
@@ -330,61 +358,51 @@ func NewDriver(e *sim.Engine, sys *cache.System, nic *NIC, core topo.CoreID, app
 }
 
 // The driver loop sleeps drvIdleGap cycles between empty sweeps of the NIC
-// and its transmit link and parks in the drvIdleSweeps-th.
+// and its transmit link and parks in the drvIdleSweeps-th. It charges no
+// loop cost.
 const (
 	drvIdleSweeps = 30
 	drvIdleGap    = 150
 )
 
+// loop polls the NIC's next receive descriptor (the pass's lead), then the
+// transmit link, as steps (urpc.Pass); the proc does only what can block.
 func (d *Driver) loop(p *sim.Proc) {
-	idle := 0
+	ps := d.pass
 	for {
-		idle = d.skipEmpty(p, idle)
-		progress := false
-		if f := d.nic.Poll(p, d.core); f != nil {
-			d.toApp.Send(p, f)
-			progress = true
-		}
-		if f, ok := d.toNIC.TryRecv(p); ok {
-			if err := d.nic.Transmit(p, d.core, f); err != nil {
-				// Ring full: drop, as a real driver would under overload.
-				_ = err
+		switch ps.Next(p) {
+		case urpc.PassBegin: // a frame arrived, or the descriptor's probe missed
+			if f := d.nic.Poll(p, d.core); f != nil {
+				d.toApp.Send(p, f)
+				ps.Progress = true
 			}
-			progress = true
+			ps.At, ps.Ring = urpc.PassRing, 0
+		case urpc.PassRing: // a frame to send, or the link's probe missed
+			if f, ok := ps.DrainBulk(p, d.toNIC.bulk); ok {
+				if err := d.nic.Transmit(p, d.core, f); err != nil {
+					// Ring full: drop, as a real driver would under overload.
+					_ = err
+				}
+			}
+			ps.Ring++
+		case urpc.PassPark:
+			p.Park() // woken by the NIC interrupt or sender wakeups
+			ps.Idle = 0
+			p.Sleep(d.nic.sys.Machine().Costs.Trap)
+			ps.At = urpc.PassStart
 		}
-		if progress {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle < drvIdleSweeps {
-			p.Sleep(drvIdleGap)
-			continue
-		}
-		p.Park() // woken by the NIC interrupt or sender wakeups
-		idle = 0
-		p.Sleep(d.nic.sys.Machine().Costs.Trap)
 	}
 }
 
-// skipEmpty takes at once the loop's empty sweeps, up to its park point,
-// that would find the receive ring and the transmit link empty through cache
-// hits and wake in place (sim.Proc.SkipSweeps), and returns the idle count
-// after them.
-func (d *Driver) skipEmpty(p *sim.Proc, idle int) int {
-	if idle >= drvIdleSweeps-1 {
-		return idle // the next sweep parks
-	}
-	lat, ok := d.nic.emptyPoll(d.core)
-	k, dl, lok := d.toNIC.bulk.EmptyCheck()
-	if !ok || !lok {
-		return idle
-	}
-	n := p.SkipSweeps(uint64(drvIdleSweeps-1-idle), k+2, lat+dl+drvIdleGap)
-	if n == 0 {
-		return idle
-	}
-	d.nic.skipPolls(d.core, n)
-	d.toNIC.bulk.SkipChecks(n)
-	return idle + int(n)
-}
+// Begin reports false: the NIC is the pass's lead.
+func (d *Driver) Begin() bool { return false }
+
+// Service reports false: the driver acts only on the NIC and its link.
+func (d *Driver) Service() bool { return false }
+
+// Busy reports false: an idle driver parks.
+func (d *Driver) Busy() bool { return false }
+
+// Quiet lets the engine skip idle passes unless touch tracking is on. The
+// descriptor line and the link's ring line are watched.
+func (d *Driver) Quiet() (bool, sim.Time) { return !d.nic.sys.Tracking(), sim.Forever }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"multikernel/internal/sim"
+	"multikernel/internal/urpc"
 )
 
 // MSS is the maximum TCP segment payload.
@@ -23,6 +24,8 @@ const (
 type TCPListener struct {
 	stack   *Stack
 	backlog *sim.Queue[*TCPConn]
+	pass    *urpc.Pass // PollAccept's checks of the stack's link
+	link    *FrameLink // the link pass checks
 }
 
 // ListenTCP binds a listening socket.
@@ -31,6 +34,7 @@ func (s *Stack) ListenTCP(port uint16) *TCPListener {
 		panic(fmt.Sprintf("netstack: tcp port %d already bound", port))
 	}
 	l := &TCPListener{stack: s, backlog: sim.NewQueue[*TCPConn](s.e)}
+	l.pass = (&urpc.PassPlan{Sleep: acceptPollGap}).NewPass(l, nil, nil)
 	s.tcp[port] = l
 	return l
 }
@@ -41,22 +45,75 @@ func (l *TCPListener) TryAccept(p *sim.Proc) (*TCPConn, bool) {
 	return l.backlog.TryPop()
 }
 
-// EmptyCheck is the quiet test of TryAccept, for an accept loop that skips
-// its empty sweeps with sim.Proc.SkipSweeps: no connection is pending, no
-// frame is queued, and the check of the stack's link would find it empty
-// through a cache hit (urpc.Channel.EmptyCheck). It returns the sleeps and
-// cycles of that check, and charges and records nothing. A stack with a
-// SetPoller poller is never quiet. SkipChecks counts the checks a skip took.
-func (l *TCPListener) EmptyCheck() (uint64, sim.Time, bool) {
+// acceptPollGap is PollAccept's sleep between empty polls.
+const acceptPollGap = 300
+
+// PollAccept returns the next established connection: it runs TryAccept
+// every acceptPollGap cycles until one succeeds. While the stack drains a
+// link, its checks of the link run as steps (urpc.Pass), which the engine
+// skips while the link, the inbox and the backlog stay empty; the proc
+// resumes for a frame, a missed probe, or a queued frame or connection.
+// The link's ring line is watched, and Inject and the backlog nudge the
+// proc. Under a SetPoller poller, which is proc code, every poll resumes it.
+func (l *TCPListener) PollAccept(p *sim.Proc) *TCPConn {
 	s := l.stack
-	if l.backlog.Len() > 0 || s.inbox.Len() > 0 || s.link == nil {
-		return 0, 0, false
+	s.acceptor = p
+	ps := l.pass
+	ps.At = urpc.PassStart
+	for {
+		var c *TCPConn
+		ok := false
+		switch ps.Next(p) {
+		case urpc.PassBegin: // no link: the poller is proc code
+			c, ok = l.TryAccept(p)
+		case urpc.PassRing: // a frame on the link, or its probe missed
+			if f, got := ps.DrainBulk(p, s.link.bulk); got {
+				s.Inject(f)
+				s.PumpReady(p) // the poller's next checks, then the inbox
+			} else {
+				s.handleInbox(p)
+			}
+			c, ok = l.backlog.TryPop()
+		case urpc.PassService: // a frame or a connection is queued
+			s.handleInbox(p)
+			c, ok = l.backlog.TryPop()
+		}
+		if ok {
+			return c
+		}
+		p.Sleep(acceptPollGap)
+		ps.At = urpc.PassStart
 	}
-	return s.link.bulk.EmptyCheck()
 }
 
-// SkipChecks counts n empty TryAccept checks that a skip took.
-func (l *TCPListener) SkipChecks(n uint64) { l.stack.link.bulk.SkipChecks(n) }
+// Begin takes the stack's link from this pass on if it changed, and
+// reports whether the stack has none: its poller then runs in proc code.
+func (l *TCPListener) Begin() bool {
+	s := l.stack
+	if l.link != s.link {
+		l.link = s.link
+		var rings []*urpc.Channel
+		if s.link != nil {
+			rings = []*urpc.Channel{s.link.bulk.Ring()}
+		}
+		l.pass.SetRings(rings)
+	}
+	return s.link == nil
+}
+
+// Service reports whether a TryAccept would find a frame or a connection
+// queued.
+func (l *TCPListener) Service() bool { return l.stack.inbox.Len() > 0 || l.backlog.Len() > 0 }
+
+// Busy reports false; the loop never parks.
+func (l *TCPListener) Busy() bool { return false }
+
+// Quiet lets the engine skip polls while the stack drains the link the
+// pass checks and nothing is queued, unless touch tracking is on.
+func (l *TCPListener) Quiet() (bool, sim.Time) {
+	s := l.stack
+	return s.link != nil && l.link == s.link && !l.Service() && !s.sys.Tracking(), sim.Forever
+}
 
 // TCPConn is one end of an established connection.
 type TCPConn struct {
@@ -209,6 +266,7 @@ func (c *TCPConn) handleSeg(p *sim.Proc, h TCPHeader, payload []byte) {
 		l := c.listener
 		c.listener = nil
 		l.backlog.Push(c)
+		c.stack.nudge()
 	}
 	if len(payload) > 0 {
 		c.ack = h.Seq + uint32(len(payload))

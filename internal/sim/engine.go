@@ -23,20 +23,18 @@
 //     never touch the proc machinery,
 //   - a Sleep whose own wakeup would be the next event advances the clock in
 //     place, with no event and no switch,
-//   - a poll loop whose quiet sweeps would each wake in place takes a run of
-//     them as one step of arithmetic (Proc.SkipSweeps), leaving the sequence
-//     numbers, queue depth and clock those sleeps would, and adds the
-//     skipped polls' counters in bulk,
 //   - the empty polls of a Proc.Idle loop run inline in the dispatch loop,
 //     like After callbacks, and resume the coroutine only when a poll finds
 //     work; each keeps the wakeup, sequence number and perturb-hook call of
 //     the Sleep it replaces, so a run is event-for-event the same,
 //   - a Proc.Idle loop that can say ahead of time which of its steps
 //     must run gives the engine its quiet schedule, and the engine runs no
-//     event for the steps before that one while other procs' events run; the
-//     one it files takes exactly the place in (time, sequence) order the
-//     skipped steps would have given it, and counters derived from the
-//     skipped steps read as if they had run (quiet.go), and
+//     event for the steps before that one while other procs' events run,
+//     never past Forever; the one it files takes exactly the place in
+//     (time, sequence) order the skipped steps would have given it, and
+//     counters derived from the skipped steps read as if they had run
+//     (quiet.go). This is the engine's only way to skip a poll: every
+//     polling loop that can wait long runs this way, and
 //   - a yielding proc dispatches inline and keeps running when its own event
 //     is next; only a switch to a different proc goes through the Run
 //     caller, as two coroutine switches rather than a pass through the Go

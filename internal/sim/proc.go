@@ -99,61 +99,6 @@ func (e *Engine) sleepInPlace(d Time) bool {
 	return true
 }
 
-// SkipSweeps advances p through up to n repeats of an idle sweep of k
-// Sleeps totalling d cycles, at once, and returns how many it took. It takes
-// only the repeats whose every wakeup Sleep would take in place (no perturb
-// hook, no Close pending, each wakeup within the RunUntil limit and strictly
-// before every queued event and every skipped idle step of another proc),
-// and never moves the clock past Forever. Since no other event runs among
-// those wakeups, each repeat sees what the one before it saw, and the
-// sleeps leave exactly what SkipSweeps does: their sequence numbers, their
-// queue depth and the clock.
-//
-// The caller must have checked that a sweep changes nothing but the clock
-// and its own counters, and makes the skipped sweeps' counters and trace
-// records itself.
-func (p *Proc) SkipSweeps(n, k uint64, d Time) uint64 {
-	e := p.e
-	if n == 0 || d == 0 || e.perturb != nil || e.closing {
-		return 0
-	}
-	end := min(e.limit, Forever) // the last wakeup the skip may take
-	if e.headAt <= end {
-		end = e.headAt - 1
-	}
-	if e.headAt <= e.now || end <= e.now || end-e.now < d {
-		return 0
-	}
-	if len(e.chains) > 0 {
-		next := e.nextStep()
-		if next <= end {
-			end = next - 1
-		}
-		if next <= e.now || end <= e.now || end-e.now < d {
-			return 0
-		}
-	}
-	n = min(n, uint64((end-e.now)/d))
-	e.seq += n * k
-	e.noteDepth(e.pending + 1 + len(e.chains))
-	e.now += Time(n) * d
-	if len(e.chains) > 0 {
-		e.note(e.now, e.seq, nil) // the last wakeup taken
-	}
-	return n
-}
-
-// SweepsBefore returns how many sweeps of d cycles, the first starting at
-// now, test the clock off cycles into the sweep strictly before t: the
-// repeats a loop that gives up, or parks, once a test finds the clock at t
-// runs in full.
-func SweepsBefore(now, t, off, d Time) uint64 {
-	if now+off >= t {
-		return 0
-	}
-	return uint64((t-now-off-1)/d) + 1
-}
-
 // Idle runs a polling loop. It behaves exactly like
 //
 //	for {
@@ -183,7 +128,8 @@ func SweepsBefore(now, t, off, d Time) uint64 {
 // closing), quiet(t1) returns the loop's Sweep, the sweep index of the next
 // step, which runs at t1, and act, the first step (1 = the next one) that
 // must run, because it would find work or end the loop; act < 2 declines.
-// The engine then runs no event for the steps before act (quiet.go). Once
+// The engine cuts an act past Forever to the last step before it, so a loop
+// that would never act returns ^uint64(0). The engine then runs no event for the steps before act (quiet.go). Once
 // steps 1..n have passed, it calls settle(n) before it runs a later step
 // and before counters are read: settle must leave the loop's state and
 // counters as those steps would have. The loop must call Nudge on its proc

@@ -318,8 +318,17 @@ func (e *Engine) next(c *chain) uint64 {
 func (e *Engine) startChain(p *Proc, d Time) bool {
 	t1 := e.now + d
 	sw, first, act := p.quiet(t1)
-	if act < 2 {
+	if act < 2 || t1 > Forever {
 		return false
+	}
+	// No step runs past Forever: a loop that never acts (a Spin receive)
+	// stops at the last step before it. Step act runs at most act+1
+	// periods after t1, so below these bounds it runs before Forever and
+	// needs no cut.
+	if act >= 1<<32 || t1 >= 1<<61 || sw.period() >= 1<<28 {
+		if act = min(act, sw.ceil(Forever+1-t1+sw.At(first))-first); act < 2 {
+			return false
+		}
 	}
 	if len(e.chains) == 0 {
 		// No chain has a step at any earlier cycle, so nothing compares

@@ -150,12 +150,9 @@ func (b *BulkChannel) Recv(p *sim.Proc, w Wait) ([]byte, bool) {
 	return b.read(p, m[0]), true
 }
 
-// EmptyCheck is Channel.EmptyCheck for the descriptor ring, which a Recv
-// checks first.
-func (b *BulkChannel) EmptyCheck() (uint64, sim.Time, bool) { return b.desc.EmptyCheck() }
-
-// SkipChecks is Channel.SkipChecks for the descriptor ring.
-func (b *BulkChannel) SkipChecks(n uint64) { b.desc.SkipChecks(n) }
+// Ring returns the descriptor ring, which a Recv checks first: a pass
+// that polls the channel checks it and reads the payload with DrainBulk.
+func (b *BulkChannel) Ring() *Channel { return b.desc }
 
 // read pulls the payload lines of descriptor m to the receiver's cache, then
 // releases the pool slot by publishing the deferred descriptor ack.

@@ -2,23 +2,29 @@ package urpc
 
 import (
 	"multikernel/internal/cache"
+	"multikernel/internal/memory"
 	"multikernel/internal/sim"
+	"multikernel/internal/topo"
 )
 
-// Pass runs a dispatch loop's polls of its receive rings as sim.Proc.Idle
-// steps and hands the engine the loop's quiet schedule: the monitor's
-// dispatch loop and the kv cluster's shard servers both drive one.
+// Pass runs a polling loop's checks of its receive rings as sim.Proc.Idle
+// steps and hands the engine the loop's quiet schedule. The monitor's
+// dispatch loop, the kv cluster's shard servers, the KV service, the NIC
+// driver, KVClient.SelectRange's wait and the TCP accept loop each drive
+// one.
 //
-// A pass lets the owner act first (Begin), checks every ring in order,
-// lets the owner act on what the rings brought (Service) and charges the
-// plan's loop cost. Then it ends: a pass that did work starts the next one
+// A pass lets the owner act first (Begin), probes its lead line if it has
+// one (the driver's next NIC descriptor), checks every ring in order, lets
+// the owner act on what the rings brought (Service) and charges the plan's
+// loop cost, if any. Then it ends: a pass that did work starts the next one
 // at once; an idle one sleeps the plan's idle gap, or, once the loop has
 // been idle for Park passes in a row and the owner need not keep polling
 // (Busy), parks, unless a wake found the loop running during the pass
 // (Notified), in which case it polls again. The steps run in engine context
-// and resume the proc only at the points its own code handles: PassBegin,
-// PassRing (drain the ring), PassService and PassPark. Each handler leaves
-// At where the pass continues.
+// and resume the proc only at the points its own code handles: PassBegin
+// (also when the lead has work or its probe misses), PassRing (drain the
+// ring), PassService and PassPark. Each handler leaves At where the pass
+// continues.
 //
 // Each ring keeps a watch record (cache.Watcher) across the engine's
 // skipped stretches: a chain start re-watches only the rings whose record
@@ -33,6 +39,7 @@ type Pass struct {
 
 	plan  *PassPlan
 	owner PassOwner
+	lead  *PassLead
 	rings []*Channel
 	// watches[i] is rings[i]'s watch record. Lines point at the records,
 	// so SetRings gives new rings new ones and never moves the old.
@@ -81,19 +88,37 @@ type PassOwner interface {
 }
 
 // PassPlan is the fixed shape of one kind of loop's passes: the cycles a
-// pass charges at its end, the idle gap, and the idle passes after which
-// the loop parks. Passes made from one plan with equal ring counts share
-// one sweep, which lets the engine order their skipped steps cheaply.
+// pass charges at its end (0: no step), the idle gap, and the idle passes
+// after which the loop parks (0: never). Passes made from one plan with
+// equal ring counts share one sweep, which lets the engine order their
+// skipped steps cheaply.
 type PassPlan struct {
 	Loop, Sleep sim.Time
 	Park        int
 	sweeps      map[int]*sim.Sweep
 }
 
+// PassLead is a line a pass probes at each pass start, after Begin, from
+// Core: one step that sleeps the hit latency. Line returns the line's
+// address and whether the source behind it has work (the NIC driver's next
+// receive descriptor, and whether the device has published it). With work,
+// or if the probe misses, the step resumes the proc at PassBegin instead.
+// The line is watched while steps are skipped; what makes Line report work
+// must write the line or nudge the proc.
+type PassLead struct {
+	Sys  *cache.System
+	Core topo.CoreID
+	Line func() (memory.Addr, bool)
+
+	watch cache.Watcher
+	at    memory.Addr // the line watch last watched
+}
+
 // NewPass returns owner's pass over rings, which must all be received on
-// one core, at a pass start.
-func (pl *PassPlan) NewPass(owner PassOwner, rings []*Channel) *Pass {
-	ps := &Pass{plan: pl, owner: owner}
+// lead's core if lead is not nil, and on one core, at a pass start. The
+// passes of one plan all have a lead or none.
+func (pl *PassPlan) NewPass(owner PassOwner, lead *PassLead, rings []*Channel) *Pass {
+	ps := &Pass{plan: pl, owner: owner, lead: lead}
 	ps.step, ps.quiet, ps.settle = ps.stepOnce, ps.quietFrom, ps.settleTo
 	ps.SetRings(rings)
 	return ps
@@ -108,15 +133,23 @@ func (ps *Pass) SetRings(rings []*Channel) {
 	}
 	sw := pl.sweeps[len(rings)]
 	if sw == nil {
-		// Step 2i+1 probes ring i's sequence word and step 2i+2 reads it
-		// and starts the next ring's check; the last one instead charges
-		// the loop cost, and the step after it ends the pass.
-		gaps := make([]sim.Time, 0, 2*len(rings)+2)
+		// After the lead's probe, if any, at the pass start, step L+2i+1
+		// probes ring i's sequence word and step L+2i+2 reads it and starts
+		// the next ring's check; the last one instead makes the service
+		// test and charges the loop cost, and the step after it ends the
+		// pass. With no loop cost the last read ends the pass.
+		gaps := make([]sim.Time, 0, 2*len(rings)+3)
+		if ps.lead != nil {
+			gaps = append(gaps, ps.lead.Sys.Machine().Costs.L1Hit)
+		}
 		for _, r := range rings {
 			check, probe := r.CheckGaps()
 			gaps = append(gaps, check, probe)
 		}
-		sw = sim.NewSweep(append(gaps, pl.Loop, pl.Sleep))
+		if pl.Loop > 0 {
+			gaps = append(gaps, pl.Loop)
+		}
+		sw = sim.NewSweep(append(gaps, pl.Sleep))
 		pl.sweeps[len(rings)] = sw
 	}
 	ps.rings, ps.sweep = rings, sw
@@ -145,6 +178,17 @@ func (ps *Pass) Drain(p *sim.Proc, buf []Message) int {
 	return n
 }
 
+// DrainBulk is Drain for a ring that is b's descriptor ring (b.Ring()): it
+// reads the next payload out of b's pool, as BulkChannel.Recv does, and
+// reports false if the ring was empty after all.
+func (ps *Pass) DrainBulk(p *sim.Proc, b *BulkChannel) ([]byte, bool) {
+	var m [1]Message
+	if ps.Drain(p, m[:]) == 0 {
+		return nil, false
+	}
+	return b.read(p, m[0]), true
+}
+
 // stepOnce runs the pass up to its next sleep, or to a point that needs
 // the proc. Its side effects are the loop's own at the same instants: the
 // flags cleared at a pass start, and each ring check's charges.
@@ -158,6 +202,16 @@ func (ps *Pass) stepOnce() (sim.Time, bool) {
 				return 0, true
 			}
 			ps.At, ps.Ring = PassRing, 0
+			if ld := ps.lead; ld != nil {
+				a, work := ld.Line()
+				if !work {
+					if d, hit := ld.Sys.ProbeHit(ld.Core, a); hit {
+						return d, false
+					}
+				}
+				ps.At = PassBegin
+				return 0, true
+			}
 		case PassRing:
 			if ps.Ring == len(ps.rings) {
 				if ps.owner.Service() {
@@ -177,7 +231,9 @@ func (ps *Pass) stepOnce() (sim.Time, bool) {
 			ps.Ring++
 		case PassLoop:
 			ps.At = PassEnd
-			return ps.plan.Loop, false
+			if ps.plan.Loop > 0 {
+				return ps.plan.Loop, false
+			}
 		case PassEnd:
 			ps.At = PassStart
 			if ps.Progress {
@@ -185,7 +241,7 @@ func (ps *Pass) stepOnce() (sim.Time, bool) {
 				continue
 			}
 			ps.Idle++
-			if ps.Idle < ps.plan.Park || ps.owner.Busy() {
+			if ps.plan.Park == 0 || ps.Idle < ps.plan.Park || ps.owner.Busy() {
 				return ps.plan.Sleep, false
 			}
 			if ps.Notified {
@@ -201,10 +257,11 @@ func (ps *Pass) stepOnce() (sim.Time, bool) {
 }
 
 // An idle pass's steps follow one fixed schedule while nothing arrives,
-// its sweep of 2n+2 steps for n rings (see SetRings): step 0 starts a pass
-// and ring 0's check, and step 2n+1 ends it. quietFrom hands the engine
-// that schedule (sim.Proc.Idle); settleTo rebuilds the pass from the
-// number of steps skipped.
+// its sweep of L+2n+E+1 steps for n rings, L lead probes (0 or 1) and E
+// loop steps (0 or 1; see SetRings): step 0 starts a pass, step L+2n makes
+// the service test, and the last step ends the pass. quietFrom hands the
+// engine that schedule (sim.Proc.Idle); settleTo rebuilds the pass from
+// the number of steps skipped.
 
 // skipRun is what settleTo needs of a skipped stretch: the sweep and ring
 // count it ran over, the sweep index and time of its first step, and how
@@ -217,29 +274,38 @@ type skipRun struct {
 	done  uint64
 }
 
+// leads returns L, the number of lead probes in a sweep.
+func (ps *Pass) leads() uint64 {
+	if ps.lead != nil {
+		return 1
+	}
+	return 0
+}
+
 // quietFrom is the pass's quiet schedule from the step at t1 on: where
 // that step stands in the sweep, and the first step that must run (act).
-// That is the first step that finds a message, meets a probe that would
-// miss, reaches a service point at or after the owner's service time, or
-// parks; with work done or a wake seen in this pass, the pass's end. It
-// is at most Park passes away, so a stretch stays short. Every ring line
-// the steps before act read is watched, so a write to one nudges the
-// proc; the owner nudges it for everything else its hooks read. It
-// declines (act 0) when the owner does, or with a wake flag that the next
-// step, a pass start, would clear.
+// That is the first step that finds a message or a lead with work, meets a
+// probe that would miss, reaches a service point at or after the owner's
+// service time, or parks; with work done or a wake seen in this pass, the
+// pass's end. For a loop that parks it is at most Park passes away, so a
+// stretch stays short. Every line the steps before act read is watched, so
+// a write to one nudges the proc; the owner nudges it for everything else
+// its hooks read. It declines (act 0) when the owner does, or with a wake
+// flag that the next step, a pass start, would clear.
 //
 // A ring whose record is clean is not watched again: its line is still
 // held and its sequence word unchanged since a watch that found the ring
 // empty, so a watch now would report the same. Its cursor has not moved
 // either, with no guard needed: a drain follows a check that found a
 // message or missed, and either needs a write to, or a drop of, the
-// watched line after that watch, which dirtied the record.
+// watched line after that watch, which dirtied the record. The lead is
+// watched again when its line has moved.
 func (ps *Pass) quietFrom(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
 	ok, service := ps.owner.Quiet()
 	if !ok {
 		return nil, 0, 0
 	}
-	sw := ps.sweep
+	sw, lead := ps.sweep, ps.leads()
 	n := sw.Len()
 	var first uint64
 	switch ps.At {
@@ -248,10 +314,7 @@ func (ps *Pass) quietFrom(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
 			return nil, 0, 0
 		}
 	case PassRing:
-		first = 2*uint64(ps.Ring) + 1
-		if ps.check.Probed() {
-			first++
-		}
+		first = lead + 2*uint64(ps.Ring) + ps.check.pos()
 	case PassEnd:
 		first = n - 1
 	default:
@@ -259,22 +322,34 @@ func (ps *Pass) quietFrom(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
 	}
 	// at is the first step at sweep position pos.
 	at := func(pos uint64) uint64 { return (pos+n-first)%n + 1 }
-	park := uint64(ps.plan.Park)
-	act := at(n-1) + n*park
-	if !ps.owner.Busy() {
-		act = at(n-1) + n*(park-min(park, uint64(ps.Idle)+1))
+	act := ^uint64(0) // a loop that never parks
+	if park := uint64(ps.plan.Park); park > 0 {
+		act = at(n-1) + n*park
+		if !ps.owner.Busy() {
+			act = at(n-1) + n*(park-min(park, uint64(ps.Idle)+1))
+		}
 	}
 	if first != 0 && (ps.Progress || ps.Notified) {
 		act = at(n - 1)
 	}
 	if service < sim.Forever {
-		// The first service point, at sweep position n-2, at or after
-		// service.
-		k := at(n - 2)
+		// The first service point at or after service.
+		k := at(lead + 2*uint64(len(ps.rings)))
 		if t := t1 + sw.At(first+k-1) - sw.At(first); t < service {
-			k += n * min(park+1, uint64((service-t+sw.At(n)-1)/sw.At(n)))
+			k += n * uint64((service-t+sw.At(n)-1)/sw.At(n))
 		}
 		act = min(act, k)
+	}
+	if ld := ps.lead; ld != nil {
+		switch a, work := ld.Line(); {
+		case work:
+			act = min(act, at(0))
+		case !ld.watch.Clean || a != ld.at:
+			ld.watch.Proc, ld.at = ps.proc, a
+			if _, hit := ld.Sys.Watch(ld.Core, a, &ld.watch); !hit {
+				act = min(act, at(0))
+			}
+		}
 	}
 	for i, r := range ps.rings {
 		w := &ps.watches[i]
@@ -282,7 +357,7 @@ func (ps *Pass) quietFrom(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
 			continue
 		}
 		w.Proc = ps.proc
-		probe := 2*uint64(i) + 1
+		probe := lead + 2*uint64(i) + 1
 		switch hit, ready := r.Watch(w); {
 		case !hit && first == probe+1:
 			return nil, 0, 0 // the next step reads a line nothing watches
@@ -302,14 +377,18 @@ func (ps *Pass) quietFrom(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
 // own step ran.
 func (ps *Pass) settleTo(k uint64) {
 	q := &ps.skip
-	sw, rings := q.sweep, q.rings
+	sw, rings, lead := q.sweep, q.rings, ps.leads()
 	n, nr := sw.Len(), uint64(len(rings))
-	// Steps done+1..k are at sweep indices [lo, hi). Probes sit at the
-	// odd positions below 2*nr, pass ends at position n-1.
+	// Steps done+1..k are at sweep indices [lo, hi). Lead probes sit at
+	// position 0, ring probes at positions lead+1, lead+3, ... below
+	// lead+2*nr, pass ends at position n-1.
 	lo, hi := q.first+q.done, q.first+k
-	probes := func(x uint64) uint64 { return x/n*nr + min(x%n, 2*nr)/2 }
+	probes := func(x uint64) uint64 { return x/n*nr + min(max(x%n, lead)-lead, 2*nr)/2 }
 	if hits := probes(hi) - probes(lo); hits > 0 {
 		rings[0].sys.AddHits(rings[0].Receiver, hits)
+	}
+	if ld := ps.lead; ld != nil {
+		ld.Sys.AddHits(ld.Core, (hi+n-1)/n-(lo+n-1)/n)
 	}
 	ps.Idle += int(hi/n - lo/n)
 	q.done = k
@@ -319,13 +398,15 @@ func (ps *Pass) settleTo(k uint64) {
 	switch pos := hi % n; {
 	case pos == 0:
 		ps.At, ps.Ring, ps.check = PassStart, len(rings), Check{}
-	case pos == n-1:
+	case pos == n-1 && ps.plan.Loop > 0:
 		ps.At, ps.Ring, ps.check = PassEnd, len(rings), Check{}
-	case pos%2 == 1:
-		ps.At, ps.Ring = PassRing, int(pos/2)
+	case pos == lead:
+		ps.At, ps.Ring, ps.check = PassRing, 0, Check{} // after the lead's probe
+	case (pos-lead)%2 == 1:
+		ps.At, ps.Ring = PassRing, int((pos-lead)/2)
 		rings[ps.Ring].SetCheck(&ps.check, at(k), false)
 	default:
-		ps.At, ps.Ring = PassRing, int(pos/2-1)
+		ps.At, ps.Ring = PassRing, int((pos-lead)/2-1)
 		rings[ps.Ring].SetCheck(&ps.check, at(k-1), true)
 	}
 }

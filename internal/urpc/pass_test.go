@@ -2,6 +2,7 @@ package urpc
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -62,7 +63,7 @@ func newRecordRig(parts int) *recordRig {
 		rg.rings = append(rg.rings, rings)
 	}
 	plan := &PassPlan{Loop: 20, Sleep: 60, Park: 8}
-	rg.ps = plan.NewPass(pollOwner{}, rg.rings[parts-1])
+	rg.ps = plan.NewPass(pollOwner{}, nil, rg.rings[parts-1])
 	rg.poller = rg.e.Spawn("poller", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		var buf [2]Message
@@ -245,4 +246,75 @@ func TestPassWatchRecords(t *testing.T) {
 			}
 		})
 	}
+}
+
+// leadOwner drives TestPassLeadMatchesStepped's pass: it parks after its
+// plan's idle passes and is quiet unless touch tracking is on.
+type leadOwner struct{ sys *cache.System }
+
+func (leadOwner) Begin() bool               { return false }
+func (leadOwner) Service() bool             { return false }
+func (leadOwner) Busy() bool                { return false }
+func (o leadOwner) Quiet() (bool, sim.Time) { return !o.sys.Tracking(), sim.Forever }
+
+// TestPassLeadMatchesStepped runs a pass with a lead line and no loop cost,
+// the NIC driver's shape, beside a busy proc: a device on core 2's lead
+// line posts work by a count, as the NIC does by its index. Some posts
+// write the line, some only nudge the proc, which the lead's contract
+// allows, so the quiet schedule must read the count; others send on the
+// pass's ring. They land at many phases of a pass while the proc polls,
+// and once after it has parked. With no hook and with a zero hook, traced and
+// untraced, the log, mid-run snapshots, clock, sequence number, metrics
+// and trace bytes must be equal.
+func TestPassLeadMatchesStepped(t *testing.T) {
+	compareSkipRuns(t, skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+		line := sys.Memory().AllocLines(1, 0).Base
+		ring := New(sys, 0, 2, Options{Home: -1})
+		work := 0
+		lead := &PassLead{Sys: sys, Core: 2, Line: func() (memory.Addr, bool) { return line, work > 0 }}
+		ps := (&PassPlan{Sleep: 60, Park: 150}).NewPass(leadOwner{sys}, lead, []*Channel{ring})
+		proc := e.Spawn("poller", func(p *sim.Proc) {
+			p.SetDaemon(true)
+			var buf [2]Message
+			for {
+				switch ps.Next(p) {
+				case PassBegin:
+					if work > 0 {
+						work--
+						ps.Progress = true
+						log("took work")
+					}
+					sys.Load(p, 2, line)
+					ps.At, ps.Ring = PassRing, 0
+				case PassRing:
+					if n := ps.Drain(p, buf[:]); n > 0 {
+						log(fmt.Sprintf("drained %d", n))
+					}
+					ps.Ring++
+				case PassPark:
+					p.Park()
+					ps.Idle = 0
+					ps.At = PassStart
+				}
+			}
+		})
+		busy(e, 13, 340_000)
+		snapEvery(e, 20_011, 340_000, log)
+		for k := sim.Time(0); k < 36; k++ {
+			at := 2_000 + 7_919*k + k*k%83 + 30_000*(k/18) // it parks once, mid-table
+			switch k % 3 {
+			case 0: // work with no line write: only the nudge says so
+				e.After(at, func() { work++; proc.Nudge(); e.Wake(proc) })
+			case 1: // work published by a write to the lead line
+				e.After(at, func() { sys.DMAWrite(line, []byte{1}, 0); work++; e.Wake(proc) })
+			default:
+				e.Spawn("send", func(p *sim.Proc) {
+					p.Sleep(at)
+					ring.Send(p, []Message{{uint64(k)}}, Spin)
+					p.Unpark(proc)
+				})
+			}
+		}
+		e.RunUntil(360_000)
+	}))
 }

@@ -38,39 +38,79 @@ func seqOf(e *sim.Engine) uint64 {
 }
 
 // outcome closes e and collects what it exposes, the lines logged while
-// Close unwinds procs included.
+// Close unwinds procs included; rec may be nil.
 func outcome(e *sim.Engine, rec *trace.Recorder, log *[]string) skipOutcome {
 	e.Close()
 	out := skipOutcome{log: *log, now: e.Now(), snap: e.Metrics().Snapshot(), seq: seqOf(e)}
-	var b bytes.Buffer
-	if err := trace.WriteJSON(&b, rec); err != nil {
-		panic(err)
+	if rec != nil {
+		var b bytes.Buffer
+		if err := trace.WriteJSON(&b, rec); err != nil {
+			panic(err)
+		}
+		out.trace = b.Bytes()
 	}
-	out.trace = b.Bytes()
 	return out
 }
 
-// skipRow builds a scenario on a fresh traced AMD2x2 engine under hook,
-// drives it, and returns the outcome.
-func skipRow(build func(e *sim.Engine, sys *cache.System, log func(string))) func(sim.PerturbFunc) []skipOutcome {
-	return func(hook sim.PerturbFunc) []skipOutcome {
+// skipRunner runs a scenario under a perturb hook, traced or not, and
+// returns each engine's outcome.
+type skipRunner func(hook sim.PerturbFunc, traced bool) []skipOutcome
+
+// skipRow builds a scenario on a fresh AMD2x2 engine under hook, traced if
+// asked, drives it, and returns the outcome.
+func skipRow(build func(e *sim.Engine, sys *cache.System, log func(string))) skipRunner {
+	return func(hook sim.PerturbFunc, traced bool) []skipOutcome {
 		e, sys := newSys(topo.AMD2x2())
 		e.SetPerturb(hook)
-		rec := trace.NewRecorder()
-		e.SetTracer(rec)
+		var rec *trace.Recorder
+		if traced {
+			rec = trace.NewRecorder()
+			e.SetTracer(rec)
+		}
 		var log []string
 		build(e, sys, func(s string) { log = append(log, fmt.Sprintf("t=%d %s", e.Now(), s)) })
 		return []skipOutcome{outcome(e, rec, &log)}
 	}
 }
 
-// compareSkipRuns runs row with no hook, where quiet receive sweeps are
-// skipped, and with a hook that perturbs nothing, where every poll runs
-// and wakes through the queue, and requires equal outcomes.
-func compareSkipRuns(t *testing.T, row func(sim.PerturbFunc) []skipOutcome) {
+// snapEvery logs a registry snapshot every d cycles from d to end, as an
+// obs sampler would: a read mid-stretch must find every skipped poll's
+// counts.
+func snapEvery(e *sim.Engine, d, end sim.Time, log func(string)) {
+	for t := d; t <= end; t += d {
+		e.After(t, func() {
+			s := e.Metrics().Snapshot()
+			log(fmt.Sprintf("snap hits=%d recv=%d retries=%d events=%d", s.Counters["cache.hits"], s.Counters["urpc.received"], s.Counters["urpc.retries"], s.Counters["sim.events_dispatched"]))
+		})
+	}
+}
+
+// busy spawns a proc that sleeps steps of d cycles until end: other procs'
+// events inside every quiet stretch, so that a skipped stretch cannot wake
+// in place.
+func busy(e *sim.Engine, d, end sim.Time) {
+	e.Spawn("busy", func(p *sim.Proc) {
+		for p.Now() < end {
+			p.Sleep(d)
+		}
+	})
+}
+
+// compareSkipRuns runs row, traced and untraced, with no hook, where quiet
+// receive polls are skipped, and with a hook that perturbs nothing, where
+// every poll runs and wakes through the queue, and requires equal outcomes.
+func compareSkipRuns(t *testing.T, row skipRunner) {
+	for _, traced := range []bool{true, false} {
+		t.Run(map[bool]string{true: "traced", false: "untraced"}[traced], func(t *testing.T) {
+			compareSkipRun(t, row, traced)
+		})
+	}
+}
+
+func compareSkipRun(t *testing.T, row skipRunner, traced bool) {
 	t.Helper()
 	zero := func(sim.Time, sim.Time, uint64) (sim.Time, uint64) { return 0, 0 }
-	skipped, reference := row(nil), row(zero)
+	skipped, reference := row(nil, traced), row(zero, traced)
 	for i := range reference {
 		s, r := skipped[i], reference[i]
 		if len(r.log) == 0 {
@@ -102,7 +142,7 @@ func TestRecvSkipMatchesPolling(t *testing.T) {
 	}
 	rows := []struct {
 		name string
-		row  func(sim.PerturbFunc) []skipOutcome
+		row  skipRunner
 	}{
 		{"spin across quiet stretches", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
 			ch := New(sys, 0, 2, Options{Home: -1})
@@ -221,6 +261,47 @@ func TestRecvSkipMatchesPolling(t *testing.T) {
 			})
 			e.Run()
 		})},
+		{"spin beside a busy proc", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// The busy proc's 7-cycle sleeps land inside every sweep of the
+			// receiver's quiet stretches, and the sends at offsets into
+			// them; registry snapshots read the skipped polls' hits.
+			ch := New(sys, 0, 2, Options{Home: -1})
+			busy(e, 7, 250_000)
+			snapEvery(e, 23_011, 250_000, log)
+			e.Spawn("recv", func(p *sim.Proc) {
+				for i := 0; i < 4; i++ {
+					recv(ch, p, Spin, log)
+				}
+			})
+			e.Spawn("send", func(p *sim.Proc) {
+				for i := 1; i <= 4; i++ {
+					p.Sleep(sim.Time(40_000 + 13*i))
+					ch.Send(p, []Message{{uint64(i)}}, Spin)
+				}
+			})
+			e.Run()
+		})},
+		{"window ends mid-stretch beside a busy proc", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// Each window ends inside a stretch that the busy proc's
+			// events cross: the first read at or after its end parks, and
+			// the send notifies the parked receiver; one message lands
+			// inside a window.
+			ch := New(sys, 0, 2, Options{Home: -1})
+			busy(e, 11, 400_000)
+			snapEvery(e, 17_003, 400_000, log)
+			e.Spawn("recv", func(p *sim.Proc) {
+				for i := 0; i < 4; i++ {
+					recv(ch, p, Window(sim.Time(30_000+1_001*i)), log)
+				}
+			})
+			e.Spawn("send", func(p *sim.Proc) {
+				for i := 1; i <= 4; i++ {
+					p.Sleep(sim.Time(70_000 + 7*i - 50_000*(i/4)))
+					ch.Send(p, []Message{{uint64(i)}}, Spin)
+				}
+			})
+			e.Run()
+		})},
 		{"window parks at its end", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
 			ch := New(sys, 0, 2, Options{Home: -1})
 			e.Spawn("recv", func(p *sim.Proc) {
@@ -292,7 +373,7 @@ func TestRecvSkipMatchesPolling(t *testing.T) {
 // ParallelEngine with 1,000-cycle epochs, at two workers. Each sender parks
 // until a message posted from the other partition wakes it, so every
 // receiver's quiet stretch crosses several epoch ends.
-func skipParallel(hook sim.PerturbFunc) []skipOutcome {
+func skipParallel(hook sim.PerturbFunc, traced bool) []skipOutcome {
 	const nparts = 2
 	m := topo.AMD2x2()
 	pe := sim.NewParallelEngine(nparts, 1_000, 1, nparts)
@@ -302,8 +383,10 @@ func skipParallel(hook sim.PerturbFunc) []skipOutcome {
 	for i := 0; i < nparts; i++ {
 		e := pe.Part(i)
 		e.SetPerturb(hook)
-		recs[i] = trace.NewRecorder()
-		e.SetTracer(recs[i])
+		if traced {
+			recs[i] = trace.NewRecorder()
+			e.SetTracer(recs[i])
+		}
 		sys := cache.New(e, m, memory.New(m), interconnect.New(m))
 		ch := New(sys, 0, 2, Options{Home: -1})
 		log := func(s string) { logs[i] = append(logs[i], fmt.Sprintf("t=%d %s", e.Now(), s)) }

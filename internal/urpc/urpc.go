@@ -13,7 +13,10 @@
 //
 // The data path is one batch Send and one batch Recv. What either does when
 // the ring is full (send) or empty (receive) is named by a Wait: check once,
-// spin, poll-then-block, or back off to a deadline.
+// spin, poll-then-block, or back off to a deadline. A receive that waits
+// runs its ring checks as sim.Proc.Idle steps that the engine skips while
+// the ring stays empty (wait.go); a loop that polls several rings does the
+// same through a Pass (pass.go).
 package urpc
 
 import (
@@ -81,9 +84,8 @@ func Window(d sim.Time) Wait { return Wait{modeWindow, d} }
 // Deadline re-checks with exponential backoff (pollGap doubling up to
 // maxBackoffGap, each re-check counted in "urpc.retries") and gives up d
 // cycles after the call, counting "urpc.timeouts" — the fail-stopped peer
-// signature. A send under Deadline on a channel marked Dead pushes nothing;
-// a receive runs as idle steps the engine may skip (deadline.go). The
-// fault-free fast path is cycle-identical to Spin.
+// signature. A send under Deadline on a channel marked Dead pushes nothing.
+// The fault-free fast path is cycle-identical to Spin.
 func Deadline(d sim.Time) Wait { return Wait{modeDeadline, d} }
 
 // Channel is a unidirectional point-to-point URPC channel.
@@ -126,8 +128,8 @@ type Channel struct {
 	mNotifies, mTimeouts         *metrics.Counter
 	mRetries                     *metrics.Counter
 
-	// wait is the receiver's Deadline wait, made at its first one.
-	wait *deadlineWait
+	// wait is the receiver's wait, made at its first one.
+	wait *recvWait
 }
 
 // Options configure channel construction.
@@ -404,65 +406,15 @@ func (c *Channel) wakeParked() {
 // Window). buf must be non-empty. The poll-loop check cost is charged once
 // per ring check, not once per message, and receiver progress is published
 // to the ack line at most once per drained burst — the receive-side half of
-// the pipelining regime. A Deadline receive runs its checks as idle steps
-// (recvDeadline).
+// the pipelining regime. A receive that waits runs its checks as idle steps
+// the engine may skip (wait.go).
 func (c *Channel) Recv(p *sim.Proc, buf []Message, w Wait) int {
-	until := p.Now() + w.d
-	if w.mode == modeDeadline {
-		return c.recvDeadline(p, buf, until)
+	if w.mode != modePoll {
+		return c.recvWait(p, buf, w, p.Now()+w.d)
 	}
-	for {
-		if w.mode != modePoll {
-			c.skipSweeps(p, w, until)
-		}
-		t0 := p.Now()
-		p.Sleep(recvCheckCost)
-		if n := c.drain(p, buf, t0, false); n > 0 {
-			return n
-		}
-		if !c.idle(p, w, c.Receiver, until, nil) {
-			return 0
-		}
-	}
-}
-
-// skipSweeps takes at once the sweeps of Recv's loop under Spin or Window
-// that would find the ring empty through a cache hit and wake in place
-// (sim.Proc.SkipSweeps): each is the check charge, the hit and the poll
-// gap, and counts a hit. Window sweeps count only while their clock test
-// falls before until.
-func (c *Channel) skipSweeps(p *sim.Proc, w Wait, until sim.Time) {
-	k, d, ok := c.EmptyCheck()
-	if !ok {
-		return
-	}
-	n := ^uint64(0)
-	if w.mode != modeSpin {
-		n = sim.SweepsBefore(p.Now(), until, d, d+pollGap)
-	}
-	if n = p.SkipSweeps(n, k+1, d+pollGap); n > 0 {
-		c.SkipChecks(n)
-	}
-}
-
-// EmptyCheck is the quiet test of a Poll receive, for loops that skip their
-// empty sweeps with sim.Proc.SkipSweeps: it reports whether the check would
-// find the ring empty through a cache hit, as the receiver holds the next
-// slot's line and its sequence word is not recvSeq+1, and the sleeps and
-// cycles that check takes. It charges and records nothing; SkipChecks
-// counts the checks a skip took.
-func (c *Channel) EmptyCheck() (k uint64, d sim.Time, ok bool) {
-	v, lat, held := c.sys.HeldWord(c.Receiver, c.seqWord(c.recvSeq))
-	if !held || v == c.recvSeq+1 {
-		return 0, 0, false
-	}
-	return 2, recvCheckCost + lat, true
-}
-
-// SkipChecks counts n empty checks that a skip took: their hits on the
-// sequence word's line.
-func (c *Channel) SkipChecks(n uint64) {
-	c.sys.SkipHits(c.Receiver, c.seqWord(c.recvSeq), n)
+	t0 := p.Now()
+	p.Sleep(recvCheckCost)
+	return c.drain(p, buf, t0, false)
 }
 
 // Check is one receive-ring check taken as sim.Proc.Idle steps, for loops
@@ -506,8 +458,17 @@ func (c *Channel) Watch(w *cache.Watcher) (hit, ready bool) {
 	return hit, ready
 }
 
-// Probed reports whether ck's probe has hit and its read is next.
-func (ck *Check) Probed() bool { return ck.state == checkRead }
+// pos returns the place in its check of ck's next step: 0 for the charge,
+// 1 for the probe, 2 for the read.
+func (ck *Check) pos() uint64 {
+	switch ck.state {
+	case checkProbe:
+		return 1
+	case checkRead:
+		return 2
+	}
+	return 0
+}
 
 // SetCheck puts ck where a quiet check of this ring begun at t0 stands:
 // before its probe, or, probed, after the probe hit and before the read.
