@@ -2,6 +2,8 @@ package netstack
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -388,4 +390,67 @@ func TestTCPTransferProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestNICFramesWithinDMALatency delivers frames closer together than the
+// NIC's DMA latency: each claims its own receive slot when it arrives, so
+// every frame reaches the application in order with its own bytes, and a
+// burst that fills the ring drops, and counts, only the frames past it.
+func TestNICFramesWithinDMALatency(t *testing.T) {
+	m := topo.Intel2x4()
+	e, sys := newSys(m)
+	w := NewWire(e, 1, m.ClockGHz)
+	nic := NewNIC(e, sys, "e1000", w, true)
+	w.Attach(nic, portFunc(func(Frame) {}))
+	app := NewStack(e, sys, "sink", 3, IP4(192, 168, 1, 1))
+	NewDriver(e, sys, nic, 2, app)
+	sock := app.BindUDP(7)
+	var got []string
+	e.Spawn("sink-app", func(p *sim.Proc) {
+		p.SetDaemon(true)
+		for {
+			if dg, ok := sock.TryRecv(p); ok {
+				got = append(got, fmt.Sprintf("%d:%d", dg.Payload[0], len(dg.Payload)))
+				continue
+			}
+			if !app.PumpReady(p) {
+				p.Sleep(400)
+			}
+		}
+	})
+	frame := func(i int) Frame {
+		return BuildUDPFrame(MAC{0xaa}, app.MAC, IP4(192, 168, 1, 99), app.IP, 5555, 7, bytes.Repeat([]byte{byte(i)}, 64+3*i))
+	}
+	var want []string
+	deliver := func(i int, at sim.Time) {
+		f := frame(i)
+		e.After(at, func() { nic.Deliver(f) })
+		want = append(want, fmt.Sprintf("%d:%d", i, 64+3*i))
+	}
+	// Two frames 500 cycles apart, then 36 paced ones that wrap the ring,
+	// then two more 500 cycles apart.
+	deliver(0, 100_000)
+	deliver(1, 100_500)
+	for i := 2; i < 38; i++ {
+		deliver(i, sim.Time(200_000+20_000*i))
+	}
+	deliver(38, 1_000_000)
+	deliver(39, 1_000_500)
+	// A burst one cycle apart: the first nicRings frames claim the ring,
+	// the rest are dropped before the driver can drain any.
+	for i := 40; i < 40+nicRings+8; i++ {
+		f := frame(i)
+		e.After(sim.Time(1_100_000+i), func() { nic.Deliver(f) })
+		if i < 40+nicRings {
+			want = append(want, fmt.Sprintf("%d:%d", i, 64+3*i))
+		}
+	}
+	e.RunUntil(3_000_000)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the application received (frame:bytes)\n%v\nwant\n%v", got, want)
+	}
+	if st := nic.Stats(); st.RxFrames != uint64(len(want)) || st.RxDropped != 8 {
+		t.Errorf("NIC counted %d frames received and %d dropped, want %d and 8", st.RxFrames, st.RxDropped, len(want))
+	}
+	e.Close()
 }

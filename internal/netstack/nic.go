@@ -104,6 +104,7 @@ type NIC struct {
 	txBufs  memory.Region
 
 	rxDev, rxDrv uint64 // device produce / driver consume indices
+	rxClaim      uint64 // receive slots claimed by delivered frames
 	txDrv, txDev uint64
 	rxSizes      [nicRings]int
 	txFrames     [nicRings]Frame
@@ -139,14 +140,19 @@ func (n *NIC) Stats() NICStats { return n.stats }
 // driver proc). A nil handler leaves the device in polled mode.
 func (n *NIC) OnInterrupt(fn func()) { n.intr = fn }
 
-// Deliver implements Port: the device DMA-writes the frame into the next
-// receive buffer, publishes the descriptor and raises an interrupt.
+// Deliver implements Port: the device claims the next receive slot, or
+// drops the frame when claimed slots fill the ring, then DMA-writes the
+// frame into the slot's buffer, publishes the descriptor and raises an
+// interrupt. A frame claims its slot on arrival, so frames closer together
+// than the DMA latency each get their own; the DMAs complete in arrival
+// order, and each advances rxDev.
 func (n *NIC) Deliver(f Frame) {
-	if n.rxDev-n.rxDrv >= nicRings {
+	if n.rxClaim-n.rxDrv >= nicRings {
 		n.stats.RxDropped++
 		return
 	}
-	slot := n.rxDev % nicRings
+	slot := n.rxClaim % nicRings
+	n.rxClaim++
 	n.e.After(nicDMALat, func() {
 		base := n.rxBufs.LineAt(int(slot) * nicBufLines)
 		n.sys.DMAWrite(base, f, n.socket)

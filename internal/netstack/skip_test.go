@@ -89,11 +89,11 @@ func TestDriverSkipMatchesPolling(t *testing.T) {
 		}},
 		{"two frames DMA'd within the DMA latency after the ring wrapped", func(r *drvRig) {
 			// Forty frames wrap the 32-descriptor ring, so the driver holds
-			// every descriptor line it has read. Two frames delivered 500
-			// to 671 cycles apart are both DMA'd to one slot, so the
-			// device's index runs one ahead of the slots written: the
-			// driver then reads a descriptor whose line it still holds
-			// from the ring's last lap.
+			// every descriptor line it has read. Then pairs of frames
+			// arrive 500 to 671 cycles apart, less than the DMA latency:
+			// each claims its own slot on arrival, and the second's
+			// descriptor, a line the driver holds from the ring's last
+			// lap, is published that long after the first's.
 			for i := 0; i < 40; i++ {
 				f := r.frame(100 + i)
 				r.e.After(sim.Time(3_000_000+30_011*i), func() { r.w.transmit(false, f) })

@@ -40,7 +40,11 @@ package sim
 // which orders the same but would not checkpoint to the same bytes, so
 // Checkpoint refuses an image that holds one.
 
-import "sort"
+import (
+	"encoding/binary"
+	"sort"
+	"sync"
+)
 
 // Sweep is the cyclic schedule of an idle loop's quiet steps: one sweep is
 // a fixed sequence of steps, each followed by a positive gap, and the loop
@@ -50,10 +54,23 @@ type Sweep struct {
 	off []Time // off[i]: cycles from step 0 to step i of a sweep; off[len(gap)] is the period
 }
 
-// NewSweep returns the sweep whose step i is followed by gaps[i].
+// sweeps holds the one Sweep of each gap list, for every engine and
+// goroutine: loops with equal schedules share it, which lets the engine
+// order their in-phase steps cheaply (stepLess). A Sweep never changes.
+var sweeps sync.Map // the gaps' bytes -> *Sweep
+
+// NewSweep returns the sweep whose step i is followed by gaps[i]; equal gap
+// lists get the same one.
 func NewSweep(gaps []Time) *Sweep {
 	if len(gaps) == 0 {
 		panic("sim: a sweep needs at least one step")
+	}
+	key := make([]byte, 0, 8*len(gaps))
+	for _, g := range gaps {
+		key = binary.LittleEndian.AppendUint64(key, uint64(g))
+	}
+	if s, ok := sweeps.Load(string(key)); ok {
+		return s.(*Sweep)
 	}
 	off := make([]Time, len(gaps)+1)
 	for i, g := range gaps {
@@ -62,7 +79,8 @@ func NewSweep(gaps []Time) *Sweep {
 		}
 		off[i+1] = off[i] + g
 	}
-	return &Sweep{gap: append([]Time(nil), gaps...), off: off}
+	s, _ := sweeps.LoadOrStore(string(key), &Sweep{gap: append([]Time(nil), gaps...), off: off})
+	return s.(*Sweep)
 }
 
 // Len returns the number of steps in one sweep.
@@ -77,12 +95,21 @@ func (s *Sweep) At(i uint64) Time {
 	return Time(i/n)*s.period() + s.off[i%n]
 }
 
-// ceil returns the least step index i with At(i) >= d.
-func (s *Sweep) ceil(d Time) uint64 {
-	n, per := s.Len(), s.period()
-	r := d % per
-	j := sort.Search(int(n), func(j int) bool { return s.off[j] >= r })
-	return uint64(d/per)*n + uint64(j)
+// Ceil returns the least step index i with At(i) >= d. Idle loops ask for
+// it at every chain start, so it divides once and searches with no call.
+func (s *Sweep) Ceil(d Time) uint64 {
+	per := s.period()
+	q := d / per
+	r := d - q*per
+	lo, hi := 0, len(s.gap) // off[len(gap)] is the period, above r
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); s.off[h] < r {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return uint64(q)*s.Len() + uint64(lo)
 }
 
 // chain is a live run of an idle loop's skipped steps. Step k >= 1 runs at
@@ -120,7 +147,7 @@ func (c *chain) from(t Time) uint64 {
 	if t <= c.t1 {
 		return 1
 	}
-	return c.sw.ceil(t-c.t1+c.sw.At(c.first)) - c.first + 1
+	return c.sw.Ceil(t-c.t1+c.sw.At(c.first)) - c.first + 1
 }
 
 // phase is the cycle, modulo the period, at which the chain's sweeps
@@ -326,7 +353,7 @@ func (e *Engine) startChain(p *Proc, d Time) bool {
 	// periods after t1, so below these bounds it runs before Forever and
 	// needs no cut.
 	if act >= 1<<32 || t1 >= 1<<61 || sw.period() >= 1<<28 {
-		if act = min(act, sw.ceil(Forever+1-t1+sw.At(first))-first); act < 2 {
+		if act = min(act, sw.Ceil(Forever+1-t1+sw.At(first))-first); act < 2 {
 			return false
 		}
 	}

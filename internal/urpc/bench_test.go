@@ -143,8 +143,9 @@ func BenchmarkBulkTransfer(b *testing.B) {
 // BenchmarkQuietRecv measures the host cost of a Spin receive that waits
 // out a quiet 100,000-cycle stretch, about 2,600 polls of a ring line the
 // receiver holds, before its message lands on the 2×2 machine. The engine
-// skips the polls as one chain, whose act the sender's store to the
-// watched line moves to the next poll (wait.go). One op is one message.
+// skips the polls as one chain of the receive's one-ring Pass, whose act
+// the sender's store to the watched line moves to the next poll. One op is
+// one message.
 func BenchmarkQuietRecv(b *testing.B) {
 	e, sys := newSys(topo.AMD2x2())
 	ch := New(sys, 0, 2, Options{Home: -1})

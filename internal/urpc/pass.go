@@ -10,8 +10,8 @@ import (
 // Pass runs a polling loop's checks of its receive rings as sim.Proc.Idle
 // steps and hands the engine the loop's quiet schedule. The monitor's
 // dispatch loop, the kv cluster's shard servers, the KV service, the NIC
-// driver, KVClient.SelectRange's wait and the TCP accept loop each drive
-// one.
+// driver, KVClient.SelectRange's wait, the TCP accept loop and
+// Channel.Recv's waits each drive one.
 //
 // A pass lets the owner act first (Begin), probes its lead line if it has
 // one (the driver's next NIC descriptor), checks every ring in order, lets
@@ -20,7 +20,9 @@ import (
 // at once; an idle one sleeps the plan's idle gap, or, once the loop has
 // been idle for Park passes in a row and the owner need not keep polling
 // (Busy), parks, unless a wake found the loop running during the pass
-// (Notified), in which case it polls again. The steps run in engine context
+// (Notified), in which case it polls again. A plan with a backoff ladder
+// instead sleeps a gap that climbs with the idle count, and counts each
+// idle pass end as a retry (PassPlan). The steps run in engine context
 // and resume the proc only at the points its own code handles: PassBegin
 // (also when the lead has work or its probe misses), PassRing (drain the
 // ring), PassService and PassPark. Each handler leaves At where the pass
@@ -29,7 +31,8 @@ import (
 // Each ring keeps a watch record (cache.Watcher) across the engine's
 // skipped stretches: a chain start re-watches only the rings whose record
 // a write, a dropped copy, another record's watch, SetRings or a cache
-// restore has dirtied since (see quietFrom).
+// restore has dirtied since (see quietFrom). The records name the proc
+// that drives the pass, and Next re-points them when another proc does.
 type Pass struct {
 	At       PassPoint
 	Ring     int  // index in the rings of the one being checked
@@ -45,6 +48,7 @@ type Pass struct {
 	// so SetRings gives new rings new ones and never moves the old.
 	watches []cache.Watcher
 	sweep   *sim.Sweep // the quiet schedule of one idle pass over rings
+	ladder  *sim.Sweep // the plan's ladder passes as one sweep, or nil
 	check   Check
 	skip    skipRun
 	proc    *sim.Proc
@@ -89,13 +93,18 @@ type PassOwner interface {
 
 // PassPlan is the fixed shape of one kind of loop's passes: the cycles a
 // pass charges at its end (0: no step), the idle gap, and the idle passes
-// after which the loop parks (0: never). Passes made from one plan with
-// equal ring counts share one sweep, which lets the engine order their
-// skipped steps cheaply.
+// after which the loop parks (0: never). Passes with equal shapes share
+// one sweep (sim.NewSweep), which lets the engine order their skipped
+// steps cheaply.
+//
+// Ladder is a Deadline receive's backoff (Channel.Recv): idle pass i
+// sleeps Ladder[i] while i < len(Ladder), then Sleep, and every idle pass
+// end counts one urpc.retries on the first ring, with its urpc.backoff
+// instant.
 type PassPlan struct {
 	Loop, Sleep sim.Time
 	Park        int
-	sweeps      map[int]*sim.Sweep
+	Ladder      []sim.Time
 }
 
 // PassLead is a line a pass probes at each pass start, after Begin, from
@@ -128,41 +137,54 @@ func (pl *PassPlan) NewPass(owner PassOwner, lead *PassLead, rings []*Channel) *
 // ring being checked keeps its index. Every ring is watched afresh.
 func (ps *Pass) SetRings(rings []*Channel) {
 	pl := ps.plan
-	if pl.sweeps == nil {
-		pl.sweeps = make(map[int]*sim.Sweep)
+	// After the lead's probe, if any, at the pass start, step L+2i+1 probes
+	// ring i's sequence word and step L+2i+2 reads it and starts the next
+	// ring's check; the last one instead makes the service test and
+	// charges the loop cost, and the step after it ends the pass. With no
+	// loop cost the last read ends the pass.
+	pass := make([]sim.Time, 0, 2*len(rings)+3)
+	if ps.lead != nil {
+		pass = append(pass, ps.lead.Sys.Machine().Costs.L1Hit)
 	}
-	sw := pl.sweeps[len(rings)]
-	if sw == nil {
-		// After the lead's probe, if any, at the pass start, step L+2i+1
-		// probes ring i's sequence word and step L+2i+2 reads it and starts
-		// the next ring's check; the last one instead makes the service
-		// test and charges the loop cost, and the step after it ends the
-		// pass. With no loop cost the last read ends the pass.
-		gaps := make([]sim.Time, 0, 2*len(rings)+3)
-		if ps.lead != nil {
-			gaps = append(gaps, ps.lead.Sys.Machine().Costs.L1Hit)
-		}
-		for _, r := range rings {
-			check, probe := r.CheckGaps()
-			gaps = append(gaps, check, probe)
-		}
-		if pl.Loop > 0 {
-			gaps = append(gaps, pl.Loop)
-		}
-		sw = sim.NewSweep(append(gaps, pl.Sleep))
-		pl.sweeps[len(rings)] = sw
+	for _, r := range rings {
+		check, probe := r.CheckGaps()
+		pass = append(pass, check, probe)
 	}
-	ps.rings, ps.sweep = rings, sw
+	if pl.Loop > 0 {
+		pass = append(pass, pl.Loop)
+	}
+	gaps := make([]sim.Time, 0, len(pass)*(len(pl.Ladder)+1))
+	for _, g := range pl.Ladder {
+		gaps = append(append(gaps, pass...), g)
+	}
+	if len(gaps) > 0 {
+		ps.ladder = sim.NewSweep(gaps)
+	}
+	ps.sweep = sim.NewSweep(append(pass, pl.Sleep))
+	ps.rings = rings
 	ps.watches = make([]cache.Watcher, len(rings))
+	for i := range ps.watches {
+		ps.watches[i].Proc = ps.proc
+	}
 }
 
 // Rings returns the number of rings the pass checks.
 func (ps *Pass) Rings() int { return len(ps.rings) }
 
 // Next runs the pass's steps on p, as sim.Proc.Idle steps, until one needs
-// the proc, and returns the point it stopped at.
+// the proc, and returns the point it stopped at. A record left clean by
+// another proc's run still names that proc, so a change of proc re-points
+// every record: a write to a watched line must nudge p.
 func (ps *Pass) Next(p *sim.Proc) PassPoint {
-	ps.proc = p
+	if ps.proc != p {
+		ps.proc = p
+		for i := range ps.watches {
+			ps.watches[i].Proc = p
+		}
+		if ps.lead != nil {
+			ps.lead.watch.Proc = p
+		}
+	}
 	p.Idle(ps.step, ps.quiet, ps.settle)
 	return ps.At
 }
@@ -242,7 +264,14 @@ func (ps *Pass) stepOnce() (sim.Time, bool) {
 			}
 			ps.Idle++
 			if ps.plan.Park == 0 || ps.Idle < ps.plan.Park || ps.owner.Busy() {
-				return ps.plan.Sleep, false
+				d := ps.plan.Sleep
+				if l := ps.plan.Ladder; l != nil {
+					if ps.Idle <= len(l) {
+						d = l[ps.Idle-1]
+					}
+					ps.rings[0].retry(ps.rings[0].Receiver, d)
+				}
+				return d, false
 			}
 			if ps.Notified {
 				// A wake arrived during this pass, possibly for a ring the
@@ -257,17 +286,22 @@ func (ps *Pass) stepOnce() (sim.Time, bool) {
 }
 
 // An idle pass's steps follow one fixed schedule while nothing arrives,
-// its sweep of L+2n+E+1 steps for n rings, L lead probes (0 or 1) and E
-// loop steps (0 or 1; see SetRings): step 0 starts a pass, step L+2n makes
-// the service test, and the last step ends the pass. quietFrom hands the
-// engine that schedule (sim.Proc.Idle); settleTo rebuilds the pass from
-// the number of steps skipped.
+// its sweep of m = L+2n+E+1 steps for n rings, L lead probes (0 or 1) and
+// E loop steps (0 or 1; see SetRings): step 0 starts a pass, step L+2n
+// makes the service test, and the last step ends the pass. A plan's ladder
+// passes differ only in their last gap, so they run as one sweep of m
+// steps per pass, which a stretch never wraps: it acts by the ladder's
+// last step, and the stretch after it runs on the repeating sweep.
+// quietFrom hands the engine that schedule (sim.Proc.Idle); settleTo
+// rebuilds the pass from the number of steps skipped. Both read a sweep
+// index's place in its pass modulo m, on either sweep.
 
-// skipRun is what settleTo needs of a skipped stretch: the sweep and ring
-// count it ran over, the sweep index and time of its first step, and how
-// many steps it has been settled through.
+// skipRun is what settleTo needs of a skipped stretch: the sweep, the
+// steps per pass and the rings it ran over, the sweep index and time of its
+// first step, and how many steps it has been settled through.
 type skipRun struct {
 	sweep *sim.Sweep
+	m     uint64
 	rings []*Channel
 	first uint64
 	t1    sim.Time
@@ -287,11 +321,12 @@ func (ps *Pass) leads() uint64 {
 // That is the first step that finds a message or a lead with work, meets a
 // probe that would miss, reaches a service point at or after the owner's
 // service time, or parks; with work done or a wake seen in this pass, the
-// pass's end. For a loop that parks it is at most Park passes away, so a
-// stretch stays short. Every line the steps before act read is watched, so
-// a write to one nudges the proc; the owner nudges it for everything else
-// its hooks read. It declines (act 0) when the owner does, or with a wake
-// flag that the next step, a pass start, would clear.
+// pass's end; on a ladder, its last step. For a loop that parks it is at
+// most Park passes away, so a stretch stays short. Every line the steps
+// before act read is watched, so a write to one nudges the proc; the owner
+// nudges it for everything else its hooks read. It declines (act 0) when
+// the owner does, or with a wake flag that the next step, a pass start,
+// would clear.
 //
 // A ring whose record is clean is not watched again: its line is still
 // held and its sequence word unchanged since a watch that found the ring
@@ -306,46 +341,48 @@ func (ps *Pass) quietFrom(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
 		return nil, 0, 0
 	}
 	sw, lead := ps.sweep, ps.leads()
-	n := sw.Len()
-	var first uint64
+	m := sw.Len()
+	var pos uint64 // the next step's place in its pass
 	switch ps.At {
 	case PassStart:
 		if ps.Notified {
 			return nil, 0, 0
 		}
 	case PassRing:
-		first = lead + 2*uint64(ps.Ring) + ps.check.pos()
+		pos = lead + 2*uint64(ps.Ring) + ps.check.pos()
 	case PassEnd:
-		first = n - 1
+		pos = m - 1
 	default:
 		return nil, 0, 0
 	}
-	// at is the first step at sweep position pos.
-	at := func(pos uint64) uint64 { return (pos+n-first)%n + 1 }
-	act := ^uint64(0) // a loop that never parks
+	// at is the first step at place p of a pass.
+	at := func(p uint64) uint64 { return (p+m-pos)%m + 1 }
+	first, act := pos, ^uint64(0) // a loop that never parks
 	if park := uint64(ps.plan.Park); park > 0 {
-		act = at(n-1) + n*park
+		act = at(m-1) + m*park
 		if !ps.owner.Busy() {
-			act = at(n-1) + n*(park-min(park, uint64(ps.Idle)+1))
+			act = at(m-1) + m*(park-min(park, uint64(ps.Idle)+1))
 		}
 	}
-	if first != 0 && (ps.Progress || ps.Notified) {
-		act = at(n - 1)
+	if ps.Idle < len(ps.plan.Ladder) {
+		sw, first = ps.ladder, uint64(ps.Idle)*m+pos
+		act = min(act, sw.Len()-first) // the ladder's last step
+	}
+	if pos != 0 && (ps.Progress || ps.Notified) {
+		act = min(act, at(m-1))
 	}
 	if service < sim.Forever {
 		// The first service point at or after service.
-		k := at(lead + 2*uint64(len(ps.rings)))
-		if t := t1 + sw.At(first+k-1) - sw.At(first); t < service {
-			k += n * uint64((service-t+sw.At(n)-1)/sw.At(n))
-		}
-		act = min(act, k)
+		i := sw.Ceil(max(service, t1) - t1 + sw.At(first))
+		i += (lead + 2*uint64(len(ps.rings)) + m - i%m) % m
+		act = min(act, i-first+1)
 	}
 	if ld := ps.lead; ld != nil {
 		switch a, work := ld.Line(); {
 		case work:
 			act = min(act, at(0))
 		case !ld.watch.Clean || a != ld.at:
-			ld.watch.Proc, ld.at = ps.proc, a
+			ld.at = a
 			if _, hit := ld.Sys.Watch(ld.Core, a, &ld.watch); !hit {
 				act = min(act, at(0))
 			}
@@ -356,10 +393,9 @@ func (ps *Pass) quietFrom(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
 		if w.Clean {
 			continue
 		}
-		w.Proc = ps.proc
 		probe := lead + 2*uint64(i) + 1
 		switch hit, ready := r.Watch(w); {
-		case !hit && first == probe+1:
+		case !hit && pos == probe+1:
 			return nil, 0, 0 // the next step reads a line nothing watches
 		case !hit:
 			act = min(act, at(probe))
@@ -367,38 +403,42 @@ func (ps *Pass) quietFrom(t1 sim.Time) (*sim.Sweep, uint64, uint64) {
 			act = min(act, at(probe+1))
 		}
 	}
-	ps.skip = skipRun{sweep: sw, rings: ps.rings, first: first, t1: t1}
+	ps.skip = skipRun{sweep: sw, m: m, rings: ps.rings, first: first, t1: t1}
 	return sw, first, act
 }
 
 // settleTo leaves the pass as steps 1..k of the skipped stretch would: the
-// probes' hits counted, every pass end's idle count taken, and the pass
-// positioned before step k+1 with its ring check begun where that check's
-// own step ran.
+// probes' hits counted, every pass end's idle count taken (and on a plan
+// with a ladder its retry counted), and the pass positioned before step
+// k+1 with its ring check begun where that check's own step ran.
 func (ps *Pass) settleTo(k uint64) {
 	q := &ps.skip
-	sw, rings, lead := q.sweep, q.rings, ps.leads()
-	n, nr := sw.Len(), uint64(len(rings))
+	sw, m, rings, lead := q.sweep, q.m, q.rings, ps.leads()
+	nr := uint64(len(rings))
 	// Steps done+1..k are at sweep indices [lo, hi). Lead probes sit at
-	// position 0, ring probes at positions lead+1, lead+3, ... below
-	// lead+2*nr, pass ends at position n-1.
+	// place 0 of a pass, ring probes at places lead+1, lead+3, ... below
+	// lead+2*nr, pass ends at place m-1.
 	lo, hi := q.first+q.done, q.first+k
-	probes := func(x uint64) uint64 { return x/n*nr + min(max(x%n, lead)-lead, 2*nr)/2 }
+	probes := func(x uint64) uint64 { return x/m*nr + min(max(x%m, lead)-lead, 2*nr)/2 }
 	if hits := probes(hi) - probes(lo); hits > 0 {
 		rings[0].sys.AddHits(rings[0].Receiver, hits)
 	}
 	if ld := ps.lead; ld != nil {
-		ld.Sys.AddHits(ld.Core, (hi+n-1)/n-(lo+n-1)/n)
+		ld.Sys.AddHits(ld.Core, (hi+m-1)/m-(lo+m-1)/m)
 	}
-	ps.Idle += int(hi/n - lo/n)
+	ends := hi/m - lo/m
+	ps.Idle += int(ends)
+	if ps.plan.Ladder != nil {
+		rings[0].mRetries.Add(ends)
+	}
 	q.done = k
 	at := func(k uint64) sim.Time { return q.t1 + sw.At(q.first+k-1) - sw.At(q.first) }
 	// The check before a probe began at the step before it; step 0 is
 	// the step that began the stretch, a check a sweep gap before step 1.
-	switch pos := hi % n; {
+	switch pos := hi % m; {
 	case pos == 0:
 		ps.At, ps.Ring, ps.check = PassStart, len(rings), Check{}
-	case pos == n-1 && ps.plan.Loop > 0:
+	case pos == m-1 && ps.plan.Loop > 0:
 		ps.At, ps.Ring, ps.check = PassEnd, len(rings), Check{}
 	case pos == lead:
 		ps.At, ps.Ring, ps.check = PassRing, 0, Check{} // after the lead's probe

@@ -2,6 +2,8 @@ package urpc
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"strings"
@@ -345,6 +347,22 @@ func TestRecvSkipMatchesPolling(t *testing.T) {
 			log("caller")
 			e.Run()
 		})},
+		{"a second receiver waits after the first timed out", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// A's wait times out on an empty ring, which leaves the ring's
+			// watch record clean. B's wait then runs on the same record:
+			// the reply must nudge B, not A.
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv-a", func(p *sim.Proc) { recv(ch, p, Deadline(5_000), log) })
+			e.Spawn("recv-b", func(p *sim.Proc) {
+				p.Sleep(20_000)
+				recv(ch, p, Deadline(1_000_000), log)
+			})
+			e.Spawn("send", func(p *sim.Proc) {
+				p.Sleep(60_000)
+				ch.Send(p, []Message{{8}}, Spin)
+			})
+			e.Run()
+		})},
 		{"Kill from a callback", skipRow(func(e *sim.Engine, sys *cache.System, log func(string)) {
 			ch := New(sys, 0, 2, Options{Home: -1})
 			victim := e.Spawn("recv", func(p *sim.Proc) {
@@ -446,4 +464,119 @@ func TestQuietSpinRecvIsSkipped(t *testing.T) {
 		t.Fatalf("cache.hits = %d, want at least the %d skipped polls", hits, sweeps)
 	}
 	e.Close()
+}
+
+// TestRecvWaitPinned pins each kind of waiting receive to the outcome its
+// polls gave when every poll was an event: the end clock, the sequence
+// number, the wait's counters, its probes' hits and the SHA-256 of the
+// exported trace. Each row runs traced with a zero hook (every poll an
+// event), then traced and untraced with no hook (polls skipped where the
+// engine may); every run must read the pinned values, the untraced one
+// apart from the trace. The exactness tables compare two runs of the
+// current code; this one also holds the waits to fixed numbers, so a
+// change that moves a wait's backoff instants, its park point or its
+// counters on both paths alike fails here.
+func TestRecvWaitPinned(t *testing.T) {
+	type pin struct {
+		now                               sim.Time
+		seq                               uint64
+		retries, timeouts, notifies, hits uint64
+		trace                             string // hex SHA-256 of the exported trace
+	}
+	recv := func(ch *Channel, p *sim.Proc, w Wait, log func(string)) {
+		var buf [2]Message
+		n := ch.Recv(p, buf[:], w)
+		log(fmt.Sprintf("got %d, first %d", n, buf[0][0]))
+	}
+	// sendAt sends messages 1, 2, ... on ch at the given times.
+	sendAt := func(e *sim.Engine, ch *Channel, times ...sim.Time) {
+		e.Spawn("send", func(p *sim.Proc) {
+			for i, at := range times {
+				p.Sleep(at - p.Now())
+				ch.Send(p, []Message{{uint64(i + 1)}}, Spin)
+			}
+		})
+	}
+	rows := []struct {
+		name  string
+		build func(e *sim.Engine, sys *cache.System, log func(string))
+		want  pin
+	}{
+		{"spin", func(e *sim.Engine, sys *cache.System, log func(string)) {
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv", func(p *sim.Proc) {
+				recv(ch, p, Spin, log)
+				recv(ch, p, Spin, log)
+			})
+			sendAt(e, ch, 50_000, 120_007)
+			e.Run()
+		}, pin{now: 120_751, seq: 9_431, hits: 3_164, trace: "cce086a228338b1d1439c7059206c462a032caf898e5591b94f2c69ecc3f6c3c"}},
+		{"window parks and is notified", func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// A device write to the slot inside the window makes one
+			// probe miss; the window then ends and the receiver parks.
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv", func(p *sim.Proc) { recv(ch, p, Window(5_000), log) })
+			e.After(2_003, func() { sys.DMAWrite(ch.slotAddr(ch.recvSeq), []byte{9}, 0) })
+			sendAt(e, ch, 40_000)
+			e.Run()
+		}, pin{now: 42_125, seq: 381, notifies: 1, hits: 134, trace: "8efb020191847ba2a7383c2205dbeb538f76aac45943dbee10d39e1934873dff"}},
+		{"polls after the window ended", func(e *sim.Engine, sys *cache.System, log func(string)) {
+			// A wake that brings no message finds the window over: the
+			// receiver polls once and parks again, until the send.
+			ch := New(sys, 0, 2, Options{Home: -1})
+			r := e.Spawn("recv", func(p *sim.Proc) { recv(ch, p, Window(3_000), log) })
+			e.After(20_011, func() { e.Wake(r) })
+			e.After(31_007, func() { sys.DMAWrite(ch.slotAddr(ch.recvSeq), []byte{9}, 0) })
+			e.After(32_000, func() { e.Wake(r) })
+			sendAt(e, ch, 60_000)
+			e.Run()
+		}, pin{now: 62_125, seq: 250, notifies: 1, hits: 89, trace: "be9556b0ecbad6c095ba8def1c9aab4d8707075e73e2a16398cab6b6af2ff5b9"}},
+		{"deadline reply on the ladder", func(e *sim.Engine, sys *cache.System, log func(string)) {
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv", func(p *sim.Proc) { recv(ch, p, Deadline(100_000), log) })
+			sendAt(e, ch, 601)
+			e.Run()
+		}, pin{now: 1_562, seq: 28, retries: 4, hits: 18, trace: "a5afcc20bf2490ce3919dfd3e3e6190638671417809678e6bacc84b66d4fc825"}},
+		{"deadline reply in the capped phase", func(e *sim.Engine, sys *cache.System, log func(string)) {
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv", func(p *sim.Proc) {
+				recv(ch, p, Deadline(100_000), log)
+				recv(ch, p, Deadline(100_000), log)
+			})
+			sendAt(e, ch, 30_001, 47_777)
+			e.Run()
+		}, pin{now: 49_985, seq: 147, retries: 40, hits: 70, trace: "e861a1a8cbc993a37c5264da1e019fae3640d416138b48bb90117ea4b0d62666"}},
+		{"deadline expiry", func(e *sim.Engine, sys *cache.System, log func(string)) {
+			ch := New(sys, 0, 2, Options{Home: -1})
+			e.Spawn("recv", func(p *sim.Proc) {
+				recv(ch, p, Deadline(20_000), log)
+				recv(ch, p, Deadline(900), log)
+			})
+			e.Run()
+		}, pin{now: 22_905, seq: 77, retries: 24, timeouts: 2, hits: 25, trace: "f2031eaba4c903991e56d10fa56ac2fc58aeb2ec45aa52ae054089ff6020e6e6"}},
+	}
+	zero := func(sim.Time, sim.Time, uint64) (sim.Time, uint64) { return 0, 0 }
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			for _, run := range []struct {
+				name   string
+				hook   sim.PerturbFunc
+				traced bool
+			}{{"stepped", zero, true}, {"traced", nil, true}, {"untraced", nil, false}} {
+				out := skipRow(r.build)(run.hook, run.traced)[0]
+				c := out.snap.Counters
+				got := pin{now: out.now, seq: out.seq, retries: c["urpc.retries"], timeouts: c["urpc.timeouts"], notifies: c["urpc.notifies"], hits: c["cache.hits"]}
+				want := r.want
+				if run.traced {
+					sum := sha256.Sum256(out.trace)
+					got.trace = hex.EncodeToString(sum[:])
+				} else {
+					want.trace = ""
+				}
+				if got != want {
+					t.Errorf("%s: got %+v\nwant %+v", run.name, got, want)
+				}
+			}
+		})
+	}
 }

@@ -13,10 +13,10 @@
 //
 // The data path is one batch Send and one batch Recv. What either does when
 // the ring is full (send) or empty (receive) is named by a Wait: check once,
-// spin, poll-then-block, or back off to a deadline. A receive that waits
-// runs its ring checks as sim.Proc.Idle steps that the engine skips while
-// the ring stays empty (wait.go); a loop that polls several rings does the
-// same through a Pass (pass.go).
+// spin, poll-then-block, or back off to a deadline. A loop that polls
+// rings runs its checks as sim.Proc.Idle steps through a Pass (pass.go),
+// which the engine skips while the rings stay empty; a receive that waits
+// is such a loop over its one ring.
 package urpc
 
 import (
@@ -128,7 +128,7 @@ type Channel struct {
 	mNotifies, mTimeouts         *metrics.Counter
 	mRetries                     *metrics.Counter
 
-	// wait is the receiver's wait, made at its first one.
+	// wait owns the receiver's waits, made at its first one.
 	wait *recvWait
 }
 
@@ -233,62 +233,44 @@ func (c *Channel) seqWord(seq uint64) memory.Addr {
 	return c.slotAddr(seq) + memory.Addr(PayloadWords*8)
 }
 
-// idle spends one idle step of w after a failed ring check on core and
-// reports whether to check again. until is w's deadline or window end; gap
-// carries a Deadline wait's backoff ladder across steps.
-func (c *Channel) idle(p *sim.Proc, w Wait, core topo.CoreID, until sim.Time, gap *sim.Time) bool {
-	switch w.mode {
-	case modePoll:
-		return false
-	case modeWindow:
-		if p.Now() >= until {
-			c.park(p)
-			return true
-		}
-	case modeDeadline:
-		d, ok := c.backoff(core, until, gap)
-		if ok {
-			p.Sleep(d)
-		}
-		return ok
-	}
-	p.Sleep(pollGap)
-	return true
+// timeout counts a Deadline wait's expiry on core, with its trace instant.
+func (c *Channel) timeout(core topo.CoreID) {
+	c.mTimeouts.Inc()
+	c.eng.Tracer().Emit(uint64(c.eng.Now()), trace.Instant, trace.SubURPC, int32(core), "urpc.timeout", c.id<<32, 0)
 }
 
-// backoff is a Deadline wait's step after a failed check on core: at or
-// past until it counts the timeout and reports false; otherwise it counts
-// the retry and returns the sleep before the next check, moving gap one
-// step up the backoff ladder.
-func (c *Channel) backoff(core topo.CoreID, until sim.Time, gap *sim.Time) (sim.Time, bool) {
-	rec, now := c.eng.Tracer(), c.eng.Now()
-	if now >= until {
-		c.mTimeouts.Inc()
-		rec.Emit(uint64(now), trace.Instant, trace.SubURPC, int32(core), "urpc.timeout", c.id<<32, 0)
-		return 0, false
-	}
+// retry counts a Deadline wait's next check on core, gap cycles on, with
+// its urpc.backoff trace instant.
+func (c *Channel) retry(core topo.CoreID, gap sim.Time) {
 	c.mRetries.Inc()
-	rec.Emit(uint64(now), trace.Instant, trace.SubURPC, int32(core), "urpc.backoff", c.id<<32, uint64(*gap))
-	d := *gap
-	*gap = transportBackoff.Next(d)
-	return d, true
+	c.eng.Tracer().Emit(uint64(c.eng.Now()), trace.Instant, trace.SubURPC, int32(core), "urpc.backoff", c.id<<32, uint64(gap))
 }
 
 // waitSpace waits under w until the ring has space, reporting false if w
 // gave up first. The ack line is touched only when the sender's cached view
 // (sendAcked) shows the ring full: a view that already proves space skips the
 // coherence round trip entirely, so a pipelined sender reads the ack line at
-// most once per ring traversal rather than once per send.
+// most once per ring traversal rather than once per send. Send waits under
+// Spin for Window.
 func (c *Channel) waitSpace(p *sim.Proc, w Wait, until sim.Time) bool {
 	gap := transportBackoff.Base
 	for c.sendSeq-c.sendAcked >= uint64(c.slots) {
 		c.mFullStall.Inc()
 		c.RefreshAck(p)
-		if c.sendSeq-c.sendAcked < uint64(c.slots) {
-			break
-		}
-		if !c.idle(p, w, c.Sender, until, &gap) {
+		switch {
+		case c.sendSeq-c.sendAcked < uint64(c.slots):
+			return true
+		case w.mode == modePoll:
 			return false
+		case w.mode != modeDeadline:
+			p.Sleep(pollGap)
+		case p.Now() >= until:
+			c.timeout(c.Sender)
+			return false
+		default:
+			c.retry(c.Sender, gap)
+			p.Sleep(gap)
+			gap = transportBackoff.Next(gap)
 		}
 	}
 	return true
@@ -406,20 +388,110 @@ func (c *Channel) wakeParked() {
 // Window). buf must be non-empty. The poll-loop check cost is charged once
 // per ring check, not once per message, and receiver progress is published
 // to the ack line at most once per drained burst — the receive-side half of
-// the pipelining regime. A receive that waits runs its checks as idle steps
-// the engine may skip (wait.go).
+// the pipelining regime. A receive that waits is a one-ring Pass
+// (recvWait), whose checks the engine skips while the ring stays empty: a
+// check every pollGap under Spin and Window, whose first read at or after
+// the window's end parks the receiver until notified, after which the wait
+// goes on; under Deadline the backoff ladder, each check counted in
+// urpc.retries, until the first read at or after the deadline.
 func (c *Channel) Recv(p *sim.Proc, buf []Message, w Wait) int {
-	if w.mode != modePoll {
-		return c.recvWait(p, buf, w, p.Now()+w.d)
+	if w.mode == modePoll {
+		t0 := p.Now()
+		p.Sleep(recvCheckCost)
+		return c.drain(p, buf, t0, false)
 	}
-	t0 := p.Now()
-	p.Sleep(recvCheckCost)
-	return c.drain(p, buf, t0, false)
+	if c.wait == nil {
+		c.wait = &recvWait{c: c}
+	}
+	rw := c.wait
+	ps := rw.pass(w.mode)
+	rw.mode, rw.until = w.mode, p.Now()+w.d
+	if w.mode == modeSpin {
+		rw.until = sim.Forever
+	}
+	ps.At, ps.Idle, ps.check = PassStart, 0, Check{}
+	for {
+		switch ps.Next(p) {
+		case PassRing: // a message, or the probe missed
+			if n := ps.Drain(p, buf); n > 0 {
+				return n
+			}
+			ps.Ring++ // the load found the ring empty after all
+		case PassService: // the window ended or the deadline passed
+			if w.mode == modeDeadline {
+				c.timeout(c.Receiver)
+				return 0
+			}
+			c.park(p)
+			ps.At = PassStart
+		}
+	}
+}
+
+// recvWait owns a channel's waiting receives. Each is a one-ring Pass with
+// no loop cost and no park, whose service point is the window's end or the
+// deadline. A channel has one receiver, so it keeps one recvWait, with a
+// pass per plan made at the receiver's first wait of that kind.
+type recvWait struct {
+	c              *Channel
+	mode           waitMode
+	until          sim.Time // the window's end, the deadline, or Forever
+	spin, deadline *Pass    // under Spin and Window; under Deadline
+}
+
+// The plans of waiting receives: a check every pollGap under Spin and
+// Window; under Deadline transportBackoff's ladder up to its first
+// maxBackoffGap, then a check every maxBackoffGap. The ladder's last pass
+// sleeps the cap too: a chain never wraps the ladder, so the longer it is,
+// the fewer waits need a second chain.
+var (
+	spinPlan     = &PassPlan{Sleep: pollGap}
+	deadlinePlan = &PassPlan{Sleep: maxBackoffGap, Ladder: func() (l []sim.Time) {
+		for len(l) == 0 || l[len(l)-1] < maxBackoffGap {
+			l = append(l, transportBackoff.Gap(len(l)))
+		}
+		return l
+	}()}
+)
+
+// pass returns the wait's pass under mode, making it on first use.
+func (rw *recvWait) pass(mode waitMode) *Pass {
+	ps, pl := &rw.spin, spinPlan
+	if mode == modeDeadline {
+		ps, pl = &rw.deadline, deadlinePlan
+	}
+	if *ps == nil {
+		*ps = pl.NewPass(rw, nil, []*Channel{rw.c})
+	}
+	return *ps
+}
+
+// Begin reports false: a wait acts only on its ring.
+func (rw *recvWait) Begin() bool { return false }
+
+// Service reports whether the window has ended or the deadline passed.
+func (rw *recvWait) Service() bool { return rw.c.eng.Now() >= rw.until }
+
+// Busy reports false; a wait parks only at its service point.
+func (rw *recvWait) Busy() bool { return false }
+
+// Quiet lets the engine skip the wait's polls up to its window's end or
+// deadline. It declines while touch tracking is on, since a skipped probe
+// records no touch, and under Deadline while a tracer is installed, since
+// skipped pass ends' urpc.backoff instants could not be replayed in trace
+// order; installing either nudges the engine's chains
+// (sim.Engine.SetTracer, cache.System.StartTouchTracking).
+func (rw *recvWait) Quiet() (bool, sim.Time) {
+	c := rw.c
+	if c.sys.Tracking() || rw.mode == modeDeadline && c.eng.Tracer() != nil {
+		return false, 0
+	}
+	return true, rw.until
 }
 
 // Check is one receive-ring check taken as sim.Proc.Idle steps, for loops
-// that poll many rings (the monitor dispatch loop). Its zero value is ready
-// to start; a completed check starts over on its next step.
+// that poll rings (a Pass). Its zero value is ready to start; a completed
+// check starts over on its next step.
 type Check struct {
 	t0    sim.Time    // check start: a non-empty drain's urpc.recv span opens here
 	word  memory.Addr // the sequence word checked
