@@ -247,10 +247,10 @@ func TestWebServerStaticOverLoopback(t *testing.T) {
 }
 
 func TestHTTPRequestHelpers(t *testing.T) {
-	if parseRequestPath("GET /db/17 HTTP/1.0") != "/db/17" {
+	if string(parseRequestPath([]byte("GET /db/17 HTTP/1.0"))) != "/db/17" {
 		t.Fatal("path parse failed")
 	}
-	if parseRequestPath("POST / HTTP/1.0") != "" {
+	if parseRequestPath([]byte("POST / HTTP/1.0")) != nil {
 		t.Fatal("non-GET accepted")
 	}
 	_, _, ok := ParseResponse([]byte("HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nhi"))

@@ -313,6 +313,10 @@ type KVClient struct {
 	// and the deadline they test.
 	waits    [2]*urpc.Pass
 	deadline sim.Time
+	// SelectRange's buffers, reused by every call: a payload read off the
+	// bulk ring, and the values it returns.
+	rx   []byte
+	vals []uint64
 }
 
 // fail renders the ChannelDead verdict on both directions: once a deadline
@@ -382,7 +386,9 @@ func (c *KVClient) Update(p *sim.Proc, key, val uint64) (bool, error) {
 }
 
 // SelectRange performs a remote range SELECT over [lo, hi): the row values
-// arrive zero-copy through the bulk channel. Payloads are drained while
+// arrive zero-copy through the bulk channel. The values returned are valid
+// until the client's next SelectRange, which reuses the slice. Payloads are
+// drained while
 // waiting for the count reply, so result sets larger than the bulk ring
 // never stall the server. The deadline re-arms on every payload, so a large
 // result set is bounded by per-transfer progress, not total size.
@@ -402,8 +408,9 @@ func (c *KVClient) SelectRange(p *sim.Proc, lo, hi uint64) ([]uint64, error) {
 		plan := &urpc.PassPlan{Sleep: rangePollGap}
 		c.waits[0] = plan.NewPass(c, nil, []*urpc.Channel{c.rsp, c.bulk.Ring()})
 		c.waits[1] = plan.NewPass(c, nil, []*urpc.Channel{c.bulk.Ring()})
+		c.rx = make([]byte, 0, c.bulk.SlotBytes())
 	}
-	var vals []uint64
+	vals := c.vals[:0]
 	total := -1
 	c.deadline = p.Now() + c.Timeout
 	ps := c.waits[0]
@@ -420,10 +427,11 @@ func (c *KVClient) SelectRange(p *sim.Proc, lo, hi uint64) ([]uint64, error) {
 					ps.At = urpc.PassStart
 					continue
 				}
-			} else if b, ok := ps.DrainBulk(p, c.bulk); ok {
+			} else if b, ok := ps.DrainBulk(p, c.bulk, c.rx); ok {
 				for off := 0; off+8 <= len(b); off += 8 {
 					vals = append(vals, binary.LittleEndian.Uint64(b[off:]))
 				}
+				c.vals = vals
 				c.deadline = p.Now() + c.Timeout
 				ps.At = urpc.PassStart
 				continue

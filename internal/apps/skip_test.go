@@ -261,7 +261,7 @@ func TestKVSkipMatchesPolling(t *testing.T) {
 			netstack.ConnectLoopback(server, client)
 			client.SetOutput(func(p *sim.Proc, f netstack.Frame) {
 				p.Sleep(500)
-				server.Inject(f)
+				server.Inject(bytes.Clone(f)) // the client reuses f once this returns
 			})
 			ws := &WebServer{Stack: server, Page: StaticPage()}
 			busy(e, 37, 1_500_000)

@@ -148,7 +148,8 @@ func (lb *Loopback) Recv(p *sim.Proc, core topo.CoreID) []byte {
 	})
 	size := lb.sizes[slot%uint64(lb.slots)]
 	base := lb.buf(slot)
-	out := sys.Memory().LoadBytes(base, size)
+	out := make([]byte, size) // the copy out to the caller's buffer
+	sys.Memory().LoadInto(base, out)
 	for i := 0; i*memory.LineSize < size; i++ {
 		sys.LoadLine(p, core, base+memory.Addr(i*memory.LineSize))
 	}

@@ -277,9 +277,11 @@ func TestDMAWriteInvalidatesAndStores(t *testing.T) {
 	if s := r.sys.StateOf(0, reg.Base); s != Invalid {
 		t.Fatalf("cached copy survived DMA: %v", s)
 	}
+	got := make([]byte, len(payload))
+	r.mem.LoadInto(reg.Base, got)
 	for i, b := range payload {
-		if got := r.mem.LoadBytes(reg.Base+memory.Addr(i), 1)[0]; got != b {
-			t.Fatalf("byte %d = %d, want %d", i, got, b)
+		if got[i] != b {
+			t.Fatalf("byte %d = %d, want %d", i, got[i], b)
 		}
 	}
 }

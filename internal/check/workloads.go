@@ -357,8 +357,9 @@ func runURPCWorkload(e *sim.Engine, sys *cache.System, cfg RunConfig) ([]Violati
 		}
 	})
 	e.Spawn("bulkrecv", func(p *sim.Proc) {
+		buf := make([]byte, bch.SlotBytes()) // every receive overwrites it
 		for bulkGot < bulks {
-			data, ok := bch.Recv(p, urpc.Poll)
+			data, ok := bch.Recv(p, urpc.Poll, buf)
 			if !ok {
 				p.Sleep(300)
 				continue

@@ -1,4 +1,4 @@
-// Parallel boot (ROADMAP item 4): the full multikernel on sim.ParallelEngine.
+// Parallel boot (DESIGN §11): the full multikernel on sim.ParallelEngine.
 //
 // The multikernel's own architecture is what makes this possible: cores share
 // no state and communicate only through single-writer URPC regions, so a

@@ -1,6 +1,6 @@
 package expt
 
-// The parallel-boot benchmark (ROADMAP item 4): the full multikernel booted
+// The parallel-boot benchmark (DESIGN §11): the full multikernel booted
 // with core.BootParallel on the 8-socket machine, driven through the three
 // app workloads of the evaluation — TLB-shootdown agreement storms, the
 // web+database request path, and the replicated kvcluster — at several worker

@@ -49,7 +49,7 @@ func udpEcho(packets int, kernelStack bool) float64 {
 		app.SetPoller(func(p *sim.Proc) bool {
 			any := false
 			for {
-				f := nic.Poll(p, core)
+				f := nic.Poll(p, core, nil) // a fresh frame, which the stack holds until handled
 				if f == nil {
 					return any
 				}
@@ -154,7 +154,7 @@ func buildWebServer(db, kernelStack bool) (*Env, *apps.HTTPLoadGen) {
 		app.SetPoller(func(p *sim.Proc) bool {
 			any := false
 			for {
-				f := nic.Poll(p, core)
+				f := nic.Poll(p, core, nil)
 				if f == nil {
 					return any
 				}

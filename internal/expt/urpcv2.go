@@ -105,8 +105,9 @@ func MeasureBulkPayload(m *topo.Machine, from, to topo.CoreID, lines, reps int) 
 	}
 	var start, end sim.Time
 	env.E.Spawn("recv", func(p *sim.Proc) {
+		buf := make([]byte, bulk.SlotBytes())
 		for got := 0; got < reps; got++ {
-			bulk.Recv(p, urpc.Spin)
+			bulk.Recv(p, urpc.Spin, buf)
 		}
 		end = p.Now()
 	})

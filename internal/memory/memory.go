@@ -202,15 +202,16 @@ func (mem *Memory) LoadLine(a Addr) [WordsPerLine]uint64 {
 	return out
 }
 
-// LoadBytes copies n bytes starting at a into a fresh slice. Byte access is
-// implemented over the word store, so it interoperates with word writes:
-// word i holds bytes 8i to 8i+7, little-endian. Each page's run is copied
-// at once, in whole words between its edge bytes.
-func (mem *Memory) LoadBytes(a Addr, n int) []byte {
-	out := make([]byte, n)
+// LoadInto fills dst with the len(dst) bytes starting at a; the caller owns
+// dst, so a receive path reuses its buffer. Byte access is implemented over
+// the word store, so it interoperates with word writes: word i holds bytes
+// 8i to 8i+7, little-endian. Each page's run is copied at once, in whole
+// words between its edge bytes.
+func (mem *Memory) LoadInto(a Addr, dst []byte) {
+	n := len(dst)
 	for i := 0; i < n; {
 		off := int((a + Addr(i)) % (1 << pageShift))
-		run := out[i:min(n, i+1<<pageShift-off)]
+		run := dst[i:min(n, i+1<<pageShift-off)]
 		if pg := mem.pageFor(a+Addr(i), false); pg != nil {
 			j := 0
 			for ; j < len(run) && (off+j)%8 != 0; j++ {
@@ -222,14 +223,15 @@ func (mem *Memory) LoadBytes(a Addr, n int) []byte {
 			for ; j < len(run); j++ {
 				run[j] = pg.byteAt(off + j)
 			}
+		} else {
+			clear(run) // an untouched page reads as zeros
 		}
 		i += len(run)
 	}
-	return out
 }
 
 // StoreBytes writes b starting at address a, creating every page it
-// touches. Each page's run is written at once, as LoadBytes reads it.
+// touches. Each page's run is written at once, as LoadInto reads it.
 func (mem *Memory) StoreBytes(a Addr, b []byte) {
 	for i := 0; i < len(b); {
 		off := int((a + Addr(i)) % (1 << pageShift))

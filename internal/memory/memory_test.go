@@ -88,7 +88,7 @@ func TestBytesRoundTrip(t *testing.T) {
 	r := mem.AllocLines(4, 1)
 	msg := []byte("the multikernel treats the machine as a network")
 	mem.StoreBytes(r.Base+5, msg) // deliberately unaligned
-	if got := mem.LoadBytes(r.Base+5, len(msg)); !bytes.Equal(got, msg) {
+	if got := loadBytes(mem, r.Base+5, len(msg)); !bytes.Equal(got, msg) {
 		t.Fatalf("got %q, want %q", got, msg)
 	}
 }
@@ -97,15 +97,24 @@ func TestBytesWordInterop(t *testing.T) {
 	mem := New(topo.AMD2x2())
 	r := mem.AllocLines(1, 0)
 	mem.StoreWord(r.Base, 0x0807060504030201)
-	got := mem.LoadBytes(r.Base, 8)
+	got := loadBytes(mem, r.Base, 8)
 	want := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("got %v, want %v (little-endian view)", got, want)
 	}
 }
 
+// loadBytes reads n bytes at a through LoadInto into a buffer that holds
+// stale bytes, as a reused receive buffer does: every byte must be
+// overwritten, zero where no page exists.
+func loadBytes(mem *Memory, a Addr, n int) []byte {
+	out := bytes.Repeat([]byte{0xa5}, n)
+	mem.LoadInto(a, out)
+	return out
+}
+
 // refStoreBytes and refLoadBytes copy one byte at a time, with a page
-// lookup per byte: the reference StoreBytes and LoadBytes must match.
+// lookup per byte: the reference StoreBytes and LoadInto must match.
 func refStoreBytes(mem *Memory, a Addr, b []byte) {
 	for i, c := range b {
 		addr := a + Addr(i)
@@ -158,14 +167,14 @@ func TestBytesRoundTripProperty(t *testing.T) {
 		}
 		mem.StoreBytes(a, data)
 		refStoreBytes(ref, a, data)
-		if !bytes.Equal(mem.LoadBytes(a, len(data)), data) {
+		if !bytes.Equal(loadBytes(mem, a, len(data)), data) {
 			return false
 		}
 		wa := r.Base + Addr(off%2048)*8
 		mem.StoreWord(wa, word)
 		ref.StoreWord(wa, word)
 		la, n := r.Base+Addr(loadOff%8192), int(loadLen%8192)
-		return bytes.Equal(mem.LoadBytes(la, n), refLoadBytes(ref, la, n)) && samePages(mem, ref)
+		return bytes.Equal(loadBytes(mem, la, n), refLoadBytes(ref, la, n)) && samePages(mem, ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -244,7 +253,7 @@ func TestBytesAcrossPageBoundary(t *testing.T) {
 	a := Addr(1<<pageShift) - 7 // straddles the first page boundary
 	msg := []byte("boundary-crossing payload")
 	mem.StoreBytes(a, msg)
-	if got := mem.LoadBytes(a, len(msg)); !bytes.Equal(got, msg) {
+	if got := loadBytes(mem, a, len(msg)); !bytes.Equal(got, msg) {
 		t.Fatalf("got %q, want %q", got, msg)
 	}
 	refStoreBytes(ref, a, msg)
@@ -254,14 +263,14 @@ func TestBytesAcrossPageBoundary(t *testing.T) {
 			b := long[int(start)%16 : int(start)%16+n]
 			mem.StoreBytes(start, b)
 			refStoreBytes(ref, start, b)
-			if got, want := mem.LoadBytes(start-3, n+6), refLoadBytes(ref, start-3, n+6); !bytes.Equal(got, want) {
+			if got, want := loadBytes(mem, start-3, n+6), refLoadBytes(ref, start-3, n+6); !bytes.Equal(got, want) {
 				t.Fatalf("%d bytes at %#x: read back %q, want %q", n, uint64(start), got, want)
 			}
 		}
 	}
 	mem.StoreBytes(Addr(6<<pageShift)-5, long)
 	refStoreBytes(ref, Addr(6<<pageShift)-5, long)
-	if got := mem.LoadBytes(Addr(6<<pageShift)-13, len(long)+20); !bytes.Equal(got, refLoadBytes(ref, Addr(6<<pageShift)-13, len(long)+20)) {
+	if got := loadBytes(mem, Addr(6<<pageShift)-13, len(long)+20); !bytes.Equal(got, refLoadBytes(ref, Addr(6<<pageShift)-13, len(long)+20)) {
 		t.Fatal("a run across three pages reads back differently")
 	}
 	if !samePages(mem, ref) {

@@ -151,7 +151,7 @@ func TestNICLoopDelivery(t *testing.T) {
 	var got Frame
 	e.Spawn("driverB", func(p *sim.Proc) {
 		for got == nil {
-			if f := nicB.Poll(p, 4); f != nil {
+			if f := nicB.Poll(p, 4, nil); f != nil {
 				got = f
 			} else {
 				p.Sleep(500)

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"fmt"
+	"slices"
 
 	"multikernel/internal/cache"
 	"multikernel/internal/memory"
@@ -15,7 +16,8 @@ type Frame []byte
 // Port is anything attachable to a wire end: a NIC or a load generator.
 type Port interface {
 	// Deliver hands a received frame to the port. It runs in engine context
-	// and must not block.
+	// and must not block. The frame is valid only during the call: a port
+	// that keeps its bytes copies them.
 	Deliver(f Frame)
 }
 
@@ -28,6 +30,17 @@ type Wire struct {
 	prop     sim.Time
 	a, b     Port
 	nextFree [2]sim.Time
+	free     *inFlight // delivered frames' records
+}
+
+// inFlight is a frame on the wire: a copy of its bytes and the port it goes
+// to. A wire pools its records, each with its delivery callback made once,
+// so a transmission allocates nothing once the pool is warm.
+type inFlight struct {
+	f       Frame
+	dst     Port
+	deliver func()
+	next    *inFlight
 }
 
 // NewWire creates a link of the given gigabits per second on a machine
@@ -63,12 +76,26 @@ func (w *Wire) transmit(fromA bool, f Frame) {
 	}
 	tx := sim.Time(float64(len(f)) / w.bpc)
 	w.nextFree[dir] = start + tx
-	w.e.After(start-now+tx+w.prop, func() { dst.Deliver(f) })
+	r := w.free
+	if r == nil {
+		r = new(inFlight)
+		r.deliver = func() {
+			r.dst.Deliver(r.f)
+			r.dst = nil
+			r.next, w.free = w.free, r
+		}
+	} else {
+		w.free = r.next
+	}
+	r.f = append(r.f[:0], f...)
+	r.dst = dst
+	w.e.After(start-now+tx+w.prop, r.deliver)
 }
 
 // Transmit sends a frame from the given end of the wire. External load
 // generators (which model machines outside the simulated host) use this
-// directly; NICs use it internally.
+// directly; NICs use it internally. The wire copies the frame, so the
+// caller may reuse it once Transmit returns.
 func (w *Wire) Transmit(fromA bool, f Frame) { w.transmit(fromA, f) }
 
 // NIC device parameters.
@@ -106,8 +133,13 @@ type NIC struct {
 	rxDev, rxDrv uint64 // device produce / driver consume indices
 	rxClaim      uint64 // receive slots claimed by delivered frames
 	txDrv, txDev uint64
-	rxSizes      [nicRings]int
-	txFrames     [nicRings]Frame
+	// Per slot: the frame a receive DMA writes, held from its arrival until
+	// the driver reads the slot; the DMA's completion, made once; the frame
+	// the device DMA-reads for transmission. The buffers are kept for reuse.
+	rxFrames [nicRings]Frame
+	rxDMA    [nicRings]func()
+	txFrames [nicRings]Frame
+	txDMA    func() // deviceTx, made once
 
 	intr  func() // driver-installed interrupt handler (engine context)
 	stats NICStats
@@ -130,6 +162,11 @@ func NewNIC(e *sim.Engine, sys *cache.System, name string, wire *Wire, isA bool)
 		txDescs: mem.AllocLines(nicRings, socket),
 		txBufs:  mem.AllocLines(nicRings*nicBufLines, socket),
 	}
+	for i := range n.rxDMA {
+		slot := uint64(i)
+		n.rxDMA[i] = func() { n.dmaRx(slot) }
+	}
+	n.txDMA = n.deviceTx
 	return n
 }
 
@@ -145,7 +182,8 @@ func (n *NIC) OnInterrupt(fn func()) { n.intr = fn }
 // frame into the slot's buffer, publishes the descriptor and raises an
 // interrupt. A frame claims its slot on arrival, so frames closer together
 // than the DMA latency each get their own; the DMAs complete in arrival
-// order, and each advances rxDev.
+// order, and each advances rxDev. The slot keeps a copy of the frame for
+// its DMA.
 func (n *NIC) Deliver(f Frame) {
 	if n.rxClaim-n.rxDrv >= nicRings {
 		n.stats.RxDropped++
@@ -153,24 +191,28 @@ func (n *NIC) Deliver(f Frame) {
 	}
 	slot := n.rxClaim % nicRings
 	n.rxClaim++
-	n.e.After(nicDMALat, func() {
-		base := n.rxBufs.LineAt(int(slot) * nicBufLines)
-		n.sys.DMAWrite(base, f, n.socket)
-		n.rxSizes[slot] = len(f)
-		// Publish the descriptor: DMA write to the descriptor line.
-		n.sys.DMAWrite(n.rxDescs.LineAt(int(slot)), []byte{1}, n.socket)
-		n.rxDev++
-		n.stats.RxFrames++
-		if n.intr != nil {
-			n.intr()
-		}
-	})
+	n.rxFrames[slot] = append(n.rxFrames[slot][:0], f...)
+	n.e.After(nicDMALat, n.rxDMA[slot])
+}
+
+// dmaRx completes the receive DMA into slot (engine context).
+func (n *NIC) dmaRx(slot uint64) {
+	base := n.rxBufs.LineAt(int(slot) * nicBufLines)
+	n.sys.DMAWrite(base, n.rxFrames[slot], n.socket)
+	// Publish the descriptor: DMA write to the descriptor line.
+	n.sys.DMAWrite(n.rxDescs.LineAt(int(slot)), []byte{1}, n.socket)
+	n.rxDev++
+	n.stats.RxFrames++
+	if n.intr != nil {
+		n.intr()
+	}
 }
 
 // Poll checks for a received frame from the driver core, paying the
-// descriptor and buffer reads through the cache. It returns nil when the
-// ring is empty.
-func (n *NIC) Poll(p *sim.Proc, core topo.CoreID) Frame {
+// descriptor and buffer reads through the cache. It copies the frame into
+// dst, grown if it is short, and returns it; it returns nil when the ring
+// is empty.
+func (n *NIC) Poll(p *sim.Proc, core topo.CoreID, dst []byte) Frame {
 	if n.rxDrv >= n.rxDev {
 		// Check the descriptor anyway, as a real driver would.
 		n.sys.Load(p, core, n.rxDescs.LineAt(int(n.rxDrv%nicRings)))
@@ -178,12 +220,13 @@ func (n *NIC) Poll(p *sim.Proc, core topo.CoreID) Frame {
 	}
 	slot := n.rxDrv % nicRings
 	n.sys.Load(p, core, n.rxDescs.LineAt(int(slot)))
-	size := n.rxSizes[slot]
+	size := len(n.rxFrames[slot])
 	base := n.rxBufs.LineAt(int(slot) * nicBufLines)
 	for i := 0; i*memory.LineSize < size; i++ {
 		n.sys.LoadLine(p, core, base+memory.Addr(i*memory.LineSize))
 	}
-	f := Frame(n.sys.Memory().LoadBytes(base, size))
+	f := slices.Grow(dst[:0], size)[:size]
+	n.sys.Memory().LoadInto(base, f)
 	n.rxDrv++
 	return f
 }
@@ -211,11 +254,11 @@ func (n *NIC) Transmit(p *sim.Proc, core topo.CoreID, f Frame) error {
 		n.sys.StoreLine(p, core, base+memory.Addr(i*memory.LineSize), zero)
 	}
 	n.sys.Memory().StoreBytes(base, f)
-	n.txFrames[slot] = append(Frame(nil), f...)
+	n.txFrames[slot] = append(n.txFrames[slot][:0], f...)
 	n.sys.Store(p, core, n.txDescs.LineAt(int(slot)), slot+1)
 	n.txDrv++
 	p.Sleep(nicDoorbell)
-	n.e.After(nicDMALat, n.deviceTx)
+	n.e.After(nicDMALat, n.txDMA)
 	return nil
 }
 
@@ -223,10 +266,8 @@ func (n *NIC) Transmit(p *sim.Proc, core topo.CoreID, f Frame) error {
 func (n *NIC) deviceTx() {
 	for n.txDev < n.txDrv {
 		slot := n.txDev % nicRings
-		f := n.txFrames[slot]
-		n.txFrames[slot] = nil
 		n.txDev++
 		n.stats.TxFrames++
-		n.wire.transmit(n.isA, f)
+		n.wire.transmit(n.isA, n.txFrames[slot])
 	}
 }

@@ -1,9 +1,11 @@
 package netstack
 
 import (
+	"bytes"
 	"fmt"
 
 	"multikernel/internal/cache"
+	"multikernel/internal/memory"
 	"multikernel/internal/sim"
 	"multikernel/internal/topo"
 	"multikernel/internal/urpc"
@@ -40,7 +42,10 @@ type Stack struct {
 	out    func(p *sim.Proc, f Frame) // transmit path
 	poller func(p *sim.Proc) bool     // pulls frames from the link into inbox
 	link   *FrameLink                 // the link poller drains; nil for SetPoller's
-	inbox  *sim.Queue[Frame]
+	inbox  *sim.Queue[rxFrame]
+	// The stack's own frame buffers not in use: receive buffers for frames
+	// read off the link, transmit buffers for frames being built.
+	rxFree, txFree []Frame
 	// acceptor is the proc in PollAccept, whose skipped steps read the
 	// inbox, the backlogs and the link: a change to any nudges it.
 	acceptor *sim.Proc
@@ -71,13 +76,14 @@ func NewStack(e *sim.Engine, sys *cache.System, name string, core topo.CoreID, i
 		udp:     make(map[uint16]*UDPSock),
 		tcp:     make(map[uint16]*TCPListener),
 		conns:   make(map[connKey]*TCPConn),
-		inbox:   sim.NewQueue[Frame](e),
+		inbox:   sim.NewQueue[rxFrame](e),
 		nextEph: 32768,
 	}
 }
 
 // SetOutput installs the transmit function (to a NIC driver link or a URPC
-// loopback link).
+// loopback link). The frame passed to fn is valid only during the call: the
+// stack reuses its buffer.
 func (s *Stack) SetOutput(fn func(p *sim.Proc, f Frame)) { s.out = fn }
 
 // SetPoller installs the function blocking socket operations use to pull
@@ -90,10 +96,36 @@ func (s *Stack) SetPoller(fn func(p *sim.Proc) bool) {
 }
 
 // Inject queues a received frame into the stack (engine or proc context).
-func (s *Stack) Inject(f Frame) {
-	s.inbox.Push(f)
+// The frame belongs to the stack until it is handled: the caller must not
+// change it before then.
+func (s *Stack) Inject(f Frame) { s.queue(f, false) }
+
+// rxFrame is a queued received frame; own marks a receive buffer of the
+// stack's, which goes back to rxFree once the frame is handled.
+type rxFrame struct {
+	f   Frame
+	own bool
+}
+
+func (s *Stack) queue(f Frame, own bool) {
+	s.inbox.Push(rxFrame{f, own})
 	s.nudge()
 }
+
+// takeRx takes an empty receive buffer of the stack's own for a frame read
+// off the link; queue the frame read into it as own, or give it back with
+// putRx.
+func (s *Stack) takeRx() Frame {
+	n := len(s.rxFree)
+	if n == 0 {
+		return make(Frame, 0, linkBufLines*memory.LineSize)
+	}
+	f := s.rxFree[n-1]
+	s.rxFree = s.rxFree[:n-1]
+	return f
+}
+
+func (s *Stack) putRx(f Frame) { s.rxFree = append(s.rxFree, f[:0]) }
 
 // nudge tells PollAccept's proc that a queue or the link its skipped steps
 // read changed.
@@ -108,8 +140,8 @@ func (s *Stack) nudge() {
 // library stack.
 func (s *Stack) Pump(p *sim.Proc) {
 	for {
-		if f, ok := s.inbox.TryPop(); ok {
-			s.handleFrame(p, f)
+		if fr, ok := s.inbox.TryPop(); ok {
+			s.handle(p, fr)
 			return
 		}
 		if s.poller != nil {
@@ -118,8 +150,7 @@ func (s *Stack) Pump(p *sim.Proc) {
 			}
 			continue
 		}
-		f := s.inbox.Pop(p)
-		s.handleFrame(p, f)
+		s.handle(p, s.inbox.Pop(p))
 		return
 	}
 }
@@ -138,12 +169,21 @@ func (s *Stack) PumpReady(p *sim.Proc) bool {
 func (s *Stack) handleInbox(p *sim.Proc) bool {
 	any := false
 	for {
-		f, ok := s.inbox.TryPop()
+		fr, ok := s.inbox.TryPop()
 		if !ok {
 			return any
 		}
 		any = true
-		s.handleFrame(p, f)
+		s.handle(p, fr)
+	}
+}
+
+// handle processes a dequeued frame, then reuses its buffer if it is the
+// stack's own: nothing keeps a frame past its handling.
+func (s *Stack) handle(p *sim.Proc, fr rxFrame) {
+	s.handleFrame(p, fr.f)
+	if fr.own {
+		s.putRx(fr.f)
 	}
 }
 
@@ -166,7 +206,7 @@ func (s *Stack) handleFrame(p *sim.Proc, f Frame) {
 			return
 		}
 		if sock := s.udp[udp.DstPort]; sock != nil {
-			sock.deliver(Datagram{Src: ip.Src, SrcPort: udp.SrcPort, Payload: payload})
+			sock.deliver(Datagram{Src: ip.Src, SrcPort: udp.SrcPort, Payload: bytes.Clone(payload)})
 		}
 	case ProtoTCP:
 		p.Sleep(costTCPRx)
@@ -178,8 +218,22 @@ func (s *Stack) handleFrame(p *sim.Proc, f Frame) {
 	}
 }
 
-// sendIP builds and transmits an IPv4 packet.
-func (s *Stack) sendIP(p *sim.Proc, proto uint8, dst IPAddr, l4 []byte) {
+// txBuf takes a transmit buffer of the stack's own. It holds room for the
+// Ethernet and IPv4 headers, which sendIP writes in front of the transport
+// header and payload that the caller appends.
+func (s *Stack) txBuf() []byte {
+	var b []byte
+	if n := len(s.txFree); n > 0 {
+		b, s.txFree = s.txFree[n-1], s.txFree[:n-1]
+	} else {
+		b = make([]byte, 0, EthHeaderLen+IPv4HeaderLen+TCPHeaderLen+MSS)
+	}
+	return b[:EthHeaderLen+IPv4HeaderLen]
+}
+
+// sendIP fills in the Ethernet and IPv4 headers of b, a txBuf holding an
+// IPv4 payload, transmits it and takes the buffer back.
+func (s *Stack) sendIP(p *sim.Proc, proto uint8, dst IPAddr, b []byte) {
 	if s.out == nil {
 		panic(fmt.Sprintf("netstack: stack %s has no output", s.Name))
 	}
@@ -187,13 +241,11 @@ func (s *Stack) sendIP(p *sim.Proc, proto uint8, dst IPAddr, l4 []byte) {
 	var dstMAC MAC // resolved by the link layer below us
 	eth := EthHeader{Dst: dstMAC, Src: s.MAC, EtherType: EtherTypeIPv4}
 	ip := IPv4Header{Protocol: proto, Src: s.IP, Dst: dst, ID: s.ipID,
-		Length: uint16(IPv4HeaderLen + len(l4))}
-	b := make([]byte, 0, EthHeaderLen+int(ip.Length))
-	b = eth.Marshal(b)
-	b = ip.Marshal(b)
-	b = append(b, l4...)
+		Length: uint16(len(b) - EthHeaderLen)}
+	ip.Marshal(eth.Marshal(b[:0]))
 	p.Sleep(costEthTx + costIPTx)
 	s.out(p, b)
+	s.txFree = append(s.txFree, b)
 }
 
 // Datagram is a received UDP message.
@@ -226,9 +278,8 @@ func (u *UDPSock) deliver(d Datagram) { u.inbox.Push(d) }
 func (u *UDPSock) SendTo(p *sim.Proc, dst IPAddr, dstPort uint16, payload []byte) {
 	p.Sleep(costSockOp + costUDPTx)
 	udp := UDPHeader{SrcPort: u.port, DstPort: dstPort, Length: uint16(UDPHeaderLen + len(payload))}
-	l4 := udp.Marshal(make([]byte, 0, UDPHeaderLen+len(payload)))
-	l4 = append(l4, payload...)
-	u.stack.sendIP(p, ProtoUDP, dst, l4)
+	b := udp.Marshal(u.stack.txBuf())
+	u.stack.sendIP(p, ProtoUDP, dst, append(b, payload...))
 }
 
 // Recv returns the next datagram, pumping the stack while waiting.
@@ -276,15 +327,15 @@ func NewFrameLink(sys *cache.System, from, to topo.CoreID) *FrameLink {
 	}
 }
 
-// Send writes the frame into the next pool buffer and sends its descriptor.
+// Send writes the frame into the next pool buffer and sends its descriptor;
+// the frame is not kept past the call.
 func (l *FrameLink) Send(p *sim.Proc, f Frame) {
 	l.bulk.Send(p, f)
 }
 
-// TryRecv polls for a frame.
-func (l *FrameLink) TryRecv(p *sim.Proc) (Frame, bool) {
-	b, ok := l.bulk.Recv(p, urpc.Poll)
-	return Frame(b), ok
+// TryRecv polls for a frame, which it reads into dst.
+func (l *FrameLink) TryRecv(p *sim.Proc, dst Frame) (Frame, bool) {
+	return l.bulk.Recv(p, urpc.Poll, dst)
 }
 
 // ConnectLoopback joins two stacks with a pair of frame links and returns a
@@ -308,11 +359,13 @@ func (s *Stack) pollLink(link *FrameLink) {
 	s.poller = func(p *sim.Proc) bool {
 		any := false
 		for {
-			f, ok := link.TryRecv(p)
+			buf := s.takeRx()
+			f, ok := link.TryRecv(p, buf)
 			if !ok {
+				s.putRx(buf)
 				return any
 			}
-			s.Inject(f)
+			s.queue(f, true)
 			any = true
 		}
 	}
@@ -324,12 +377,13 @@ func (s *Stack) pollLink(link *FrameLink) {
 
 // Driver runs a NIC on a dedicated core and bridges it to a Stack.
 type Driver struct {
-	nic   *NIC
-	core  topo.CoreID
-	toApp *FrameLink
-	toNIC *FrameLink
-	proc  *sim.Proc
-	pass  *urpc.Pass // the NIC's next descriptor, then the transmit link
+	nic    *NIC
+	core   topo.CoreID
+	toApp  *FrameLink
+	toNIC  *FrameLink
+	proc   *sim.Proc
+	pass   *urpc.Pass // the NIC's next descriptor, then the transmit link
+	rx, tx Frame      // the loop's buffers: a frame off the NIC, one to send
 }
 
 // NewDriver starts the driver loop on the given core, bridging nic to the
@@ -340,6 +394,8 @@ func NewDriver(e *sim.Engine, sys *cache.System, nic *NIC, core topo.CoreID, app
 		core:  core,
 		toApp: NewFrameLink(sys, core, app.core),
 		toNIC: NewFrameLink(sys, app.core, core),
+		rx:    make(Frame, 0, nicBufLines*memory.LineSize),
+		tx:    make(Frame, 0, linkBufLines*memory.LineSize),
 	}
 	plan := &urpc.PassPlan{Sleep: drvIdleGap, Park: drvIdleSweeps}
 	lead := &urpc.PassLead{Sys: sys, Core: core, Line: nic.nextRx}
@@ -372,13 +428,13 @@ func (d *Driver) loop(p *sim.Proc) {
 	for {
 		switch ps.Next(p) {
 		case urpc.PassBegin: // a frame arrived, or the descriptor's probe missed
-			if f := d.nic.Poll(p, d.core); f != nil {
+			if f := d.nic.Poll(p, d.core, d.rx); f != nil {
 				d.toApp.Send(p, f)
 				ps.Progress = true
 			}
 			ps.At, ps.Ring = urpc.PassRing, 0
 		case urpc.PassRing: // a frame to send, or the link's probe missed
-			if f, ok := ps.DrainBulk(p, d.toNIC.bulk); ok {
+			if f, ok := ps.DrainBulk(p, d.toNIC.bulk, d.tx); ok {
 				if err := d.nic.Transmit(p, d.core, f); err != nil {
 					// Ring full: drop, as a real driver would under overload.
 					_ = err

@@ -67,10 +67,12 @@ func (l *TCPListener) PollAccept(p *sim.Proc) *TCPConn {
 		case urpc.PassBegin: // no link: the poller is proc code
 			c, ok = l.TryAccept(p)
 		case urpc.PassRing: // a frame on the link, or its probe missed
-			if f, got := ps.DrainBulk(p, s.link.bulk); got {
-				s.Inject(f)
+			buf := s.takeRx()
+			if f, got := ps.DrainBulk(p, s.link.bulk, buf); got {
+				s.queue(f, true)
 				s.PumpReady(p) // the poller's next checks, then the inbox
 			} else {
+				s.putRx(buf)
 				s.handleInbox(p)
 			}
 			c, ok = l.backlog.TryPop()
@@ -122,7 +124,6 @@ type TCPConn struct {
 	state      tcpState
 	seq, ack   uint32
 	inbox      *sim.Queue[[]byte]
-	estab      *sim.Future[bool]
 	peerClosed bool
 	listener   *TCPListener // server side: where to queue on establish
 }
@@ -137,9 +138,8 @@ func (c *TCPConn) sendSeg(p *sim.Proc, flags uint8, payload []byte) {
 		Flags:   flags,
 		Window:  0xffff,
 	}
-	l4 := h.Marshal(make([]byte, 0, TCPHeaderLen+len(payload)))
-	l4 = append(l4, payload...)
-	c.stack.sendIP(p, ProtoTCP, c.key.remote, l4)
+	b := h.Marshal(c.stack.txBuf())
+	c.stack.sendIP(p, ProtoTCP, c.key.remote, append(b, payload...))
 	c.seq += uint32(len(payload))
 	if flags&(TCPSyn|TCPFin) != 0 {
 		c.seq++
@@ -156,11 +156,10 @@ func (s *Stack) Dial(p *sim.Proc, dst IPAddr, port uint16) *TCPConn {
 		state: tcpSynSent,
 		seq:   uint32(s.nextEph) * 7919,
 		inbox: sim.NewQueue[[]byte](s.e),
-		estab: sim.NewFuture[bool](s.e),
 	}
 	s.conns[c.key] = c
 	c.sendSeg(p, TCPSyn, nil)
-	for !c.estab.Done() {
+	for c.state == tcpSynSent {
 		s.Pump(p)
 	}
 	return c
@@ -242,7 +241,6 @@ func (s *Stack) handleTCP(p *sim.Proc, src IPAddr, h TCPHeader, payload []byte) 
 			seq:      uint32(h.DstPort) * 104729,
 			ack:      h.Seq + 1,
 			inbox:    sim.NewQueue[[]byte](s.e),
-			estab:    sim.NewFuture[bool](s.e),
 			listener: l,
 		}
 		s.conns[key] = c
@@ -255,11 +253,11 @@ func (s *Stack) handleTCP(p *sim.Proc, src IPAddr, h TCPHeader, payload []byte) 
 func (c *TCPConn) handleSeg(p *sim.Proc, h TCPHeader, payload []byte) {
 	switch {
 	case h.Flags&TCPSyn != 0 && h.Flags&TCPAck != 0 && c.state == tcpSynSent:
-		// Client side: handshake complete.
+		// Client side: handshake complete once the ack is sent; Dial
+		// returns then.
 		c.ack = h.Seq + 1
-		c.state = tcpEstablished
 		c.sendSeg(p, TCPAck, nil)
-		c.estab.Complete(true)
+		c.state = tcpEstablished
 		return
 	case h.Flags&TCPAck != 0 && c.listener != nil:
 		// Server side: the third handshake ack; hand to the acceptor once.

@@ -176,3 +176,20 @@ func TestQueueAllocs(t *testing.T) {
 		t.Errorf("steady-state schedule and dispatch: %.1f allocs per %d cycles, want 0", avg, 2*calSpan)
 	}
 }
+
+// TestMailboxReusesItsArray pins sim.Queue's reuse of its backing array: a
+// FIFO that holds a few items at a time allocates nothing once warm, however
+// many items pass through it.
+func TestMailboxReusesItsArray(t *testing.T) {
+	q := NewQueue[[]byte](NewEngine(1))
+	item := []byte("frame")
+	for i := 0; i < 3; i++ {
+		q.Push(item)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		q.Push(item)
+		q.TryPop()
+	}); avg != 0 {
+		t.Errorf("steady-state push and pop: %.2f allocs per item, want 0", avg)
+	}
+}

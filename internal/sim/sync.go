@@ -102,9 +102,12 @@ func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // Queue is an unbounded FIFO of items with blocking receive, usable as a
 // mailbox between procs. Push never blocks; Pop parks until an item arrives.
+// The queue keeps its backing array: a Push that finds it full slides the
+// queued items to the front before it grows.
 type Queue[T any] struct {
 	e       *Engine
-	items   []T
+	items   []T // items[head:] are queued
+	head    int
 	waiters []*Proc
 }
 
@@ -114,6 +117,11 @@ func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{e: e} }
 // Push appends v and wakes the oldest waiting consumer, if any. It may be
 // called from any proc or engine callback.
 func (q *Queue[T]) Push(v T) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, v)
 	// Skip consumers fail-stopped while parked; waking a corpse would strand
 	// the item until the next Push even with live waiters queued behind it.
@@ -131,31 +139,34 @@ func (q *Queue[T]) Push(v T) {
 
 // Pop removes and returns the oldest item, parking p until one is available.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.Len() == 0 {
 		q.waiters = append(q.waiters, p)
 		p.Park()
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v
+	return q.take()
 }
 
 // TryPop removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryPop() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
 		return v, false
 	}
-	v = q.items[0]
+	return q.take(), true
+}
+
+// take removes the oldest item; the queue must not be empty.
+func (q *Queue[T]) take() T {
+	v := q.items[q.head]
 	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
+	q.items[q.head] = zero
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
 // Future is a one-shot value that procs can await: the virtual-time analogue
 // of a completion for a split-phase operation.
@@ -182,9 +193,6 @@ func (f *Future[T]) Complete(v T) {
 	}
 	f.waiters = nil
 }
-
-// Done reports whether the future has been completed.
-func (f *Future[T]) Done() bool { return f.done }
 
 // Await parks p until the future completes, then returns its value.
 func (f *Future[T]) Await(p *Proc) T {

@@ -147,6 +147,34 @@ func TestQueueTryPop(t *testing.T) {
 	}
 }
 
+// TestQueueSlidesInOrder interleaves pushes and pops so that Push slides
+// the queued items to the front of a full array, and grows it when they
+// fill it: items still come out in push order, and Len counts only the
+// queued ones.
+func TestQueueSlidesInOrder(t *testing.T) {
+	q := NewQueue[int](NewEngine(1))
+	next, want := 0, 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < round%7+1; i++ {
+			q.Push(next)
+			next++
+		}
+		for i := 0; i < round%5+1; i++ {
+			v, ok := q.TryPop()
+			if !ok {
+				break
+			}
+			if v != want {
+				t.Fatalf("round %d: popped %d, want %d", round, v, want)
+			}
+			want++
+		}
+		if q.Len() != next-want {
+			t.Fatalf("round %d: Len %d, want %d", round, q.Len(), next-want)
+		}
+	}
+}
+
 func TestFutureAwait(t *testing.T) {
 	e := NewEngine(1)
 	f := NewFuture[int](e)
@@ -161,7 +189,7 @@ func TestFutureAwait(t *testing.T) {
 	if got != 42 || at != 250 {
 		t.Fatalf("got=%d at=%d", got, at)
 	}
-	if !f.Done() {
+	if !f.done {
 		t.Fatal("future not done")
 	}
 }

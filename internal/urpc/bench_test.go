@@ -116,8 +116,9 @@ func bulkRun(reps int) sim.Time {
 	}
 	var start, end sim.Time
 	e.Spawn("recv", func(p *sim.Proc) {
+		buf := make([]byte, bulk.SlotBytes())
 		for got := 0; got < reps; got++ {
-			bulk.Recv(p, Spin)
+			bulk.Recv(p, Spin, buf)
 		}
 		end = p.Now()
 	})

@@ -2,6 +2,7 @@ package urpc
 
 import (
 	"fmt"
+	"slices"
 
 	"multikernel/internal/cache"
 	"multikernel/internal/memory"
@@ -140,14 +141,15 @@ func (b *BulkChannel) Send(p *sim.Proc, payload []byte) {
 	rec.Emit(uint64(p.Now()), trace.End, trace.SubURPC, int32(b.desc.Sender), "urpc.bulk_send", 0, 0)
 }
 
-// Recv waits under w for a payload and reads it out of the pool; false
-// means w gave up on an empty channel.
-func (b *BulkChannel) Recv(p *sim.Proc, w Wait) ([]byte, bool) {
+// Recv waits under w for a payload and reads it out of the pool into dst,
+// which it grows if the payload is longer, and returns it; false means w
+// gave up on an empty channel. The caller owns dst and the result.
+func (b *BulkChannel) Recv(p *sim.Proc, w Wait, dst []byte) ([]byte, bool) {
 	var m [1]Message
 	if b.desc.Recv(p, m[:], w) == 0 {
 		return nil, false
 	}
-	return b.read(p, m[0]), true
+	return b.read(p, m[0], dst), true
 }
 
 // Ring returns the descriptor ring, which a Recv checks first: a pass
@@ -155,13 +157,15 @@ func (b *BulkChannel) Recv(p *sim.Proc, w Wait) ([]byte, bool) {
 func (b *BulkChannel) Ring() *Channel { return b.desc }
 
 // read pulls the payload lines of descriptor m to the receiver's cache, then
-// releases the pool slot by publishing the deferred descriptor ack.
-func (b *BulkChannel) read(p *sim.Proc, m Message) []byte {
+// releases the pool slot by publishing the deferred descriptor ack. The
+// payload is copied into dst, grown if it is short.
+func (b *BulkChannel) read(p *sim.Proc, m Message, dst []byte) []byte {
 	size := int(m[1])
 	base := b.slotBase(m[0])
 	// Snapshot before acking: the sender may not reuse this slot until the
 	// ack below is published.
-	payload := b.sys.Memory().LoadBytes(base, size)
+	payload := slices.Grow(dst[:0], size)[:size]
+	b.sys.Memory().LoadInto(base, payload)
 	rec := b.desc.eng.Tracer()
 	rec.Emit(uint64(p.Now()), trace.Begin, trace.SubURPC, int32(b.desc.Receiver), "urpc.bulk_recv", 0, uint64(size))
 	for i := 0; i*memory.LineSize < size; i++ {

@@ -24,9 +24,12 @@ func TestBulkRoundTrip(t *testing.T) {
 	}
 	var got [][]byte
 	e.Spawn("recv", func(p *sim.Proc) {
+		// One receive buffer, too short for the larger payloads: each
+		// receive overwrites it and grows it when it must.
+		buf := make([]byte, 0, 16)
 		for len(got) < len(payloads) {
-			pl, _ := b.Recv(p, Spin)
-			got = append(got, pl)
+			buf, _ = b.Recv(p, Spin, buf)
+			got = append(got, bytes.Clone(buf))
 		}
 	})
 	e.Spawn("send", func(p *sim.Proc) {
@@ -59,7 +62,7 @@ func TestBulkBackpressureGatesSlotReuse(t *testing.T) {
 	e.Spawn("recv", func(p *sim.Proc) {
 		p.Sleep(100_000) // let the sender hit the full descriptor ring
 		for len(got) < n {
-			pl, ok := b.Recv(p, Poll)
+			pl, ok := b.Recv(p, Poll, nil)
 			if !ok {
 				p.Sleep(pollGap)
 				continue
@@ -169,7 +172,7 @@ func TestBulkBeatsRingAtFrameSize(t *testing.T) {
 		var end sim.Time
 		e.Spawn("recv", func(p *sim.Proc) {
 			for got := 0; got < reps; {
-				if _, ok := b.Recv(p, Poll); ok {
+				if _, ok := b.Recv(p, Poll, nil); ok {
 					got++
 					continue
 				}

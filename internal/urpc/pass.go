@@ -201,14 +201,14 @@ func (ps *Pass) Drain(p *sim.Proc, buf []Message) int {
 }
 
 // DrainBulk is Drain for a ring that is b's descriptor ring (b.Ring()): it
-// reads the next payload out of b's pool, as BulkChannel.Recv does, and
-// reports false if the ring was empty after all.
-func (ps *Pass) DrainBulk(p *sim.Proc, b *BulkChannel) ([]byte, bool) {
+// reads the next payload out of b's pool into dst, as BulkChannel.Recv
+// does, and reports false if the ring was empty after all.
+func (ps *Pass) DrainBulk(p *sim.Proc, b *BulkChannel, dst []byte) ([]byte, bool) {
 	var m [1]Message
 	if ps.Drain(p, m[:]) == 0 {
 		return nil, false
 	}
-	return b.read(p, m[0]), true
+	return b.read(p, m[0], dst), true
 }
 
 // stepOnce runs the pass up to its next sleep, or to a point that needs

@@ -322,7 +322,7 @@ func TestRecvSkipMatchesPolling(t *testing.T) {
 			b := NewBulk(sys, 0, 2, BulkOptions{Home: -1, Prefetch: true})
 			e.Spawn("recv", func(p *sim.Proc) {
 				for i := 0; i < 2; i++ {
-					data, ok := b.Recv(p, Spin)
+					data, ok := b.Recv(p, Spin, nil)
 					log(fmt.Sprintf("got %d bytes %v", len(data), ok))
 				}
 			})
