@@ -12,11 +12,12 @@
 //   - ceiling: a deterministic simulated metric (keys with a ":unit" suffix
 //     in the baseline), the same on every run and every machine: the URPC
 //     transport's cycles per message and per bulk line, the scaled
-//     coherence modes' event counts on the 256-core mesh, and the events
-//     and cache hits of idle monitor polling on the 8x4 machine. The
-//     baseline pins it exactly, so the row is a floor as well as a ceiling:
-//     an increase fails as SLOW and a decrease as FAST. A change that moves
-//     a pin on purpose re-pins it with -update and says why.
+//     coherence modes' event counts and fabric dwords on the 256-core
+//     mesh, and the events and cache hits of idle monitor polling on the
+//     8x4 machine. The baseline pins it exactly, so the row is a floor as
+//     well as a ceiling: an increase fails as SLOW and a decrease as FAST.
+//     A change that moves a pin on purpose re-pins it with -update and
+//     says why.
 //
 //   - equal: a ceiling whose selected sub-benchmarks must also report the
 //     same value per unit. The parallel engine's pinned workload and the
@@ -215,7 +216,7 @@ func measure(c contract, count int, benchtime string) (map[string]float64, error
 				}
 				key = name
 			} else if !strings.HasPrefix(unit, "simcycles/") && !strings.HasPrefix(unit, "simevents/") &&
-				!strings.HasPrefix(unit, "simhits/") {
+				!strings.HasPrefix(unit, "simhits/") && !strings.HasPrefix(unit, "simdwords/") {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i-1], 64)

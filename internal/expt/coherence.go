@@ -51,8 +51,7 @@ type cohRun struct {
 	cyclesPerOp float64 // mean writer RMW latency
 	fanoutMean  float64 // mean cache.probe_fanout observation
 	ops         uint64
-	sumsOK      bool   // every contended line summed to writers*incs
-	events      uint64 // sim.events_dispatched, pinned by BenchmarkDirectoryPinned
+	sumsOK      bool // every contended line summed to writers*incs
 }
 
 // coherenceRun drives a read-mostly publishing workload: every socket owns
@@ -67,7 +66,13 @@ func coherenceRun(seed uint64, m *topo.Machine, mode cache.CoherenceMode, incs i
 	defer e.Close()
 	sys := cache.New(e, m, memory.New(m), interconnect.New(m))
 	sys.SetMode(mode)
+	return runCoherence(e, sys, incs)
+}
 
+// runCoherence runs the publishing workload, then sums its lines, on an
+// already-configured system. Split from coherenceRun so BenchmarkDirectoryPinned
+// can read the run's engine and fabric afterwards.
+func runCoherence(e *sim.Engine, sys *cache.System, incs int) cohRun {
 	var res cohRun
 	var latSum sim.Time
 	lines := spawnCohWorkload(e, sys, incs, &res, &latSum)
@@ -87,7 +92,6 @@ func coherenceRun(seed uint64, m *topo.Machine, mode cache.CoherenceMode, incs i
 
 	res.cyclesPerOp = float64(latSum) / float64(res.ops)
 	res.fanoutMean = e.Metrics().Histogram("cache.probe_fanout").Mean()
-	res.events = e.Metrics().Snapshot().Counters["sim.events_dispatched"]
 	return res
 }
 

@@ -103,18 +103,27 @@ func TestCoherenceDeterminism(t *testing.T) {
 
 // BenchmarkDirectoryPinned is the scaled-machine determinism gate consumed
 // by ci/traceguard: the contended workload on the 256-core Mesh(8) under
-// each coherence mode. simevents/op is a pure function of (seed, machine,
-// mode), so both entries are pinned exactly in the committed baseline — a
-// schedule divergence in either mode's cost model fails CI.
+// each coherence mode. simevents/op and simdwords/op (the fabric's total
+// dwords: broadcast probes in the broadcast row, unicast routes in both)
+// are pure functions of (seed, machine, mode), so every entry is pinned
+// exactly in the committed baseline: a schedule divergence in either mode's
+// cost model, or a change to what its traffic charges, fails CI.
 func BenchmarkDirectoryPinned(b *testing.B) {
 	m := topo.Mesh(8)
-	for _, mode := range []cache.CoherenceMode{cache.Broadcast, cache.Directory} {
+	for _, mode := range cohModes {
 		b.Run(mode.String(), func(b *testing.B) {
-			var ev uint64
+			var ev, dw uint64
 			for i := 0; i < b.N; i++ {
-				ev = coherenceRun(cohSeed, m, mode, 4).events
+				e := sim.NewEngine(cohSeed)
+				sys := cache.New(e, m, memory.New(m), interconnect.New(m))
+				sys.SetMode(mode)
+				runCoherence(e, sys, 4)
+				ev = e.Metrics().Snapshot().Counters["sim.events_dispatched"]
+				dw = sys.Fabric().TotalDwords()
+				e.Close()
 			}
 			b.ReportMetric(float64(ev), "simevents/op")
+			b.ReportMetric(float64(dw), "simdwords/op")
 		})
 	}
 }

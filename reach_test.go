@@ -57,7 +57,6 @@ var reachAllow = map[string]string{
 var readAllow = map[string]string{
 	"multikernel/bench/mkperf.workload.why":       "BENCHMARK.json's reason for the workload; bench/ changes only with the benchmark",
 	"multikernel/internal/check.Result.TraceHash": "TestReplayReproducesGenerativeRun and TestEmptyReplayIsByteIdentical check replays event for event through it",
-	"multikernel/internal/expt.cohRun.events":     "BenchmarkDirectoryPinned reports it, and ci/traceguard pins it",
 }
 
 // reachModules are the directories of the repository's Go modules. The
