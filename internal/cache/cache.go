@@ -52,9 +52,13 @@ func (m CoherenceMode) String() string {
 
 // line is the global directory entry for one cache line.
 type line struct {
-	holders CoreSet     // cores with a valid copy
-	owner   topo.CoreID // core in M/O/E state, or -1
-	dirty   bool        // owner holds M or O (memory stale)
+	holders CoreSet // cores with a valid copy
+	owner   int16   // core in M/O/E state, or -1 (maxCores fits)
+	// home is the line's home socket, taken from Memory when the entry is
+	// made or restored, or -1 while Alloc has not handed the line out
+	// (System.home).
+	home  int16
+	dirty bool // owner holds M or O (memory stale)
 	// xferStore marks the current/most recent occupancy of res as an
 	// ownership (store) transfer: a reader that queued behind it receives
 	// the line by cache-to-cache forwarding at a discount, rather than
@@ -125,7 +129,9 @@ type Watcher struct {
 	Clean bool
 }
 
-func (l *line) view() LineView { return LineView{Holders: l.holders, Owner: l.owner, Dirty: l.dirty} }
+func (l *line) view() LineView {
+	return LineView{Holders: l.holders, Owner: topo.CoreID(l.owner), Dirty: l.dirty}
+}
 
 // LineView is an audit-time snapshot of one line's directory entry.
 type LineView struct {
@@ -189,6 +195,9 @@ func (r Reason) String() string {
 // the cache system; a nil audit (the default) costs one predicted branch.
 type Audit interface {
 	Transition(id memory.LineID, r Reason, core topo.CoreID, before, after LineView, probes int)
+	// StaleHome reports that at transition r the entry of line id held home
+	// socket held, where Memory homes the line on want.
+	StaleHome(id memory.LineID, r Reason, held, want topo.SocketID)
 }
 
 // Stats are per-core access counters.
@@ -392,10 +401,10 @@ func (s *System) linkPenalty(c topo.CoreID, src topo.SocketID, base sim.Time) si
 	return s.fab.TransferPenalty(s.mach.Socket(c), src, base, s.eng.RNG())
 }
 
-// dirDelay books one transaction at the home directory of the line
-// containing a and returns the queuing delay before it can be serviced.
-func (s *System) dirDelay(a memory.Addr) sim.Time {
-	home := s.mem.Home(a)
+// dirDelay books one transaction at the home directory of l, the line
+// containing a, and returns the queuing delay before it can be serviced.
+func (s *System) dirDelay(l *line, a memory.Addr) sim.Time {
+	home := s.home(l, a)
 	now := s.eng.Now()
 	start := now
 	if s.dirFree[home] > start {
@@ -461,7 +470,7 @@ func (s *System) lineFor(a memory.Addr) *line {
 	if e.id != id {
 		l := s.lines[id]
 		if l == nil {
-			l = &line{owner: -1, res: sim.NewResource(s.eng, 1)}
+			l = &line{owner: -1, home: s.homeOf(id), res: sim.NewResource(s.eng, 1)}
 			s.markForward(id, l)
 			s.lines[id] = l
 		}
@@ -471,6 +480,37 @@ func (s *System) lineFor(a memory.Addr) *line {
 		s.touched[id] = true
 	}
 	return e.l
+}
+
+// homeOf is the home socket that a new entry of line id takes: Home's
+// answer, or -1 while Alloc has not handed the line out, because Home
+// reports socket 0 for it only until then.
+func (s *System) homeOf(id memory.LineID) int16 {
+	if a := id.Base(); s.mem.Allocated(a) {
+		return int16(s.mem.Home(a))
+	}
+	return -1
+}
+
+// home returns the home socket of l, the entry of the line containing a. An
+// entry made before Alloc handed its line out takes its home at its first
+// use after.
+func (s *System) home(l *line, a memory.Addr) topo.SocketID {
+	if l.home < 0 {
+		if l.home = s.homeOf(a.Line()); l.home < 0 {
+			return 0
+		}
+	}
+	return topo.SocketID(l.home)
+}
+
+// audited reports transition r of l, the entry of line id, to the audit,
+// and a home that l holds but Memory does not give the line.
+func (s *System) audited(id memory.LineID, r Reason, c topo.CoreID, before LineView, l *line, probes int) {
+	s.audit.Transition(id, r, c, before, l.view(), probes)
+	if held, want := s.home(l, id.Base()), s.mem.Home(id.Base()); held != want {
+		s.audit.StaleHome(id, r, held, want)
+	}
 }
 
 // clearLookaside empties every lookaside slot.
@@ -524,7 +564,7 @@ func (s *System) fill(c topo.CoreID, a memory.Addr, l *line) sim.Time {
 	reason := AuditFillMem
 	var lat sim.Time
 	src := "cache.fill_mem"
-	if l.owner >= 0 && l.owner != c {
+	if owner := topo.CoreID(l.owner); owner >= 0 && owner != c {
 		src = "cache.fill_owner"
 		reason = AuditFillOwner
 		// Fetch from the owning cache; MOESI keeps the dirty copy in-cache
@@ -532,23 +572,23 @@ func (s *System) fill(c topo.CoreID, a memory.Addr, l *line) sim.Time {
 		// HyperTransport-style fabric the request is routed via the line's
 		// home node, so distance to the home adds latency — the effect
 		// NUMA-aware buffer placement exploits (§5.1).
-		lat = s.mach.TransferLat(c, l.owner) + s.homePenalty(c, a) + s.modeExtra(c, s.mach.Socket(l.owner))
-		lat += s.coreStall(l.owner) + s.linkPenalty(c, s.mach.Socket(l.owner), lat)
-		if !s.mach.SameSocket(c, l.owner) {
+		lat = s.mach.TransferLat(c, owner) + s.homePenalty(c, l, a) + s.modeExtra(c, s.mach.Socket(owner))
+		lat += s.coreStall(owner) + s.linkPenalty(c, s.mach.Socket(owner), lat)
+		if !s.mach.SameSocket(c, owner) {
 			s.stats[c].RemoteMisses++
 		}
-		s.chargeFill(c, s.mach.Socket(l.owner))
+		s.chargeFill(c, s.mach.Socket(owner))
 	} else if !l.holders.Empty() && !l.holds(c) {
 		// Shared copies exist but no owner: memory is current.
 		src = "cache.fill_shared"
 		reason = AuditFillShared
-		home := s.mem.Home(a)
+		home := s.home(l, a)
 		lat = s.mach.MemLat(c, home) + s.modeExtra(c, home)
 		lat += s.linkPenalty(c, home, lat)
 		s.stats[c].RemoteMisses++
 		s.chargeFill(c, home)
 	} else {
-		home := s.mem.Home(a)
+		home := s.home(l, a)
 		lat = s.mach.MemLat(c, home) + s.modeExtra(c, home)
 		lat += s.linkPenalty(c, home, lat)
 		s.chargeFill(c, home)
@@ -557,25 +597,25 @@ func (s *System) fill(c topo.CoreID, a memory.Addr, l *line) sim.Time {
 	if l.owner < 0 {
 		// First holder becomes owner (E); an existing dirty owner keeps
 		// ownership (now O with sharers).
-		l.owner = c
+		l.owner = int16(c)
 		l.dirty = false
 	}
 	if s.audit != nil {
-		s.audit.Transition(a.Line(), reason, c, before, l.view(), 0)
+		s.audited(a.Line(), reason, c, before, l, 0)
 	}
 	s.fillHist.Observe(uint64(lat))
 	s.eng.Tracer().Emit(uint64(s.eng.Now()), trace.Instant, trace.SubCache, int32(c), src, 0, uint64(lat))
 	return lat
 }
 
-// homePenalty is the extra cost of routing a cross-socket transaction on the
-// line containing a via its home node.
-func (s *System) homePenalty(c topo.CoreID, a memory.Addr) sim.Time {
+// homePenalty is the extra cost of routing a cross-socket transaction on l,
+// the line containing a, via its home node.
+func (s *System) homePenalty(c topo.CoreID, l *line, a memory.Addr) sim.Time {
 	hr := s.mach.Costs.HomeRoute
 	if hr == 0 {
 		return 0
 	}
-	return sim.Time(s.mach.Hops(s.mach.Socket(c), s.mem.Home(a))) * hr
+	return sim.Time(s.mach.Hops(s.mach.Socket(c), s.home(l, a))) * hr
 }
 
 // invalidateOthers removes all copies except core c's, returning the probe
@@ -630,12 +670,12 @@ func (s *System) invalidateOthers(c topo.CoreID, a memory.Addr, l *line) sim.Tim
 	})
 	lat += probe
 	l.holders = OnlyCore(c)
-	l.owner = c
+	l.owner = int16(c)
 	if s.audit != nil {
-		s.audit.Transition(a.Line(), AuditUpgrade, c, before, l.view(), int(fanout))
+		s.audited(a.Line(), AuditUpgrade, c, before, l, int(fanout))
 	}
 	if lat > 0 {
-		lat += s.homePenalty(c, a)
+		lat += s.homePenalty(c, l, a)
 	}
 	return lat
 }
@@ -646,7 +686,7 @@ func (s *System) markDirty(c topo.CoreID, a memory.Addr, l *line) {
 	if s.audit != nil && !l.dirty {
 		before := l.view()
 		l.dirty = true
-		s.audit.Transition(a.Line(), AuditDirty, c, before, l.view(), 0)
+		s.audited(a.Line(), AuditDirty, c, before, l, 0)
 		return
 	}
 	l.dirty = true
@@ -679,7 +719,7 @@ func (s *System) Load(p *sim.Proc, c topo.CoreID, a memory.Addr) uint64 {
 			lat = forwardLat
 		}
 		if contended {
-			lat += s.dirDelay(a)
+			lat += s.dirDelay(l, a)
 		}
 	}
 	l.xferStore = false
@@ -762,7 +802,7 @@ func (s *System) Store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) {
 // store is Store; it returns the line it wrote.
 func (s *System) store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) *line {
 	l := s.lineFor(a)
-	if l.holds(c) && l.owner == c && l.holders.Only(c) && l.res.QueueLen() == 0 {
+	if l.holds(c) && topo.CoreID(l.owner) == c && l.holders.Only(c) && l.res.QueueLen() == 0 {
 		// Exclusive or Modified with no rival request queued: silent upgrade.
 		// If another core's ownership request is already waiting, the line
 		// is about to be taken away, so the store must join the queue like
@@ -807,7 +847,7 @@ func (s *System) store(p *sim.Proc, c topo.CoreID, a memory.Addr, v uint64) *lin
 	lat := s.ownershipLat(p, c, a, l)
 	l.changed() // copies dropped; no core can hold the line again before the write lands
 	if waited && lat > handoffLat {
-		lat = handoffLat + s.dirDelay(a)
+		lat = handoffLat + s.dirDelay(l, a)
 	}
 	s.markDirty(c, a, l)
 	l.xferStore = true
@@ -842,7 +882,7 @@ func (s *System) ownershipLat(p *sim.Proc, c topo.CoreID, a memory.Addr, l *line
 	// Every ownership transfer is serviced by the line's home directory;
 	// when many writers hammer lines with a common home, the directory
 	// saturates and per-write cost grows with the writer count (Figure 3).
-	return lat + s.dirDelay(a)
+	return lat + s.dirDelay(l, a)
 }
 
 // RMW performs an atomic read-modify-write (lock-prefixed instruction) on
@@ -856,7 +896,7 @@ func (s *System) RMW(p *sim.Proc, c topo.CoreID, a memory.Addr, fn func(uint64) 
 	lat := s.ownershipLat(p, c, a, l)
 	l.changed() // as in Store: this nudge covers the write below
 	if waited && lat > handoffLat {
-		lat = handoffLat + s.dirDelay(a)
+		lat = handoffLat + s.dirDelay(l, a)
 	}
 	s.markDirty(c, a, l)
 	var v uint64
@@ -945,7 +985,7 @@ func (s *System) DMAWrite(a memory.Addr, b []byte, devSocket topo.SocketID) {
 			l.owner = -1
 			l.dirty = false
 			if s.audit != nil {
-				s.audit.Transition(id, AuditDMA, -1, before, l.view(), 0)
+				s.audited(id, AuditDMA, -1, before, l, 0)
 			}
 			l.changed()
 		}

@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"multikernel/internal/interconnect"
 	"multikernel/internal/memory"
@@ -428,4 +430,58 @@ func TestDegradedLinkSlowsCrossSocketFill(t *testing.T) {
 		t.Fatalf("same-socket fill on degraded fabric took %d, want %d", got, want)
 	}
 	r2.sys.CheckInvariants()
+}
+
+// TestLineEntrySize pins a directory entry at 160 bytes with the 1,024-core
+// holder set: line.fwd fills padding and line.host keeps rare state apart so
+// that an entry keeps this size, and a larger entry costs every resident
+// line of a run.
+func TestLineEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 160 {
+		t.Fatalf("line entry is %d bytes, want 160", got)
+	}
+}
+
+// homeRecorder records the stale homes the audit hook reports.
+type homeRecorder struct{ stale []string }
+
+func (hr *homeRecorder) Transition(memory.LineID, Reason, topo.CoreID, LineView, LineView, int) {}
+
+func (hr *homeRecorder) StaleHome(id memory.LineID, r Reason, held, want topo.SocketID) {
+	hr.stale = append(hr.stale, fmt.Sprintf("line %#x %s: held %d, want %d", uint64(id), r, held, want))
+}
+
+// A line touched before Alloc hands its address out is homed on socket 0, as
+// Memory.Home says then. Once an Alloc homes it on another socket, its entry
+// must take that home, or its fills and directory service stay on socket 0.
+// The audit must accept every transition of it, and must name an entry
+// whose home went stale.
+func TestLineTakesItsHomeWhenAllocated(t *testing.T) {
+	m := topo.AMD4x4()
+	r := newRig(m)
+	rec := &homeRecorder{}
+	r.sys.SetAudit(rec)
+	a := r.mem.AllocLines(1, 0).Base + memory.LineSize // the line Alloc hands out next
+	if r.mem.Allocated(a) {
+		t.Fatal("precondition: the next line is already allocated")
+	}
+	const far, near = 12, 4 // cores on sockets 3 and 1
+	if lat := r.runOn(func(p *sim.Proc) { r.sys.Load(p, far, a) }); lat != m.MemLat(far, 0) {
+		t.Fatalf("fill before Alloc took %d, want %d from socket 0", lat, m.MemLat(far, 0))
+	}
+	r.runOn(func(p *sim.Proc) { r.sys.Flush(p, far, a) })
+	if got := r.mem.AllocLines(1, 3).Base; got != a {
+		t.Fatalf("Alloc handed out %#x, want %#x", got, a)
+	}
+	if lat := r.runOn(func(p *sim.Proc) { r.sys.Load(p, far, a) }); lat != m.MemLat(far, 3) {
+		t.Fatalf("fill after Alloc took %d, want %d from socket 3", lat, m.MemLat(far, 3))
+	}
+	if len(rec.stale) > 0 {
+		t.Fatalf("audit reported stale homes: %v", rec.stale)
+	}
+	r.sys.lines[a.Line()].home = 1
+	r.runOn(func(p *sim.Proc) { r.sys.Load(p, near, a) })
+	if want := "line 0x2 fill_owner: held 1, want 3"; len(rec.stale) != 1 || rec.stale[0] != want {
+		t.Fatalf("audit reported %v, want [%s]", rec.stale, want)
+	}
 }

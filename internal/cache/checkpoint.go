@@ -18,7 +18,6 @@ import (
 	"multikernel/internal/ckpt"
 	"multikernel/internal/memory"
 	"multikernel/internal/sim"
-	"multikernel/internal/topo"
 )
 
 // Per-line flag bits in the serialized image.
@@ -101,7 +100,8 @@ func (s *System) CheckpointState(w io.Writer) error {
 // allocating whatever the count says. Line ids must strictly ascend, as
 // CheckpointState writes them, every core index the image names must be a
 // core of this machine, and a line may carry only the known flag bits. A
-// restore leaves no Watcher clean.
+// restore leaves no Watcher clean. Each entry takes its home from Memory,
+// so a system image restores its memory first (core registers it first).
 func (s *System) RestoreState(r io.Reader) error {
 	var nlines uint64
 	if err := ckpt.ReadU64(r, &nlines); err != nil {
@@ -142,7 +142,8 @@ func (s *System) RestoreState(r io.Reader) error {
 		}
 		l := &line{
 			holders:   holders,
-			owner:     topo.CoreID(int64(owner)),
+			owner:     int16(int64(owner)),
+			home:      s.homeOf(memory.LineID(id)),
 			dirty:     flags&clDirty != 0,
 			xferStore: flags&clXferStore != 0,
 			res:       sim.NewResource(s.eng, 1),

@@ -151,6 +151,8 @@ func (pr *probeRecorder) Transition(_ memory.LineID, r Reason, _ topo.CoreID, _,
 	}
 }
 
+func (pr *probeRecorder) StaleHome(memory.LineID, Reason, topo.SocketID, topo.SocketID) {}
+
 // Directory mode probes exactly the actual sharers; broadcast on a
 // snoop-costed machine probes every remote socket no matter how few copies
 // exist. This is the `cache.probe_fanout` split the experiment reports.

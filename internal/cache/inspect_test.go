@@ -48,7 +48,7 @@ func (s *System) StateOf(c topo.CoreID, a memory.Addr) State {
 	if l == nil || !l.holds(c) {
 		return Invalid
 	}
-	if l.owner == c {
+	if topo.CoreID(l.owner) == c {
 		alone := !l.holders.HasOther(c)
 		if l.dirty {
 			if alone {
@@ -78,7 +78,7 @@ func (s *System) Flush(p *sim.Proc, c topo.CoreID, a memory.Addr) {
 	}
 	writeback := false
 	l.holders.Del(c)
-	if l.owner == c {
+	if topo.CoreID(l.owner) == c {
 		l.owner = -1
 		if l.dirty {
 			l.dirty = false
@@ -86,15 +86,15 @@ func (s *System) Flush(p *sim.Proc, c topo.CoreID, a memory.Addr) {
 		}
 	}
 	if s.audit != nil {
-		s.audit.Transition(a.Line(), AuditFlush, c, before, l.view(), 0)
+		s.audited(a.Line(), AuditFlush, c, before, l, 0)
 	}
 	l.changed() // a dropped copy, as on every write path
 	if writeback {
-		home := s.mem.Home(a)
+		home := s.home(l, a)
 		if cs := s.mach.Socket(c); cs != home {
 			s.fab.Charge(cs, home, interconnect.DwordsData)
 		}
-		p.Sleep(s.mach.MemLat(c, s.mem.Home(a)))
+		p.Sleep(s.mach.MemLat(c, home))
 		return
 	}
 	p.Sleep(1)
@@ -103,7 +103,7 @@ func (s *System) Flush(p *sim.Proc, c topo.CoreID, a memory.Addr) {
 // CheckInvariants panics if any line violates the MOESI single-owner rules.
 func (s *System) CheckInvariants() {
 	for id, l := range s.lines {
-		if l.owner >= 0 && !l.holds(l.owner) {
+		if l.owner >= 0 && !l.holds(topo.CoreID(l.owner)) {
 			panic(fmt.Sprintf("cache: line %#x owner %d not a holder", id, l.owner))
 		}
 		if l.dirty && l.owner < 0 {

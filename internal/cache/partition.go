@@ -206,10 +206,10 @@ func (s *System) remoteStore(idx int, base memory.Addr, vals [memory.WordsPerLin
 		s.mem.StoreWord(base+memory.Addr(i*8), vals[i])
 	}
 	l.holders = OnlyCore(r.writer)
-	l.owner = r.writer
+	l.owner = int16(r.writer)
 	l.dirty = true
 	if s.audit != nil {
-		s.audit.Transition(base.Line(), AuditRemote, r.writer, before, l.view(), 0)
+		s.audited(base.Line(), AuditRemote, r.writer, before, l, 0)
 	}
 	l.changed()
 	if r.onDeliver != nil {
@@ -231,10 +231,10 @@ func (s *System) remoteBytes(idx int, a memory.Addr, b []byte) {
 			before = l.view()
 		}
 		l.holders = OnlyCore(r.writer)
-		l.owner = r.writer
+		l.owner = int16(r.writer)
 		l.dirty = true
 		if s.audit != nil {
-			s.audit.Transition(id, AuditRemote, r.writer, before, l.view(), 0)
+			s.audited(id, AuditRemote, r.writer, before, l, 0)
 		}
 		l.changed()
 	}

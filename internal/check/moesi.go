@@ -21,7 +21,9 @@ import (
 //   - store isolation: a line is dirtied only by its owner, only after every
 //     other copy has been invalidated;
 //   - continuity: every directory mutation arrives through the audit hook
-//     (the before-image of each transition must equal the shadow copy).
+//     (the before-image of each transition must equal the shadow copy);
+//   - home: at every transition the entry's home socket is the one memory
+//     gives the line (StaleHome).
 //
 // Violations are collected, not fatal, so a perturbed run reports every
 // failure it encounters.
@@ -112,6 +114,13 @@ func (mc *MOESIChecker) Transition(id memory.LineID, r cache.Reason, core topo.C
 			mc.fail(id, r, "core %d dirtied the line with live sharers %v", core, before.Holders)
 		}
 	}
+}
+
+// StaleHome implements cache.Audit: a directory entry whose home is not the
+// line's home in memory charges its fills, home routing and directory
+// service to the wrong socket.
+func (mc *MOESIChecker) StaleHome(id memory.LineID, r cache.Reason, held, want topo.SocketID) {
+	mc.fail(id, r, "stale home: entry holds socket %d, memory homes the line on %d", held, want)
 }
 
 // Finish runs the end-of-run sweep: the real directory must match the shadow

@@ -22,12 +22,13 @@ func TestWebRequestAllocs(t *testing.T) {
 		name, path string
 		bound      float64 // bytes per request
 	}{
-		// The rows read 523 and 588 bytes; before the path reused its
-		// buffers they read 3,083 and 3,940 (go1.24, linux/amd64). About
-		// 350 of them are the generator's frames, requests and connection
-		// records.
-		{"db", "/db/123", 600},
-		{"range", "/range/4711-4735", 650},
+		// The rows read 507 and 572 bytes (522 and 588 while each
+		// connection allocated its inbox apart from itself); before the
+		// path reused its buffers they read 3,083 and 3,940 (go1.24,
+		// linux/amd64). About 350 of them are the generator's frames,
+		// requests and connection records.
+		{"db", "/db/123", 515},
+		{"range", "/range/4711-4735", 580},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			env, gen := buildWebServer(true, false)

@@ -4,6 +4,13 @@
 // parameters — but it accounts traffic per directed link in 32-bit dwords,
 // the unit the paper's Table 4 reports, and derives link utilization.
 //
+// Traffic is recorded per socket pair, not per link: a charge adds its dwords
+// to the pair's pending count (a broadcast's to its source's) in constant
+// time, however many links its route crosses. Every read first spreads the
+// counts charged since the previous read along the routes (and broadcast
+// trees) they stand for, so it returns exactly what charging each link of
+// each route at once would, and a coherence transaction never walks a route.
+//
 // For fault injection the fabric additionally carries per-directed-link
 // degradation state (a latency multiplier and a loss probability); the cache
 // model consults TransferPenalty on cross-socket transactions so that a
@@ -31,10 +38,17 @@ const (
 // Fabric accounts interconnect traffic for one machine.
 type Fabric struct {
 	m       *topo.Machine
-	traffic []uint64 // dwords per directed socket pair a->b, at a*NSockets+b
+	traffic []uint64 // dwords per directed link a->b, at a*NSockets+b, as of the last spread
 
-	// ChargeBroadcast marks each link it charges with the call's generation
-	// number, so no link is charged twice in one broadcast.
+	// pending holds the dwords charged since the last spread: a unicast
+	// a->b at a*NSockets+b, and a broadcast from a on the diagonal
+	// a*NSockets+a, which no unicast charges. charged lists the indexes
+	// charged since the last spread, so a spread visits only those.
+	pending []uint64
+	charged []int32
+
+	// A spread marks each link of a broadcast tree with the tree's
+	// generation number, so no link is charged twice for one tree.
 	bcastGen  uint64
 	bcastMark []uint64
 
@@ -47,7 +61,8 @@ type Fabric struct {
 
 // New returns an empty fabric for machine m.
 func New(m *topo.Machine) *Fabric {
-	return &Fabric{m: m, traffic: make([]uint64, m.NSockets*m.NSockets)}
+	n := m.NSockets * m.NSockets
+	return &Fabric{m: m, traffic: make([]uint64, n), pending: make([]uint64, n)}
 }
 
 // link is the traffic index of directed link a->b.
@@ -170,16 +185,18 @@ func (f *Fabric) SetMetrics(reg *metrics.Registry) {
 }
 
 // Reset zeroes all traffic counters.
-func (f *Fabric) Reset() { clear(f.traffic) }
+func (f *Fabric) Reset() {
+	clear(f.traffic)
+	clear(f.pending)
+	f.charged = f.charged[:0]
+}
 
 // Charge records dwords of traffic along the shortest path from socket a to
 // socket b. Charging a == b is a no-op (intra-socket traffic never reaches
 // the fabric).
 func (f *Fabric) Charge(a, b topo.SocketID, dwords int) {
-	for a != b {
-		next := f.m.NextHop(a, b)
-		f.traffic[f.link(a, next)] += uint64(dwords)
-		a = next
+	if a != b {
+		f.pend(f.link(a, b), dwords)
 	}
 }
 
@@ -187,6 +204,51 @@ func (f *Fabric) Charge(a, b topo.SocketID, dwords int) {
 // socket along a shortest-path tree (each link charged once per broadcast),
 // modelling probe broadcast on an unfiltered coherence fabric.
 func (f *Fabric) ChargeBroadcast(a topo.SocketID, dwords int) {
+	f.pend(f.link(a, a), dwords)
+}
+
+// pend adds dwords to pending count k, listing k if it was empty. A count
+// that wraps back to zero is listed twice, which spread tolerates.
+func (f *Fabric) pend(k int, dwords int) {
+	if dwords == 0 {
+		return
+	}
+	if f.pending[k] == 0 {
+		f.charged = append(f.charged, int32(k))
+	}
+	f.pending[k] += uint64(dwords)
+}
+
+// spread charges every pending count to the links it stands for and empties
+// it: a unicast a->b to each link of the NextHop route from a to b, a
+// broadcast from a once to each link of the tree that the routes from a to
+// every socket form. Sums are order-free, so the traffic is exactly what
+// charging the links at each call would leave.
+func (f *Fabric) spread() {
+	n := f.m.NSockets
+	for _, k := range f.charged {
+		dw := f.pending[k]
+		if dw == 0 {
+			continue
+		}
+		f.pending[k] = 0
+		a, b := topo.SocketID(int(k)/n), topo.SocketID(int(k)%n)
+		if a == b {
+			f.spreadTree(a, dw)
+			continue
+		}
+		for a != b {
+			next := f.m.NextHop(a, b)
+			f.traffic[f.link(a, next)] += dw
+			a = next
+		}
+	}
+	f.charged = f.charged[:0]
+}
+
+// spreadTree charges dwords once to each link of the shortest-path tree from
+// socket a.
+func (f *Fabric) spreadTree(a topo.SocketID, dwords uint64) {
 	if f.bcastMark == nil {
 		f.bcastMark = make([]uint64, len(f.traffic))
 	}
@@ -196,7 +258,7 @@ func (f *Fabric) ChargeBroadcast(a topo.SocketID, dwords int) {
 			next := f.m.NextHop(cur, dst)
 			if k := f.link(cur, next); f.bcastMark[k] != f.bcastGen {
 				f.bcastMark[k] = f.bcastGen
-				f.traffic[k] += uint64(dwords)
+				f.traffic[k] += dwords
 			}
 			cur = next
 		}
@@ -206,6 +268,9 @@ func (f *Fabric) ChargeBroadcast(a topo.SocketID, dwords int) {
 // LinkDwords returns the dwords recorded on the directed link a->b. The link
 // need not exist; missing links carry zero.
 func (f *Fabric) LinkDwords(a, b topo.SocketID) uint64 {
+	if len(f.charged) > 0 {
+		f.spread()
+	}
 	return f.traffic[f.link(a, b)]
 }
 
@@ -213,15 +278,15 @@ func (f *Fabric) LinkDwords(a, b topo.SocketID) uint64 {
 // path from a to b — the "a to b direction" figure reported in the paper's
 // loopback table.
 func (f *Fabric) PathDwords(a, b topo.SocketID) uint64 {
-	r := f.m.Route(a, b)
-	if len(r) == 0 {
+	if a == b {
 		return 0
 	}
-	return f.LinkDwords(a, r[0])
+	return f.LinkDwords(a, f.m.NextHop(a, b))
 }
 
 // TotalDwords returns the sum over all directed links.
 func (f *Fabric) TotalDwords() uint64 {
+	f.spread()
 	var sum uint64
 	for _, v := range f.traffic {
 		sum += v

@@ -138,12 +138,16 @@ func TestReset(t *testing.T) {
 }
 
 // Snapshot returns a human-readable listing of every link that carried
-// traffic, ordered by source socket, then destination.
+// traffic, ordered by source socket, then destination. It reads through
+// LinkDwords, so pending charges are spread first.
 func (f *Fabric) Snapshot() string {
 	var b strings.Builder
-	for k, v := range f.traffic {
-		if v != 0 {
-			fmt.Fprintf(&b, "link %d->%d: %d dwords\n", k/f.m.NSockets, k%f.m.NSockets, v)
+	n := topo.SocketID(f.m.NSockets)
+	for a := topo.SocketID(0); a < n; a++ {
+		for c := topo.SocketID(0); c < n; c++ {
+			if v := f.LinkDwords(a, c); v != 0 {
+				fmt.Fprintf(&b, "link %d->%d: %d dwords\n", a, c, v)
+			}
 		}
 	}
 	return b.String()

@@ -144,6 +144,11 @@ func (mem *Memory) Home(a Addr) topo.SocketID {
 	return mem.homes[i-1].home
 }
 
+// Allocated reports whether Alloc has handed out the line containing a, or
+// never will (line 0), so that Home's answer for a is final. Home reports
+// socket 0 for any other address only until an Alloc hands its line out.
+func (mem *Memory) Allocated(a Addr) bool { return a < mem.next }
+
 // pageFor returns the page containing a, creating it if create is set.
 // It returns nil for an absent page when create is false.
 func (mem *Memory) pageFor(a Addr, create bool) *page {

@@ -119,11 +119,13 @@ func (l *TCPListener) Quiet() (bool, sim.Time) {
 
 // TCPConn is one end of an established connection.
 type TCPConn struct {
-	stack      *Stack
-	key        connKey
-	state      tcpState
-	seq, ack   uint32
-	inbox      *sim.Queue[[]byte]
+	stack    *Stack
+	key      connKey
+	state    tcpState
+	seq, ack uint32
+	// inbox is only pushed and try-popped, never blocked on, so it lives in
+	// the connection, bound to no engine.
+	inbox      sim.Queue[[]byte]
 	peerClosed bool
 	listener   *TCPListener // server side: where to queue on establish
 }
@@ -155,7 +157,6 @@ func (s *Stack) Dial(p *sim.Proc, dst IPAddr, port uint16) *TCPConn {
 		key:   connKey{localPort: s.nextEph, remotePort: port, remote: dst},
 		state: tcpSynSent,
 		seq:   uint32(s.nextEph) * 7919,
-		inbox: sim.NewQueue[[]byte](s.e),
 	}
 	s.conns[c.key] = c
 	c.sendSeg(p, TCPSyn, nil)
@@ -240,7 +241,6 @@ func (s *Stack) handleTCP(p *sim.Proc, src IPAddr, h TCPHeader, payload []byte) 
 			state:    tcpEstablished, // server considers it live on 3rd ack; simplified
 			seq:      uint32(h.DstPort) * 104729,
 			ack:      h.Seq + 1,
-			inbox:    sim.NewQueue[[]byte](s.e),
 			listener: l,
 		}
 		s.conns[key] = c

@@ -103,7 +103,8 @@ func (r *Resource) QueueLen() int { return len(r.waiters) }
 // Queue is an unbounded FIFO of items with blocking receive, usable as a
 // mailbox between procs. Push never blocks; Pop parks until an item arrives.
 // The queue keeps its backing array: a Push that finds it full slides the
-// queued items to the front before it grows.
+// queued items to the front before it grows. The zero Queue is bound to no
+// engine: it serves Push, TryPop and Len, but no proc may Pop from it.
 type Queue[T any] struct {
 	e       *Engine
 	items   []T // items[head:] are queued
