@@ -53,9 +53,10 @@ func (r *eagerFabric) broadcast(a topo.SocketID, dwords int) {
 // then takes one byte (its low two bits pick the kind) and, for a charge or
 // a broadcast, the sockets and a signed dword count from the next bytes.
 func FuzzFabricCharges(f *testing.F) {
-	// A unicast pattern on the 8x4 machine: every kind of fill's probe,
-	// data and ack between sockets one to three hops apart, then a read.
-	f.Add([]byte{0, 0, 1, 0, 2, 0, 0, 1, 18, 0, 2, 7, 2, 0, 5, 3, 18, 3, 0, 0, 7, 2, 3})
+	// A unicast pattern on the 8x4 machine: probes and data between
+	// sockets one to three hops apart, a read, a charge that a reset
+	// drops unread, another charge and a read.
+	f.Add([]byte{0, 0, 1, 0, 2, 0, 0, 1, 18, 0, 2, 7, 2, 0, 5, 3, 18, 3, 0, 0, 7, 2, 2, 0, 6, 1, 18, 3})
 	// A broadcast pattern on the 4x4 mesh: probes from a corner and the
 	// middle, the corner's again, a unicast ack, a read, a reset, then a
 	// probe from the far corner and a read.

@@ -207,12 +207,10 @@ func (f *Fabric) ChargeBroadcast(a topo.SocketID, dwords int) {
 	f.pend(f.link(a, a), dwords)
 }
 
-// pend adds dwords to pending count k, listing k if it was empty. A count
-// that wraps back to zero is listed twice, which spread tolerates.
+// pend adds dwords to pending count k, listing k if the count was zero. A
+// count that is zero again before the next spread (after a zero or a
+// wrapping charge) is listed twice; spread then adds zero for the second.
 func (f *Fabric) pend(k int, dwords int) {
-	if dwords == 0 {
-		return
-	}
 	if f.pending[k] == 0 {
 		f.charged = append(f.charged, int32(k))
 	}
@@ -228,9 +226,6 @@ func (f *Fabric) spread() {
 	n := f.m.NSockets
 	for _, k := range f.charged {
 		dw := f.pending[k]
-		if dw == 0 {
-			continue
-		}
 		f.pending[k] = 0
 		a, b := topo.SocketID(int(k)/n), topo.SocketID(int(k)%n)
 		if a == b {
@@ -268,9 +263,7 @@ func (f *Fabric) spreadTree(a topo.SocketID, dwords uint64) {
 // LinkDwords returns the dwords recorded on the directed link a->b. The link
 // need not exist; missing links carry zero.
 func (f *Fabric) LinkDwords(a, b topo.SocketID) uint64 {
-	if len(f.charged) > 0 {
-		f.spread()
-	}
+	f.spread()
 	return f.traffic[f.link(a, b)]
 }
 
@@ -278,10 +271,11 @@ func (f *Fabric) LinkDwords(a, b topo.SocketID) uint64 {
 // path from a to b — the "a to b direction" figure reported in the paper's
 // loopback table.
 func (f *Fabric) PathDwords(a, b topo.SocketID) uint64 {
-	if a == b {
+	r := f.m.Route(a, b)
+	if len(r) == 0 {
 		return 0
 	}
-	return f.LinkDwords(a, f.m.NextHop(a, b))
+	return f.LinkDwords(a, r[0])
 }
 
 // TotalDwords returns the sum over all directed links.
