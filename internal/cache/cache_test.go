@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -442,15 +441,6 @@ func TestLineEntrySize(t *testing.T) {
 	}
 }
 
-// homeRecorder records the stale homes the audit hook reports.
-type homeRecorder struct{ stale []string }
-
-func (hr *homeRecorder) Transition(memory.LineID, Reason, topo.CoreID, LineView, LineView, int) {}
-
-func (hr *homeRecorder) StaleHome(id memory.LineID, r Reason, held, want topo.SocketID) {
-	hr.stale = append(hr.stale, fmt.Sprintf("line %#x %s: held %d, want %d", uint64(id), r, held, want))
-}
-
 // A line touched before Alloc hands its address out is homed on socket 0, as
 // Memory.Home says then. Once an Alloc homes it on another socket, its entry
 // must take that home, or its fills and directory service stay on socket 0.
@@ -459,7 +449,7 @@ func (hr *homeRecorder) StaleHome(id memory.LineID, r Reason, held, want topo.So
 func TestLineTakesItsHomeWhenAllocated(t *testing.T) {
 	m := topo.AMD4x4()
 	r := newRig(m)
-	rec := &homeRecorder{}
+	rec := &probeRecorder{}
 	r.sys.SetAudit(rec)
 	a := r.mem.AllocLines(1, 0).Base + memory.LineSize // the line Alloc hands out next
 	if r.mem.Allocated(a) {

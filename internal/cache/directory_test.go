@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"multikernel/internal/memory"
@@ -142,8 +143,12 @@ func TestDirectoryTransitionTable(t *testing.T) {
 	}
 }
 
-// probeRecorder captures the probe counts the audit hook reports on upgrades.
-type probeRecorder struct{ upgrades []int }
+// probeRecorder captures the probe counts the audit hook reports on upgrades,
+// and the stale homes it reports.
+type probeRecorder struct {
+	upgrades []int
+	stale    []string
+}
 
 func (pr *probeRecorder) Transition(_ memory.LineID, r Reason, _ topo.CoreID, _, _ LineView, probes int) {
 	if r == AuditUpgrade {
@@ -151,7 +156,9 @@ func (pr *probeRecorder) Transition(_ memory.LineID, r Reason, _ topo.CoreID, _,
 	}
 }
 
-func (pr *probeRecorder) StaleHome(memory.LineID, Reason, topo.SocketID, topo.SocketID) {}
+func (pr *probeRecorder) StaleHome(id memory.LineID, r Reason, held, want topo.SocketID) {
+	pr.stale = append(pr.stale, fmt.Sprintf("line %#x %s: held %d, want %d", uint64(id), r, held, want))
+}
 
 // Directory mode probes exactly the actual sharers; broadcast on a
 // snoop-costed machine probes every remote socket no matter how few copies
